@@ -36,10 +36,9 @@ from .errors import (
 from .groups import FiniteGroup, generator_decomposition, word_elements
 from .reps import UnitaryRep
 from .statevec import (
+    UNITARY_TOL,
     StateVector,
     apply_controlled,
-    apply_local,
-    apply_prefix_operator,
     basis_state,
     product_state,
 )
@@ -105,39 +104,16 @@ class CircuitPlan:
     def total_count(self) -> int:
         return sum(g.cost for g in self.gates)
 
-    def stage_count(self, stage: str) -> int:
-        return sum(g.cost for g in self.gates if g.stage == stage)
-
-    def count_by_kind(self, kind: str) -> int:
-        return sum(g.cost for g in self.gates if g.kind == kind)
-
-    def stage_gates(self, stage: str) -> list[Gate]:
-        return [g for g in self.gates if g.stage == stage]
-
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     if gate.kind == "chain":
         return state
-    if gate.kind == "prep":
-        return apply_prefix_operator_at(state, gate.matrix, gate.targets)
-    if gate.kind == "single":
-        return apply_local(state, gate.matrix, gate.targets[0])
-    if gate.kind in ("controlled", "cnot"):
-        matrix = gate.matrix if gate.matrix is not None else _X
-        return apply_controlled(state, gate.controls, matrix, gate.targets)
-    raise DfsCodecError(f"unknown gate kind {gate.kind!r}")
-
-
-def apply_prefix_operator_at(state: StateVector, op: np.ndarray, wires) -> StateVector:
-    """Apply a dense unitary on an arbitrary contiguous-or-not wire tuple."""
-    wires = list(wires)
-    rest = [w for w in range(state.n) if w not in wires]
-    tensor = state.tensor().transpose(wires + rest)
-    flat = tensor.reshape(state.d ** len(wires), -1)
-    flat = np.asarray(op, dtype=np.complex128) @ flat
-    tensor = flat.reshape([state.d] * state.n)
-    inverse = np.argsort(wires + rest)
-    return StateVector(d=state.d, n=state.n, amps=tensor.transpose(inverse).reshape(-1))
+    if gate.kind not in ("single", "prep", "controlled", "cnot"):
+        raise DfsCodecError(f"unknown gate kind {gate.kind!r}")
+    matrix = gate.matrix
+    if matrix is None and gate.kind in ("controlled", "cnot"):
+        matrix = _X
+    return apply_controlled(state, gate.controls, matrix, gate.targets)
 
 
 def run_plan(plan: CircuitPlan, state: StateVector) -> StateVector:
@@ -171,21 +147,9 @@ def prep_gates(group: FiniteGroup, control_wires) -> list[Gate]:
             Gate(kind="single", targets=(w,), matrix=_H, cost=1, stage="prep")
             for w in control_wires
         ]
-    dim = 2**r_prime
-    first = np.zeros(dim, dtype=np.complex128)
+    first = np.zeros((2**r_prime, 1), dtype=np.complex128)
     first[: group.order] = 1.0 / np.sqrt(group.order)
-    basis = [first]
-    for j in range(dim):
-        e = np.zeros(dim, dtype=np.complex128)
-        e[j] = 1.0
-        for b in basis:
-            e = e - b * np.vdot(b, e)
-        norm = np.linalg.norm(e)
-        if norm > 1e-9:
-            basis.append(e / norm)
-        if len(basis) == dim:
-            break
-    matrix = np.column_stack(basis)
+    matrix = _complete_unitary(first)
     return [
         Gate(
             kind="prep",
@@ -196,6 +160,15 @@ def prep_gates(group: FiniteGroup, control_wires) -> list[Gate]:
             note=f"uniform over first {group.order} labels",
         )
     ]
+
+
+def _complete_unitary(columns: np.ndarray) -> np.ndarray:
+    """The given orthonormal columns, followed by an orthonormal complement."""
+    k = columns.shape[1]
+    if np.max(np.abs(columns.conj().T @ columns - np.eye(k))) > UNITARY_TOL:
+        raise DfsCodecError("columns to complete are not orthonormal")
+    q, _ = np.linalg.qr(columns, mode="complete")
+    return np.hstack([columns, q[:, k:]])
 
 
 def _chain_cost(num_controls: int) -> int:
@@ -431,45 +404,20 @@ class TokenBasisChange:
     bound: int
     element_order: tuple[int, ...]
 
-    def apply(self, state: StateVector) -> StateVector:
-        return apply_prefix_operator(state, self.matrix, self.r)
-
 
 def apply_t_direct(tokens: TokenSet, element_order=None) -> TokenBasisChange:
-    """Complete the token columns to a unitary by deterministic Gram-Schmidt."""
+    """Complete the token columns, in label order, to a unitary."""
     d, r = tokens.rep.dim, tokens.r
     order = tokens.group.order
-    dim = d**r
     if element_order is None:
         element_order = tuple(range(order))
     else:
         element_order = tuple(int(x) for x in element_order)
         if sorted(element_order) != list(range(order)):
             raise DfsCodecError("element_order must enumerate the group")
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
-    taken = []
-    for label, element in enumerate(element_order):
-        col = tokens.tokens[element].amps
-        matrix[:, label] = col
-        taken.append(col)
-    free = order
-    for j in range(dim):
-        if free == dim:
-            break
-        e = np.zeros(dim, dtype=np.complex128)
-        e[j] = 1.0
-        for k in range(free):
-            e = e - matrix[:, k] * np.vdot(matrix[:, k], e)
-        for k in range(free):
-            e = e - matrix[:, k] * np.vdot(matrix[:, k], e)
-        norm = np.linalg.norm(e)
-        if norm > 1e-7:
-            matrix[:, free] = e / norm
-            free += 1
-    if free != dim:
-        raise DfsCodecError("failed to complete the token basis to a unitary")
+    columns = np.column_stack([tokens.tokens[element].amps for element in element_order])
     return TokenBasisChange(
-        matrix=matrix, r=r, d=d, bound=dim, element_order=element_order
+        matrix=_complete_unitary(columns), r=r, d=d, bound=d**r, element_order=element_order
     )
 
 
@@ -666,10 +614,7 @@ class EncodingPipeline:
             state = apply_gate(state, gate)
         state = run_plan(self.w_plan, state)
         if self.t_direct is not None:
-            state = apply_prefix_operator_at(
-                state, self.t_direct.matrix, list(self.layout.token)
-            )
-            return state
+            return apply_controlled(state, (), self.t_direct.matrix, self.layout.token)
         state = run_plan(self.t_plan, state)
         # the control register must disentangle back to |0...0>
         r_prime = len(self.layout.control)

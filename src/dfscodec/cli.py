@@ -120,7 +120,7 @@ def cmd_group_validate(args) -> int:
 
 
 def cmd_group_info(args) -> int:
-    group = _load_group(args.builtin if args.builtin else args.group)
+    group = _load_group(args.builtin or args.group)
     from .groups import conjugacy_classes
 
     classes = conjugacy_classes(group)
@@ -421,6 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is cmd_group_info and args.group is None and not args.builtin:
+        parser.exit(EXIT_USAGE, "dfscodec group info: error: give a group or --builtin\n")
     try:
         return args.func(args)
     except PerpOutcome as exc:

@@ -36,10 +36,6 @@ class FiniteGroup:
         self.cayley.setflags(write=False)
         self.inverse.setflags(write=False)
 
-    @property
-    def identity_index(self) -> int:
-        return 0
-
     def mul(self, i: int, k: int) -> int:
         return int(self.cayley[i, k])
 
@@ -61,9 +57,6 @@ class FiniteGroup:
     def conjugate(self, l: int, i: int) -> int:
         """Index of g_l * g_i * g_l^-1."""
         return self.mul(self.mul(l, i), self.inv(l))
-
-    def label(self, i: int) -> str:
-        return self.labels[i]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteGroup(order={self.order}, name={self.name!r})"

@@ -22,11 +22,11 @@ from .errors import (
     RMaxExceeded,
 )
 from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes
+from .statevec import UNITARY_TOL
 
 DEFAULT_R_MAX = 32
 MAX_DECOMPOSE_DIM = 4096
 
-UNITARY_TOL = 1e-9
 HOMOMORPHISM_TOL = 1e-9
 MULTIPLICITY_TOL = 1e-6
 FAITHFUL_TOL = 1e-9
@@ -50,9 +50,6 @@ class UnitaryRep:
 
     def __post_init__(self) -> None:
         self.matrices.setflags(write=False)
-
-    def matrix(self, i: int) -> np.ndarray:
-        return self.matrices[i]
 
     @classmethod
     def build(

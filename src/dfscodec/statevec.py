@@ -56,9 +56,6 @@ class StateVector:
     def tensor(self) -> np.ndarray:
         return self.amps.reshape([self.d] * self.n)
 
-    def digit_index(self, digits) -> int:
-        return int(np.ravel_multi_index(tuple(digits), (self.d,) * self.n))
-
 
 def basis_state(d: int, n: int, index: int = 0) -> StateVector:
     amps = np.zeros(d**n, dtype=np.complex128)
@@ -90,68 +87,85 @@ def _check_unitary(u: np.ndarray, dim: int, tol: float = UNITARY_TOL) -> None:
         raise DimensionMismatch("operator is not unitary within tolerance")
 
 
+def _to_front(tensor: np.ndarray, axes, d: int) -> np.ndarray:
+    """Move ``axes`` to the front, in order, and flatten to a (d^k, rest) block."""
+    return np.moveaxis(tensor, axes, range(len(axes))).reshape(d ** len(axes), -1)
+
+
+def _from_front(block: np.ndarray, axes, ndim: int, d: int) -> np.ndarray:
+    """Inverse of :func:`_to_front`: an ``ndim``-axis tensor with ``axes`` back in place."""
+    return np.moveaxis(block.reshape([d] * ndim), range(len(axes)), axes)
+
+
+def _apply(state: StateVector, op: np.ndarray, targets, controls=()) -> StateVector:
+    """The operator kernel: ``op`` on ``targets`` wherever every control matches.
+
+    Wires and controls are validated and ``op`` is checked by the caller.
+    """
+    d, n = state.d, state.n
+    if not controls:
+        # right-multiplied form: pins perp_probability in roundtrip_z8.json
+        out = (_to_front(state.tensor(), targets, d).T @ op.T).T
+        return StateVector(d=d, n=n, amps=_from_front(out, targets, n, d).reshape(-1))
+    tensor = state.tensor().copy()
+    index: list = [slice(None)] * n
+    for w, v in controls:
+        index[w] = v
+    sub = tensor[tuple(index)]
+    # axis rank of each target among the non-control wires, in the sliced view
+    control_wires = {w for w, _ in controls}
+    remaining = [w for w in range(n) if w not in control_wires]
+    axes = [remaining.index(t) for t in targets]
+    # left-multiplied form: pins fidelity_vs_direct_encoding in circuit_simulate_z8.json
+    tensor[tuple(index)] = _from_front(op @ _to_front(sub, axes, d), axes, sub.ndim, d)
+    return StateVector(d=d, n=n, amps=tensor.reshape(-1))
+
+
+def _check_wires(state: StateVector, wires) -> list[int]:
+    wires = [int(w) for w in wires]
+    if len(set(wires)) != len(wires):
+        raise BadTarget(f"repeated qudit in {wires}")
+    for w in wires:
+        if not 0 <= w < state.n:
+            raise BadTarget(f"qudit {w} out of range for {state.n} qudits")
+    return wires
+
+
 def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:
     """Apply a d x d unitary to one qudit."""
-    u = np.asarray(u, dtype=np.complex128)
-    _check_unitary(u, state.d)
-    if not 0 <= target < state.n:
-        raise BadTarget(f"target {target} out of range for {state.n} qudits")
-    tensor = state.tensor()
-    moved = np.moveaxis(tensor, target, -1)
-    out = np.moveaxis(moved @ u.T, -1, target)
-    return StateVector(d=state.d, n=state.n, amps=out.reshape(-1))
+    return apply_controlled(state, (), u, [target])
 
 
 def apply_collective(state: StateVector, u: np.ndarray, targets=None) -> StateVector:
     """Apply the same single-qudit unitary to every listed qudit (default: all)."""
-    if targets is None:
-        targets = range(state.n)
-    targets = list(targets)
-    if len(set(targets)) != len(targets):
-        raise BadTarget(f"duplicate targets in {targets}")
+    targets = _check_wires(state, range(state.n) if targets is None else targets)
+    u = np.asarray(u, dtype=np.complex128)
+    _check_unitary(u, state.d)
     for t in targets:
-        state = apply_local(state, u, t)
+        state = _apply(state, u, [t])
     return state
 
 
 def apply_controlled(state: StateVector, controls, u: np.ndarray, targets) -> StateVector:
     """Apply a unitary on a target block when every control qudit holds its value.
 
-    ``controls`` is a sequence of ``(qudit, required_value)`` pairs; amplitudes
-    whose control digits do not match are left bit-exact.
+    ``controls`` is a sequence of ``(qudit, required_value)`` pairs, possibly
+    empty; amplitudes whose control digits do not match are left bit-exact.
+    This is the general entry to the operator kernel.
     """
     controls = [(int(w), int(v)) for w, v in controls]
-    targets = [int(t) for t in targets]
+    targets = _check_wires(state, targets)
     control_wires = [w for w, _ in controls]
-    if len(set(control_wires)) != len(control_wires) or len(set(targets)) != len(targets):
-        raise BadTarget("repeated control or target qudit")
+    if len(set(control_wires)) != len(control_wires):
+        raise BadTarget("repeated control qudit")
     if set(control_wires) & set(targets):
         raise BadTarget("control and target sets overlap")
     for w, v in controls:
         if not (0 <= w < state.n) or not (0 <= v < state.d):
             raise BadTarget(f"control ({w},{v}) out of range")
-    for t in targets:
-        if not 0 <= t < state.n:
-            raise BadTarget(f"target {t} out of range")
-    k = len(targets)
     u = np.asarray(u, dtype=np.complex128)
-    _check_unitary(u, state.d**k)
-
-    tensor = state.tensor().copy()
-    index: list = [slice(None)] * state.n
-    for w, v in controls:
-        index[w] = v
-    sub = tensor[tuple(index)]
-    # axis rank of each target among the non-control wires, in the sliced view
-    remaining = [w for w in range(state.n) if w not in control_wires]
-    axes = [remaining.index(t) for t in targets]
-    moved = np.moveaxis(sub, axes, range(k))
-    shape = moved.shape
-    flat = moved.reshape(state.d**k, -1)
-    flat = u @ flat
-    moved = flat.reshape(shape)
-    tensor[tuple(index)] = np.moveaxis(moved, range(k), axes)
-    return StateVector(d=state.d, n=state.n, amps=tensor.reshape(-1))
+    _check_unitary(u, state.d ** len(targets))
+    return _apply(state, u, targets, controls)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,17 +186,9 @@ class MeasurementRecord:
 
 def _projector_amplitudes(state: StateVector, subset, projectors):
     """Amplitude rows <v_i| B for rank-one projectors |v_i><v_i| on the subset."""
-    subset = [int(q) for q in subset]
-    if len(set(subset)) != len(subset):
-        raise BadTarget("measurement subset has repeats")
-    for q in subset:
-        if not 0 <= q < state.n:
-            raise BadTarget(f"measured qudit {q} out of range")
-    k = len(subset)
-    dim = state.d**k
-    rest = [q for q in range(state.n) if q not in subset]
-    tensor = state.tensor().transpose(subset + rest)
-    block = tensor.reshape(dim, -1)
+    subset = _check_wires(state, subset)
+    dim = state.d ** len(subset)
+    block = _to_front(state.tensor(), subset, state.d)
     vectors = []
     for p in projectors:
         v = np.asarray(p, dtype=np.complex128).reshape(-1)
@@ -197,12 +203,12 @@ def _projector_amplitudes(state: StateVector, subset, projectors):
             if abs(np.vdot(vectors[i], vectors[j])) > 1e-9:
                 raise NonOrthogonalProjectors(f"projectors {i} and {j} overlap")
     rows = np.array([v.conj() @ block for v in vectors])
-    return vectors, rows, block, subset, rest
+    return vectors, rows, block, subset
 
 
 def outcome_probabilities(state: StateVector, subset, projectors) -> np.ndarray:
     """Exact probabilities of the offered outcomes plus the remainder, in order."""
-    _, rows, _, _, _ = _projector_amplitudes(state, subset, projectors)
+    _, rows, _, _ = _projector_amplitudes(state, subset, projectors)
     probs = np.sum(np.abs(rows) ** 2, axis=1)
     perp = max(0.0, 1.0 - float(np.sum(probs)))
     return np.append(probs, perp)
@@ -213,7 +219,7 @@ def project_measure(state: StateVector, subset, projectors, seed: int) -> Measur
 
     Same seed, same state: same outcome and a bit-identical post state.
     """
-    vectors, rows, block, subset, rest = _projector_amplitudes(state, subset, projectors)
+    vectors, rows, block, subset = _projector_amplitudes(state, subset, projectors)
     probs = np.sum(np.abs(rows) ** 2, axis=1)
     total = float(np.sum(probs))
     if total > 1.0 + 1e-9:
@@ -238,11 +244,8 @@ def project_measure(state: StateVector, subset, projectors, seed: int) -> Measur
     if norm == 0:
         raise NonOrthogonalProjectors("post-measurement state vanished")
     kept = kept / norm
-    k = len(subset)
-    tensor = kept.reshape([state.d] * state.n)
-    inverse = np.argsort(subset + rest)
     post = StateVector(
-        d=state.d, n=state.n, amps=tensor.transpose(inverse).reshape(-1)
+        d=state.d, n=state.n, amps=_from_front(kept, subset, state.n, state.d).reshape(-1)
     )
     return MeasurementRecord(
         outcome=outcome,
@@ -274,12 +277,3 @@ def extract_prefix_register(state: StateVector, prefix: np.ndarray, k: int) -> S
     block = state.amps.reshape(dim, -1)
     rest = vec.conj() @ block
     return StateVector.from_amplitudes(state.d, state.n - k, rest, normalize=True)
-
-
-def apply_prefix_operator(state: StateVector, op: np.ndarray, k: int) -> StateVector:
-    """Apply a dense unitary acting on the leading k qudits."""
-    dim = state.d**k
-    op = np.asarray(op, dtype=np.complex128)
-    _check_unitary(op, dim)
-    block = state.amps.reshape(dim, -1)
-    return StateVector(d=state.d, n=state.n, amps=(op @ block).reshape(-1))

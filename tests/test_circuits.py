@@ -21,7 +21,12 @@ from dfscodec.circuits import (
     token_group_slices,
 )
 from dfscodec.codec import decode, encode
-from dfscodec.errors import DfsCodecError, NotAbelian, UnsupportedDimension
+from dfscodec.errors import (
+    DfsCodecError,
+    DimensionMismatch,
+    NotAbelian,
+    UnsupportedDimension,
+)
 from dfscodec.groups import builtin_group
 from dfscodec.reps import pauli_rep, zn_phase_rep
 from dfscodec.statevec import (
@@ -395,6 +400,25 @@ def test_prep_gates_non_power_order(context_for):
     np.testing.assert_allclose(
         np.abs(state.amps) ** 2, [1 / 3, 1 / 3, 1 / 3, 0], atol=1e-12
     )
+
+
+def test_apply_gate_rejects_non_unitary_prep():
+    from dfscodec.circuits import Gate, apply_gate
+
+    gate = Gate(kind="prep", targets=(0, 1), matrix=2 * np.eye(4), cost=2, stage="prep")
+    with pytest.raises(DimensionMismatch):
+        apply_gate(basis_state(2, 2, 0), gate)
+
+
+def test_unitary_completion_keeps_columns_and_rejects_overlap(rng):
+    from dfscodec.circuits import _complete_unitary
+
+    columns = np.linalg.qr(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))[0]
+    full = _complete_unitary(columns)
+    assert np.array_equal(full[:, :3], columns)
+    np.testing.assert_allclose(full.conj().T @ full, np.eye(8), atol=1e-12)
+    with pytest.raises(DfsCodecError):
+        _complete_unitary(np.column_stack([columns[:, 0], columns[:, 0]]))
 
 
 def run_plan_like(gates, state):

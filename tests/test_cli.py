@@ -117,6 +117,14 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_group_info_without_group_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["group", "info"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error" in err
+
+
 def test_env_seed_used_and_recorded(monkeypatch, capsys):
     monkeypatch.setenv("DFSCODEC_SEED", "4242")
     assert main(["roundtrip", "--group", "z2", "--m", "1"]) == 0

@@ -148,6 +148,29 @@ def test_controlled_multi_target_block(rng):
     np.testing.assert_allclose(out.amps, dense @ state.amps, atol=1e-10)
 
 
+def test_uncontrolled_block_on_out_of_order_wires_matches_kron_oracle(rng):
+    # prep gates and the token basis change reach the kernel in this form
+    state = random_state(2, 3, rng)
+    u = haar_unitary(4, rng)
+    out = apply_controlled(state, [], u, [2, 0])
+    # |a0 a1 a2> -> |a2 a0 a1> puts the targets first, in the order given
+    perm = np.zeros((8, 8))
+    for a0, a1, a2 in np.ndindex(2, 2, 2):
+        perm[4 * a2 + 2 * a0 + a1, 4 * a0 + 2 * a1 + a2] = 1.0
+    dense = perm.T @ np.kron(u, np.eye(2)) @ perm
+    np.testing.assert_allclose(out.amps, dense @ state.amps, atol=1e-10)
+
+
+def test_collective_is_bit_identical_to_local_loop(rng):
+    # the golden reports depend on this rounding, so compare bit for bit
+    state = random_state(2, 6, rng)
+    u = haar_unitary(2, rng)
+    sequential = state
+    for t in range(6):
+        sequential = apply_local(sequential, u, t)
+    assert np.array_equal(apply_collective(state, u).amps, sequential.amps)
+
+
 def test_control_target_overlap_rejected(rng):
     state = random_state(2, 2, rng)
     with pytest.raises(BadTarget):
