@@ -33,7 +33,7 @@ from .errors import (
     NotAbelian,
     UnsupportedDimension,
 )
-from .groups import FiniteGroup, generator_decomposition, word_elements
+from .groups import FiniteGroup, cyclic_generator, generator_decomposition, word_elements
 from .reps import UnitaryRep
 from .statevec import (
     UNITARY_TOL,
@@ -334,15 +334,12 @@ def synth_w_abelian(
     )
 
 
-def _cyclic_generator(group: FiniteGroup) -> int:
-    for i in range(group.order):
-        if group.element_order(i) == group.order:
-            return i
-    raise NotAbelian("group has no generator; the cyclic path needs a cyclic group")
-
-
 def synth_w_cyclic(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
-    """One controlled power of the generator per control wire: m log2 N gates."""
+    """One controlled power of the generator per control wire: m log2 N gates.
+
+    Control label v stands for the v-th power of the generator, so the labels
+    are generator words like those of the abelian path.
+    """
     if rep.dim != 2:
         raise UnsupportedDimension("gate-level synthesis is defined for qubits only")
     n = group.order
@@ -350,7 +347,9 @@ def synth_w_cyclic(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
         raise DfsCodecError(
             f"cyclic path needs a power-of-two order, got {n}; use the general path"
         )
-    gen = _cyclic_generator(group)
+    gen = cyclic_generator(group)
+    if gen is None:
+        raise NotAbelian("group has no generator; the cyclic path needs a cyclic group")
     r_prime = control_wire_count(n)
     control_wires = tuple(range(r_prime))
     message_wires = tuple(range(r_prime, r_prime + m))
@@ -382,7 +381,8 @@ def synth_w_cyclic(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
             "m": m,
             "r_prime": r_prime,
             "controlled_count": m * r_prime,
-            "control_labeling": "element_index",
+            "control_labeling": "generator_words",
+            "word_elements": word_elements(group, [gen], [n]),
         },
     )
 
@@ -760,7 +760,7 @@ def gate_count_report(
         except DfsCodecError:
             pass
     if "cyclic" in paths and rep.dim == 2 and not group.order & (group.order - 1):
-        if any(group.element_order(i) == group.order for i in range(group.order)):
+        if cyclic_generator(group) is not None:
             plan = synth_w_cyclic(group, rep, m)
             t_plan = synth_t_cyclic(group.order) if group.order >= 2 else None
             report["paths"]["cyclic"] = {

@@ -283,45 +283,45 @@ def builtin_group(spec: str) -> FiniteGroup:
     raise NotAGroup(f"unknown builtin group {spec!r} (expected z<N>, k4, s3 or a product)")
 
 
-def generator_decomposition(group: FiniteGroup) -> tuple[list[int], list[int]]:
-    """Generators and exponent bounds for an abelian group.
+def cyclic_generator(group: FiniteGroup) -> int | None:
+    """Lowest-index element of order |G|, or None when the group is not cyclic."""
+    return next(
+        (i for i in range(group.order) if group.element_order(i) == group.order), None
+    )
 
-    Greedily picks elements of decreasing order; each bound is the order of
-    the pick in the quotient by what is already generated, so the word map
-    (l_1, ..., l_k) -> prod g_i^l_i is a bijection onto the group (verified).
+
+def generator_decomposition(group: FiniteGroup) -> tuple[list[int], list[int]]:
+    """Generators and exponent bounds of a direct-product decomposition of an abelian group.
+
+    Each step takes, among the elements not yet generated, one of largest
+    quotient order (by what is already generated) whose element order equals
+    that quotient order, lowest index first.  Such an element always exists,
+    and the cyclic subgroup it generates meets the earlier ones trivially, so
+    every generator's order is its bound and (l_1, ..., l_k) -> prod g_i^l_i
+    is an isomorphism from Z_L1 x ... x Z_Lk onto the group (verified).
     """
     if not group.is_abelian:
         raise NotAGroup("generator decomposition is only defined here for abelian groups")
-    orders = [(group.element_order(i), i) for i in range(group.order)]
-    orders.sort(key=lambda t: (-t[0], t[1]))
     generators: list[int] = []
     bounds: list[int] = []
     generated = {0}
-    for _, g in orders:
-        if g in generated:
-            continue
-        quotient_order, cur = 1, g
-        while cur not in generated:
-            cur = group.mul(cur, g)
-            quotient_order += 1
-        generators.append(g)
-        bounds.append(quotient_order)
-        new = set()
-        for h in generated:
-            cur = h
-            for _ in range(quotient_order):
-                new.add(cur)
+    while len(generated) < group.order:
+        best_bound, best = 0, None
+        for g in range(group.order):
+            if g in generated:
+                continue
+            quotient_order, cur = 1, g
+            while cur not in generated:
                 cur = group.mul(cur, g)
-        generated = new
-        if len(generated) == group.order:
-            break
-    if len(generated) != group.order:
-        raise NotAGroup("failed to generate the group")
-    elements = word_elements(group, generators, bounds)
-    if len(set(elements)) != group.order:
-        raise NotAGroup(
-            "greedy generators do not give unique words; pass explicit generators"
-        )
+                quotient_order += 1
+            # the product formula is a character only if each generator's order is its bound
+            if cur == 0 and quotient_order > best_bound:
+                best_bound, best = quotient_order, g
+        if best is None:
+            raise NotAGroup("failed to generate the group")
+        generators.append(best)
+        bounds.append(best_bound)
+        generated = set(word_elements(group, generators, bounds))
     return generators, bounds
 
 
@@ -334,3 +334,9 @@ def word_elements(group: FiniteGroup, generators: list[int], bounds: list[int]) 
             powers.append(group.mul(powers[-1], g))
         elements = [group.mul(e, p) for e in elements for p in powers]
     return elements
+
+
+def element_words(group: FiniteGroup, generators: list[int], bounds: list[int]) -> np.ndarray:
+    """Row g holds the exponent word of element g; the inverse of ``word_elements``."""
+    words = np.array(list(np.ndindex(*bounds)), dtype=np.int64).reshape(group.order, len(bounds))
+    return words[np.argsort(word_elements(group, generators, bounds))]

@@ -4,10 +4,18 @@ The block basis produced by :func:`isotypic_decompose` is the workhorse for
 token-state construction: in that basis every collective operator splits into
 one block per irrep, each block being the irrep matrix tensored with an
 identity on the multiplicity space.
+
+Built-in character tables and representations follow the structure of the
+group, never its name or labels: every abelian group gets the product table of
+its generator decomposition, every non-abelian group of order 6 (only S3) gets
+irreps built from an element of order 3 and one of order 2, and ``builtin``
+means the diagonal phases for a cyclic group, the Pauli set for the Klein
+group and the two-dimensional action for S3.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -21,7 +29,14 @@ from .errors import (
     ResourceLimit,
     RMaxExceeded,
 )
-from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes
+from .groups import (
+    ConjugacyClasses,
+    FiniteGroup,
+    conjugacy_classes,
+    cyclic_generator,
+    element_words,
+    generator_decomposition,
+)
 from .statevec import UNITARY_TOL
 
 DEFAULT_R_MAX = 32
@@ -519,7 +534,7 @@ def _verify_block_structure(decomp: IsotypicDecomposition, tol: float) -> None:
 
 def pauli_rep(group: FiniteGroup) -> UnitaryRep:
     """The qubit Pauli set {I, X, iY, Z} as a projective Klein-group action."""
-    if group.order != 4 or not group.is_abelian:
+    if group.order != 4 or cyclic_generator(group) is not None:
         raise ValueError("pauli_rep expects the Klein four-group")
     mats = np.array(
         [
@@ -534,121 +549,87 @@ def pauli_rep(group: FiniteGroup) -> UnitaryRep:
 
 
 def zn_phase_rep(group: FiniteGroup, dim: int = 2) -> UnitaryRep:
-    """Diagonal phase action of a cyclic group on a d-level system."""
+    """Diagonal phase action of a cyclic group on a d-level system.
+
+    Level j of element g^k picks up omega^(j k), where g is the lowest-index
+    generator and k the discrete log.
+    """
+    gen = cyclic_generator(group)
+    if gen is None:
+        raise ValueError("zn_phase_rep expects a cyclic group")
     n = group.order
+    log = element_words(group, [gen], [n])[:, 0]
     omega = np.exp(2j * np.pi / n)
     mats = np.array(
-        [np.diag([omega ** (level * g) for level in range(dim)]) for g in range(n)]
+        [np.diag([omega ** (level * log[g]) for level in range(dim)]) for g in range(n)]
     )
     return UnitaryRep.build(group, mats)
 
 
 def s3_two_dim_rep(group: FiniteGroup) -> UnitaryRep:
     """The faithful two-dimensional irrep of S3 (triangle symmetries)."""
-    mats = _s3_irrep_matrices(group)
-    return UnitaryRep.build(group, mats)
+    return UnitaryRep.build(group, _s3_irrep_matrices(group))
+
+
+_S3_ROT = np.array([[-0.5, -np.sqrt(3) / 2], [np.sqrt(3) / 2, -0.5]], dtype=np.complex128)
+_S3_FLIP = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+
+def _is_s3(group: FiniteGroup) -> bool:
+    """Every non-abelian group of order 6 is S3."""
+    return group.order == 6 and not group.is_abelian
 
 
 def _s3_irrep_matrices(group: FiniteGroup) -> np.ndarray:
-    rot = np.array(
-        [[-0.5, -np.sqrt(3) / 2], [np.sqrt(3) / 2, -0.5]], dtype=np.complex128
-    )
-    flip = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-    by_label = {
-        "e": np.eye(2, dtype=np.complex128),
-        "(123)": rot,
-        "(132)": rot @ rot,
-        "(12)(3)": flip,
-        "(23)(1)": flip @ rot,
-        "(13)(2)": flip @ rot @ rot,
-    }
-    return np.array([by_label[lbl] for lbl in group.labels])
+    """b^j a^k -> flip^j rot^k for the lowest-index a of order 3 and b of order 2."""
+    if not _is_s3(group):
+        raise ValueError("the two-dimensional S3 irrep needs a non-abelian group of order 6")
+    a = next(i for i in range(6) if group.element_order(i) == 3)
+    b = next(i for i in range(6) if group.element_order(i) == 2)
+    mats = np.empty((6, 2, 2), dtype=np.complex128)
+    for element, matrix in ((0, np.eye(2, dtype=np.complex128)), (b, _S3_FLIP)):
+        for _ in range(3):
+            mats[element] = matrix
+            element, matrix = group.mul(element, a), matrix @ _S3_ROT
+    return mats
 
 
-def builtin_character_table(group: FiniteGroup) -> CharacterTable:
-    """Character table (with explicit irrep matrices) for the built-in groups."""
-    classes = conjugacy_classes(group)
-    if group.is_abelian and _is_cyclic(group):
-        return _cyclic_character_table(group, classes)
-    if group.order == 4 and group.is_abelian:
-        return _klein_character_table(group, classes)
-    if group.name == "s3" or _looks_like_s3(group):
-        return _s3_character_table(group, classes)
-    if group.is_abelian and group.name and "x" in group.name:
-        return _product_character_table(group)
-    raise ValueError(
-        f"no built-in character table for group {group.name or group.order}; supply one"
-    )
+def _roots_of_unity(m: int) -> np.ndarray:
+    """exp(2 pi i k / m) for k < m, exact at the quarter turns 1, i, -1 and -i."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    for quarter, value in enumerate((1, 1j, -1, -1j)):
+        if quarter * m % 4 == 0:
+            roots[quarter * m // 4] = value
+    return roots
 
 
-def _is_cyclic(group: FiniteGroup) -> bool:
-    return any(group.element_order(i) == group.order for i in range(group.order))
+def _abelian_character_table(group: FiniteGroup, classes: ConjugacyClasses) -> CharacterTable:
+    """chi_lam(g) = prod_i omega_Li^(lam_i l_i(g)) over the generator decomposition.
 
-
-def _looks_like_s3(group: FiniteGroup) -> bool:
-    return (
-        group.order == 6
-        and not group.is_abelian
-        and set(group.labels) == set(_S3_CANONICAL_LABELS)
-    )
-
-
-_S3_CANONICAL_LABELS = ("e", "(123)", "(132)", "(12)(3)", "(23)(1)", "(13)(2)")
-
-
-def _cyclic_character_table(group: FiniteGroup, classes: ConjugacyClasses) -> CharacterTable:
+    Irreps lam and elements g are both numbered by their generator words in
+    mixed radix, first generator most significant.
+    """
+    generators, bounds = generator_decomposition(group)
     n = group.order
-    gen = next(i for i in range(n) if group.element_order(i) == n)
-    # discrete log of every element with respect to the chosen generator
-    log = np.empty(n, dtype=np.int64)
-    cur, k = 0, 0
-    for _ in range(n):
-        log[cur] = k
-        cur = group.mul(cur, gen)
-        k += 1
-    omega = np.exp(2j * np.pi / n)
-    chars = np.array(
-        [[omega ** (lam * log[c[0]]) for c in classes.classes] for lam in range(n)]
-    )
-    irreps = tuple(
-        np.array([[[omega ** (lam * log[g])]] for g in range(n)]) for lam in range(n)
-    )
+    exponents = element_words(group, generators, bounds)
+    lams = np.array(list(np.ndindex(*bounds)), dtype=np.int64).reshape(n, len(bounds))
+    lcm = math.lcm(*bounds)
+    scaled = lams * (lcm // np.array(bounds, dtype=np.int64))
+    per_element = _roots_of_unity(lcm)[(scaled @ exponents.T) % lcm]
+    irreps = tuple(row.reshape(n, 1, 1) for row in per_element)
+    chars = per_element[:, list(classes.representatives)]
     return CharacterTable.build(
         group, np.ones(n, dtype=np.int64), chars, irreps, classes=classes
     )
 
 
-def _klein_character_table(group: FiniteGroup, classes: ConjugacyClasses) -> CharacterTable:
-    chars = np.array(
-        [
-            [1, 1, 1, 1],
-            [1, 1, -1, -1],
-            [1, -1, 1, -1],
-            [1, -1, -1, 1],
-        ],
+def _s3_character_table(group: FiniteGroup, classes: ConjugacyClasses) -> CharacterTable:
+    trivial = np.ones((6, 1, 1), dtype=np.complex128)
+    sign = np.array(
+        [[[-1.0 if group.element_order(g) == 2 else 1.0]] for g in range(6)],
         dtype=np.complex128,
     )
-    irreps = tuple(chars[lam].reshape(4, 1, 1).astype(np.complex128) for lam in range(4))
-    return CharacterTable.build(
-        group, np.ones(4, dtype=np.int64), chars, irreps, classes=classes
-    )
-
-
-def _s3_character_table(group: FiniteGroup, classes: ConjugacyClasses) -> CharacterTable:
-    sign_by_label = {
-        "e": 1.0,
-        "(123)": 1.0,
-        "(132)": 1.0,
-        "(12)(3)": -1.0,
-        "(23)(1)": -1.0,
-        "(13)(2)": -1.0,
-    }
-    trivial = np.ones((group.order, 1, 1), dtype=np.complex128)
-    sign = np.array(
-        [[[sign_by_label[lbl]]] for lbl in group.labels], dtype=np.complex128
-    )
-    two_dim = _s3_irrep_matrices(group)
-    irreps = (trivial, sign, two_dim)
+    irreps = (trivial, sign, _s3_irrep_matrices(group))
     chars = np.array(
         [
             [np.trace(irreps[lam][c[0]]) for c in classes.classes]
@@ -660,48 +641,38 @@ def _s3_character_table(group: FiniteGroup, classes: ConjugacyClasses) -> Charac
     )
 
 
-def _product_character_table(group: FiniteGroup) -> CharacterTable:
-    """Character table of a product of built-in abelian groups, via factor tables."""
-    from .groups import builtin_group  # local import to avoid a cycle at load time
+def builtin_character_table(group: FiniteGroup) -> CharacterTable:
+    """Character table, with explicit irrep matrices, for abelian groups and S3.
 
-    parts = group.name.split("x")
-    left = builtin_group(parts[0])
-    right = builtin_group("x".join(parts[1:])) if len(parts) > 2 else builtin_group(parts[1])
-    ta = builtin_character_table(left)
-    tb = builtin_character_table(right)
+    Chosen from the group's structure alone, so a group read from a file gets
+    the same irreps as the isomorphic built-in group.
+    """
     classes = conjugacy_classes(group)
-    n = group.order
-    # element (a, b) was encoded as a*|B| + b
-    chars = np.empty((n, classes.s), dtype=np.complex128)
-    irreps = []
-    for la in range(ta.num_irreps):
-        for lb in range(tb.num_irreps):
-            lam = la * tb.num_irreps + lb
-            per_element = np.empty((n, 1, 1), dtype=np.complex128)
-            for g in range(n):
-                a, b = divmod(g, right.order)
-                per_element[g, 0, 0] = (
-                    ta.chars[la, ta.classes.class_of[a]]
-                    * tb.chars[lb, tb.classes.class_of[b]]
-                )
-            irreps.append(per_element)
-            chars[lam] = [per_element[c[0], 0, 0] for c in classes.classes]
-    return CharacterTable.build(
-        group, np.ones(n, dtype=np.int64), chars, tuple(irreps), classes=classes
+    if group.is_abelian:
+        return _abelian_character_table(group, classes)
+    if _is_s3(group):
+        return _s3_character_table(group, classes)
+    raise ValueError(
+        f"no built-in character table for group {group.name or group.order}; supply one"
     )
 
 
 def builtin_rep(group: FiniteGroup, spec: str = "builtin", dim: int = 2) -> UnitaryRep:
-    """Resolve a named built-in representation for a built-in group."""
+    """Resolve a named built-in representation from the group's structure.
+
+    ``builtin`` is the diagonal phase action for a cyclic group, the Pauli set
+    for the Klein four-group and the two-dimensional action for S3.
+    """
     spec = spec.strip().lower()
-    if group.name == "k4" and spec in ("builtin", "pauli"):
-        return pauli_rep(group)
-    if spec in ("builtin-2d", "standard") or (group.name == "s3" and spec == "builtin"):
-        if _looks_like_s3(group):
-            return s3_two_dim_rep(group)
-        raise ValueError(f"representation {spec!r} is only defined for s3")
-    if group.is_abelian and _is_cyclic(group) and spec in ("builtin", "diagonal"):
-        return zn_phase_rep(group, dim)
     if spec == "regular":
         return regular_rep(group)
-    raise ValueError(f"no built-in representation {spec!r} for group {group.name}")
+    cyclic = cyclic_generator(group) is not None
+    if spec in ("builtin", "diagonal") and cyclic:
+        return zn_phase_rep(group, dim)
+    if spec in ("builtin", "pauli") and group.order == 4 and not cyclic:
+        return pauli_rep(group)
+    if spec in ("builtin", "builtin-2d", "standard") and _is_s3(group):
+        return s3_two_dim_rep(group)
+    raise ValueError(
+        f"no built-in representation {spec!r} for group {group.name or group.order}"
+    )

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from dfscodec.codec import prepare_protocol
-from dfscodec.groups import builtin_group
+from dfscodec.groups import builtin_group, validate_group
 from dfscodec.reps import pauli_rep, s3_two_dim_rep, zn_phase_rep
 
 settings.register_profile("suite", max_examples=25, deadline=None)
@@ -39,3 +39,20 @@ def context_for():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def relabelled():
+    """A built-in group, by name, with old element 1 moved last, the others
+    shifted down one and plain labels g0, g1, ...; so in z4 and z8 index 1 is
+    not a generator, and no label or name gives the group away."""
+
+    def relabel(spec: str):
+        group = builtin_group(spec)
+        n = group.order
+        new = np.array([0, n - 1, *range(1, n - 1)])
+        table = np.empty_like(group.cayley)
+        table[np.ix_(new, new)] = new[group.cayley]
+        return validate_group(table, labels=[f"g{i}" for i in range(n)])
+
+    return relabel

@@ -20,7 +20,7 @@ from dfscodec.circuits import (
     synth_w_general,
     token_group_slices,
 )
-from dfscodec.codec import decode, encode
+from dfscodec.codec import decode, encode, prepare_protocol
 from dfscodec.errors import (
     DfsCodecError,
     DimensionMismatch,
@@ -335,6 +335,16 @@ def test_network_pipeline_matches_direct_encoding(n, rng):
     for _ in range(3):
         message = random_state(2, 2, rng)
         assert fidelity(pipeline.run(message), encode(tokens, message)) >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("spec", ["z4", "z8"])
+def test_cyclic_path_on_relabelled_group_matches_direct_encoding(spec, relabelled, rng):
+    # control label v is the v-th generator power, not element index v
+    tokens = prepare_protocol(zn_phase_rep(relabelled(spec), 2)).tokens
+    pipeline = build_encoding_pipeline(tokens, 2, "cyclic")
+    assert pipeline.t_direct.element_order != tuple(range(tokens.group.order))
+    message = random_state(2, 2, rng)
+    assert fidelity(pipeline.run(message), encode(tokens, message)) >= 1 - 1e-9
 
 
 def test_z4_direct_t_reproduces_encoding_from_w_stage(context_for, rng):

@@ -186,3 +186,43 @@ def test_protocol_violation_exits_4(monkeypatch, capsys):
     code = cli.main(["roundtrip", "--group", "z2", "--m", "1"])
     assert code == 4
     assert "protocol violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec,rep", [("k4", "builtin"), ("s3", "builtin-2d"), ("z4", "builtin"),
+                 ("z8", "builtin"), ("z4xz2", "regular"), ("z2xz2xz2", "regular")]
+)
+def test_group_file_gives_same_r_as_builtin_name(spec, rep, relabelled, tmp_path, capsys):
+    from dfscodec.serialization import canonical_json, group_to_dict
+
+    path = tmp_path / "e8.json"
+    path.write_text(canonical_json(group_to_dict(relabelled(spec))))
+    for argv in (["rep", "min-r", "{g}", rep],
+                 ["tokens", "build", "--group", "{g}", "--rep", rep],
+                 ["roundtrip", "--group", "{g}", "--rep", rep]):
+        found = []
+        for group in (spec, f"@{path}"):
+            assert main([a.format(g=group) for a in argv]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            found.append(payload["report"]["r"] if "report" in payload else payload["r"])
+        assert found[0] == found[1], argv
+
+
+def test_product_of_two_z2_runs_with_pauli_set(capsys):
+    assert main(["roundtrip", "--group", "z2xz2", "--m", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dim"] == 2 and payload["report"]["r"] == 2
+
+
+def test_non_abelian_order_8_file_has_no_builtin_table(tmp_path, capsys):
+    # dihedral group of the square: element 4j + k is s^j r^k
+    cayley = [
+        [4 * ((j1 + j2) % 2) + ((-1) ** j2 * k1 + k2) % 4
+         for j2 in range(2) for k2 in range(4)]
+        for j1 in range(2) for k1 in range(4)
+    ]
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps({"order": 8, "cayley": cayley}))
+    assert main(["roundtrip", "--group", f"@{path}", "--rep", "regular"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no built-in character table" in err

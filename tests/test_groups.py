@@ -5,8 +5,10 @@ from dfscodec.errors import GroupTooLarge, NotAGroup
 from dfscodec.groups import (
     builtin_group,
     conjugacy_classes,
+    cyclic_generator,
     cyclic_group,
     direct_product,
+    element_words,
     generator_decomposition,
     klein_group,
     symmetric_group_3,
@@ -142,3 +144,31 @@ def test_generator_decomposition_bijection():
         elements = word_elements(group, generators, bounds)
         assert sorted(elements) == list(range(group.order))
         assert int(np.prod(bounds)) == group.order
+
+
+@pytest.mark.parametrize("name", ["z4xz2", "z8xz2", "z6xz2", "z2xz2xz2"])
+def test_generator_orders_equal_their_bounds(name):
+    # otherwise the words do not form a direct product and prod omega^(lam l)
+    # is not a character
+    group = builtin_group(name)
+    generators, bounds = generator_decomposition(group)
+    assert [group.element_order(g) for g in generators] == bounds
+    assert sorted(word_elements(group, generators, bounds)) == list(range(group.order))
+
+
+@pytest.mark.parametrize("name", ["z5", "k4", "z4xz2", "z2xz2xz2"])
+def test_element_words_invert_word_elements(name):
+    group = builtin_group(name)
+    generators, bounds = generator_decomposition(group)
+    words = element_words(group, generators, bounds)
+    elements = word_elements(group, generators, bounds)
+    assert words[elements].tolist() == [list(w) for w in np.ndindex(*bounds)]
+
+
+def test_cyclic_generator_is_lowest_index_of_full_order(relabelled):
+    assert cyclic_generator(cyclic_group(1)) == 0
+    assert cyclic_generator(cyclic_group(8)) == 1
+    assert cyclic_generator(relabelled("z8")) == 2
+    assert cyclic_generator(builtin_group("z3xz2")) == 3
+    assert cyclic_generator(klein_group()) is None
+    assert cyclic_generator(symmetric_group_3()) is None

@@ -301,3 +301,25 @@ def test_identity_snap():
     almost = np.eye(2) * (1 + 3e-10)
     rep = UnitaryRep.build(group, [almost, np.diag([1.0, -1.0])])
     assert np.array_equal(rep.matrices[0], np.eye(2))
+
+
+def test_abelian_tables_are_exact_at_quarter_turns():
+    k4 = builtin_character_table(builtin_group("k4"))
+    signs = [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]
+    assert np.array_equal(k4.chars, np.array(signs))
+    z4 = builtin_character_table(cyclic_group(4))
+    quarter = (1, 1j, -1, -1j)
+    assert np.array_equal(
+        z4.chars, np.array([[quarter[lam * g % 4] for g in range(4)] for lam in range(4)])
+    )
+
+
+def test_relabelled_s3_gets_table_and_two_dim_rep(relabelled):
+    group = relabelled("s3")
+    table = builtin_character_table(group)  # build checks every irrep's product law
+    rep = s3_two_dim_rep(group)  # UnitaryRep.build checks the product law
+    assert table.dims.tolist() == [1, 1, 2]
+    sign = table.irrep_matrices[1][:, 0, 0]
+    assert [s < 0 for s in sign.real] == [group.element_order(g) == 2 for g in range(6)]
+    assert multiplicities(rep, table, 3).gammas == (1, 1, 3)
+    assert min_r(rep, table) == 3
