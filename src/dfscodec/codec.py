@@ -208,7 +208,7 @@ def encode(tokens: TokenSet, message: StateVector) -> StateVector:
     out = np.zeros(rep.dim ** (tokens.r + message.n), dtype=np.complex128)
     for i in range(order):
         rotated = apply_collective(message, rep.matrices[i])
-        out += np.kron(tokens.tokens[i].amps, rotated.amps)
+        out += np.outer(tokens.tokens[i].amps, rotated.amps).reshape(-1)
     out /= np.sqrt(order)
     return StateVector.from_amplitudes(rep.dim, tokens.r + message.n, out)
 

@@ -88,23 +88,26 @@ class UnitaryRep:
             err = np.max(np.abs(mats[i].conj().T @ mats[i] - eye))
             if err > tol:
                 raise ValueError(f"matrix {i} is not unitary (residue {err:.2e})")
+        # one row of pairs (i, k) at a time: |G| d^2 entries, never |G|^2 d^2
         for i in range(group.order):
-            for k in range(group.order):
-                prod = mats[i] @ mats[k]
-                target = mats[group.mul(i, k)]
-                if projective:
-                    phase = np.trace(target.conj().T @ prod) / d
-                    if abs(abs(phase) - 1.0) > 1e-6:
-                        raise ValueError(
-                            f"pair ({i},{k}) is not a product up to phase"
-                        )
-                    err = np.max(np.abs(prod - phase * target))
-                else:
-                    err = np.max(np.abs(prod - target))
-                if err > max(tol, HOMOMORPHISM_TOL):
-                    raise ValueError(
-                        f"product law fails at pair ({i},{k}) with residue {err:.2e}"
-                    )
+            prods = mats[i] @ mats
+            targets = mats[group.cayley[i]]
+            if projective:
+                # per-pair phase trace(target^H prod) / d
+                phases = np.einsum("kab,kab->k", targets.conj(), prods) / d
+                off_phase = np.abs(np.abs(phases) - 1.0) > 1e-6
+                targets = phases[:, None, None] * targets
+            else:
+                off_phase = np.zeros(group.order, dtype=bool)
+            errs = np.max(np.abs(prods - targets), axis=(1, 2))
+            failed = off_phase | (errs > max(tol, HOMOMORPHISM_TOL))
+            if failed.any():
+                k = int(np.argmax(failed))
+                if off_phase[k]:
+                    raise ValueError(f"pair ({i},{k}) is not a product up to phase")
+                raise ValueError(
+                    f"product law fails at pair ({i},{k}) with residue {errs[k]:.2e}"
+                )
         return cls(group=group, dim=d, matrices=mats, projective=projective)
 
 
@@ -166,12 +169,8 @@ class CharacterTable:
                 if mats.shape != (group.order, dims[lam], dims[lam]):
                     raise ValueError(f"irrep {lam}: matrix block has shape {mats.shape}")
                 for i in range(group.order):
-                    for k in range(group.order):
-                        err = np.max(
-                            np.abs(mats[i] @ mats[k] - mats[group.mul(i, k)])
-                        )
-                        if err > 1e-9:
-                            raise ValueError(f"irrep {lam} is not a homomorphism")
+                    if np.max(np.abs(mats[i] @ mats - mats[group.cayley[i]])) > 1e-9:
+                        raise ValueError(f"irrep {lam} is not a homomorphism")
                 trace = np.array([np.trace(mats[c[0]]) for c in classes.classes])
                 if np.max(np.abs(trace - chars[lam])) > 1e-9:
                     raise ValueError(f"irrep {lam} matrices disagree with the character row")

@@ -137,13 +137,24 @@ def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:
 
 
 def apply_collective(state: StateVector, u: np.ndarray, targets=None) -> StateVector:
-    """Apply the same single-qudit unitary to every listed qudit (default: all)."""
-    targets = _check_wires(state, range(state.n) if targets is None else targets)
+    """Apply the same single-qudit unitary to every listed qudit (default: all).
+
+    Targets are processed in ascending wire order, whatever order they are
+    given in.  Each step views the leading qudit as the columns of a
+    ``(rest, d)`` block, right-multiplies it by ``u.T`` as :func:`_apply` does,
+    and flattens so that qudit becomes the trailing one; after ``n`` steps the
+    wires are back in place.
+    """
+    targets = set(_check_wires(state, range(state.n) if targets is None else targets))
     u = np.asarray(u, dtype=np.complex128)
     _check_unitary(u, state.d)
-    for t in targets:
-        state = _apply(state, u, [t])
-    return state
+    d, ut, x = state.d, u.T, state.amps
+    for w in range(state.n):
+        x = x.reshape(d, -1).T
+        if w in targets:
+            x = x @ ut
+        x = x.reshape(-1)
+    return StateVector(d=d, n=state.n, amps=x)
 
 
 def apply_controlled(state: StateVector, controls, u: np.ndarray, targets) -> StateVector:
@@ -198,10 +209,11 @@ def _projector_amplitudes(state: StateVector, subset, projectors):
         if abs(norm - 1.0) > 1e-9:
             raise NonOrthogonalProjectors(f"projector vector has norm {norm}")
         vectors.append(v)
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            if abs(np.vdot(vectors[i], vectors[j])) > 1e-9:
-                raise NonOrthogonalProjectors(f"projectors {i} and {j} overlap")
+    stacked = np.reshape(vectors, (len(vectors), dim))
+    overlaps = np.argwhere(np.triu(np.abs(stacked.conj() @ stacked.T), 1) > 1e-9)
+    if len(overlaps):
+        i, j = overlaps[0]
+        raise NonOrthogonalProjectors(f"projectors {i} and {j} overlap")
     rows = np.array([v.conj() @ block for v in vectors])
     return vectors, rows, block, subset
 

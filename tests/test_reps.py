@@ -323,3 +323,26 @@ def test_relabelled_s3_gets_table_and_two_dim_rep(relabelled):
     assert [s < 0 for s in sign.real] == [group.element_order(g) == 2 for g in range(6)]
     assert multiplicities(rep, table, 3).gammas == (1, 1, 3)
     assert min_r(rep, table) == 3
+
+
+def test_perturbed_rep_names_first_failing_pair_in_row_major_order():
+    # (1,2) and (2,1) both fail; the scan reports row 1 first
+    group = cyclic_group(4)
+    mats = zn_phase_rep(group).matrices.copy()
+    mats[3] = mats[3] @ np.array([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match=r"product law fails at pair \(1,2\) with residue"):
+        UnitaryRep.build(group, mats)
+    k4 = builtin_group("k4")
+    pauli = pauli_rep(k4).matrices.copy()
+    pauli[2] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    with pytest.raises(ValueError, match=r"pair \(1,2\) is not a product up to phase"):
+        UnitaryRep.build(k4, pauli, projective=True)
+
+
+def test_perturbed_irrep_block_is_not_a_homomorphism():
+    group = builtin_group("s3")
+    full = builtin_character_table(group)
+    blocks = [m.copy() for m in full.irrep_matrices]
+    blocks[2][1] = blocks[2][1] @ np.diag([1, -1])
+    with pytest.raises(ValueError, match="irrep 2 is not a homomorphism"):
+        CharacterTable.build(group, full.dims, full.chars, blocks)

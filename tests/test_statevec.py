@@ -171,6 +171,21 @@ def test_collective_is_bit_identical_to_local_loop(rng):
     assert np.array_equal(apply_collective(state, u).amps, sequential.amps)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 4, 7])
+@pytest.mark.parametrize("subset", [False, True])
+def test_collective_on_targets_is_bit_identical_to_local_loop(d, n, subset, rng):
+    state = random_state(d, n, rng)
+    u = haar_unitary(d, rng)
+    targets = list(range(n))
+    if subset:
+        targets = sorted(rng.choice(n, size=(n + 1) // 2, replace=False).tolist())
+    sequential = state
+    for t in targets:
+        sequential = apply_local(sequential, u, t)
+    assert np.array_equal(apply_collective(state, u, targets).amps, sequential.amps)
+
+
 def test_control_target_overlap_rejected(rng):
     state = random_state(2, 2, rng)
     with pytest.raises(BadTarget):
@@ -227,6 +242,14 @@ def test_measure_rejects_overlapping_projectors(rng):
     v = np.array([1, 0])
     with pytest.raises(NonOrthogonalProjectors):
         project_measure(state, [0], [v, v], seed=0)
+
+
+def test_overlapping_projectors_name_their_first_pair(rng):
+    # pairs (0,3) and (1,2) overlap; the first in row-major order is named
+    state = random_state(2, 2, rng)
+    e0, e1 = np.eye(2)
+    with pytest.raises(NonOrthogonalProjectors, match="projectors 0 and 3 overlap"):
+        outcome_probabilities(state, [1], [e0, e1, e1, e0])
 
 
 def test_remainder_outcome_sampled():
