@@ -21,7 +21,7 @@ exactly (token wires + control wires).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,9 +34,9 @@ from .errors import (
     UnsupportedDimension,
 )
 from .groups import FiniteGroup, cyclic_generator, generator_decomposition, word_elements
+from .limits import UNITARY_TOL
 from .reps import UnitaryRep
 from .statevec import (
-    UNITARY_TOL,
     StateVector,
     apply_controlled,
     basis_state,
@@ -66,14 +66,10 @@ class Gate:
     note: str = ""
 
     def remapped(self, wire_map: dict[int, int]) -> "Gate":
-        return Gate(
-            kind=self.kind,
+        return replace(
+            self,
             targets=tuple(wire_map[t] for t in self.targets),
             controls=tuple((wire_map[w], v) for w, v in self.controls),
-            matrix=self.matrix,
-            cost=self.cost,
-            stage=self.stage,
-            note=self.note,
         )
 
 
@@ -171,6 +167,13 @@ def _complete_unitary(columns: np.ndarray) -> np.ndarray:
     return np.hstack([columns, q[:, k:]])
 
 
+def _message_wires(first: int, m: int) -> tuple[int, ...]:
+    """The m message wires from ``first`` on; every W path needs m >= 1."""
+    if m < 1:
+        raise DimensionMismatch(f"need at least one message qubit, got m={m}")
+    return tuple(range(first, first + m))
+
+
 def _chain_cost(num_controls: int) -> int:
     return 20 * max(num_controls - 2, 0)
 
@@ -225,11 +228,9 @@ def synth_w_general(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
     """
     if rep.dim != 2:
         raise UnsupportedDimension("gate-level synthesis is defined for qubits only")
-    if m < 1:
-        raise DimensionMismatch("need at least one message qubit")
     r_prime = control_wire_count(group.order)
     control_wires = tuple(range(r_prime))
-    message_wires = tuple(range(r_prime, r_prime + m))
+    message_wires = _message_wires(r_prime, m)
     gates: list[Gate] = []
     for i in range(group.order):
         pattern = _control_pattern(control_wires, i)
@@ -291,7 +292,7 @@ def synth_w_abelian(
     widths = [max(1, int(np.log2(bound))) for bound in orders]
     r_prime = sum(widths)
     control_wires = tuple(range(r_prime))
-    message_wires = tuple(range(r_prime, r_prime + m))
+    message_wires = _message_wires(r_prime, m)
     elements = word_elements(group, generators, orders)
     if sorted(set(elements)) != list(range(group.order)):
         raise DfsCodecError("generator words do not enumerate the group bijectively")
@@ -352,7 +353,7 @@ def synth_w_cyclic(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
         raise NotAbelian("group has no generator; the cyclic path needs a cyclic group")
     r_prime = control_wire_count(n)
     control_wires = tuple(range(r_prime))
-    message_wires = tuple(range(r_prime, r_prime + m))
+    message_wires = _message_wires(r_prime, m)
     gates: list[Gate] = []
     # bit i (1-indexed from the least significant) lives on wire r_prime - i
     for i in range(1, r_prime + 1):
@@ -385,6 +386,17 @@ def synth_w_cyclic(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
             "word_elements": word_elements(group, [gen], [n]),
         },
     )
+
+
+def synth_w(path: str, group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
+    """The controlled-rotation stage W of one synthesis path."""
+    if path == "general":
+        return synth_w_general(group, rep, m)
+    if path == "abelian":
+        return synth_w_abelian(group, rep, m)
+    if path == "cyclic":
+        return synth_w_cyclic(group, rep, m)
+    raise DfsCodecError(f"unknown synthesis path {path!r}")
 
 
 # --- basis change to token states --------------------------------------------
@@ -421,7 +433,7 @@ def apply_t_direct(tokens: TokenSet, element_order=None) -> TokenBasisChange:
     )
 
 
-def qft_gates(control_wires, stage: str = "t_qft") -> list[Gate]:
+def qft_gates(control_wires) -> list[Gate]:
     """Standard Fourier circuit without final swaps: r'(r'+1)/2 gates.
 
     Input read big-endian over the wires; output bits come out reversed, with
@@ -431,7 +443,7 @@ def qft_gates(control_wires, stage: str = "t_qft") -> list[Gate]:
     r_prime = len(wires)
     gates: list[Gate] = []
     for k in range(r_prime):
-        gates.append(Gate(kind="single", targets=(wires[k],), matrix=_H, cost=1, stage=stage))
+        gates.append(Gate(kind="single", targets=(wires[k],), matrix=_H, cost=1, stage="t_qft"))
         for l in range(k + 1, r_prime):
             angle = np.pi / 2 ** (l - k)
             phase = np.diag([1.0, np.exp(1j * angle)])
@@ -442,7 +454,7 @@ def qft_gates(control_wires, stage: str = "t_qft") -> list[Gate]:
                     controls=((wires[l], 1),),
                     matrix=phase,
                     cost=1,
-                    stage=stage,
+                    stage="t_qft",
                 )
             )
     return gates
@@ -493,7 +505,7 @@ def register_network_gates(
     return gates
 
 
-def synth_t_cyclic(n: int, d: int = 2) -> CircuitPlan:
+def synth_t_cyclic(n: int) -> CircuitPlan:
     """Fourier stage plus CNOT network mapping group labels to token states.
 
     Uses r' control wires and r = N - 1 token wires; after the fold the control
@@ -501,8 +513,6 @@ def synth_t_cyclic(n: int, d: int = 2) -> CircuitPlan:
     fan-out reads the Fourier output in its natural reversed bit order, so no
     swap gates are needed.
     """
-    if d != 2:
-        raise UnsupportedDimension("the register network is defined for qubits")
     if n < 2 or n & (n - 1):
         raise DfsCodecError(f"register network needs a power-of-two order, got {n}")
     r_prime = control_wire_count(n)
@@ -620,11 +630,21 @@ class EncodingPipeline:
         r_prime = len(self.layout.control)
         block = state.amps.reshape(2**r_prime, -1)
         leak = float(np.linalg.norm(block[1:]))
-        if leak > 1e-9:
+        if leak > UNITARY_TOL:
             raise DfsCodecError(f"control register failed to clear (leak {leak:.3e})")
         return StateVector.from_amplitudes(
             2, state.n - r_prime, block[0], normalize=True
         )
+
+
+def _placed(plan: CircuitPlan, old_wires, new_wires, layout: RegisterLayout) -> CircuitPlan:
+    """``plan`` with wire ``old_wires[i]`` moved to ``new_wires[i]``, on ``layout``."""
+    wire_map = dict(zip(old_wires, new_wires))
+    return CircuitPlan(
+        gates=[g.remapped(wire_map) for g in plan.gates],
+        layout=layout,
+        metadata=dict(plan.metadata),
+    )
 
 
 def build_encoding_pipeline(
@@ -632,8 +652,6 @@ def build_encoding_pipeline(
     m: int,
     path: str = "general",
     *,
-    generators: list[int] | None = None,
-    generator_orders: list[int] | None = None,
     cyclic_network: bool = False,
 ) -> EncodingPipeline:
     """Wire a W plan and a basis change into one simulable encoder.
@@ -643,78 +661,40 @@ def build_encoding_pipeline(
     otherwise the token basis change is the dense completion oracle.
     """
     group = tokens.group
-    rep = tokens.rep
     r = tokens.r
-    if path == "general":
-        w = synth_w_general(group, rep, m)
-    elif path == "abelian":
-        w = synth_w_abelian(group, rep, m, generators, generator_orders)
-    elif path == "cyclic":
-        w = synth_w_cyclic(group, rep, m)
-    else:
-        raise DfsCodecError(f"unknown synthesis path {path!r}")
+    w = synth_w(path, group, tokens.rep, m)
     r_prime = w.metadata["r_prime"]
-
     if cyclic_network:
         if path != "cyclic":
             raise DfsCodecError("the register network pairs with the cyclic W path")
-        t_plan = synth_t_cyclic(group.order)
         # wires: control 0..r'-1, token r'..r'+r-1, message after
         control = tuple(range(r_prime))
         token = tuple(range(r_prime, r_prime + r))
         message = tuple(range(r_prime + r, r_prime + r + m))
-        w_map = {w_old: w_new for w_old, w_new in zip(w.layout.control, control)}
-        w_map.update({w_old: w_new for w_old, w_new in zip(w.layout.message, message)})
-        w_remapped = CircuitPlan(
-            gates=[g.remapped(w_map) for g in w.gates],
-            layout=RegisterLayout(d=2, control=control, token=token, message=message),
-            metadata=dict(w.metadata),
-        )
-        t_map = {w_old: w_new for w_old, w_new in zip(t_plan.layout.control, control)}
-        t_map.update({w_old: w_new for w_old, w_new in zip(t_plan.layout.token, token)})
-        t_remapped = CircuitPlan(
-            gates=[g.remapped(t_map) for g in t_plan.gates],
-            layout=w_remapped.layout,
-            metadata=dict(t_plan.metadata),
-        )
-        layout = w_remapped.layout
-        return EncodingPipeline(
-            group=group,
-            rep=rep,
-            tokens=tokens,
-            m=m,
-            path=path,
-            w_plan=w_remapped,
-            prep=prep_gates(group, control),
-            t_plan=t_remapped,
-            t_direct=None,
-            layout=layout,
-        )
-
-    # label register doubles as the trailing r' token wires
-    token = tuple(range(r))
-    control = tuple(range(r - r_prime, r))
-    message = tuple(range(r, r + m))
-    w_map = {w_old: w_new for w_old, w_new in zip(w.layout.control, control)}
-    w_map.update({w_old: w_new for w_old, w_new in zip(w.layout.message, message)})
-    w_remapped = CircuitPlan(
-        gates=[g.remapped(w_map) for g in w.gates],
-        layout=RegisterLayout(d=2, control=control, token=token, message=message),
-        metadata=dict(w.metadata),
-    )
-    element_order = w.metadata.get("word_elements")
-    t_direct = apply_t_direct(tokens, element_order)
+    else:
+        # label register doubles as the trailing r' token wires
+        token = tuple(range(r))
+        control = tuple(range(r - r_prime, r))
+        message = tuple(range(r, r + m))
+    layout = RegisterLayout(d=2, control=control, token=token, message=message)
+    w_plan = _placed(w, w.layout.control + w.layout.message, control + message, layout)
+    t_plan = t_direct = None
+    if cyclic_network:
+        t = synth_t_cyclic(group.order)
+        t_plan = _placed(t, t.layout.control + t.layout.token, control + token, layout)
+    else:
+        t_direct = apply_t_direct(tokens, w.metadata.get("word_elements"))
     return EncodingPipeline(
         group=group,
-        rep=rep,
+        rep=tokens.rep,
         tokens=tokens,
         m=m,
         path=path,
-        w_plan=w_remapped,
+        w_plan=w_plan,
         prep=prep_gates(group, control),
-        t_plan=None,
+        t_plan=t_plan,
         t_direct=t_direct,
-        layout=w_remapped.layout,
+        layout=layout,
     )
 
 
@@ -727,6 +707,8 @@ def gate_count_report(
     paths: tuple[str, ...] = ("general", "abelian", "cyclic"),
 ) -> dict:
     """Counts per synthesis route, the basis-change bound, and the rate."""
+    # every path refuses m < 1, but the abelian entry below skips failing paths
+    _message_wires(0, m)
     r_prime = control_wire_count(group.order)
     rate = Fraction(m, m + r)
     report: dict = {
@@ -775,18 +757,8 @@ def gate_count_report(
 
 def inverse_plan(plan: CircuitPlan) -> CircuitPlan:
     """Reverse the gate list with every matrix conjugate-transposed."""
-    gates = []
-    for gate in reversed(plan.gates):
-        matrix = None if gate.matrix is None else gate.matrix.conj().T
-        gates.append(
-            Gate(
-                kind=gate.kind,
-                targets=gate.targets,
-                controls=gate.controls,
-                matrix=matrix,
-                cost=gate.cost,
-                stage=gate.stage,
-                note=gate.note,
-            )
-        )
+    gates = [
+        replace(gate, matrix=None if gate.matrix is None else gate.matrix.conj().T)
+        for gate in reversed(plan.gates)
+    ]
     return CircuitPlan(gates=gates, layout=plan.layout, metadata=dict(plan.metadata))

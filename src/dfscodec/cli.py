@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage, 3 validation failure, 4 protocol violation.
+Exit codes: 0 success, 2 usage, 3 validation failure or a size over the
+dense budget, 4 protocol violation.
 Every command prints a canonical JSON report to stdout (and optionally to a
 file); identical configuration and seeds give byte-identical reports.
 """
@@ -18,6 +19,8 @@ from .circuits import (
     build_encoding_pipeline,
     gate_count_report,
     network_token_set,
+    synth_t_cyclic,
+    synth_w,
 )
 from .codec import (
     distribution_channel,
@@ -28,7 +31,15 @@ from .codec import (
 )
 from .errors import DfsCodecError, PerpOutcome
 from .groups import builtin_group
-from .reps import builtin_character_table, builtin_rep, compound_character, min_r, multiplicities
+from .limits import UNITARY_TOL
+from .reps import (
+    DEFAULT_R_MAX,
+    builtin_character_table,
+    builtin_rep,
+    compound_character,
+    min_r,
+    multiplicities,
+)
 from .serialization import (
     canonical_json,
     complex_pairs,
@@ -249,7 +260,7 @@ def cmd_circuit_count(args) -> int:
     group = _load_group(args.group)
     rep = _load_rep(group, args.rep, args.dim)
     table = _load_table(group, args.table)
-    r = args.r if args.r is not None else min_r(rep, table, 32)
+    r = args.r if args.r is not None else min_r(rep, table)
     paths = ("general", "abelian", "cyclic") if args.path == "all" else (args.path,)
     payload = gate_count_report(group, rep, args.m, r, paths=paths)
     payload["command"] = "circuit.count"
@@ -257,15 +268,7 @@ def cmd_circuit_count(args) -> int:
     if args.export_plan:
         if args.path == "all":
             raise DfsCodecError("--export-plan needs a single --path")
-        from .circuits import synth_t_cyclic, synth_w_abelian, synth_w_cyclic, synth_w_general
-
-        if args.path == "general":
-            plan = synth_w_general(group, rep, args.m)
-        elif args.path == "abelian":
-            plan = synth_w_abelian(group, rep, args.m)
-        else:
-            plan = synth_w_cyclic(group, rep, args.m)
-        export = {"w": plan_to_dict(plan)}
+        export = {"w": plan_to_dict(synth_w(args.path, group, rep, args.m))}
         if args.path == "cyclic":
             export["t"] = plan_to_dict(synth_t_cyclic(group.order))
         write_report(args.export_plan, export)
@@ -306,8 +309,8 @@ def cmd_circuit_simulate(args) -> int:
         "input_digest": _input_digest(group, rep),
     }
     _emit(args, payload)
-    if args.verify and fid < 1.0 - 1e-9:
-        raise PerpOutcome(f"circuit/encoder fidelity {fid} below 1 - 1e-9")
+    if args.verify and fid < 1.0 - UNITARY_TOL:
+        raise PerpOutcome(f"circuit/encoder fidelity {fid} below 1 - {UNITARY_TOL}")
     return EXIT_OK
 
 
@@ -353,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     rm.add_argument("rep")
     rm.add_argument("--dim", type=int, default=2)
     rm.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
-    rm.add_argument("--r-max", type=int, default=32)
+    rm.add_argument("--r-max", type=int, default=DEFAULT_R_MAX)
     rm.add_argument("--report")
     rm.set_defaults(func=cmd_rep_min_r)
 
@@ -430,6 +433,10 @@ def main(argv=None) -> int:
         return EXIT_PROTOCOL
     except (DfsCodecError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # backstop for an allocation no budget in dfscodec.limits foresaw
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_VALIDATION
 
 

@@ -24,6 +24,7 @@ from .errors import (
     RegularRepMissing,
 )
 from .groups import FiniteGroup
+from .limits import EXACT_TOL, ORTHONORMAL_TOL, UNITARY_TOL
 from .reps import (
     CharacterTable,
     IsotypicDecomposition,
@@ -35,6 +36,7 @@ from .reps import (
 from .statevec import (
     StateVector,
     apply_collective,
+    check_register,
     apply_local,
     extract_prefix_register,
     fidelity,
@@ -44,9 +46,6 @@ from .statevec import (
     project_measure,
     random_state,
 )
-
-CONDITION_ONE_TOL = 1e-8
-CONDITION_TWO_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +82,7 @@ class ChannelSpec:
             p = self.probabilities
             if p.shape != (self.rep.group.order,) or np.any(p < 0):
                 raise ValueError("need one non-negative probability per group element")
-            if abs(float(np.sum(p)) - 1.0) > 1e-12:
+            if abs(float(np.sum(p)) - 1.0) > EXACT_TOL:
                 raise ValueError(f"probabilities sum to {float(np.sum(p))}, not 1")
             p.setflags(write=False)
         else:
@@ -159,14 +158,7 @@ def build_fiducial(decomp: IsotypicDecomposition) -> StateVector:
     return StateVector.from_amplitudes(decomp.rep.dim, decomp.power, amps, normalize=True)
 
 
-def build_tokens(
-    rep: UnitaryRep,
-    r: int,
-    fiducial: StateVector,
-    *,
-    orth_tol: float = CONDITION_ONE_TOL,
-    closure_tol: float = CONDITION_TWO_TOL,
-) -> TokenSet:
+def build_tokens(rep: UnitaryRep, r: int, fiducial: StateVector) -> TokenSet:
     """Act with every element on the fiducial state and certify both token conditions."""
     if fiducial.d != rep.dim or fiducial.n != r:
         raise DimensionMismatch(
@@ -179,16 +171,16 @@ def build_tokens(
     )
     gram = np.array([[inner(a, b) for b in tokens] for a in tokens])
     residue = float(np.max(np.abs(gram - np.eye(order))))
-    if residue > orth_tol:
+    if residue > ORTHONORMAL_TOL:
         raise ConditionOneViolated(
-            f"token overlap residue {residue:.3e} exceeds {orth_tol:.1e}"
+            f"token overlap residue {residue:.3e} exceeds {ORTHONORMAL_TOL:.1e}"
         )
     for k in range(order):
         for i in range(order):
             moved = apply_collective(tokens[i], rep.matrices[k])
             target = tokens[rep.group.mul(k, i)]
             dev = abs(inner(target, moved) - 1.0)
-            if dev > closure_tol:
+            if dev > UNITARY_TOL:
                 raise ConditionTwoViolated(
                     f"closure fails at pair (k={k}, i={i}) with deviation {dev:.3e}"
                 )
@@ -205,7 +197,7 @@ def encode(tokens: TokenSet, message: StateVector) -> StateVector:
     if message.n < 1:
         raise DimensionMismatch("need at least one message qudit")
     order = rep.group.order
-    out = np.zeros(rep.dim ** (tokens.r + message.n), dtype=np.complex128)
+    out = np.zeros(check_register(rep.dim, tokens.r + message.n), dtype=np.complex128)
     for i in range(order):
         rotated = apply_collective(message, rep.matrices[i])
         out += np.outer(tokens.tokens[i].amps, rotated.amps).reshape(-1)
@@ -341,12 +333,11 @@ def prepare_protocol(
     table: CharacterTable | None = None,
     *,
     r: int | None = None,
-    r_max: int = 32,
 ) -> ProtocolContext:
     """Resolve r, decompose, and build the certified token set for a channel."""
     table = table or builtin_character_table(rep.group)
     if r is None:
-        r = min_r(rep, table, r_max)
+        r = min_r(rep, table)
     decomp = isotypic_decompose(rep, r, table)
     fiducial = build_fiducial(decomp)
     tokens = build_tokens(rep, r, fiducial)
@@ -375,6 +366,8 @@ def run_roundtrip(
 ) -> RoundTripResult:
     """encode -> transmit -> decode, reporting fidelity against the input message."""
     if message is None:
+        # refuse an oversized encoded register before drawing the message
+        check_register(context.rep.dim, context.r + m)
         rng = np.random.default_rng(message_seed)
         message = random_state(context.rep.dim, m, rng)
     chi = encode(context.tokens, message)

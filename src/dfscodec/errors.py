@@ -10,11 +10,11 @@ class NotAGroup(DfsCodecError):
 
 
 class GroupTooLarge(DfsCodecError):
-    """Group order exceeds the configured maximum."""
+    """Group order exceeds ``limits.MAX_GROUP_ORDER``."""
 
 
 class ResourceLimit(DfsCodecError):
-    """A dense object would exceed the configured size guard."""
+    """A dense object would exceed a size budget in :mod:`dfscodec.limits`."""
 
 
 class NotFaithful(DfsCodecError):

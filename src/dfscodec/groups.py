@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupTooLarge, NotAGroup
-
-MAX_GROUP_ORDER = 64
+from .limits import MAX_GROUP_ORDER
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,12 +83,7 @@ class ConjugacyClasses:
         return len(self.classes)
 
 
-def validate_group(
-    cayley,
-    labels=None,
-    name: str | None = None,
-    max_order: int = MAX_GROUP_ORDER,
-) -> FiniteGroup:
+def validate_group(cayley, labels=None, name: str | None = None) -> FiniteGroup:
     """Check a raw Cayley table and build a :class:`FiniteGroup`.
 
     Verifies closure, identity, inverses and associativity; the error message
@@ -108,8 +102,8 @@ def validate_group(
     else:
         table = table.astype(np.int64)
     n = table.shape[0]
-    if n > max_order:
-        raise GroupTooLarge(f"group order {n} exceeds the supported maximum {max_order}")
+    if n > MAX_GROUP_ORDER:
+        raise GroupTooLarge(f"group order {n} exceeds the supported maximum {MAX_GROUP_ORDER}")
     if table.min() < 0 or table.max() >= n:
         bad = np.argwhere((table < 0) | (table >= n))[0]
         raise NotAGroup(

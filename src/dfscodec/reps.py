@@ -37,16 +37,17 @@ from .groups import (
     element_words,
     generator_decomposition,
 )
-from .statevec import UNITARY_TOL
+from .limits import (
+    EXACT_TOL,
+    MAX_AMPLITUDES,
+    MULTIPLICITY_TOL,
+    NORM_TOL,
+    ORTHONORMAL_TOL,
+    RANK_TOL,
+    UNITARY_TOL,
+)
 
 DEFAULT_R_MAX = 32
-MAX_DECOMPOSE_DIM = 4096
-
-HOMOMORPHISM_TOL = 1e-9
-MULTIPLICITY_TOL = 1e-6
-FAITHFUL_TOL = 1e-9
-BLOCK_TOL = 1e-8
-RANK_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +74,6 @@ class UnitaryRep:
         matrices,
         *,
         projective: bool = False,
-        tol: float = UNITARY_TOL,
     ) -> "UnitaryRep":
         """Validate and construct; the identity matrix is snapped to exact I."""
         mats = np.array(matrices, dtype=np.complex128)
@@ -81,12 +81,12 @@ class UnitaryRep:
             raise ValueError(f"expected {group.order} square matrices, got shape {mats.shape}")
         d = mats.shape[1]
         eye = np.eye(d)
-        if np.max(np.abs(mats[0] - eye)) > tol:
+        if np.max(np.abs(mats[0] - eye)) > UNITARY_TOL:
             raise ValueError("matrix at the identity element is not the identity")
         mats[0] = eye
         for i in range(group.order):
             err = np.max(np.abs(mats[i].conj().T @ mats[i] - eye))
-            if err > tol:
+            if err > UNITARY_TOL:
                 raise ValueError(f"matrix {i} is not unitary (residue {err:.2e})")
         # one row of pairs (i, k) at a time: |G| d^2 entries, never |G|^2 d^2
         for i in range(group.order):
@@ -95,12 +95,12 @@ class UnitaryRep:
             if projective:
                 # per-pair phase trace(target^H prod) / d
                 phases = np.einsum("kab,kab->k", targets.conj(), prods) / d
-                off_phase = np.abs(np.abs(phases) - 1.0) > 1e-6
+                off_phase = np.abs(np.abs(phases) - 1.0) > MULTIPLICITY_TOL
                 targets = phases[:, None, None] * targets
             else:
                 off_phase = np.zeros(group.order, dtype=bool)
             errs = np.max(np.abs(prods - targets), axis=(1, 2))
-            failed = off_phase | (errs > max(tol, HOMOMORPHISM_TOL))
+            failed = off_phase | (errs > UNITARY_TOL)
             if failed.any():
                 k = int(np.argmax(failed))
                 if off_phase[k]:
@@ -146,7 +146,6 @@ class CharacterTable:
         irrep_matrices=None,
         *,
         classes: ConjugacyClasses | None = None,
-        orth_tol: float = 1e-10,
     ) -> "CharacterTable":
         classes = classes or conjugacy_classes(group)
         dims = np.asarray(dims, dtype=np.int64)
@@ -158,10 +157,10 @@ class CharacterTable:
             raise ValueError(f"expected {s} irrep dimensions")
         if int(np.sum(dims**2)) != group.order:
             raise ValueError("sum of squared irrep dimensions must equal the group order")
-        if np.max(np.abs(chars[0] - 1.0)) > orth_tol:
+        if np.max(np.abs(chars[0] - 1.0)) > NORM_TOL:
             raise ValueError("row 0 must be the trivial irrep (all ones)")
         gram = (chars * classes.class_sizes) @ chars.conj().T / group.order
-        if np.max(np.abs(gram - np.eye(s))) > orth_tol:
+        if np.max(np.abs(gram - np.eye(s))) > NORM_TOL:
             raise ValueError("characters violate the orthogonality relation")
         if irrep_matrices is not None:
             irrep_matrices = tuple(np.asarray(m, dtype=np.complex128) for m in irrep_matrices)
@@ -169,10 +168,10 @@ class CharacterTable:
                 if mats.shape != (group.order, dims[lam], dims[lam]):
                     raise ValueError(f"irrep {lam}: matrix block has shape {mats.shape}")
                 for i in range(group.order):
-                    if np.max(np.abs(mats[i] @ mats - mats[group.cayley[i]])) > 1e-9:
+                    if np.max(np.abs(mats[i] @ mats - mats[group.cayley[i]])) > UNITARY_TOL:
                         raise ValueError(f"irrep {lam} is not a homomorphism")
                 trace = np.array([np.trace(mats[c[0]]) for c in classes.classes])
-                if np.max(np.abs(trace - chars[lam])) > 1e-9:
+                if np.max(np.abs(trace - chars[lam])) > UNITARY_TOL:
                     raise ValueError(f"irrep {lam} matrices disagree with the character row")
         return cls(
             group=group,
@@ -242,18 +241,13 @@ class IsotypicDecomposition:
         return self.basis[:, comp.offset + (n - 1) * comp.multiplicity + (beta - 1)]
 
 
-def compound_character(
-    rep: UnitaryRep,
-    classes: ConjugacyClasses | None = None,
-    *,
-    tol: float = UNITARY_TOL,
-) -> np.ndarray:
+def compound_character(rep: UnitaryRep, classes: ConjugacyClasses | None = None) -> np.ndarray:
     """Trace of the representing matrix, one entry per conjugacy class."""
     classes = classes or conjugacy_classes(rep.group)
     values = np.empty(classes.s, dtype=np.complex128)
     for c, members in enumerate(classes.classes):
         traces = np.array([np.trace(rep.matrices[i]) for i in members])
-        if np.max(np.abs(traces - traces[0])) > tol:
+        if np.max(np.abs(traces - traces[0])) > UNITARY_TOL:
             raise ValueError(f"class {c} members disagree on the trace")
         values[c] = traces[0]
     return values
@@ -264,13 +258,7 @@ def _gamma_floats(chi_powered: np.ndarray, table: CharacterTable) -> np.ndarray:
     return (table.chars.conj() * sizes) @ chi_powered / table.group.order
 
 
-def multiplicities(
-    rep: UnitaryRep,
-    table: CharacterTable,
-    n: int,
-    *,
-    tol: float = MULTIPLICITY_TOL,
-) -> MultiplicityVector:
+def multiplicities(rep: UnitaryRep, table: CharacterTable, n: int) -> MultiplicityVector:
     """Irrep multiplicities of the n-th tensor power, via character arithmetic.
 
     The character of the power is the elementwise power of the base compound
@@ -282,7 +270,7 @@ def multiplicities(
     raw = _gamma_floats(chi**n, table)
     rounded = np.round(raw.real).astype(np.int64)
     residue = float(np.max(np.abs(raw - rounded)))
-    if residue > tol:
+    if residue > MULTIPLICITY_TOL:
         raise NonIntegerMultiplicity(
             f"multiplicities of power {n} are not integers (residue {residue:.3e}); "
             "the character table is inconsistent with the representation"
@@ -302,33 +290,27 @@ def contains_regular(mv: MultiplicityVector, table: CharacterTable) -> bool:
     return all(g >= d for g, d in zip(mv.gammas, table.dims))
 
 
-def is_faithful(rep: UnitaryRep, tol: float = FAITHFUL_TOL) -> bool:
+def is_faithful(rep: UnitaryRep) -> bool:
     for i in range(rep.group.order):
         for k in range(i + 1, rep.group.order):
-            if np.max(np.abs(rep.matrices[i] - rep.matrices[k])) <= tol:
+            if np.max(np.abs(rep.matrices[i] - rep.matrices[k])) <= UNITARY_TOL:
                 return False
     return True
 
 
-def min_r(
-    rep: UnitaryRep,
-    table: CharacterTable,
-    r_max: int = DEFAULT_R_MAX,
-    *,
-    faithful_tol: float = FAITHFUL_TOL,
-) -> int:
+def min_r(rep: UnitaryRep, table: CharacterTable, r_max: int = DEFAULT_R_MAX) -> int:
     """Smallest tensor power whose decomposition contains the regular representation.
 
     Powers whose multiplicities are not integers (possible for projective base
     representations) cannot contain the regular representation and are skipped.
     """
-    if not is_faithful(rep, faithful_tol):
+    if not is_faithful(rep):
         raise NotFaithful("two elements share a matrix; the token construction needs all |G|")
     chi = compound_character(rep, table.classes)
     for r in range(1, r_max + 1):
         raw = _gamma_floats(chi**r, table)
         rounded = np.round(raw.real)
-        scale = max(1.0, float(rep.dim) ** r * 1e-12)
+        scale = max(1.0, float(rep.dim) ** r * EXACT_TOL)
         if np.max(np.abs(raw - rounded)) > MULTIPLICITY_TOL * scale:
             continue
         if np.all(rounded >= table.dims):
@@ -348,20 +330,27 @@ def regular_rep(group: FiniteGroup) -> UnitaryRep:
     return UnitaryRep.build(group, mats)
 
 
+def _dense_power_dim(rep: UnitaryRep, r: int) -> int:
+    """Dimension d^r of the tensor power, refused when one d^r x d^r matrix exceeds the budget."""
+    dim = rep.dim**r
+    if dim * dim > MAX_AMPLITUDES:
+        raise ResourceLimit(
+            f"dense tensor power of dimension {dim} has {dim * dim} entries per matrix, "
+            f"over the budget {MAX_AMPLITUDES}"
+        )
+    return dim
+
+
 def tensor_power_matrices(rep: UnitaryRep, r: int) -> np.ndarray:
     """Dense r-fold Kronecker powers of every representing matrix."""
-    dim = rep.dim**r
-    if dim > MAX_DECOMPOSE_DIM:
-        raise ResourceLimit(
-            f"dense tensor power of dimension {dim} exceeds the guard {MAX_DECOMPOSE_DIM}"
-        )
+    dim = _dense_power_dim(rep, r)
     out = np.empty((rep.group.order, dim, dim), dtype=np.complex128)
     for i in range(rep.group.order):
         out[i] = reduce(np.kron, [rep.matrices[i]] * r)
     return out
 
 
-def _orthonormalize(candidates, expected: int, tol: float) -> list[np.ndarray]:
+def _orthonormalize(candidates, expected: int) -> list[np.ndarray]:
     """Deterministic Gram-Schmidt: keep the first ``expected`` independent images."""
     basis: list[np.ndarray] = []
     for vec in candidates:
@@ -372,7 +361,7 @@ def _orthonormalize(candidates, expected: int, tol: float) -> list[np.ndarray]:
         for b in basis:
             w -= b * np.vdot(b, w)
         norm = np.linalg.norm(w)
-        if norm > tol:
+        if norm > RANK_TOL:
             basis.append(w / norm)
         if len(basis) == expected:
             return basis
@@ -381,19 +370,12 @@ def _orthonormalize(candidates, expected: int, tol: float) -> list[np.ndarray]:
     )
 
 
-def _is_diagonal_rep(mats: np.ndarray, tol: float = 1e-12) -> bool:
+def _is_diagonal_rep(mats: np.ndarray) -> bool:
     off = mats - np.einsum("gii->gi", mats)[:, :, None] * np.eye(mats.shape[1])
-    return bool(np.max(np.abs(off)) <= tol)
+    return bool(np.max(np.abs(off)) <= EXACT_TOL)
 
 
-def isotypic_decompose(
-    rep: UnitaryRep,
-    r: int,
-    table: CharacterTable,
-    *,
-    block_tol: float = BLOCK_TOL,
-    rank_tol: float = RANK_TOL,
-) -> IsotypicDecomposition:
+def isotypic_decompose(rep: UnitaryRep, r: int, table: CharacterTable) -> IsotypicDecomposition:
     """Block basis of the r-th tensor power.
 
     Diagonal representations of abelian groups take a fast path that simply
@@ -403,9 +385,10 @@ def isotypic_decompose(
     orthonormalizes projector images of computational basis vectors in
     lexicographic order, which is deterministic and RNG-free.
     """
+    # refused here: the diagonal path stacks a d^r x d^r basis before any other check
+    dim = _dense_power_dim(rep, r)
     group = rep.group
     mv = multiplicities(rep, table, r)
-    dim = rep.dim**r
     abelian = table.classes.s == group.order
 
     columns: list[np.ndarray] = []
@@ -422,7 +405,7 @@ def isotypic_decompose(
             gamma = mv[lam]
             if gamma == 0:
                 continue
-            match = np.max(np.abs(diags.T - element_chars[lam]), axis=1) <= 1e-9
+            match = np.max(np.abs(diags.T - element_chars[lam]), axis=1) <= UNITARY_TOL
             indices = np.flatnonzero(match)
             if len(indices) != gamma:
                 raise NumericalDegeneracy(
@@ -448,7 +431,7 @@ def isotypic_decompose(
             if d_lam == 1:
                 proj = np.tensordot(element_chars[lam].conj(), powers, axes=(0, 0)) / group.order
                 images = (proj[:, j] for j in range(dim))
-                vecs = _orthonormalize(images, gamma, rank_tol)
+                vecs = _orthonormalize(images, gamma)
                 columns.extend(vecs)
                 components.append(
                     IsotypicComponent(irrep=lam, dim=1, multiplicity=gamma, offset=offset)
@@ -463,7 +446,7 @@ def isotypic_decompose(
                 scale = d_lam / group.order
                 proj_11 = scale * np.tensordot(umats[:, 0, 0].conj(), powers, axes=(0, 0))
                 images = (proj_11[:, j] for j in range(dim))
-                mult_basis = _orthonormalize(images, gamma, rank_tol)
+                mult_basis = _orthonormalize(images, gamma)
                 block: list[np.ndarray] = []
                 for n in range(d_lam):
                     if n == 0:
@@ -486,7 +469,7 @@ def isotypic_decompose(
             f"block basis has shape {basis.shape}, expected ({dim}, {dim})"
         )
     unitarity = np.max(np.abs(basis.conj().T @ basis - np.eye(dim)))
-    if unitarity > 1e-9:
+    if unitarity > UNITARY_TOL:
         raise NumericalDegeneracy(f"block basis is not unitary (residue {unitarity:.3e})")
 
     decomp = IsotypicDecomposition(
@@ -497,7 +480,7 @@ def isotypic_decompose(
         basis=basis,
         components=tuple(components),
     )
-    _verify_block_structure(decomp, block_tol)
+    _verify_block_structure(decomp)
     return decomp
 
 
@@ -515,16 +498,16 @@ def _expected_block(decomp: IsotypicDecomposition, g: int) -> np.ndarray:
     return out
 
 
-def _verify_block_structure(decomp: IsotypicDecomposition, tol: float) -> None:
+def _verify_block_structure(decomp: IsotypicDecomposition) -> None:
     powers = tensor_power_matrices(decomp.rep, decomp.power)
     v = decomp.basis
     worst = 0.0
     for g in range(decomp.rep.group.order):
         got = v.conj().T @ powers[g] @ v
         worst = max(worst, float(np.max(np.abs(got - _expected_block(decomp, g)))))
-    if worst > tol:
+    if worst > ORTHONORMAL_TOL:
         raise NumericalDegeneracy(
-            f"block structure violated by {worst:.3e} (tolerance {tol:.1e})"
+            f"block structure violated by {worst:.3e} (tolerance {ORTHONORMAL_TOL:.1e})"
         )
 
 

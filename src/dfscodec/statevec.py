@@ -17,10 +17,17 @@ from .errors import (
     NonOrthogonalProjectors,
     ResourceLimit,
 )
+from .limits import MAX_AMPLITUDES, NORM_TOL, UNITARY_TOL
 
-MAX_AMPLITUDES = 2**24
-NORM_TOL = 1e-10
-UNITARY_TOL = 1e-9
+
+def check_register(d: int, n: int) -> int:
+    """Amplitude count ``d**n`` of an n-qudit register, refused above the dense budget."""
+    if d < 2 or n < 1:
+        raise DimensionMismatch(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+    size = d**n
+    if size > MAX_AMPLITUDES:
+        raise ResourceLimit(f"d**n = {size} exceeds the dense guard {MAX_AMPLITUDES}")
+    return size
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,11 +43,7 @@ class StateVector:
 
     @classmethod
     def from_amplitudes(cls, d: int, n: int, amps, *, normalize: bool = False) -> "StateVector":
-        if d < 2 or n < 1:
-            raise DimensionMismatch(f"need d >= 2 and n >= 1, got d={d}, n={n}")
-        size = d**n
-        if size > MAX_AMPLITUDES:
-            raise ResourceLimit(f"d**n = {size} exceeds the dense guard {MAX_AMPLITUDES}")
+        size = check_register(d, n)
         arr = np.array(amps, dtype=np.complex128).reshape(-1)
         if arr.size != size:
             raise DimensionMismatch(f"expected {size} amplitudes, got {arr.size}")
@@ -58,7 +61,7 @@ class StateVector:
 
 
 def basis_state(d: int, n: int, index: int = 0) -> StateVector:
-    amps = np.zeros(d**n, dtype=np.complex128)
+    amps = np.zeros(check_register(d, n), dtype=np.complex128)
     amps[index] = 1.0
     return StateVector.from_amplitudes(d, n, amps)
 
@@ -70,7 +73,8 @@ def product_state(a: StateVector, b: StateVector) -> StateVector:
 
 
 def random_state(d: int, n: int, rng: np.random.Generator) -> StateVector:
-    amps = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+    size = check_register(d, n)
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
     return StateVector.from_amplitudes(d, n, amps, normalize=True)
 
 
@@ -80,10 +84,10 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _check_unitary(u: np.ndarray, dim: int, tol: float = UNITARY_TOL) -> None:
+def _check_unitary(u: np.ndarray, dim: int) -> None:
     if u.shape != (dim, dim):
         raise DimensionMismatch(f"operator must be {dim}x{dim}, got {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > tol:
+    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > UNITARY_TOL:
         raise DimensionMismatch("operator is not unitary within tolerance")
 
 
@@ -206,11 +210,11 @@ def _projector_amplitudes(state: StateVector, subset, projectors):
         if v.size != dim:
             raise DimensionMismatch(f"projector size {v.size} != {dim}")
         norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-9:
+        if abs(norm - 1.0) > UNITARY_TOL:
             raise NonOrthogonalProjectors(f"projector vector has norm {norm}")
         vectors.append(v)
     stacked = np.reshape(vectors, (len(vectors), dim))
-    overlaps = np.argwhere(np.triu(np.abs(stacked.conj() @ stacked.T), 1) > 1e-9)
+    overlaps = np.argwhere(np.triu(np.abs(stacked.conj() @ stacked.T), 1) > UNITARY_TOL)
     if len(overlaps):
         i, j = overlaps[0]
         raise NonOrthogonalProjectors(f"projectors {i} and {j} overlap")
@@ -234,7 +238,7 @@ def project_measure(state: StateVector, subset, projectors, seed: int) -> Measur
     vectors, rows, block, subset = _projector_amplitudes(state, subset, projectors)
     probs = np.sum(np.abs(rows) ** 2, axis=1)
     total = float(np.sum(probs))
-    if total > 1.0 + 1e-9:
+    if total > 1.0 + UNITARY_TOL:
         raise NonOrthogonalProjectors(f"offered probabilities sum to {total} > 1")
     perp = max(0.0, 1.0 - total)
     all_probs = np.append(probs, perp)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadNormalization
+from .limits import EXACT_TOL
 
 _SQRT3 = np.sqrt(3.0)
 _SQRT6 = np.sqrt(6.0)
@@ -138,12 +139,12 @@ class LogicalEncoding:
 
     def __post_init__(self) -> None:
         for pair in (self.c, self.d):
-            if abs(abs(pair[0]) ** 2 + abs(pair[1]) ** 2 - 1.0) > 1e-12:
+            if abs(abs(pair[0]) ** 2 + abs(pair[1]) ** 2 - 1.0) > EXACT_TOL:
                 raise BadNormalization(f"coefficient pair {pair} is not normalized")
 
     def state(self, alpha: complex, beta: complex) -> np.ndarray:
         """Eight-amplitude state for alpha |0_L> + beta |1_L>."""
-        if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-12:
+        if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > EXACT_TOL:
             raise BadNormalization("logical amplitudes are not normalized")
         v = coupled_basis()
         out = alpha * (self.c[0] * v[:, 4] + self.c[1] * v[:, 5])

@@ -437,3 +437,13 @@ def run_plan_like(gates, state):
     for g in gates:
         state = apply_gate(state, g)
     return state
+
+
+@pytest.mark.parametrize("path", ["general", "abelian", "cyclic"])
+@pytest.mark.parametrize("m", [0, -2])
+def test_every_w_path_needs_a_message_qubit(path, m):
+    from dfscodec.circuits import synth_w
+
+    group = builtin_group("z8")
+    with pytest.raises(DimensionMismatch):
+        synth_w(path, group, zn_phase_rep(group), m)

@@ -226,3 +226,32 @@ def test_non_abelian_order_8_file_has_no_builtin_table(tmp_path, capsys):
     assert main(["roundtrip", "--group", f"@{path}", "--rep", "regular"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "no built-in character table" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["roundtrip", "--group", "z16"], ["roundtrip", "--group", "z8", "--m", "40"]]
+)
+def test_oversized_roundtrip_is_refused_before_allocating(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_memory_error_exits_3(monkeypatch, capsys):
+    import dfscodec.cli as cli
+
+    def explode(args):
+        raise MemoryError("Unable to allocate 3.25 GiB")
+
+    monkeypatch.setattr(cli, "cmd_roundtrip", explode)
+    assert cli.main(["roundtrip", "--group", "z2", "--m", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "out of memory" in err
+
+
+@pytest.mark.parametrize("path", ["general", "abelian", "cyclic"])
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_circuit_count_needs_a_message_qubit(path, m, capsys):
+    assert main(["circuit", "count", "--group", "z8", "--m", m, "--path", path]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "message qubit" in err

@@ -471,3 +471,28 @@ def test_roundtrip_fuzz(spec, m, message_seed, channel_seed, measure_seed):
     assert res.report.roundtrip_fidelity >= 1 - 1e-9
     assert res.report.perp_probability <= 1e-10
     assert res.report.rate == Fraction(m, m + ctx.r)
+
+
+def test_prepare_protocol_refuses_z16_before_decomposing():
+    # r = 15: one 2^15 x 2^15 matrix is over the dense budget, so nothing is built
+    from dfscodec.errors import ResourceLimit
+    from dfscodec.reps import zn_phase_rep
+
+    with pytest.raises(ResourceLimit):
+        prepare_protocol(zn_phase_rep(builtin_group("z16")))
+
+
+def test_oversized_encoded_register_is_refused_before_allocating(monkeypatch):
+    # z8 has r = 7; 7 + 24 qubits is 2^31 amplitudes, over the dense budget
+    from types import SimpleNamespace
+
+    from conftest import make_context
+    from dfscodec.errors import ResourceLimit
+
+    ctx = make_context("z8")
+    monkeypatch.setattr(codec, "random_state", lambda *args: pytest.fail("message drawn"))
+    with pytest.raises(ResourceLimit):
+        run_roundtrip(ctx, uniform_channel(ctx.rep), m=24)
+    # encode reads only d and n of the message before refusing
+    with pytest.raises(ResourceLimit):
+        encode(ctx.tokens, SimpleNamespace(d=2, n=24))
