@@ -38,9 +38,11 @@ from .limits import UNITARY_TOL
 from .reps import UnitaryRep
 from .statevec import (
     StateVector,
+    _apply,
+    _check_operands,
+    _check_unitary,
     apply_controlled,
-    basis_state,
-    product_state,
+    check_register,
 )
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -101,21 +103,50 @@ class CircuitPlan:
         return sum(g.cost for g in self.gates)
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+def _gate_matrix(gate: Gate) -> np.ndarray | None:
+    """The matrix a gate applies; ``None`` for a chain marker."""
     if gate.kind == "chain":
-        return state
+        return None
     if gate.kind not in ("single", "prep", "controlled", "cnot"):
         raise DfsCodecError(f"unknown gate kind {gate.kind!r}")
-    matrix = gate.matrix
-    if matrix is None and gate.kind in ("controlled", "cnot"):
-        matrix = _X
+    if gate.matrix is None and gate.kind in ("controlled", "cnot"):
+        return _X
+    return gate.matrix
+
+
+def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    matrix = _gate_matrix(gate)
+    if matrix is None:
+        return state
     return apply_controlled(state, gate.controls, matrix, gate.targets)
 
 
+def _run_gates(gates, tensor: np.ndarray) -> None:
+    """Apply ``gates`` in order, in place, to the writable ``(d,)*n`` tensor.
+
+    Wires are validated per gate; each distinct matrix is checked for
+    unitarity once per call.
+    """
+    d, n = tensor.shape[0], tensor.ndim
+    checked: set = set()
+    for gate in gates:
+        matrix = _gate_matrix(gate)
+        if matrix is None:
+            continue
+        controls, targets = _check_operands(d, n, gate.controls, gate.targets)
+        matrix = np.asarray(matrix, dtype=np.complex128)
+        key = (matrix.shape, matrix.tobytes())
+        if key not in checked:
+            _check_unitary(matrix, d ** len(targets))
+            checked.add(key)
+        _apply(tensor, tensor, matrix, targets, controls)
+
+
 def run_plan(plan: CircuitPlan, state: StateVector) -> StateVector:
-    for gate in plan.gates:
-        state = apply_gate(state, gate)
-    return state
+    """The plan's gates applied to ``state`` on one work buffer; ``state`` is only read."""
+    tensor = state.tensor().copy()
+    _run_gates(plan.gates, tensor)
+    return StateVector(d=state.d, n=state.n, amps=tensor.reshape(-1))
 
 
 def control_wire_count(order: int) -> int:
@@ -618,23 +649,28 @@ class EncodingPipeline:
         """Encode a message, returning the state on token + message wires only."""
         if message.d != 2 or message.n != self.m:
             raise DimensionMismatch(f"expected an {self.m}-qubit message")
-        n_work = self.layout.n_wires - self.m
-        state = product_state(basis_state(2, n_work, 0), message)
-        for gate in self.prep:
-            state = apply_gate(state, gate)
-        state = run_plan(self.w_plan, state)
+        n = self.layout.n_wires
+        check_register(2, n)
+        # |0...0> on the work wires times the message, as the one work buffer
+        work = np.zeros(2 ** (n - self.m), dtype=np.complex128)
+        work[0] = 1.0
+        tensor = np.kron(work, message.amps).reshape([2] * n)
+        gates = [*self.prep, *self.w_plan.gates]
+        if self.t_plan is not None:
+            gates += self.t_plan.gates
+        _run_gates(gates, tensor)
         if self.t_direct is not None:
-            return apply_controlled(state, (), self.t_direct.matrix, self.layout.token)
-        state = run_plan(self.t_plan, state)
+            _, targets = _check_operands(2, n, (), self.layout.token)
+            _check_unitary(self.t_direct.matrix, 2 ** len(targets))
+            _apply(tensor, tensor, self.t_direct.matrix, targets)
+            return StateVector(d=2, n=n, amps=tensor.reshape(-1))
         # the control register must disentangle back to |0...0>
         r_prime = len(self.layout.control)
-        block = state.amps.reshape(2**r_prime, -1)
+        block = tensor.reshape(2**r_prime, -1)
         leak = float(np.linalg.norm(block[1:]))
         if leak > UNITARY_TOL:
             raise DfsCodecError(f"control register failed to clear (leak {leak:.3e})")
-        return StateVector.from_amplitudes(
-            2, state.n - r_prime, block[0], normalize=True
-        )
+        return StateVector.from_amplitudes(2, n - r_prime, block[0], normalize=True)
 
 
 def _placed(plan: CircuitPlan, old_wires, new_wires, layout: RegisterLayout) -> CircuitPlan:
@@ -706,8 +742,13 @@ def gate_count_report(
     *,
     paths: tuple[str, ...] = ("general", "abelian", "cyclic"),
 ) -> dict:
-    """Counts per synthesis route, the basis-change bound, and the rate."""
-    # every path refuses m < 1, but the abelian entry below skips failing paths
+    """Counts per synthesis route, the basis-change bound, and the rate.
+
+    With several ``paths``, a route that does not apply to this group or
+    representation is left out; a single named route that cannot be built
+    raises its synthesizer's error.
+    """
+    # every path refuses m < 1; with several paths a failing one would be skipped
     _message_wires(0, m)
     r_prime = control_wire_count(group.order)
     rate = Fraction(m, m + r)
@@ -723,35 +764,37 @@ def gate_count_report(
         "t_direct_bound": rep.dim**r,
         "paths": {},
     }
-    if "general" in paths and rep.dim == 2:
-        plan = synth_w_general(group, rep, m)
-        entry = {
-            "emitted_count": plan.total_count,
-            "count_formula": plan.metadata["count_formula"],
-            "logical_depth": logical_depth(plan),
-            "depth_formula": plan.metadata["depth_formula"],
-        }
-        report["paths"]["general"] = entry
-    if "abelian" in paths and group.is_abelian and rep.dim == 2:
+    for path in ("general", "abelian", "cyclic"):
+        if path not in paths:
+            continue
         try:
-            plan = synth_w_abelian(group, rep, m)
-            report["paths"]["abelian"] = {
+            plan = synth_w(path, group, rep, m)
+        except DfsCodecError:
+            if len(paths) == 1:
+                raise
+            continue
+        if path == "general":
+            entry = {
+                "emitted_count": plan.total_count,
+                "count_formula": plan.metadata["count_formula"],
+                "logical_depth": logical_depth(plan),
+                "depth_formula": plan.metadata["depth_formula"],
+            }
+        elif path == "abelian":
+            entry = {
                 "emitted_count": plan.total_count,
                 "count_bound": plan.metadata["count_bound"],
             }
-        except DfsCodecError:
-            pass
-    if "cyclic" in paths and rep.dim == 2 and not group.order & (group.order - 1):
-        if cyclic_generator(group) is not None:
-            plan = synth_w_cyclic(group, rep, m)
+        else:
             t_plan = synth_t_cyclic(group.order) if group.order >= 2 else None
-            report["paths"]["cyclic"] = {
+            entry = {
                 "controlled_count": plan.total_count,
                 "controlled_formula": m * plan.metadata["r_prime"],
                 "t_cnot_count": t_plan.metadata["cnot_count"] if t_plan else 0,
                 "t_cnot_formula": t_plan.metadata["cnot_formula"] if t_plan else 0,
                 "t_qft_count": t_plan.metadata["qft_gate_count"] if t_plan else 0,
             }
+        report["paths"][path] = entry
     return report
 
 

@@ -291,10 +291,11 @@ def contains_regular(mv: MultiplicityVector, table: CharacterTable) -> bool:
 
 
 def is_faithful(rep: UnitaryRep) -> bool:
-    for i in range(rep.group.order):
-        for k in range(i + 1, rep.group.order):
-            if np.max(np.abs(rep.matrices[i] - rep.matrices[k])) <= UNITARY_TOL:
-                return False
+    mats = rep.matrices
+    # one row of pairs (i, k > i) at a time, as in UnitaryRep.build
+    for i in range(len(mats) - 1):
+        if np.any(np.max(np.abs(mats[i + 1 :] - mats[i]), axis=(1, 2)) <= UNITARY_TOL):
+            return False
     return True
 
 

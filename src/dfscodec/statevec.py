@@ -101,38 +101,56 @@ def _from_front(block: np.ndarray, axes, ndim: int, d: int) -> np.ndarray:
     return np.moveaxis(block.reshape([d] * ndim), range(len(axes)), axes)
 
 
-def _apply(state: StateVector, op: np.ndarray, targets, controls=()) -> StateVector:
-    """The operator kernel: ``op`` on ``targets`` wherever every control matches.
+def _apply(src: np.ndarray, out: np.ndarray, op: np.ndarray, targets, controls=()) -> None:
+    """The operator kernel: write ``op`` on ``targets``, wherever every control
+    matches, into the writable ``(d,)*n`` tensor ``out``.
 
-    Wires and controls are validated and ``op`` is checked by the caller.
+    ``src`` holds the input amplitudes and may be ``out`` itself.  Wires and
+    controls are validated and ``op`` is checked by the caller.
     """
-    d, n = state.d, state.n
+    n, d = out.ndim, out.shape[0]
     if not controls:
         # right-multiplied form: pins perp_probability in roundtrip_z8.json
-        out = (_to_front(state.tensor(), targets, d).T @ op.T).T
-        return StateVector(d=d, n=n, amps=_from_front(out, targets, n, d).reshape(-1))
-    tensor = state.tensor().copy()
+        block = (_to_front(src, targets, d).T @ op.T).T
+        out[...] = _from_front(block, targets, n, d)
+        return
+    if out is not src:
+        out[...] = src
     index: list = [slice(None)] * n
     for w, v in controls:
         index[w] = v
-    sub = tensor[tuple(index)]
+    sub = out[tuple(index)]
     # axis rank of each target among the non-control wires, in the sliced view
     control_wires = {w for w, _ in controls}
     remaining = [w for w in range(n) if w not in control_wires]
     axes = [remaining.index(t) for t in targets]
     # left-multiplied form: pins fidelity_vs_direct_encoding in circuit_simulate_z8.json
-    tensor[tuple(index)] = _from_front(op @ _to_front(sub, axes, d), axes, sub.ndim, d)
-    return StateVector(d=d, n=n, amps=tensor.reshape(-1))
+    out[tuple(index)] = _from_front(op @ _to_front(sub, axes, d), axes, sub.ndim, d)
 
 
-def _check_wires(state: StateVector, wires) -> list[int]:
+def _check_wires(n: int, wires) -> list[int]:
     wires = [int(w) for w in wires]
     if len(set(wires)) != len(wires):
         raise BadTarget(f"repeated qudit in {wires}")
     for w in wires:
-        if not 0 <= w < state.n:
-            raise BadTarget(f"qudit {w} out of range for {state.n} qudits")
+        if not 0 <= w < n:
+            raise BadTarget(f"qudit {w} out of range for {n} qudits")
     return wires
+
+
+def _check_operands(d: int, n: int, controls, targets) -> tuple[list, list[int]]:
+    """Validated ``(controls, targets)`` of one operator on an n-qudit register."""
+    controls = [(int(w), int(v)) for w, v in controls]
+    targets = _check_wires(n, targets)
+    control_wires = [w for w, _ in controls]
+    if len(set(control_wires)) != len(control_wires):
+        raise BadTarget("repeated control qudit")
+    if set(control_wires) & set(targets):
+        raise BadTarget("control and target sets overlap")
+    for w, v in controls:
+        if not (0 <= w < n) or not (0 <= v < d):
+            raise BadTarget(f"control ({w},{v}) out of range")
+    return controls, targets
 
 
 def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:
@@ -149,7 +167,7 @@ def apply_collective(state: StateVector, u: np.ndarray, targets=None) -> StateVe
     and flattens so that qudit becomes the trailing one; after ``n`` steps the
     wires are back in place.
     """
-    targets = set(_check_wires(state, range(state.n) if targets is None else targets))
+    targets = set(_check_wires(state.n, range(state.n) if targets is None else targets))
     u = np.asarray(u, dtype=np.complex128)
     _check_unitary(u, state.d)
     d, ut, x = state.d, u.T, state.amps
@@ -166,21 +184,14 @@ def apply_controlled(state: StateVector, controls, u: np.ndarray, targets) -> St
 
     ``controls`` is a sequence of ``(qudit, required_value)`` pairs, possibly
     empty; amplitudes whose control digits do not match are left bit-exact.
-    This is the general entry to the operator kernel.
+    The result is a fresh state; ``state`` is only read.
     """
-    controls = [(int(w), int(v)) for w, v in controls]
-    targets = _check_wires(state, targets)
-    control_wires = [w for w, _ in controls]
-    if len(set(control_wires)) != len(control_wires):
-        raise BadTarget("repeated control qudit")
-    if set(control_wires) & set(targets):
-        raise BadTarget("control and target sets overlap")
-    for w, v in controls:
-        if not (0 <= w < state.n) or not (0 <= v < state.d):
-            raise BadTarget(f"control ({w},{v}) out of range")
+    controls, targets = _check_operands(state.d, state.n, controls, targets)
     u = np.asarray(u, dtype=np.complex128)
     _check_unitary(u, state.d ** len(targets))
-    return _apply(state, u, targets, controls)
+    out = np.empty_like(state.amps).reshape([state.d] * state.n)
+    _apply(state.tensor(), out, u, targets, controls)
+    return StateVector(d=state.d, n=state.n, amps=out.reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +212,7 @@ class MeasurementRecord:
 
 def _projector_amplitudes(state: StateVector, subset, projectors):
     """Amplitude rows <v_i| B for rank-one projectors |v_i><v_i| on the subset."""
-    subset = _check_wires(state, subset)
+    subset = _check_wires(state.n, subset)
     dim = state.d ** len(subset)
     block = _to_front(state.tensor(), subset, state.d)
     vectors = []

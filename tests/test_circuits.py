@@ -31,8 +31,10 @@ from dfscodec.groups import builtin_group
 from dfscodec.reps import pauli_rep, zn_phase_rep
 from dfscodec.statevec import (
     StateVector,
+    apply_controlled,
     basis_state,
     fidelity,
+    haar_unitary,
     product_state,
     project_measure,
     random_state,
@@ -447,3 +449,104 @@ def test_every_w_path_needs_a_message_qubit(path, m):
     group = builtin_group("z8")
     with pytest.raises(DimensionMismatch):
         synth_w(path, group, zn_phase_rep(group), m)
+
+
+# --- in-place plan execution ------------------------------------------------------
+
+
+def pipeline_like(pipeline, message):
+    """The encoder composed gate by gate, each gate returning a fresh state."""
+    n_work = pipeline.layout.n_wires - pipeline.m
+    state = product_state(basis_state(2, n_work, 0), message)
+    state = run_plan_like([*pipeline.prep, *pipeline.w_plan.gates], state)
+    if pipeline.t_direct is not None:
+        return apply_controlled(state, (), pipeline.t_direct.matrix, pipeline.layout.token)
+    state = run_plan_like(pipeline.t_plan.gates, state)
+    r_prime = len(pipeline.layout.control)
+    block = state.amps.reshape(2**r_prime, -1)
+    return StateVector.from_amplitudes(2, state.n - r_prime, block[0], normalize=True)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("spec,path", [("z8", "general"), ("z8", "abelian"),
+                                        ("z8", "cyclic"), ("z8", "network"),
+                                        ("k4", "general"), ("k4", "abelian"),
+                                        ("s3", "general")])
+def test_in_place_runs_are_bit_identical_to_gate_by_gate(spec, path, m, context_for, rng):
+    if path == "network":
+        tokens = network_token_set(zn_phase_rep(builtin_group(spec), 2))
+        pipeline = build_encoding_pipeline(tokens, m, "cyclic", cyclic_network=True)
+    else:
+        pipeline = build_encoding_pipeline(context_for(spec).tokens, m, path)
+    messages = [random_state(2, m, rng), random_state(2, m, rng), basis_state(2, m, 2**m - 1)]
+    for message in messages:
+        assert pipeline.run(message).amps.tobytes() == pipeline_like(pipeline, message).amps.tobytes()
+    state = random_state(2, pipeline.layout.n_wires, rng)
+    for plan in (pipeline.w_plan, pipeline.t_plan):
+        if plan is not None:
+            got = run_plan(plan, state)
+            assert got.amps.tobytes() == run_plan_like(plan.gates, state).amps.tobytes()
+
+
+def test_non_unitary_gate_mid_plan_is_refused(context_for, rng):
+    from dataclasses import replace
+
+    from dfscodec.circuits import CircuitPlan, Gate
+
+    pipeline = build_encoding_pipeline(context_for("k4").tokens, 1, "general")
+    gates = list(pipeline.w_plan.gates)
+    # same shape as the unitary 2x2 gates before and after it
+    bad = Gate(kind="controlled", targets=(pipeline.layout.message[0],),
+               controls=((pipeline.layout.control[0], 1),), matrix=2 * np.eye(2))
+    gates.insert(len(gates) // 2, bad)
+    plan = CircuitPlan(gates=gates, layout=pipeline.layout)
+    with pytest.raises(DimensionMismatch):
+        run_plan(plan, random_state(2, pipeline.layout.n_wires, rng))
+    with pytest.raises(DimensionMismatch):
+        replace(pipeline, w_plan=plan).run(random_state(2, 1, rng))
+
+
+def test_run_plan_leaves_its_input_unmodified(context_for, rng):
+    pipeline = build_encoding_pipeline(context_for("z8").tokens, 2, "cyclic")
+    state = random_state(2, pipeline.layout.n_wires, rng)
+    before = state.amps.tobytes()
+    out = run_plan(pipeline.w_plan, state)
+    assert state.amps.tobytes() == before
+    assert out.amps.tobytes() != before
+    assert not np.shares_memory(out.amps, state.amps)
+    message = random_state(2, 2, rng)
+    before = message.amps.tobytes()
+    pipeline.run(message)
+    assert message.amps.tobytes() == before
+
+
+@pytest.mark.parametrize("controls,targets", [((), [0]), ((), [3, 1]), (((2, 1),), [0])])
+def test_apply_controlled_result_does_not_alias_its_input(controls, targets, rng):
+    state = random_state(2, 4, rng)
+    before = state.amps.tobytes()
+    out = apply_controlled(state, controls, haar_unitary(2 ** len(targets), rng), targets)
+    assert not np.shares_memory(out.amps, state.amps)
+    assert not out.amps.flags.writeable
+    assert state.amps.tobytes() == before
+
+
+def test_kernel_keeps_both_multiplication_orientations(rng):
+    # 2x2 products round differently in the two orientations, so a swap shows
+    state = random_state(2, 6, rng)
+    u = haar_unitary(2, rng)
+    tensor = state.tensor()
+    block = np.moveaxis(tensor, 2, 0).reshape(2, -1)
+    right = np.moveaxis((block.T @ u.T).T.reshape([2] * 6), 0, 2).reshape(-1)
+    left = np.moveaxis((u @ block).reshape([2] * 6), 0, 2).reshape(-1)
+    assert right.tobytes() != left.tobytes()
+    # no controls: right-multiplied
+    assert apply_controlled(state, (), u, [2]).amps.tobytes() == right.tobytes()
+    # with controls: left-multiplied on the matching slice, the rest untouched
+    sub = np.moveaxis(tensor[:, 1], 1, 0).reshape(2, -1)
+    expected = tensor.copy()
+    expected[:, 1] = np.moveaxis((u @ sub).reshape([2] * 5), 0, 1)
+    swapped = tensor.copy()
+    swapped[:, 1] = np.moveaxis((sub.T @ u.T).T.reshape([2] * 5), 0, 1)
+    assert expected.tobytes() != swapped.tobytes()
+    got = apply_controlled(state, [(1, 1)], u, [2])
+    assert got.amps.tobytes() == expected.reshape(-1).tobytes()

@@ -255,3 +255,16 @@ def test_circuit_count_needs_a_message_qubit(path, m, capsys):
     assert main(["circuit", "count", "--group", "z8", "--m", m, "--path", path]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "message qubit" in err
+
+
+@pytest.mark.parametrize("path,message", [("cyclic", "power-of-two order"),
+                                          ("abelian", "not a power of two")])
+def test_circuit_count_refuses_a_named_path_it_cannot_build(path, message, capsys):
+    assert main(["circuit", "count", "--group", "z3", "--m", "1", "--path", path]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
+def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
+    assert main(["circuit", "count", "--group", "z3", "--m", "1", "--path", "all"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["paths"]) == ["general"]

@@ -169,6 +169,38 @@ def test_min_r_rejects_unfaithful_rep():
         min_r(rep, builtin_character_table(group))
 
 
+def _pairwise_faithful(rep):
+    mats = rep.matrices
+    return all(
+        np.max(np.abs(mats[i] - mats[k])) > 1e-9
+        for i in range(len(mats))
+        for k in range(i + 1, len(mats))
+    )
+
+
+@pytest.mark.parametrize("spec", ["z8", "z2-trivial", "z3-trivial", "z4-halved",
+                                  "z4xz2-dropped", "s3-regular", "k4-pauli"])
+def test_is_faithful_matches_the_pairwise_check(spec):
+    name, _, kind = spec.partition("-")
+    group = builtin_group(name)
+    order = group.order
+    if kind == "trivial":
+        rep = UnitaryRep.build(group, np.ones((order, 1, 1)))
+    elif kind == "halved":
+        rep = UnitaryRep.build(group, np.array([np.diag([1.0, (-1.0) ** g]) for g in range(order)]))
+    elif kind == "dropped":
+        # keeps the Z2 factor only: every element shares its matrix with three others
+        rep = UnitaryRep.build(group, np.array([[[(-1.0) ** (g % 2)]] for g in range(order)]))
+    elif kind == "regular":
+        rep = regular_rep(group)
+    elif kind == "pauli":
+        rep = pauli_rep(group)
+    else:
+        rep = zn_phase_rep(group, 2)
+    assert is_faithful(rep) == _pairwise_faithful(rep)
+    assert is_faithful(rep) == (kind in ("", "regular", "pauli"))
+
+
 def test_min_r_r_max_exceeded():
     group = cyclic_group(8)
     rep = zn_phase_rep(group, 2)
