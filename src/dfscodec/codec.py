@@ -35,6 +35,7 @@ from .reps import (
 )
 from .statevec import (
     StateVector,
+    _collective_rows,
     apply_collective,
     check_register,
     apply_local,
@@ -175,15 +176,18 @@ def build_tokens(rep: UnitaryRep, r: int, fiducial: StateVector) -> TokenSet:
         raise ConditionOneViolated(
             f"token overlap residue {residue:.3e} exceeds {ORTHONORMAL_TOL:.1e}"
         )
+    # closure: U_k^{(x)r} on the whole token stack, one batched collective per k
+    stack = np.array([t.amps for t in tokens])
     for k in range(order):
-        for i in range(order):
-            moved = apply_collective(tokens[i], rep.matrices[k])
-            target = tokens[rep.group.mul(k, i)]
-            dev = abs(inner(target, moved) - 1.0)
-            if dev > UNITARY_TOL:
-                raise ConditionTwoViolated(
-                    f"closure fails at pair (k={k}, i={i}) with deviation {dev:.3e}"
-                )
+        moved = _collective_rows(stack, rep.matrices[k], r, range(r))
+        targets = stack[rep.group.cayley[k]]
+        devs = np.abs(np.einsum("ij,ij->i", targets.conj(), moved) - 1.0)
+        failed = devs > UNITARY_TOL
+        if failed.any():
+            i = int(np.argmax(failed))
+            raise ConditionTwoViolated(
+                f"closure fails at pair (k={k}, i={i}) with deviation {devs[i]:.3e}"
+            )
     return TokenSet(rep=rep, r=r, fiducial=fiducial, tokens=tokens, gram_residue=residue)
 
 

@@ -396,17 +396,17 @@ def isotypic_decompose(rep: UnitaryRep, r: int, table: CharacterTable) -> Isotyp
     components: list[IsotypicComponent] = []
 
     if abelian and _is_diagonal_rep(rep.matrices):
-        # phase of each computational basis state under every element
-        diags = np.empty((group.order, dim), dtype=np.complex128)
+        # the diagonal of every U_g^{(x)r}: each basis state's phase under g
+        powers = np.empty((group.order, dim), dtype=np.complex128)
         for g in range(group.order):
-            diags[g] = reduce(np.kron, [np.diag(rep.matrices[g])] * r)
+            powers[g] = reduce(np.kron, [np.diag(rep.matrices[g])] * r)
         element_chars = table.chars[:, table.classes.class_of]  # (s, |G|)
         offset = 0
         for lam in range(table.num_irreps):
             gamma = mv[lam]
             if gamma == 0:
                 continue
-            match = np.max(np.abs(diags.T - element_chars[lam]), axis=1) <= UNITARY_TOL
+            match = np.max(np.abs(powers.T - element_chars[lam]), axis=1) <= UNITARY_TOL
             indices = np.flatnonzero(match)
             if len(indices) != gamma:
                 raise NumericalDegeneracy(
@@ -481,31 +481,35 @@ def isotypic_decompose(rep: UnitaryRep, r: int, table: CharacterTable) -> Isotyp
         basis=basis,
         components=tuple(components),
     )
-    _verify_block_structure(decomp)
+    _verify_block_structure(decomp, powers)
     return decomp
 
 
-def _expected_block(decomp: IsotypicDecomposition, g: int) -> np.ndarray:
+def _verify_block_structure(decomp: IsotypicDecomposition, powers: np.ndarray) -> None:
+    """Check ``v^H U_g^{(x)r} v`` against each element's expected block, entrywise.
+
+    ``powers`` is the tensor power the decomposition already built: the
+    ``(|G|, d^r)`` diagonals of a diagonal representation, or the
+    ``(|G|, d^r, d^r)`` dense stack.  One element is checked at a time, and
+    its expected block is subtracted in place, one component at a time.
+    """
     table = decomp.table
-    out = np.zeros((decomp.dimension, decomp.dimension), dtype=np.complex128)
-    for comp in decomp.components:
-        if comp.dim == 1:
-            u = np.array([[table.element_character(comp.irrep, g)]])
-        else:
-            u = table.irrep_matrices[comp.irrep][g]
-        block = np.kron(u, np.eye(comp.multiplicity))
-        size = comp.dim * comp.multiplicity
-        out[comp.offset : comp.offset + size, comp.offset : comp.offset + size] = block
-    return out
-
-
-def _verify_block_structure(decomp: IsotypicDecomposition) -> None:
-    powers = tensor_power_matrices(decomp.rep, decomp.power)
     v = decomp.basis
+    vh = v.conj().T
     worst = 0.0
     for g in range(decomp.rep.group.order):
-        got = v.conj().T @ powers[g] @ v
-        worst = max(worst, float(np.max(np.abs(got - _expected_block(decomp, g)))))
+        moved = powers[g][:, None] * v if powers.ndim == 2 else powers[g] @ v
+        got = vh @ moved
+        for comp in decomp.components:
+            end = comp.offset + comp.dim * comp.multiplicity
+            if comp.dim == 1:
+                # character times the identity: only the diagonal is nonzero
+                diag = np.arange(comp.offset, end)
+                got[diag, diag] -= table.element_character(comp.irrep, g)
+            else:
+                u = table.irrep_matrices[comp.irrep][g]
+                got[comp.offset : end, comp.offset : end] -= np.kron(u, np.eye(comp.multiplicity))
+        worst = max(worst, float(np.max(np.abs(got))))
     if worst > ORTHONORMAL_TOL:
         raise NumericalDegeneracy(
             f"block structure violated by {worst:.3e} (tolerance {ORTHONORMAL_TOL:.1e})"

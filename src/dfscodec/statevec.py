@@ -158,25 +158,37 @@ def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:
     return apply_controlled(state, (), u, [target])
 
 
+def _collective_rows(rows: np.ndarray, u: np.ndarray, n: int, targets) -> np.ndarray:
+    """``u`` on every wire in ``targets`` of each row of a ``(rows, d**n)`` array.
+
+    The collective kernel, with no checks.  Each step views the leading qudit
+    of every row as the columns of a ``(rest, d)`` block, right-multiplies it
+    by ``u.T`` as :func:`_apply` does, and flattens so that qudit becomes the
+    trailing one; after ``n`` steps the wires are back in place.  The rows go
+    through one stacked matmul per step, one GEMM per row, so each row comes
+    out bit-identical to a one-row call.
+    """
+    d, ut, x = u.shape[0], u.T, rows
+    count = x.shape[0]
+    for w in range(n):
+        x = x.reshape(count, d, -1).transpose(0, 2, 1)
+        if w in targets:
+            x = x @ ut
+        x = x.reshape(count, -1)
+    return x
+
+
 def apply_collective(state: StateVector, u: np.ndarray, targets=None) -> StateVector:
     """Apply the same single-qudit unitary to every listed qudit (default: all).
 
     Targets are processed in ascending wire order, whatever order they are
-    given in.  Each step views the leading qudit as the columns of a
-    ``(rest, d)`` block, right-multiplies it by ``u.T`` as :func:`_apply` does,
-    and flattens so that qudit becomes the trailing one; after ``n`` steps the
-    wires are back in place.
+    given in; this is the one-row case of :func:`_collective_rows`.
     """
     targets = set(_check_wires(state.n, range(state.n) if targets is None else targets))
     u = np.asarray(u, dtype=np.complex128)
     _check_unitary(u, state.d)
-    d, ut, x = state.d, u.T, state.amps
-    for w in range(state.n):
-        x = x.reshape(d, -1).T
-        if w in targets:
-            x = x @ ut
-        x = x.reshape(-1)
-    return StateVector(d=d, n=state.n, amps=x)
+    amps = _collective_rows(state.amps[None], u, state.n, targets)[0]
+    return StateVector(d=state.d, n=state.n, amps=amps)
 
 
 def apply_controlled(state: StateVector, controls, u: np.ndarray, targets) -> StateVector:

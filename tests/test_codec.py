@@ -24,12 +24,13 @@ from dfscodec.codec import (
 )
 from dfscodec.errors import (
     ConditionOneViolated,
+    ConditionTwoViolated,
     DimensionMismatch,
     PerpOutcome,
     RegularRepMissing,
 )
 from dfscodec.groups import builtin_group
-from dfscodec.reps import isotypic_decompose
+from dfscodec.reps import UnitaryRep, isotypic_decompose
 from dfscodec.statevec import (
     StateVector,
     apply_collective,
@@ -120,6 +121,36 @@ def test_condition_one_violation_raises(context_for):
     bad = basis_state(2, 2, 0)  # |00> is not moved anywhere by the phases
     with pytest.raises(ConditionOneViolated):
         build_tokens(ctx.rep, 2, bad)
+
+
+def test_closure_violation_names_the_first_failing_pair(context_for):
+    # z4 phases on the Klein group: the tokens are orthonormal, but U_1 U_1 is
+    # U_2, not the identity that k4's g_1 * g_1 asks for
+    z4 = context_for("z4")
+    k4 = builtin_group("k4")
+    assert k4.mul(1, 1) == 0 and z4.group.mul(1, 1) != 0
+    wrong = UnitaryRep(group=k4, dim=2, matrices=z4.rep.matrices)
+    with pytest.raises(
+        ConditionTwoViolated, match=r"closure fails at pair \(k=1, i=1\) with deviation"
+    ):
+        build_tokens(wrong, z4.r, z4.tokens.fiducial)
+
+
+@pytest.mark.parametrize("spec", ["z8", "s3", "k4"])
+def test_build_tokens_applies_one_collective_per_element(spec, context_for, monkeypatch):
+    ctx = context_for(spec)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return apply_collective(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "apply_collective", spy)
+    tokens = build_tokens(ctx.rep, ctx.r, ctx.tokens.fiducial)
+    assert len(calls) == ctx.group.order
+    for got, want in zip(tokens.tokens, ctx.tokens.tokens):
+        assert np.array_equal(got.amps, want.amps)
+    assert tokens.gram_residue == ctx.tokens.gram_residue
 
 
 def test_build_fiducial_requires_regular_containment(context_for):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import dfscodec.reps as reps
 from dfscodec.errors import (
     MissingIrrepMatrices,
     NonIntegerMultiplicity,
     NotFaithful,
+    NumericalDegeneracy,
     RMaxExceeded,
 )
 from dfscodec.groups import builtin_group, conjugacy_classes, cyclic_group
@@ -12,6 +14,7 @@ from dfscodec.reps import (
     CharacterTable,
     UnitaryRep,
     builtin_character_table,
+    builtin_rep,
     compound_character,
     contains_regular,
     is_faithful,
@@ -309,6 +312,68 @@ def test_isotypic_s3_blocks_and_off_block_zeros():
         conjugated = v.conj().T @ powers[g] @ v
         assert np.max(np.abs(conjugated[~mask])) < 1e-8
     assert np.max(np.abs(v.conj().T @ v - np.eye(8))) < 1e-9
+
+
+def _builtin_decomposition_args(spec: str):
+    group = builtin_group(spec)
+    rep = builtin_rep(group, "builtin-2d" if spec == "s3" else "builtin")
+    table = builtin_character_table(group)
+    return rep, min_r(rep, table), table
+
+
+def _decompose_with_altered_basis(spec: str, alter, monkeypatch):
+    """isotypic_decompose with ``alter(basis, components)`` applied to the
+    basis after its unitarity check, just before the block-structure check."""
+    real = reps.IsotypicDecomposition
+
+    def altered(**fields):
+        basis = fields["basis"].copy()
+        alter(basis, fields["components"])
+        return real(**{**fields, "basis": basis})
+
+    monkeypatch.setattr(reps, "IsotypicDecomposition", altered)
+    return isotypic_decompose(*_builtin_decomposition_args(spec))
+
+
+BLOCK_VIOLATION = r"block structure violated by .* \(tolerance"
+
+
+@pytest.mark.parametrize("spec", ["z8", "k4", "s3"])
+def test_rotated_basis_breaks_the_block_structure(spec, monkeypatch):
+    # mix the first columns of two components: the basis stays unitary, so
+    # only the block-structure check can see it
+    def rotate(basis, components):
+        a, b = (comp.offset for comp in components[:2])
+        c, s = np.cos(0.3), np.sin(0.3)
+        basis[:, [a, b]] = basis[:, [a, b]] @ np.array([[c, -s], [s, c]])
+
+    with pytest.raises(NumericalDegeneracy, match=BLOCK_VIOLATION):
+        _decompose_with_altered_basis(spec, rotate, monkeypatch)
+
+
+def test_rephased_carrier_breaks_the_two_dimensional_block(monkeypatch):
+    # a phase on one carrier column of S3's 2-d irrep moves only off-diagonal
+    # entries of its block
+    def rephase(basis, components):
+        comp = next(c for c in components if c.dim == 2)
+        basis[:, comp.offset] *= 1j
+
+    with pytest.raises(NumericalDegeneracy, match=BLOCK_VIOLATION):
+        _decompose_with_altered_basis("s3", rephase, monkeypatch)
+
+
+@pytest.mark.parametrize("spec, builds", [("z8", 0), ("k4", 1), ("s3", 1)])
+def test_decomposition_builds_its_tensor_power_once(spec, builds, monkeypatch):
+    # the block-structure check reuses the diagonals or the dense stack
+    calls = []
+
+    def spy(rep, r):
+        calls.append(r)
+        return tensor_power_matrices(rep, r)
+
+    monkeypatch.setattr(reps, "tensor_power_matrices", spy)
+    isotypic_decompose(*_builtin_decomposition_args(spec))
+    assert len(calls) == builds
 
 
 def test_isotypic_requires_irrep_matrices_for_2d_blocks():

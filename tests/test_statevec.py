@@ -12,6 +12,7 @@ from dfscodec.errors import (
 )
 from dfscodec.statevec import (
     StateVector,
+    _collective_rows,
     apply_collective,
     apply_controlled,
     apply_local,
@@ -184,6 +185,20 @@ def test_collective_on_targets_is_bit_identical_to_local_loop(d, n, subset, rng)
     for t in targets:
         sequential = apply_local(sequential, u, t)
     assert np.array_equal(apply_collective(state, u, targets).amps, sequential.amps)
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 3), (2, 7), (3, 1), (3, 4), (5, 1), (5, 3)])
+@pytest.mark.parametrize("subset", [False, True])
+def test_batched_collective_rows_are_bit_identical_to_apply_collective(d, n, subset, rng):
+    states = [random_state(d, n, rng) for _ in range(5)]
+    u = haar_unitary(d, rng)
+    targets = list(range(n))
+    if subset:
+        targets = sorted(rng.choice(n, size=(n + 1) // 2, replace=False).tolist())
+    rows = _collective_rows(np.array([s.amps for s in states]), u, n, set(targets))
+    assert rows.shape == (5, d**n)
+    for row, state in zip(rows, states):
+        assert np.array_equal(row, apply_collective(state, u, targets).amps)
 
 
 def test_control_target_overlap_rejected(rng):
