@@ -11,8 +11,11 @@ rotation with one local correction per message qudit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -20,18 +23,25 @@ from .errors import (
     ConditionOneViolated,
     ConditionTwoViolated,
     DimensionMismatch,
+    MissingIrrepMatrices,
+    NumericalDegeneracy,
     PerpOutcome,
     RegularRepMissing,
+    ResourceLimit,
 )
 from .groups import FiniteGroup
-from .limits import EXACT_TOL, ORTHONORMAL_TOL, UNITARY_TOL
+from .limits import EXACT_TOL, MAX_AMPLITUDES, ORTHONORMAL_TOL, UNITARY_TOL
 from .reps import (
     CharacterTable,
     IsotypicDecomposition,
+    MultiplicityVector,
     UnitaryRep,
+    _is_diagonal_rep,
+    _orthonormalize,
     builtin_character_table,
     isotypic_decompose,
     min_r,
+    multiplicities,
 )
 from .statevec import (
     StateVector,
@@ -137,26 +147,124 @@ class ProtocolReport:
         }
 
 
-def build_fiducial(decomp: IsotypicDecomposition) -> StateVector:
+def build_fiducial(rep: UnitaryRep, r: int, table: CharacterTable) -> StateVector:
     """Ancilla state pairing each irrep's carrier basis with its first multiplicity vectors.
 
     Weights sqrt(d_lam / |G|) make the tokens exactly orthonormal whenever the
-    decomposition contains every irrep at least d_lam times.
+    r-th power contains every irrep at least d_lam times.  Only the |G| block
+    vectors ``(lam, n, n)`` of the isotypic basis are built, never the basis:
+    they equal ``isotypic_decompose(rep, r, table).block_vector(lam, n, n)``,
+    and ``build_tokens`` certifies the result.
     """
-    table = decomp.table
-    order = decomp.rep.group.order
+    mv = multiplicities(rep, table, r)
+    order = rep.group.order
+    diagonal = table.classes.s == order and _is_diagonal_rep(rep.matrices)
+    if not diagonal and table.irrep_matrices is None:
+        for lam in range(table.num_irreps):
+            if table.dims[lam] > 1 and mv[lam] > 0:
+                raise MissingIrrepMatrices(
+                    f"irrep {lam} has dimension {int(table.dims[lam])}; "
+                    "explicit matrices are required"
+                )
     for lam in range(table.num_irreps):
-        if decomp.multiplicities[lam] < int(table.dims[lam]):
+        if mv[lam] < int(table.dims[lam]):
             raise RegularRepMissing(
-                f"irrep {lam} appears {decomp.multiplicities[lam]} times, needs "
+                f"irrep {lam} appears {mv[lam]} times, needs "
                 f">= {int(table.dims[lam])}; increase the tensor power"
             )
-    amps = np.zeros(decomp.dimension, dtype=np.complex128)
-    for comp in decomp.components:
-        weight = np.sqrt(comp.dim / order)
-        for n in range(1, comp.dim + 1):
-            amps += weight * decomp.block_vector(comp.irrep, n, n)
-    return StateVector.from_amplitudes(decomp.rep.dim, decomp.power, amps, normalize=True)
+    amps = np.zeros(check_register(rep.dim, r), dtype=np.complex128)
+    if diagonal:
+        weight = np.sqrt(1 / order)
+        for j in _diagonal_support(rep, r, table, mv):
+            amps[j] = weight
+    else:
+        for lam in range(table.num_irreps):
+            weight = np.sqrt(int(table.dims[lam]) / order)
+            for vec in _carrier_vectors(rep, r, table, lam):
+                amps += weight * vec
+    return StateVector.from_amplitudes(rep.dim, r, amps, normalize=True)
+
+
+def _diagonal_support(
+    rep: UnitaryRep, r: int, table: CharacterTable, mv: MultiplicityVector
+) -> list[int]:
+    """Lowest basis index of each irrep's phase class, for a diagonal abelian action.
+
+    A basis state's phase under ``g`` depends only on its digit counts, and the
+    lowest index with given counts has its digits in ascending order, so the
+    ``C(r+d-1, d-1)`` ascending digit strings, in index order, stand for all
+    ``d^r`` states.  Each multiplicity is certified as an exact multinomial sum.
+    """
+    d = rep.dim
+    strings = np.array(
+        list(combinations_with_replacement(range(d), r)), dtype=np.int64
+    ).reshape(-1, r)
+    counts = np.stack([np.count_nonzero(strings == level, axis=1) for level in range(d)], axis=1)
+    indices = strings @ d ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    states = np.array(
+        [math.factorial(r) // math.prod(map(math.factorial, row)) for row in counts.tolist()],
+        dtype=np.int64,
+    )
+    diagonals = np.einsum("gii->gi", rep.matrices)
+    phases = np.prod(diagonals[:, None, :] ** counts, axis=2)  # (|G|, strings)
+    element_chars = table.chars[:, table.classes.class_of]
+    # character orthogonality names each string's irrep; the entrywise test certifies it
+    irrep = np.argmax(np.abs(element_chars.conj() @ phases), axis=0)
+    matched = np.max(np.abs(phases - element_chars[irrep].T), axis=0) <= UNITARY_TOL
+    found = np.zeros(table.num_irreps, dtype=np.int64)
+    np.add.at(found, irrep[matched], states[matched])
+    for lam in range(table.num_irreps):
+        if found[lam] != mv[lam]:
+            raise NumericalDegeneracy(
+                f"irrep {lam}: {found[lam]} diagonal states for multiplicity {mv[lam]}"
+            )
+    # every irrep is matched here, so the first hits come in irrep order
+    _, first = np.unique(irrep[matched], return_index=True)
+    return [int(j) for j in indices[matched][first]]
+
+
+def _carrier_vectors(
+    rep: UnitaryRep, r: int, table: CharacterTable, lam: int
+) -> list[np.ndarray]:
+    """Block vectors ``(lam, n, n)`` for ``n = 1 .. d_lam``: ``P^lam_n1 w_n``.
+
+    ``w_n`` is the n-th orthonormalized image ``P^lam_11 e_j`` over ``j`` in
+    index order, as in the dense decomposition; Gram-Schmidt is sequential, so
+    stopping at ``d_lam`` vectors keeps the same ones.  Each image is formed
+    from Kronecker products of columns of ``U_g``, ``d_lam`` candidates at a
+    time, and each carrier row ``n >= 2`` through the collective kernel.
+    """
+    group, d, dim = rep.group, rep.dim, rep.dim**r
+    d_lam = int(table.dims[lam])
+    if d_lam == 1:
+        umats = table.chars[lam, table.classes.class_of].reshape(-1, 1, 1)
+    else:
+        umats = table.irrep_matrices[lam]
+    scale = d_lam / group.order
+    place = d ** np.arange(r - 1, -1, -1)
+
+    def images():
+        for start in range(0, dim, d_lam):
+            digits = np.arange(start, min(start + d_lam, dim))[:, None] // place % d
+            # U_g^{(x)r} e_j = (x)_k U_g[:, j_k], one row per (g, j)
+            cols = rep.matrices[:, :, digits[:, 0]].transpose(0, 2, 1)
+            for k in range(1, r):
+                step = rep.matrices[:, :, digits[:, k]].transpose(0, 2, 1)
+                cols = (cols[:, :, :, None] * step[:, :, None, :]).reshape(
+                    group.order, len(digits), -1
+                )
+            yield from scale * np.tensordot(umats[:, 0, 0].conj(), cols, axes=(0, 0))
+
+    mult_basis = _orthonormalize(images(), d_lam)
+    vectors = [mult_basis[0]]
+    for n in range(1, d_lam):
+        rows = mult_basis[n][None]
+        moved = np.array(
+            [_collective_rows(rows, rep.matrices[g], r, range(r))[0] for g in range(group.order)]
+        )
+        # partial isometry between multiplicity rows: the image stays normalized
+        vectors.append(scale * np.tensordot(umats[:, n, 0].conj(), moved, axes=(0, 0)))
+    return vectors
 
 
 def build_tokens(rep: UnitaryRep, r: int, fiducial: StateVector) -> TokenSet:
@@ -322,14 +430,22 @@ def decode_outcome_probabilities(tokens: TokenSet, received: StateVector) -> np.
 
 @dataclass(frozen=True, eq=False)
 class ProtocolContext:
-    """Everything derived from (group, representation): r, decomposition, tokens."""
+    """Everything derived from (group, representation): r and the certified tokens."""
 
     group: FiniteGroup
     rep: UnitaryRep
     table: CharacterTable
     r: int
-    decomposition: IsotypicDecomposition
     tokens: TokenSet
+
+    @cached_property
+    def decomposition(self) -> IsotypicDecomposition:
+        """The dense isotypic decomposition of the r-th power, built on first read.
+
+        Preparation never needs it: it is the reference the fiducial's block
+        vectors can be checked against, and it is refused above the dense budget.
+        """
+        return isotypic_decompose(self.rep, self.r, self.table)
 
 
 def prepare_protocol(
@@ -338,16 +454,20 @@ def prepare_protocol(
     *,
     r: int | None = None,
 ) -> ProtocolContext:
-    """Resolve r, decompose, and build the certified token set for a channel."""
+    """Resolve r, build the fiducial's block vectors and certify the token set."""
     table = table or builtin_character_table(rep.group)
     if r is None:
         r = min_r(rep, table)
-    decomp = isotypic_decompose(rep, r, table)
-    fiducial = build_fiducial(decomp)
+    # the |G| tokens, and the closure check's stack, are the largest objects built
+    stack = rep.group.order * rep.dim**r
+    if stack > MAX_AMPLITUDES:
+        raise ResourceLimit(
+            f"{rep.group.order} tokens of {rep.dim}**{r} amplitudes make {stack}, "
+            f"over the budget {MAX_AMPLITUDES}"
+        )
+    fiducial = build_fiducial(rep, r, table)
     tokens = build_tokens(rep, r, fiducial)
-    return ProtocolContext(
-        group=rep.group, rep=rep, table=table, r=r, decomposition=decomp, tokens=tokens
-    )
+    return ProtocolContext(group=rep.group, rep=rep, table=table, r=r, tokens=tokens)
 
 
 @dataclass

@@ -24,5 +24,7 @@ MULTIPLICITY_TOL = 1e-6
 
 # groups above this order are rejected at validation
 MAX_GROUP_ORDER = 64
-# amplitudes of one dense state vector, and entries of one d^r x d^r matrix
+# amplitudes of one dense state vector; of the |G| tokens together (|G| d^r,
+# the largest objects preparation builds); and entries of the dense reference
+# decomposition's d^r x d^r basis and of its |G| stacked tensor powers
 MAX_AMPLITUDES = 2**24

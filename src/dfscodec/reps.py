@@ -1,9 +1,10 @@
 """Unitary representations, characters, multiplicities and isotypic bases.
 
-The block basis produced by :func:`isotypic_decompose` is the workhorse for
-token-state construction: in that basis every collective operator splits into
-one block per irrep, each block being the irrep matrix tensored with an
-identity on the multiplicity space.
+The block basis produced by :func:`isotypic_decompose` is the dense reference
+for token-state construction: in that basis every collective operator splits
+into one block per irrep, each block being the irrep matrix tensored with an
+identity on the multiplicity space.  Preparation builds only the few block
+vectors the fiducial needs (``codec.build_fiducial``), never this basis.
 
 Built-in character tables and representations follow the structure of the
 group, never its name or labels: every abelian group gets the product table of
@@ -331,12 +332,13 @@ def regular_rep(group: FiniteGroup) -> UnitaryRep:
     return UnitaryRep.build(group, mats)
 
 
-def _dense_power_dim(rep: UnitaryRep, r: int) -> int:
-    """Dimension d^r of the tensor power, refused when one d^r x d^r matrix exceeds the budget."""
+def _dense_power_dim(rep: UnitaryRep, r: int, count: int = 1) -> int:
+    """Dimension d^r of the tensor power, refused when ``count`` d^r x d^r
+    matrices exceed the budget."""
     dim = rep.dim**r
-    if dim * dim > MAX_AMPLITUDES:
+    if count * dim * dim > MAX_AMPLITUDES:
         raise ResourceLimit(
-            f"dense tensor power of dimension {dim} has {dim * dim} entries per matrix, "
+            f"dense tensor power of dimension {dim}: {count} x {dim * dim} entries, "
             f"over the budget {MAX_AMPLITUDES}"
         )
     return dim
@@ -344,7 +346,7 @@ def _dense_power_dim(rep: UnitaryRep, r: int) -> int:
 
 def tensor_power_matrices(rep: UnitaryRep, r: int) -> np.ndarray:
     """Dense r-fold Kronecker powers of every representing matrix."""
-    dim = _dense_power_dim(rep, r)
+    dim = _dense_power_dim(rep, r, rep.group.order)
     out = np.empty((rep.group.order, dim, dim), dtype=np.complex128)
     for i in range(rep.group.order):
         out[i] = reduce(np.kron, [rep.matrices[i]] * r)

@@ -229,7 +229,8 @@ def test_non_abelian_order_8_file_has_no_builtin_table(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["roundtrip", "--group", "z16"], ["roundtrip", "--group", "z8", "--m", "40"]]
+    "argv",
+    [["roundtrip", "--group", "z8", "--r", "25"], ["roundtrip", "--group", "z8", "--m", "40"]],
 )
 def test_oversized_roundtrip_is_refused_before_allocating(argv, capsys):
     assert main(argv) == 3

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dfscodec.codec as codec
+import dfscodec.reps as reps
 from dfscodec.codec import (
     build_fiducial,
     build_tokens,
@@ -26,11 +27,22 @@ from dfscodec.errors import (
     ConditionOneViolated,
     ConditionTwoViolated,
     DimensionMismatch,
+    MissingIrrepMatrices,
+    NumericalDegeneracy,
     PerpOutcome,
     RegularRepMissing,
 )
 from dfscodec.groups import builtin_group
-from dfscodec.reps import UnitaryRep, isotypic_decompose
+from dfscodec.reps import (
+    CharacterTable,
+    UnitaryRep,
+    builtin_character_table,
+    builtin_rep,
+    isotypic_decompose,
+    min_r,
+    s3_two_dim_rep,
+    zn_phase_rep,
+)
 from dfscodec.statevec import (
     StateVector,
     apply_collective,
@@ -155,9 +167,109 @@ def test_build_tokens_applies_one_collective_per_element(spec, context_for, monk
 
 def test_build_fiducial_requires_regular_containment(context_for):
     ctx = context_for("z3")
-    short = isotypic_decompose(ctx.rep, 1, ctx.table)
     with pytest.raises(RegularRepMissing):
-        build_fiducial(short)
+        build_fiducial(ctx.rep, 1, ctx.table)
+
+
+def test_build_fiducial_requires_irrep_matrices_for_2d_blocks():
+    group = builtin_group("s3")
+    full = builtin_character_table(group)
+    stripped = CharacterTable.build(group, full.dims, full.chars, None)
+    with pytest.raises(MissingIrrepMatrices):
+        build_fiducial(s3_two_dim_rep(group), 3, stripped)
+
+
+def _dense_reference_fiducial(rep, r, table) -> np.ndarray:
+    """The fiducial assembled from the dense isotypic basis."""
+    decomp = isotypic_decompose(rep, r, table)
+    amps = np.zeros(decomp.dimension, dtype=np.complex128)
+    for comp in decomp.components:
+        weight = np.sqrt(comp.dim / rep.group.order)
+        for n in range(1, comp.dim + 1):
+            amps += weight * decomp.block_vector(comp.irrep, n, n)
+    return StateVector.from_amplitudes(rep.dim, r, amps, normalize=True).amps
+
+
+# (group, rep, dim, r or None for min_r); every `tokens build` of the benchmark
+# matrix, plus z2xz2; the round-trip channels z8, k4 and s3 (r = 6) are among them
+EXACT_FIDUCIALS = [(f"z{n}", "builtin", 2, None) for n in range(2, 9)] + [
+    ("k4", "builtin", 2, None),
+    ("z2xz2", "builtin", 2, None),
+    ("z3", "builtin", 3, None),
+    ("z5", "builtin", 5, None),
+    ("z4xz2", "regular", 2, None),
+]
+# S3's second carrier row goes through the collective kernel, not a dense
+# projector, so it may differ from the dense basis in the last bits
+S3_FIDUCIALS = [("s3", "builtin-2d", 2, r) for r in range(3, 7)]
+
+
+@pytest.mark.parametrize("spec", EXACT_FIDUCIALS + S3_FIDUCIALS, ids=str)
+def test_fiducial_matches_the_dense_decomposition(spec):
+    name, rep_spec, dim, r = spec
+    group = builtin_group(name)
+    rep = builtin_rep(group, rep_spec, dim)
+    table = builtin_character_table(group)
+    r = r or min_r(rep, table)
+    got = build_fiducial(rep, r, table).amps
+    want = _dense_reference_fiducial(rep, r, table)
+    if spec in EXACT_FIDUCIALS:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("spec", ["z8", "k4", "s3"])
+def test_preparation_builds_no_dense_decomposition(spec, monkeypatch):
+    from conftest import make_context
+
+    calls = []
+
+    def refuse(name):
+        return lambda *args: pytest.fail(f"{name} called")
+
+    def spy(*args):
+        calls.append(args)
+        return isotypic_decompose(*args)
+
+    monkeypatch.setattr(reps, "tensor_power_matrices", refuse("tensor_power_matrices"))
+    monkeypatch.setattr(reps, "isotypic_decompose", refuse("isotypic_decompose"))
+    monkeypatch.setattr(codec, "isotypic_decompose", refuse("isotypic_decompose"))
+    ctx = make_context(spec)
+    monkeypatch.undo()
+    # the dense reference is built once, when first read
+    monkeypatch.setattr(codec, "isotypic_decompose", spy)
+    first, second = ctx.decomposition, ctx.decomposition
+    assert first is second and len(calls) == 1
+    assert calls[0][1] == ctx.r
+
+
+def test_diagonal_multiplicities_are_certified(monkeypatch):
+    # a multiplicity vector that disagrees with the digit-count census
+    from dfscodec.reps import MultiplicityVector
+
+    real = codec.multiplicities
+
+    def swapped(rep, table, r):
+        gammas = list(real(rep, table, r).gammas)
+        gammas[0], gammas[1] = gammas[1], gammas[0]
+        return MultiplicityVector(power=r, gammas=tuple(gammas))
+
+    monkeypatch.setattr(codec, "multiplicities", swapped)
+    group = builtin_group("z8")
+    with pytest.raises(NumericalDegeneracy, match="diagonal states for multiplicity"):
+        build_fiducial(zn_phase_rep(group), 7, builtin_character_table(group))
+
+
+def test_z16_roundtrip_at_fidelity_one():
+    # r = 15: the dense 2^15 x 2^15 basis is never built
+    ctx = prepare_protocol(zn_phase_rep(builtin_group("z16")))
+    assert ctx.r == 15
+    res = run_roundtrip(
+        ctx, uniform_channel(ctx.rep), m=1, message_seed=1, channel_seed=2, measure_seed=3
+    )
+    assert res.report.roundtrip_fidelity >= 1 - 1e-9
+    assert res.report.perp_probability <= 1e-10
 
 
 # --- encoding -----------------------------------------------------------------
@@ -504,13 +616,13 @@ def test_roundtrip_fuzz(spec, m, message_seed, channel_seed, measure_seed):
     assert res.report.rate == Fraction(m, m + ctx.r)
 
 
-def test_prepare_protocol_refuses_z16_before_decomposing():
-    # r = 15: one 2^15 x 2^15 matrix is over the dense budget, so nothing is built
+def test_prepare_protocol_refuses_an_oversized_token_stack_before_building(monkeypatch):
+    # one 2^22-amplitude register fits the budget; the eight z8 tokens do not
     from dfscodec.errors import ResourceLimit
-    from dfscodec.reps import zn_phase_rep
 
-    with pytest.raises(ResourceLimit):
-        prepare_protocol(zn_phase_rep(builtin_group("z16")))
+    monkeypatch.setattr(codec, "build_fiducial", lambda *args: pytest.fail("fiducial built"))
+    with pytest.raises(ResourceLimit, match="8 tokens of 2\\*\\*22 amplitudes"):
+        prepare_protocol(zn_phase_rep(builtin_group("z8")), r=22)
 
 
 def test_oversized_encoded_register_is_refused_before_allocating(monkeypatch):

@@ -7,6 +7,7 @@ from dfscodec.errors import (
     NonIntegerMultiplicity,
     NotFaithful,
     NumericalDegeneracy,
+    ResourceLimit,
     RMaxExceeded,
 )
 from dfscodec.groups import builtin_group, conjugacy_classes, cyclic_group
@@ -374,6 +375,13 @@ def test_decomposition_builds_its_tensor_power_once(spec, builds, monkeypatch):
     monkeypatch.setattr(reps, "tensor_power_matrices", spy)
     isotypic_decompose(*_builtin_decomposition_args(spec))
     assert len(calls) == builds
+
+
+def test_tensor_power_stack_is_refused_before_allocating():
+    # one 4096 x 4096 matrix fits the budget; S3's stack of six (1.5 GiB) does not
+    rep = s3_two_dim_rep(builtin_group("s3"))
+    with pytest.raises(ResourceLimit, match="6 x 16777216 entries"):
+        isotypic_decompose(rep, 12, builtin_character_table(rep.group))
 
 
 def test_isotypic_requires_irrep_matrices_for_2d_blocks():
