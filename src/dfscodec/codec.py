@@ -90,7 +90,9 @@ class ChannelSpec:
         if (self.probabilities is None) == (self.fixed_element is None):
             raise ValueError("specify exactly one of probabilities / fixed_element")
         if self.probabilities is not None:
-            p = self.probabilities
+            # a frozen copy: the caller's array stays writable and cannot alter the channel
+            p = np.array(self.probabilities, dtype=float)
+            object.__setattr__(self, "probabilities", p)
             if p.shape != (self.rep.group.order,) or np.any(p < 0):
                 raise ValueError("need one non-negative probability per group element")
             if abs(float(np.sum(p)) - 1.0) > EXACT_TOL:
@@ -111,7 +113,7 @@ def fixed_channel(rep: UnitaryRep, element: int) -> ChannelSpec:
 
 
 def distribution_channel(rep: UnitaryRep, probabilities) -> ChannelSpec:
-    return ChannelSpec(rep=rep, probabilities=np.asarray(probabilities, dtype=float))
+    return ChannelSpec(rep=rep, probabilities=probabilities)
 
 
 @dataclass

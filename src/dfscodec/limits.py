@@ -7,8 +7,8 @@ guard, so an oversized input is refused with ``ResourceLimit`` or
 ``GroupTooLarge`` instead of exhausting memory.
 """
 
-# quantities exact by construction: diagonal rep entries, probability and
-# logical-amplitude sums, and the float precision scale of min_r's integer test
+# quantities exact by construction: diagonal rep entries, and probability and
+# logical-amplitude sums
 EXACT_TOL = 1e-12
 # state-vector norm and character orthogonality
 NORM_TOL = 1e-10
@@ -19,7 +19,7 @@ UNITARY_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-8
 # Gram-Schmidt: a projector image shorter than this adds no basis vector
 RANK_TOL = 1e-7
-# distance of multiplicities from integers, and of projective phases from |1|
+# distance of fusion counts from integers, and of projective phases from |1|
 MULTIPLICITY_TOL = 1e-6
 
 # groups above this order are rejected at validation

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
+from itertools import accumulate, islice, repeat
 
 import numpy as np
 
@@ -149,8 +151,9 @@ class CharacterTable:
         classes: ConjugacyClasses | None = None,
     ) -> "CharacterTable":
         classes = classes or conjugacy_classes(group)
-        dims = np.asarray(dims, dtype=np.int64)
-        chars = np.asarray(chars, dtype=np.complex128)
+        # copies: the table freezes them, and the caller's arrays stay writable and apart
+        dims = np.array(dims, dtype=np.int64)
+        chars = np.array(chars, dtype=np.complex128)
         s = classes.s
         if chars.shape != (s, s):
             raise ValueError(f"character matrix must be {s}x{s}, got {chars.shape}")
@@ -164,7 +167,7 @@ class CharacterTable:
         if np.max(np.abs(gram - np.eye(s))) > NORM_TOL:
             raise ValueError("characters violate the orthogonality relation")
         if irrep_matrices is not None:
-            irrep_matrices = tuple(np.asarray(m, dtype=np.complex128) for m in irrep_matrices)
+            irrep_matrices = tuple(np.array(m, dtype=np.complex128) for m in irrep_matrices)
             for lam, mats in enumerate(irrep_matrices):
                 if mats.shape != (group.order, dims[lam], dims[lam]):
                     raise ValueError(f"irrep {lam}: matrix block has shape {mats.shape}")
@@ -245,45 +248,52 @@ class IsotypicDecomposition:
 def compound_character(rep: UnitaryRep, classes: ConjugacyClasses | None = None) -> np.ndarray:
     """Trace of the representing matrix, one entry per conjugacy class."""
     classes = classes or conjugacy_classes(rep.group)
-    values = np.empty(classes.s, dtype=np.complex128)
-    for c, members in enumerate(classes.classes):
-        traces = np.array([np.trace(rep.matrices[i]) for i in members])
-        if np.max(np.abs(traces - traces[0])) > UNITARY_TOL:
-            raise ValueError(f"class {c} members disagree on the trace")
-        values[c] = traces[0]
+    traces = np.trace(rep.matrices, axis1=1, axis2=2)
+    values = traces[list(classes.representatives)]
+    spread = np.abs(traces - values[classes.class_of])
+    if np.max(spread) > UNITARY_TOL:
+        c = classes.class_of[np.argmax(spread)]
+        raise ValueError(f"class {c} members disagree on the trace")
     return values
 
 
-def _gamma_floats(chi_powered: np.ndarray, table: CharacterTable) -> np.ndarray:
-    sizes = table.classes.class_sizes
-    return (table.chars.conj() * sizes) @ chi_powered / table.group.order
+def _multiplicity_sequence(rep: UnitaryRep, table: CharacterTable):
+    """Exact multiplicities of V^(x)n, n = 1, 2, ...: gamma^(n) = gamma^(n-1) F, as chi_V^n =
+    chi_V^(n-1) chi_V (projective V too), F[lam, mu] = <chi_lam chi_V, chi_mu> read once.
+    F = step / q in ints: q = 1 for a linear V, else the terms are Fractions over q^n."""
+    den = table.group.order if rep.projective else 1  # projective V: only |G| F is integral
+    chi = compound_character(rep, table.classes) * den / table.group.order
+    raw = (table.chars * chi * table.classes.class_sizes) @ table.chars.conj().T
+    fusion = np.round(raw.real).astype(np.int64)
+    residue = float(np.max(np.abs(raw - fusion)))
+    if residue > MULTIPLICITY_TOL:
+        raise NonIntegerMultiplicity(
+            f"fusion counts are not integers (residue {residue:.3e}); "
+            "the character table is inconsistent with the representation"
+        )
+    common = math.gcd(den, *fusion.flat)
+    q, step = den // common, (fusion // common).astype(object)
+    for n, numerators in enumerate(accumulate(repeat(step), np.dot, initial=step[0]), 1):
+        yield numerators if q == 1 else [Fraction(x, q**n) for x in numerators]
 
 
 def multiplicities(rep: UnitaryRep, table: CharacterTable, n: int) -> MultiplicityVector:
-    """Irrep multiplicities of the n-th tensor power, via character arithmetic.
-
-    The character of the power is the elementwise power of the base compound
-    character, so no matrices are ever tensored here.
-    """
+    """Irrep multiplicities of the n-th tensor power: term n of the exact sequence."""
     if n < 1:
         raise ValueError("tensor power must be >= 1")
-    chi = compound_character(rep, table.classes)
-    raw = _gamma_floats(chi**n, table)
-    rounded = np.round(raw.real).astype(np.int64)
-    residue = float(np.max(np.abs(raw - rounded)))
-    if residue > MULTIPLICITY_TOL:
+    gammas = next(islice(_multiplicity_sequence(rep, table), n - 1, None))
+    residue = float(max(abs(g - round(g)) for g in gammas))
+    if residue:
         raise NonIntegerMultiplicity(
-            f"multiplicities of power {n} are not integers (residue {residue:.3e}); "
-            "the character table is inconsistent with the representation"
+            f"power {n} of a projective representation has non-integer multiplicities "
+            f"(residue {residue:.3e})"
         )
-    if np.any(rounded < 0):
+    if min(gammas) < 0:
         raise NonIntegerMultiplicity(f"negative multiplicity at power {n}")
-    total = int(np.sum(rounded * table.dims))
+    total = sum(g * int(d) for g, d in zip(gammas, table.dims))
     if total != rep.dim**n:
-        raise NonIntegerMultiplicity(
-            f"dimension accounting fails at power {n}: {total} != {rep.dim ** n}"
-        )
-    return MultiplicityVector(power=n, gammas=tuple(int(x) for x in rounded))
+        raise NonIntegerMultiplicity(f"power {n}: dimensions sum to {total}, not {rep.dim**n}")
+    return MultiplicityVector(power=n, gammas=tuple(int(g) for g in gammas))
 
 
 def contains_regular(mv: MultiplicityVector, table: CharacterTable) -> bool:
@@ -301,25 +311,18 @@ def is_faithful(rep: UnitaryRep) -> bool:
 
 
 def min_r(rep: UnitaryRep, table: CharacterTable, r_max: int = DEFAULT_R_MAX) -> int:
-    """Smallest tensor power whose decomposition contains the regular representation.
-
-    Powers whose multiplicities are not integers (possible for projective base
-    representations) cannot contain the regular representation and are skipped.
-    """
+    """Smallest tensor power containing the regular representation; non-integral powers
+    (of a projective V) are skipped.  If U_g = c I for a g != e, every power holds only
+    irreps where g acts as c^n (Schur), so no cap helps."""
     if not is_faithful(rep):
         raise NotFaithful("two elements share a matrix; the token construction needs all |G|")
-    chi = compound_character(rep, table.classes)
-    for r in range(1, r_max + 1):
-        raw = _gamma_floats(chi**r, table)
-        rounded = np.round(raw.real)
-        scale = max(1.0, float(rep.dim) ** r * EXACT_TOL)
-        if np.max(np.abs(raw - rounded)) > MULTIPLICITY_TOL * scale:
-            continue
-        if np.all(rounded >= table.dims):
+    scalar = np.flatnonzero(np.abs(np.einsum("gii->g", rep.matrices)) >= rep.dim - UNITARY_TOL)
+    if len(scalar) > 1:
+        raise RMaxExceeded(f"element {scalar[1]} acts as a scalar; no power has every irrep")
+    for r, gammas in enumerate(islice(_multiplicity_sequence(rep, table), max(r_max, 0)), 1):
+        if all(g.denominator == 1 and g >= d for g, d in zip(gammas, table.dims)):
             return r
-    raise RMaxExceeded(
-        f"no power r <= {r_max} contains the regular representation; raise r_max"
-    )
+    raise RMaxExceeded(f"no power r <= {r_max} contains the regular representation; raise r_max")
 
 
 def regular_rep(group: FiniteGroup) -> UnitaryRep:

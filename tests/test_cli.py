@@ -266,6 +266,27 @@ def test_circuit_count_refuses_a_named_path_it_cannot_build(path, message, capsy
     assert err.count("\n") == 1 and message in err
 
 
+def test_rep_analyze_names_the_projective_power(capsys):
+    # the Pauli set is the default rep of k4: its first power is not a linear representation
+    assert main(["rep", "analyze", "k4", "builtin"]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "error: power 1 of a projective representation has non-integer multiplicities "
+        "(residue 5.000e-01)\n"
+    )
+
+
+def test_z32_gets_its_exact_r(capsys):
+    assert main(["rep", "min-r", "z32", "builtin"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 31
+    assert main(["circuit", "count", "--group", "z32", "--m", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 31
+    # r = 31 is exact, so the refusal names the token budget, not the r cap
+    assert main(["roundtrip", "--group", "z32", "--m", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "over the budget" in err and "r_max" not in err
+
+
 def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
     assert main(["circuit", "count", "--group", "z3", "--m", "1", "--path", "all"]) == 0
     assert list(json.loads(capsys.readouterr().out)["paths"]) == ["general"]

@@ -590,6 +590,15 @@ def test_channel_distribution_validation(context_for):
         fixed_channel(ctx.rep, 3)
 
 
+def test_distribution_channel_leaves_the_callers_array_writable(context_for):
+    ctx = context_for("z3")
+    p = np.full(3, 1 / 3)
+    channel = distribution_channel(ctx.rep, p)
+    assert not channel.probabilities.flags.writeable
+    p[0] = 0.5  # the caller's array stays writable
+    assert channel.probabilities[0] == 1 / 3
+
+
 @given(
     spec=st.sampled_from(GROUP_SPECS),
     m=st.integers(1, 2),

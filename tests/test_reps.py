@@ -79,6 +79,19 @@ def test_character_table_orthogonality_and_dims(name):
     np.testing.assert_allclose(table.chars[0], np.ones(table.num_irreps), atol=1e-12)
 
 
+def test_character_table_build_leaves_the_callers_arrays_writable():
+    group = cyclic_group(3)
+    full = builtin_character_table(group)
+    dims, chars = full.dims.copy(), full.chars.copy()
+    irreps = [m.copy() for m in full.irrep_matrices]
+    table = CharacterTable.build(group, dims, chars, irreps)
+    assert not table.dims.flags.writeable and not table.chars.flags.writeable
+    # the caller's arrays stay writable, and writes to them do not reach the table
+    dims[0], chars[0, 0], irreps[1][1, 0, 0] = 7, 7.0, 7.0
+    assert table.dims[0] == 1 and table.chars[0, 0] == 1.0
+    assert table.irrep_matrices[1][1, 0, 0] == full.irrep_matrices[1][1, 0, 0]
+
+
 def test_k4_pauli_compound_character_squares_to_regular():
     group = builtin_group("k4")
     rep = pauli_rep(group)
@@ -93,6 +106,32 @@ def test_trivial_rep_character_is_all_ones():
     rep = UnitaryRep.build(group, mats)
     chi = compound_character(rep)
     np.testing.assert_allclose(chi, np.ones(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("name,spec,dim", [("z5", "builtin", 5), ("z12", "builtin", 9),
+                                           ("s3", "builtin-2d", 2), ("z4xz2", "regular", 2)])
+def test_compound_character_equals_the_per_class_trace_loop(name, spec, dim):
+    group = builtin_group(name)
+    rep = builtin_rep(group, spec, dim)
+    # a dense change of basis makes every diagonal entry count in the sum
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(rep.dim, rep.dim)) + 0j)
+    for r in (rep, UnitaryRep.build(group, q @ rep.matrices @ q.T)):
+        classes = conjugacy_classes(group)
+        loop = np.array([np.trace(r.matrices[members[0]]) for members in classes.classes])
+        assert np.array_equal(compound_character(r, classes), loop)
+
+
+def test_compound_character_needs_a_class_function():
+    # rephasing one rotation of the S3 action keeps a projective rep, but the
+    # two rotations, which form one class, then disagree on the trace
+    group = builtin_group("s3")
+    mats = s3_two_dim_rep(group).matrices.copy()
+    rotation = next(g for g in range(6) if group.element_order(g) == 3)
+    mats[rotation] *= 1j
+    rep = UnitaryRep.build(group, mats, projective=True)
+    classes = conjugacy_classes(group)
+    with pytest.raises(ValueError, match=f"class {classes.class_of[rotation]} members disagree"):
+        compound_character(rep, classes)
 
 
 def test_z3_phase_rep_compound_character():
@@ -154,13 +193,47 @@ def test_min_r_values():
 
 
 def test_min_r_matches_ceiling_formula_for_cyclic_phase_reps():
-    for n in range(2, 9):
+    # z29 and above: the multiplicities of z32 reach 2^31 / 32, past float integers
+    for n in [*range(2, 9), 29, 30, 31, 32, 33, 48, 64]:
         for d in (2, 3):
             group = cyclic_group(n)
             rep = zn_phase_rep(group, d)
             table = builtin_character_table(group)
             expected = -(-(n - 1) // (d - 1))  # ceil((n-1)/(d-1))
-            assert min_r(rep, table) == expected
+            assert min_r(rep, table, r_max=64) == expected
+
+
+# the benchmark's `tokens build` matrix, the z8/s3/k4 round-trip channels and z2xz2,
+# each with the r that min_r gives it
+PARITY_CONFIGS = [(f"z{n}", "builtin", 2, n - 1) for n in range(2, 9)] + [
+    ("k4", "builtin", 2, 2),
+    ("s3", "builtin-2d", 2, 3),
+    ("z3", "builtin", 3, 1),
+    ("z5", "builtin", 5, 1),
+    ("z4xz2", "regular", 2, 1),
+    ("z2xz2", "builtin", 2, 2),
+]
+
+
+@pytest.mark.parametrize("name,spec,dim,r", PARITY_CONFIGS,
+                         ids=[f"{c[0]}-{c[1]}-d{c[2]}" for c in PARITY_CONFIGS])
+def test_exact_multiplicities_match_the_float_character_sum(name, spec, dim, r):
+    group = builtin_group(name)
+    rep = builtin_rep(group, spec, dim)
+    table = builtin_character_table(group)
+    assert min_r(rep, table) == r
+    chi = compound_character(rep, table.classes)
+    for n in range(1, r + 3):
+        # exact in floats at these sizes: |G| d^n <= 2^12
+        raw = (table.chars.conj() * table.classes.class_sizes) @ chi**n / group.order
+        rounded = np.round(raw.real)
+        if np.max(np.abs(raw - rounded)) < 1e-9:
+            assert multiplicities(rep, table, n).gammas == tuple(int(x) for x in rounded)
+        else:
+            # only the odd powers of the Pauli set are not linear representations
+            assert rep.projective and n % 2 == 1
+            with pytest.raises(NonIntegerMultiplicity, match=f"power {n} of a projective"):
+                multiplicities(rep, table, n)
 
 
 def test_min_r_rejects_unfaithful_rep():
@@ -208,35 +281,55 @@ def test_is_faithful_matches_the_pairwise_check(spec):
 def test_min_r_r_max_exceeded():
     group = cyclic_group(8)
     rep = zn_phase_rep(group, 2)
-    with pytest.raises(RMaxExceeded):
+    with pytest.raises(RMaxExceeded, match="raise r_max"):
         min_r(rep, builtin_character_table(group), r_max=3)
 
 
 def test_min_r_coset_trapped_rep_never_succeeds():
     # a faithful rep whose constituents omit the trivial character can have
     # every tensor power trapped in a character-group coset: the sign action
-    # of Z2 alternates between the trivial and sign irreps and never holds both
+    # of Z2 alternates between the trivial and sign irreps and never holds both.
+    # Both reps have a non-identity element acting as a scalar, so no r_max helps
     group = cyclic_group(2)
     sign_only = UnitaryRep.build(group, np.array([[[1.0]], [[-1.0]]]))
     assert is_faithful(sign_only)
-    with pytest.raises(RMaxExceeded):
+    with pytest.raises(RMaxExceeded, match="element 1 acts as a scalar") as refused:
         min_r(sign_only, builtin_character_table(group), r_max=24)
-    # same obstruction in two dimensions, on a product group
+    assert "r_max" not in str(refused.value)
+    # same obstruction in two dimensions, on a product group: element 5 is -I
     prod = builtin_group("z4xz2")
     mats = np.array([np.diag([1j ** (g // 2), (-1.0) ** (g % 2)]) for g in range(8)])
     trapped = UnitaryRep.build(prod, mats)
     assert is_faithful(trapped)
-    with pytest.raises(RMaxExceeded):
+    with pytest.raises(RMaxExceeded, match="element 5 acts as a scalar") as refused:
         min_r(trapped, builtin_character_table(prod), r_max=16)
+    assert "r_max" not in str(refused.value)
 
 
 def test_projective_rep_has_non_integer_odd_multiplicities():
     group = builtin_group("k4")
     rep = pauli_rep(group)
     table = builtin_character_table(group)
-    with pytest.raises(NonIntegerMultiplicity):
+    message = (
+        r"power 1 of a projective representation has non-integer multiplicities "
+        r"\(residue 5\.000e-01\)"
+    )
+    with pytest.raises(NonIntegerMultiplicity, match=message):
         multiplicities(rep, table, 1)
     assert multiplicities(rep, table, 2).gammas == (1, 1, 1, 1)
+
+
+def test_inconsistent_table_is_blamed_on_the_fusion_counts():
+    # a unitary change of basis on the z3 characters keeps them orthonormal,
+    # so the table passes validation, but its fusion counts are not integers
+    group = cyclic_group(3)
+    table = builtin_character_table(group)
+    theta = 0.3
+    c, s = np.cos(theta), np.sin(theta)
+    mix = np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
+    skewed = CharacterTable.build(group, table.dims, mix @ table.chars, classes=table.classes)
+    with pytest.raises(NonIntegerMultiplicity, match="character table is inconsistent"):
+        multiplicities(zn_phase_rep(group, 2), skewed, 1)
 
 
 def test_dimension_accounting_for_every_builtin():
