@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, count, islice, repeat
 
 import numpy as np
 
@@ -257,36 +257,48 @@ def compound_character(rep: UnitaryRep, classes: ConjugacyClasses | None = None)
     return values
 
 
-def _multiplicity_sequence(rep: UnitaryRep, table: CharacterTable):
-    """Exact multiplicities of V^(x)n, n = 1, 2, ...: gamma^(n) = gamma^(n-1) F, as chi_V^n =
-    chi_V^(n-1) chi_V (projective V too), F[lam, mu] = <chi_lam chi_V, chi_mu> read once.
-    F = step / q in ints: q = 1 for a linear V, else the terms are Fractions over q^n."""
-    den = table.group.order if rep.projective else 1  # projective V: only |G| F is integral
-    chi = compound_character(rep, table.classes) * den / table.group.order
-    raw = (table.chars * chi * table.classes.class_sizes) @ table.chars.conj().T
-    fusion = np.round(raw.real).astype(np.int64)
-    residue = float(np.max(np.abs(raw - fusion)))
-    if residue > MULTIPLICITY_TOL:
-        raise NonIntegerMultiplicity(
-            f"fusion counts are not integers (residue {residue:.3e}); "
-            "the character table is inconsistent with the representation"
-        )
+def _multiplicity_sequence(chi: np.ndarray, table: CharacterTable, projective: bool):
+    """Exact multiplicities of V^(x)n, n = 1, 2, ..., from V's compound character chi:
+    F_k[lam, mu] = <chi_lam chi_V^k, chi_mu> is read once, at the least k where |G| F_k
+    (F_k for a linear V, k = 1) is integral, and gamma^(jk) = gamma^((j-1)k) F_k in ints,
+    F_k = step / q (Fractions over q^j for a projective V).  Powers between are None."""
+    den = table.group.order if projective else 1  # projective V: only |G| F_k is integral
+    weights = table.chars * table.classes.class_sizes * den / table.group.order
+    for k in count(1):
+        raw = (weights * chi**k) @ table.chars.conj().T
+        if np.max(np.abs(raw)) * np.finfo(float).eps > MULTIPLICITY_TOL:
+            raise NonIntegerMultiplicity(
+                f"no power below {k} of the projective representation has integer fusion "
+                f"counts, and floats cannot test power {k}"
+            )
+        fusion = np.round(raw.real).astype(np.int64)
+        residue = float(np.max(np.abs(raw - fusion)))
+        if residue <= MULTIPLICITY_TOL:
+            break
+        if not projective:
+            raise NonIntegerMultiplicity(
+                f"fusion counts are not integers (residue {residue:.3e}); "
+                "the character table is inconsistent with the representation"
+            )
+        yield None
     common = math.gcd(den, *fusion.flat)
     q, step = den // common, (fusion // common).astype(object)
-    for n, numerators in enumerate(accumulate(repeat(step), np.dot, initial=step[0]), 1):
-        yield numerators if q == 1 else [Fraction(x, q**n) for x in numerators]
+    for j, numerators in enumerate(accumulate(repeat(step), np.dot, initial=step[0]), 1):
+        yield numerators if q == 1 else [Fraction(x, q**j) for x in numerators]
+        yield from repeat(None, k - 1)
 
 
 def multiplicities(rep: UnitaryRep, table: CharacterTable, n: int) -> MultiplicityVector:
     """Irrep multiplicities of the n-th tensor power: term n of the exact sequence."""
     if n < 1:
         raise ValueError("tensor power must be >= 1")
-    gammas = next(islice(_multiplicity_sequence(rep, table), n - 1, None))
-    residue = float(max(abs(g - round(g)) for g in gammas))
-    if residue:
+    chi = compound_character(rep, table.classes)
+    gammas = next(islice(_multiplicity_sequence(chi, table, rep.projective), n - 1, None))
+    residue = None if gammas is None else float(max(abs(g - round(g)) for g in gammas))
+    if residue != 0:
+        detail = "" if residue is None else f" (residue {residue:.3e})"
         raise NonIntegerMultiplicity(
-            f"power {n} of a projective representation has non-integer multiplicities "
-            f"(residue {residue:.3e})"
+            f"power {n} of a projective representation has non-integer multiplicities{detail}"
         )
     if min(gammas) < 0:
         raise NonIntegerMultiplicity(f"negative multiplicity at power {n}")
@@ -316,11 +328,16 @@ def min_r(rep: UnitaryRep, table: CharacterTable, r_max: int = DEFAULT_R_MAX) ->
     irreps where g acts as c^n (Schur), so no cap helps."""
     if not is_faithful(rep):
         raise NotFaithful("two elements share a matrix; the token construction needs all |G|")
-    scalar = np.flatnonzero(np.abs(np.einsum("gii->g", rep.matrices)) >= rep.dim - UNITARY_TOL)
+    chi = compound_character(rep, table.classes)
+    scalar = np.flatnonzero(np.abs(chi) >= rep.dim - UNITARY_TOL)  # class 0 is {e}
     if len(scalar) > 1:
-        raise RMaxExceeded(f"element {scalar[1]} acts as a scalar; no power has every irrep")
-    for r, gammas in enumerate(islice(_multiplicity_sequence(rep, table), max(r_max, 0)), 1):
-        if all(g.denominator == 1 and g >= d for g, d in zip(gammas, table.dims)):
+        g = table.classes.representatives[scalar[1]]
+        raise RMaxExceeded(f"element {g} acts as a scalar; no power has every irrep")
+    sequence = _multiplicity_sequence(chi, table, rep.projective)
+    for r, gammas in enumerate(islice(sequence, max(r_max, 0)), 1):
+        if gammas is not None and all(
+            g.denominator == 1 and g >= d for g, d in zip(gammas, table.dims)
+        ):
             return r
     raise RMaxExceeded(f"no power r <= {r_max} contains the regular representation; raise r_max")
 

@@ -319,6 +319,26 @@ def test_projective_rep_has_non_integer_odd_multiplicities():
     assert multiplicities(rep, table, 2).gammas == (1, 1, 1, 1)
 
 
+def test_rephased_projective_rep_steps_by_its_first_integral_power():
+    # U_1 = i diag(1, 1, -1) squares to -I: chi_V = (3, i) has no integer fusion counts, but
+    # chi_V^2 = (9, -1) does, so the even powers are integral and the odd ones never are
+    group = cyclic_group(2)
+    rep = UnitaryRep.build(group, [np.eye(3), 1j * np.diag([1, 1, -1])], projective=True)
+    table = builtin_character_table(group)
+    assert min_r(rep, table) == 2
+    assert multiplicities(rep, table, 2).gammas == (4, 5)
+    assert multiplicities(rep, table, 4).gammas == (41, 40)
+    for n in (1, 3):
+        with pytest.raises(NonIntegerMultiplicity, match=f"power {n} of a projective") as refused:
+            multiplicities(rep, table, n)
+        assert "inconsistent" not in str(refused.value)
+    # a generic phase leaves every power projective; the search stops where floats do
+    generic = UnitaryRep.build(group, [np.eye(3), np.exp(0.7j) * np.diag([1, 1, -1])],
+                               projective=True)
+    with pytest.raises(NonIntegerMultiplicity, match="floats cannot test power 21"):
+        min_r(generic, table)
+
+
 def test_inconsistent_table_is_blamed_on_the_fusion_counts():
     # a unitary change of basis on the z3 characters keeps them orthonormal,
     # so the table passes validation, but its fusion counts are not integers
