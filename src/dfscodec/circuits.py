@@ -658,11 +658,10 @@ class EncodingPipeline:
         gates = [*self.prep, *self.w_plan.gates]
         if self.t_plan is not None:
             gates += self.t_plan.gates
+        if self.t_direct is not None:
+            gates.append(Gate("single", self.layout.token, matrix=self.t_direct.matrix))
         _run_gates(gates, tensor)
         if self.t_direct is not None:
-            _, targets = _check_operands(2, n, (), self.layout.token)
-            _check_unitary(self.t_direct.matrix, 2 ** len(targets))
-            _apply(tensor, tensor, self.t_direct.matrix, targets)
             return StateVector(d=2, n=n, amps=tensor.reshape(-1))
         # the control register must disentangle back to |0...0>
         r_prime = len(self.layout.control)

@@ -48,7 +48,6 @@ from .statevec import (
     _collective_rows,
     apply_collective,
     check_register,
-    apply_local,
     extract_prefix_register,
     fidelity,
     inner,
@@ -260,13 +259,16 @@ def _carrier_vectors(
     mult_basis = _orthonormalize(images(), d_lam)
     vectors = [mult_basis[0]]
     for n in range(1, d_lam):
-        rows = mult_basis[n][None]
-        moved = np.array(
-            [_collective_rows(rows, rep.matrices[g], r, range(r))[0] for g in range(group.order)]
-        )
+        moved = _orbit(rep, mult_basis[n], r)
         # partial isometry between multiplicity rows: the image stays normalized
         vectors.append(scale * np.tensordot(umats[:, n, 0].conj(), moved, axes=(0, 0)))
     return vectors
+
+
+def _orbit(rep: UnitaryRep, amps: np.ndarray, n: int) -> np.ndarray:
+    """Row g is ``U_g^{(x)n}`` on the n-qudit ``amps``, bit-identical to ``apply_collective``."""
+    rows = np.broadcast_to(amps, (rep.group.order, amps.size))
+    return _collective_rows(rows, rep.matrices, n, range(n))
 
 
 def build_tokens(rep: UnitaryRep, r: int, fiducial: StateVector) -> TokenSet:
@@ -277,9 +279,10 @@ def build_tokens(rep: UnitaryRep, r: int, fiducial: StateVector) -> TokenSet:
             f"expected ({r}, {rep.dim})"
         )
     order = rep.group.order
-    tokens = tuple(
-        apply_collective(fiducial, rep.matrices[i]) for i in range(order)
-    )
+    # one frozen stack of U_g^{(x)r}|fiducial>; the tokens are its rows
+    stack = _orbit(rep, fiducial.amps, r)
+    stack.setflags(write=False)
+    tokens = tuple(StateVector(d=rep.dim, n=r, amps=row) for row in stack)
     gram = np.array([[inner(a, b) for b in tokens] for a in tokens])
     residue = float(np.max(np.abs(gram - np.eye(order))))
     if residue > ORTHONORMAL_TOL:
@@ -287,7 +290,6 @@ def build_tokens(rep: UnitaryRep, r: int, fiducial: StateVector) -> TokenSet:
             f"token overlap residue {residue:.3e} exceeds {ORTHONORMAL_TOL:.1e}"
         )
     # closure: U_k^{(x)r} on the whole token stack, one batched collective per k
-    stack = np.array([t.amps for t in tokens])
     for k in range(order):
         moved = _collective_rows(stack, rep.matrices[k], r, range(r))
         targets = stack[rep.group.cayley[k]]
@@ -312,9 +314,8 @@ def encode(tokens: TokenSet, message: StateVector) -> StateVector:
         raise DimensionMismatch("need at least one message qudit")
     order = rep.group.order
     out = np.zeros(check_register(rep.dim, tokens.r + message.n), dtype=np.complex128)
-    for i in range(order):
-        rotated = apply_collective(message, rep.matrices[i])
-        out += np.outer(tokens.tokens[i].amps, rotated.amps).reshape(-1)
+    for token, rotated in zip(tokens.tokens, _orbit(rep, message.amps, message.n)):
+        out += np.outer(token.amps, rotated).reshape(-1)
     out /= np.sqrt(order)
     return StateVector.from_amplitudes(rep.dim, tokens.r + message.n, out)
 
@@ -336,7 +337,7 @@ def transmit(
 def decode(
     tokens: TokenSet, received: StateVector, seed: int
 ) -> tuple[StateVector, ProtocolReport]:
-    """Measure the token register, then undo the rotation qudit by qudit.
+    """Measure the token register, then undo the rotation with one collective.
 
     The correction is a product of identical single-qudit unitaries, so in a
     multi-receiver setting each holder of a message qudit can apply it locally
@@ -360,9 +361,7 @@ def decode(
     message = extract_prefix_register(
         record.post_state, tokens.tokens[outcome].amps, r
     )
-    correction = rep.matrices[rep.group.inv(outcome)]
-    for t in range(m):
-        message = apply_local(message, correction, t)
+    message = apply_collective(message, rep.matrices[rep.group.inv(outcome)])
     report = ProtocolReport(
         m=m,
         r=r,

@@ -87,10 +87,10 @@ class UnitaryRep:
         if np.max(np.abs(mats[0] - eye)) > UNITARY_TOL:
             raise ValueError("matrix at the identity element is not the identity")
         mats[0] = eye
-        for i in range(group.order):
-            err = np.max(np.abs(mats[i].conj().T @ mats[i] - eye))
-            if err > UNITARY_TOL:
-                raise ValueError(f"matrix {i} is not unitary (residue {err:.2e})")
+        errs = np.max(np.abs(np.swapaxes(mats.conj(), 1, 2) @ mats - eye), axis=(1, 2))
+        i = int(np.argmax(errs > UNITARY_TOL))  # the first failing matrix, if any
+        if errs[i] > UNITARY_TOL:
+            raise ValueError(f"matrix {i} is not unitary (residue {errs[i]:.2e})")
         # one row of pairs (i, k) at a time: |G| d^2 entries, never |G|^2 d^2
         for i in range(group.order):
             prods = mats[i] @ mats
@@ -132,6 +132,8 @@ class CharacterTable:
     def __post_init__(self) -> None:
         self.dims.setflags(write=False)
         self.chars.setflags(write=False)
+        for block in self.irrep_matrices or ():
+            block.setflags(write=False)
 
     @property
     def num_irreps(self) -> int:

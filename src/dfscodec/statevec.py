@@ -161,14 +161,15 @@ def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:
 def _collective_rows(rows: np.ndarray, u: np.ndarray, n: int, targets) -> np.ndarray:
     """``u`` on every wire in ``targets`` of each row of a ``(rows, d**n)`` array.
 
-    The collective kernel, with no checks.  Each step views the leading qudit
-    of every row as the columns of a ``(rest, d)`` block, right-multiplies it
-    by ``u.T`` as :func:`_apply` does, and flattens so that qudit becomes the
-    trailing one; after ``n`` steps the wires are back in place.  The rows go
-    through one stacked matmul per step, one GEMM per row, so each row comes
-    out bit-identical to a one-row call.
+    The collective kernel, with no checks.  ``u`` is one ``(d, d)`` matrix for
+    every row or a ``(rows, d, d)`` stack with one matrix per row.  Each step
+    views the leading qudit of every row as the columns of a ``(rest, d)``
+    block, right-multiplies it by the transposed matrix as :func:`_apply` does,
+    and flattens so that qudit becomes the trailing one; after ``n`` steps the
+    wires are back in place.  The rows go through one stacked matmul per step,
+    one GEMM per row, so each row comes out bit-identical to a one-row call.
     """
-    d, ut, x = u.shape[0], u.T, rows
+    d, ut, x = u.shape[-1], np.swapaxes(u, -1, -2), rows
     count = x.shape[0]
     for w in range(n):
         x = x.reshape(count, d, -1).transpose(0, 2, 1)

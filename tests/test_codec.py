@@ -150,18 +150,26 @@ def test_closure_violation_names_the_first_failing_pair(context_for):
 
 @pytest.mark.parametrize("spec", ["z8", "s3", "k4"])
 def test_build_tokens_applies_one_collective_per_element(spec, context_for, monkeypatch):
+    # the orbit is one batched collective, row g under U_g; the closure check
+    # adds one (d, d) collective per element on the whole stack
     ctx = context_for(spec)
+    order, d, r = ctx.group.order, ctx.rep.dim, ctx.r
     calls = []
+    original = codec._collective_rows
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return apply_collective(*args, **kwargs)
+    def spy(rows, u, n, targets):
+        calls.append((rows.shape, u))
+        return original(rows, u, n, targets)
 
-    monkeypatch.setattr(codec, "apply_collective", spy)
-    tokens = build_tokens(ctx.rep, ctx.r, ctx.tokens.fiducial)
-    assert len(calls) == ctx.group.order
-    for got, want in zip(tokens.tokens, ctx.tokens.tokens):
-        assert np.array_equal(got.amps, want.amps)
+    monkeypatch.setattr(codec, "_collective_rows", spy)
+    tokens = build_tokens(ctx.rep, r, ctx.tokens.fiducial)
+    (shape, orbit), *closure = calls
+    assert shape == (order, d**r) and np.array_equal(orbit, ctx.rep.matrices)
+    assert len(closure) == order and all(u.shape == (d, d) for _, u in closure)
+    for i, token in enumerate(tokens.tokens):
+        want = apply_collective(ctx.tokens.fiducial, ctx.rep.matrices[i])
+        assert np.array_equal(token.amps, want.amps)
+        assert np.array_equal(token.amps, ctx.tokens.tokens[i].amps)
     assert tokens.gram_residue == ctx.tokens.gram_residue
 
 
@@ -322,6 +330,23 @@ def test_z3_encoding_has_three_terms(context_for, rng):
     np.testing.assert_allclose(chi.amps, rebuilt, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name, rep_spec, dim",
+    [("z8", "builtin", 2), ("s3", "builtin-2d", 2), ("k4", "builtin", 2),
+     ("z3", "builtin", 3), ("z4xz2", "regular", 2)],
+    ids=str,
+)
+def test_encode_equals_the_per_element_sum(name, rep_spec, dim, rng):
+    group = builtin_group(name)
+    ctx = prepare_protocol(builtin_rep(group, rep_spec, dim))
+    message = random_state(ctx.rep.dim, 2 if ctx.rep.dim < 8 else 1, rng)
+    want = np.zeros(ctx.rep.dim ** (ctx.r + message.n), dtype=np.complex128)
+    for token, u in zip(ctx.tokens.tokens, ctx.rep.matrices):
+        want += np.outer(token.amps, apply_collective(message, u).amps).reshape(-1)
+    want /= np.sqrt(group.order)
+    assert np.array_equal(encode(ctx.tokens, message).amps, want)
+
+
 def test_encode_dimension_mismatch(context_for, rng):
     ctx = context_for("z3")
     with pytest.raises(DimensionMismatch):
@@ -443,17 +468,17 @@ def test_decode_is_local_per_message_qudit(context_for, rng, monkeypatch):
     phi = random_state(2, 2, rng)
     chi = encode(ctx.tokens, phi)
     calls = []
-    original = codec.apply_local
+    original = codec.apply_collective
 
-    def spy(state, u, target):
-        calls.append((target, u.shape))
-        return original(state, u, target)
+    def spy(state, u, targets=None):
+        calls.append((state.n, u.shape, targets))
+        return original(state, u, targets)
 
-    monkeypatch.setattr(codec, "apply_local", spy)
+    monkeypatch.setattr(codec, "apply_collective", spy)
     decode(ctx.tokens, chi, seed=4)
-    assert len(calls) == 2  # one single-qudit correction per message qudit
-    assert all(shape == (2, 2) for _, shape in calls)
-    assert [t for t, _ in calls] == [0, 1]
+    # one collective of a d x d matrix on exactly the m message qudits: the
+    # same single-qudit correction on each of them
+    assert calls == [(2, (2, 2), None)]
 
 
 def test_distribution_independence(context_for):

@@ -514,6 +514,24 @@ def test_unitary_rep_build_rejects_bad_matrices():
         UnitaryRep.build(group, [np.eye(2), np.diag([1, 1j])])
 
 
+def test_unitarity_failure_names_the_first_failing_matrix():
+    # matrices 2 and 3 both fail; the batched residue reports index 2
+    group = cyclic_group(4)
+    mats = zn_phase_rep(group).matrices.copy()
+    mats[2] *= 1.5
+    mats[3] *= 2.0
+    with pytest.raises(ValueError, match=r"^matrix 2 is not unitary \(residue 1\.25e\+00\)$"):
+        UnitaryRep.build(group, mats)
+
+
+@pytest.mark.parametrize("name", ["z3", "k4", "s3"])
+def test_character_table_irrep_blocks_are_read_only(name):
+    table = builtin_character_table(builtin_group(name))
+    with pytest.raises(ValueError, match="read-only"):
+        table.irrep_matrices[1][0, 0, 0] = 5
+    assert table.irrep_matrices[1][0, 0, 0] == 1
+
+
 def test_identity_snap():
     group = cyclic_group(2)
     almost = np.eye(2) * (1 + 3e-10)

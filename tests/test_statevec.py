@@ -201,6 +201,16 @@ def test_batched_collective_rows_are_bit_identical_to_apply_collective(d, n, sub
         assert np.array_equal(row, apply_collective(state, u, targets).amps)
 
 
+@pytest.mark.parametrize("d, n", [(2, 5), (3, 3), (5, 2), (8, 2)])
+def test_stacked_matrices_equal_one_collective_per_row(d, n, rng):
+    # a (rows, d, d) stack applies matrix i to row i, bit for bit
+    rows = np.array([random_state(d, n, rng).amps for _ in range(4)])
+    stack = np.array([haar_unitary(d, rng) for _ in range(4)])
+    got = _collective_rows(rows, stack, n, range(n))
+    for i in range(4):
+        assert np.array_equal(got[i], _collective_rows(rows[i][None], stack[i], n, range(n))[0])
+
+
 def test_control_target_overlap_rejected(rng):
     state = random_state(2, 2, rng)
     with pytest.raises(BadTarget):
