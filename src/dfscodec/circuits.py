@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .groups import FiniteGroup, cyclic_generator, generator_decomposition, word_elements
-from .limits import UNITARY_TOL
+from .limits import UNITARY_TOL, check_entries
 from .reps import UnitaryRep
 from .statevec import (
     StateVector,
@@ -451,6 +451,7 @@ class TokenBasisChange:
 def apply_t_direct(tokens: TokenSet, element_order=None) -> TokenBasisChange:
     """Complete the token columns, in label order, to a unitary."""
     d, r = tokens.rep.dim, tokens.r
+    check_entries(d ** (2 * r), f"a token basis change of {d}**{r} x {d}**{r}")
     order = tokens.group.order
     if element_order is None:
         element_order = tuple(range(order))

@@ -436,7 +436,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except MemoryError as exc:
         # backstop for an allocation no budget in dfscodec.limits foresaw
-        sys.stderr.write(f"error: out of memory: {exc}\n")
+        sys.stderr.write(f"error: out of memory: {str(exc) or type(exc).__name__}\n")
         return EXIT_VALIDATION
 
 

@@ -23,14 +23,12 @@ from .errors import (
     ConditionOneViolated,
     ConditionTwoViolated,
     DimensionMismatch,
-    MissingIrrepMatrices,
     NumericalDegeneracy,
     PerpOutcome,
     RegularRepMissing,
-    ResourceLimit,
 )
 from .groups import FiniteGroup
-from .limits import EXACT_TOL, MAX_AMPLITUDES, ORTHONORMAL_TOL, UNITARY_TOL
+from .limits import EXACT_TOL, ORTHONORMAL_TOL, UNITARY_TOL, check_entries
 from .reps import (
     CharacterTable,
     IsotypicDecomposition,
@@ -160,13 +158,6 @@ def build_fiducial(rep: UnitaryRep, r: int, table: CharacterTable) -> StateVecto
     mv = multiplicities(rep, table, r)
     order = rep.group.order
     diagonal = table.classes.s == order and _is_diagonal_rep(rep.matrices)
-    if not diagonal and table.irrep_matrices is None:
-        for lam in range(table.num_irreps):
-            if table.dims[lam] > 1 and mv[lam] > 0:
-                raise MissingIrrepMatrices(
-                    f"irrep {lam} has dimension {int(table.dims[lam])}; "
-                    "explicit matrices are required"
-                )
     for lam in range(table.num_irreps):
         if mv[lam] < int(table.dims[lam]):
             raise RegularRepMissing(
@@ -208,10 +199,9 @@ def _diagonal_support(
     )
     diagonals = np.einsum("gii->gi", rep.matrices)
     phases = np.prod(diagonals[:, None, :] ** counts, axis=2)  # (|G|, strings)
-    element_chars = table.chars[:, table.classes.class_of]
     # character orthogonality names each string's irrep; the entrywise test certifies it
-    irrep = np.argmax(np.abs(element_chars.conj() @ phases), axis=0)
-    matched = np.max(np.abs(phases - element_chars[irrep].T), axis=0) <= UNITARY_TOL
+    irrep = np.argmax(np.abs(table.element_chars.conj() @ phases), axis=0)
+    matched = np.max(np.abs(phases - table.element_chars[irrep].T), axis=0) <= UNITARY_TOL
     found = np.zeros(table.num_irreps, dtype=np.int64)
     np.add.at(found, irrep[matched], states[matched])
     for lam in range(table.num_irreps):
@@ -236,11 +226,8 @@ def _carrier_vectors(
     time, and each carrier row ``n >= 2`` through the collective kernel.
     """
     group, d, dim = rep.group, rep.dim, rep.dim**r
-    d_lam = int(table.dims[lam])
-    if d_lam == 1:
-        umats = table.chars[lam, table.classes.class_of].reshape(-1, 1, 1)
-    else:
-        umats = table.irrep_matrices[lam]
+    umats = table.irrep(lam)  # (|G|, d_lam, d_lam)
+    d_lam = umats.shape[1]
     scale = d_lam / group.order
     place = d ** np.arange(r - 1, -1, -1)
 
@@ -415,8 +402,9 @@ def invariance_certificate(
 
 def group_average_projector(tokens: TokenSet) -> np.ndarray:
     """(1/|G|) sum of token projectors; commutes with every collective operator."""
-    dim = tokens.rep.dim**tokens.r
-    out = np.zeros((dim, dim), dtype=np.complex128)
+    d, r = tokens.rep.dim, tokens.r
+    check_entries(d ** (2 * r), f"a projector of {d}**{r} x {d}**{r}")
+    out = np.zeros((d**r, d**r), dtype=np.complex128)
     for t in tokens.tokens:
         out += np.outer(t.amps, t.amps.conj())
     return out / tokens.group.order
@@ -460,12 +448,9 @@ def prepare_protocol(
     if r is None:
         r = min_r(rep, table)
     # the |G| tokens, and the closure check's stack, are the largest objects built
-    stack = rep.group.order * rep.dim**r
-    if stack > MAX_AMPLITUDES:
-        raise ResourceLimit(
-            f"{rep.group.order} tokens of {rep.dim}**{r} amplitudes make {stack}, "
-            f"over the budget {MAX_AMPLITUDES}"
-        )
+    check_entries(
+        rep.group.order * rep.dim**r, f"{rep.group.order} tokens of {rep.dim}**{r} amplitudes"
+    )
     fiducial = build_fiducial(rep, r, table)
     tokens = build_tokens(rep, r, fiducial)
     return ProtocolContext(group=rep.group, rep=rep, table=table, r=r, tokens=tokens)

@@ -2,10 +2,13 @@
 
 The protocol's guarantees are exact in exact arithmetic; each tolerance bounds
 the floating-point residue a certificate may show before the check fails.
-The budgets bound dense objects and are checked before the allocation they
-guard, so an oversized input is refused with ``ResourceLimit`` or
-``GroupTooLarge`` instead of exhausting memory.
+The budgets bound dense objects.  Every dense size goes through
+:func:`check_entries` before the allocation it guards, so an oversized input
+is refused with one ``ResourceLimit`` message (or ``GroupTooLarge`` at group
+validation) instead of exhausting memory.
 """
+
+from .errors import ResourceLimit
 
 # quantities exact by construction: diagonal rep entries, and probability and
 # logical-amplitude sums
@@ -24,7 +27,17 @@ MULTIPLICITY_TOL = 1e-6
 
 # groups above this order are rejected at validation
 MAX_GROUP_ORDER = 64
-# amplitudes of one dense state vector; of the |G| tokens together (|G| d^r,
-# the largest objects preparation builds); and entries of the dense reference
-# decomposition's d^r x d^r basis and of its |G| stacked tensor powers
+# entries of one dense object: a state vector; the |G| tokens together (|G| d^r,
+# the largest objects preparation builds); a d^r x d^r matrix (the reference
+# decomposition's basis, the token basis change, the group-average projector);
+# and the |G| stacked tensor powers
 MAX_AMPLITUDES = 2**24
+
+
+def check_entries(entries: int, what: str) -> int:
+    """``entries``, refused with ``ResourceLimit`` above ``MAX_AMPLITUDES``."""
+    if entries > MAX_AMPLITUDES:
+        raise ResourceLimit(
+            f"{what}: {entries} entries, over the budget 2^{MAX_AMPLITUDES.bit_length() - 1}"
+        )
+    return entries

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, count, islice, repeat
 
 import numpy as np
@@ -29,7 +29,6 @@ from .errors import (
     NonIntegerMultiplicity,
     NotFaithful,
     NumericalDegeneracy,
-    ResourceLimit,
     RMaxExceeded,
 )
 from .groups import (
@@ -42,12 +41,12 @@ from .groups import (
 )
 from .limits import (
     EXACT_TOL,
-    MAX_AMPLITUDES,
     MULTIPLICITY_TOL,
     NORM_TOL,
     ORTHONORMAL_TOL,
     RANK_TOL,
     UNITARY_TOL,
+    check_entries,
 )
 
 DEFAULT_R_MAX = 32
@@ -121,6 +120,8 @@ class CharacterTable:
     Row 0 is the trivial irrep.  ``irrep_matrices[lam]`` has shape
     (|G|, d_lam, d_lam) and is required whenever a multi-dimensional irrep has
     to be resolved into matrix elements (non-abelian token construction).
+    Readers take irreps from :meth:`irrep` and per-element characters from
+    :attr:`element_chars`, never from the raw fields.
     """
 
     group: FiniteGroup
@@ -139,8 +140,25 @@ class CharacterTable:
     def num_irreps(self) -> int:
         return len(self.dims)
 
+    @cached_property
+    def element_chars(self) -> np.ndarray:
+        """Frozen ``(s, |G|)`` characters, one column per element."""
+        out = self.chars[:, self.classes.class_of]
+        out.setflags(write=False)
+        return out
+
     def element_character(self, lam: int, element: int) -> complex:
-        return complex(self.chars[lam, self.classes.class_of[element]])
+        return complex(self.element_chars[lam, element])
+
+    def irrep(self, lam: int) -> np.ndarray:
+        """The ``(|G|, d_lam, d_lam)`` matrices of irrep ``lam``; a 1-d irrep is its characters."""
+        if self.dims[lam] == 1:
+            return self.element_chars[lam].reshape(-1, 1, 1)
+        if self.irrep_matrices is None:
+            raise MissingIrrepMatrices(
+                f"irrep {lam} has dimension {int(self.dims[lam])}; explicit matrices are required"
+            )
+        return self.irrep_matrices[lam]
 
     @classmethod
     def build(
@@ -354,23 +372,12 @@ def regular_rep(group: FiniteGroup) -> UnitaryRep:
     return UnitaryRep.build(group, mats)
 
 
-def _dense_power_dim(rep: UnitaryRep, r: int, count: int = 1) -> int:
-    """Dimension d^r of the tensor power, refused when ``count`` d^r x d^r
-    matrices exceed the budget."""
-    dim = rep.dim**r
-    if count * dim * dim > MAX_AMPLITUDES:
-        raise ResourceLimit(
-            f"dense tensor power of dimension {dim}: {count} x {dim * dim} entries, "
-            f"over the budget {MAX_AMPLITUDES}"
-        )
-    return dim
-
-
 def tensor_power_matrices(rep: UnitaryRep, r: int) -> np.ndarray:
     """Dense r-fold Kronecker powers of every representing matrix."""
-    dim = _dense_power_dim(rep, r, rep.group.order)
-    out = np.empty((rep.group.order, dim, dim), dtype=np.complex128)
-    for i in range(rep.group.order):
+    order, dim = rep.group.order, rep.dim**r
+    check_entries(order * dim * dim, f"a tensor power stack of {order} x {dim * dim} entries")
+    out = np.empty((order, dim, dim), dtype=np.complex128)
+    for i in range(order):
         out[i] = reduce(np.kron, [rep.matrices[i]] * r)
     return out
 
@@ -406,12 +413,13 @@ def isotypic_decompose(rep: UnitaryRep, r: int, table: CharacterTable) -> Isotyp
     Diagonal representations of abelian groups take a fast path that simply
     groups computational basis states by their phase character, in index
     order; this is what pins the canonical token fixtures.  The general path
-    uses matrix-element projectors built from the explicit irrep matrices and
+    uses matrix-element projectors built from ``table.irrep`` and
     orthonormalizes projector images of computational basis vectors in
     lexicographic order, which is deterministic and RNG-free.
     """
+    dim = rep.dim**r
     # refused here: the diagonal path stacks a d^r x d^r basis before any other check
-    dim = _dense_power_dim(rep, r)
+    check_entries(dim * dim, f"a block basis of {rep.dim}**{r} x {rep.dim}**{r}")
     group = rep.group
     mv = multiplicities(rep, table, r)
     abelian = table.classes.s == group.order
@@ -424,13 +432,12 @@ def isotypic_decompose(rep: UnitaryRep, r: int, table: CharacterTable) -> Isotyp
         powers = np.empty((group.order, dim), dtype=np.complex128)
         for g in range(group.order):
             powers[g] = reduce(np.kron, [np.diag(rep.matrices[g])] * r)
-        element_chars = table.chars[:, table.classes.class_of]  # (s, |G|)
         offset = 0
         for lam in range(table.num_irreps):
             gamma = mv[lam]
             if gamma == 0:
                 continue
-            match = np.max(np.abs(powers.T - element_chars[lam]), axis=1) <= UNITARY_TOL
+            match = np.max(np.abs(powers.T - table.element_chars[lam]), axis=1) <= UNITARY_TOL
             indices = np.flatnonzero(match)
             if len(indices) != gamma:
                 raise NumericalDegeneracy(
@@ -446,47 +453,25 @@ def isotypic_decompose(rep: UnitaryRep, r: int, table: CharacterTable) -> Isotyp
             offset += gamma
     else:
         powers = tensor_power_matrices(rep, r)
-        element_chars = table.chars[:, table.classes.class_of]
         offset = 0
         for lam in range(table.num_irreps):
             gamma = mv[lam]
             if gamma == 0:
                 continue
-            d_lam = int(table.dims[lam])
-            if d_lam == 1:
-                proj = np.tensordot(element_chars[lam].conj(), powers, axes=(0, 0)) / group.order
-                images = (proj[:, j] for j in range(dim))
-                vecs = _orthonormalize(images, gamma)
-                columns.extend(vecs)
-                components.append(
-                    IsotypicComponent(irrep=lam, dim=1, multiplicity=gamma, offset=offset)
-                )
-                offset += gamma
-            else:
-                if table.irrep_matrices is None:
-                    raise MissingIrrepMatrices(
-                        f"irrep {lam} has dimension {d_lam}; explicit matrices are required"
-                    )
-                umats = table.irrep_matrices[lam]  # (|G|, d_lam, d_lam)
-                scale = d_lam / group.order
-                proj_11 = scale * np.tensordot(umats[:, 0, 0].conj(), powers, axes=(0, 0))
-                images = (proj_11[:, j] for j in range(dim))
-                mult_basis = _orthonormalize(images, gamma)
-                block: list[np.ndarray] = []
-                for n in range(d_lam):
-                    if n == 0:
-                        block.extend(mult_basis)
-                        continue
-                    proj_n1 = scale * np.tensordot(
-                        umats[:, n, 0].conj(), powers, axes=(0, 0)
-                    )
-                    # partial isometry between multiplicity rows: images stay orthonormal
-                    block.extend(proj_n1 @ w for w in mult_basis)
-                columns.extend(block)
-                components.append(
-                    IsotypicComponent(irrep=lam, dim=d_lam, multiplicity=gamma, offset=offset)
-                )
-                offset += d_lam * gamma
+            umats = table.irrep(lam)  # (|G|, d_lam, d_lam)
+            d_lam = umats.shape[1]
+            scale = d_lam / group.order
+            proj_11 = scale * np.tensordot(umats[:, 0, 0].conj(), powers, axes=(0, 0))
+            mult_basis = _orthonormalize((proj_11[:, j] for j in range(dim)), gamma)
+            columns.extend(mult_basis)
+            for n in range(1, d_lam):
+                proj_n1 = scale * np.tensordot(umats[:, n, 0].conj(), powers, axes=(0, 0))
+                # partial isometry between multiplicity rows: images stay orthonormal
+                columns.extend(proj_n1 @ w for w in mult_basis)
+            components.append(
+                IsotypicComponent(irrep=lam, dim=d_lam, multiplicity=gamma, offset=offset)
+            )
+            offset += d_lam * gamma
 
     basis = np.column_stack(columns)
     if basis.shape != (dim, dim):
@@ -529,9 +514,9 @@ def _verify_block_structure(decomp: IsotypicDecomposition, powers: np.ndarray) -
             if comp.dim == 1:
                 # character times the identity: only the diagonal is nonzero
                 diag = np.arange(comp.offset, end)
-                got[diag, diag] -= table.element_character(comp.irrep, g)
+                got[diag, diag] -= table.element_chars[comp.irrep, g]
             else:
-                u = table.irrep_matrices[comp.irrep][g]
+                u = table.irrep(comp.irrep)[g]
                 got[comp.offset : end, comp.offset : end] -= np.kron(u, np.eye(comp.multiplicity))
         worst = max(worst, float(np.max(np.abs(got))))
     if worst > ORTHONORMAL_TOL:

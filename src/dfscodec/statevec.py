@@ -15,19 +15,15 @@ from .errors import (
     BadTarget,
     DimensionMismatch,
     NonOrthogonalProjectors,
-    ResourceLimit,
 )
-from .limits import MAX_AMPLITUDES, NORM_TOL, UNITARY_TOL
+from .limits import NORM_TOL, UNITARY_TOL, check_entries
 
 
 def check_register(d: int, n: int) -> int:
     """Amplitude count ``d**n`` of an n-qudit register, refused above the dense budget."""
     if d < 2 or n < 1:
         raise DimensionMismatch(f"need d >= 2 and n >= 1, got d={d}, n={n}")
-    size = d**n
-    if size > MAX_AMPLITUDES:
-        raise ResourceLimit(f"d**n = {size} exceeds the dense guard {MAX_AMPLITUDES}")
-    return size
+    return check_entries(d**n, f"a register of {d}**{n} amplitudes")
 
 
 @dataclass(frozen=True, eq=False)

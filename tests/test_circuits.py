@@ -25,6 +25,7 @@ from dfscodec.errors import (
     DfsCodecError,
     DimensionMismatch,
     NotAbelian,
+    ResourceLimit,
     UnsupportedDimension,
 )
 from dfscodec.groups import builtin_group
@@ -304,6 +305,15 @@ def test_apply_t_direct_k4_mapping(context_for):
         np.testing.assert_allclose(col, ctx.tokens.tokens[label].amps, atol=1e-12)
     assert np.max(np.abs(change.matrix.conj().T @ change.matrix - np.eye(4))) < 1e-10
     assert change.bound == 4
+
+
+def test_dense_basis_change_is_refused_before_allocating(context_for, monkeypatch):
+    # z14 has r = 13: a 2^13 x 2^13 completion is 2^26 entries, over the dense budget
+    ctx = context_for("z14")
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: pytest.fail("qr ran"))
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("zeros ran"))
+    with pytest.raises(ResourceLimit, match="2\\*\\*13 x 2\\*\\*13: 67108864 entries"):
+        apply_t_direct(ctx.tokens)
 
 
 def test_apply_t_direct_trivial_group(context_for):

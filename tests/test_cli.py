@@ -250,6 +250,24 @@ def test_memory_error_exits_3(monkeypatch, capsys):
     assert err.count("\n") == 1 and "out of memory" in err
 
 
+def test_bare_memory_error_names_its_type(monkeypatch, capsys):
+    import dfscodec.cli as cli
+
+    def explode(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_roundtrip", explode)
+    assert cli.main(["roundtrip", "--group", "z2", "--m", "1"]) == 3
+    assert capsys.readouterr().err == "error: out of memory: MemoryError\n"
+
+
+def test_oversized_dense_basis_change_exits_3(capsys):
+    # z14 tokens fit the budget; their 2^13 x 2^13 completion does not
+    assert main(["circuit", "simulate", "--group", "z14", "--path", "general"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "over the budget" in err
+
+
 @pytest.mark.parametrize("path", ["general", "abelian", "cyclic"])
 @pytest.mark.parametrize("m", ["0", "-2"])
 def test_circuit_count_needs_a_message_qubit(path, m, capsys):

@@ -396,6 +396,16 @@ def test_group_average_projector_commutes(context_for):
             assert np.max(np.abs(coll @ proj - proj @ coll)) < 1e-9
 
 
+def test_group_average_projector_is_refused_before_allocating(context_for, monkeypatch):
+    from dfscodec.errors import ResourceLimit
+
+    ctx = context_for("z14")
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: pytest.fail("qr ran"))
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("zeros ran"))
+    with pytest.raises(ResourceLimit, match="over the budget"):
+        group_average_projector(ctx.tokens)
+
+
 # --- decode -------------------------------------------------------------------
 
 

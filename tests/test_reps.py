@@ -532,6 +532,37 @@ def test_character_table_irrep_blocks_are_read_only(name):
     assert table.irrep_matrices[1][0, 0, 0] == 1
 
 
+@pytest.mark.parametrize("name", ["z4xz2", "s3"])
+def test_irrep_reads_one_dimensional_irreps_from_characters(name):
+    table = builtin_character_table(builtin_group(name))
+    ones = [lam for lam in range(table.num_irreps) if table.dims[lam] == 1]
+    assert ones
+    for lam in ones:
+        assert np.array_equal(table.irrep(lam), table.irrep_matrices[lam])
+
+
+def test_irrep_without_matrices_gives_characters_and_refuses_the_2d_irrep():
+    group = builtin_group("s3")
+    full = builtin_character_table(group)
+    stripped = CharacterTable.build(group, full.dims, full.chars, None)
+    for lam in (0, 1):
+        assert stripped.irrep(lam).shape == (6, 1, 1)
+        assert np.array_equal(
+            stripped.irrep(lam)[:, 0, 0], stripped.chars[lam, stripped.classes.class_of]
+        )
+    with pytest.raises(MissingIrrepMatrices, match="irrep 2 has dimension 2"):
+        stripped.irrep(2)
+
+
+def test_element_chars_are_read_only():
+    table = builtin_character_table(builtin_group("s3"))
+    assert table.element_chars.shape == (3, 6)
+    with pytest.raises(ValueError, match="read-only"):
+        table.element_chars[1, 1] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        table.irrep(1)[0, 0, 0] = 5
+
+
 def test_identity_snap():
     group = cyclic_group(2)
     almost = np.eye(2) * (1 + 3e-10)
