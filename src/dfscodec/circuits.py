@@ -448,10 +448,15 @@ class TokenBasisChange:
     element_order: tuple[int, ...]
 
 
+def check_token_basis_change(d: int, r: int) -> None:
+    """Refuse a dense ``d^r x d^r`` token basis change over the dense budget."""
+    check_entries(d ** (2 * r), f"a token basis change of {d}**{r} x {d}**{r}")
+
+
 def apply_t_direct(tokens: TokenSet, element_order=None) -> TokenBasisChange:
     """Complete the token columns, in label order, to a unitary."""
     d, r = tokens.rep.dim, tokens.r
-    check_entries(d ** (2 * r), f"a token basis change of {d}**{r} x {d}**{r}")
+    check_token_basis_change(d, r)
     order = tokens.group.order
     if element_order is None:
         element_order = tuple(range(order))

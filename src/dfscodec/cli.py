@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .circuits import (
     build_encoding_pipeline,
+    check_token_basis_change,
     gate_count_report,
     network_token_set,
     synth_t_cyclic,
@@ -24,13 +25,14 @@ from .circuits import (
 )
 from .codec import (
     distribution_channel,
+    encode,
     fixed_channel,
     prepare_protocol,
     run_roundtrip,
     uniform_channel,
 )
 from .errors import DfsCodecError, PerpOutcome
-from .groups import builtin_group
+from .groups import builtin_group, conjugacy_classes
 from .limits import UNITARY_TOL
 from .reps import (
     DEFAULT_R_MAX,
@@ -52,7 +54,7 @@ from .serialization import (
     state_to_dict,
     write_report,
 )
-from .statevec import fidelity
+from .statevec import fidelity, random_state
 from .su2 import run_demo
 
 DEFAULT_SEED = 57180
@@ -132,8 +134,6 @@ def cmd_group_validate(args) -> int:
 
 def cmd_group_info(args) -> int:
     group = _load_group(args.builtin or args.group)
-    from .groups import conjugacy_classes
-
     classes = conjugacy_classes(group)
     _emit(
         args,
@@ -285,13 +285,14 @@ def cmd_circuit_simulate(args) -> int:
     if use_network:
         tokens = network_token_set(rep)
     else:
-        tokens = prepare_protocol(rep).tokens
+        # the dense basis change is refused from r alone, before the tokens are prepared
+        table = builtin_character_table(group)
+        r = min_r(rep, table)
+        check_token_basis_change(rep.dim, r)
+        tokens = prepare_protocol(rep, table, r=r).tokens
     pipeline = build_encoding_pipeline(
         tokens, args.m, args.path, cyclic_network=use_network
     )
-    from .codec import encode
-    from .statevec import random_state
-
     rng = np.random.default_rng(seed)
     message = random_state(2, args.m, rng)
     circuit_state = pipeline.run(message)

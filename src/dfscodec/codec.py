@@ -44,14 +44,15 @@ from .reps import (
 from .statevec import (
     StateVector,
     _collective_rows,
+    _draw,
+    _outcome_distribution,
+    _projector_amplitudes,
     apply_collective,
     check_register,
-    extract_prefix_register,
     fidelity,
     inner,
     outcome_probabilities,
     product_state,
-    project_measure,
     random_state,
 )
 
@@ -314,10 +315,7 @@ def transmit(
     if channel.fixed_element is not None:
         element = channel.fixed_element
     else:
-        rng = np.random.default_rng(seed)
-        cumulative = np.cumsum(channel.probabilities)
-        element = int(np.searchsorted(cumulative, float(rng.random()), side="right"))
-        element = min(element, channel.rep.group.order - 1)
+        element = _draw(channel.probabilities, seed)
     return apply_collective(state, channel.rep.matrices[element]), element
 
 
@@ -326,28 +324,26 @@ def decode(
 ) -> tuple[StateVector, ProtocolReport]:
     """Measure the token register, then undo the rotation with one collective.
 
-    The correction is a product of identical single-qudit unitaries, so in a
-    multi-receiver setting each holder of a message qudit can apply it locally
-    once told the outcome.
+    The measurement makes every check of :func:`project_measure` and the same
+    draw, but builds no post-measurement register: the message is the sampled
+    token's row ``<t_k|received``, normalized.  The correction is a product of
+    identical single-qudit unitaries, so in a multi-receiver setting each holder
+    of a message qudit can apply it locally once told the outcome.
     """
-    rep = tokens.rep
-    r = tokens.r
+    rep, r = tokens.rep, tokens.r
     m = received.n - r
     if m < 1:
         raise DimensionMismatch(f"received register has no message qudits (n={received.n})")
-    record = project_measure(
-        received, range(r), [t.amps for t in tokens.tokens], seed
-    )
-    perp_probability = record.probabilities[-1]
-    if record.is_remainder:
+    _, rows, _, _ = _projector_amplitudes(received, range(r), [t.amps for t in tokens.tokens])
+    probabilities = _outcome_distribution(rows)
+    outcome = _draw(probabilities, seed)
+    perp_probability = float(probabilities[-1])
+    if outcome == len(rows):
         raise PerpOutcome(
             f"remainder outcome sampled (probability {perp_probability:.3e}); "
             "the received state left the token span"
         )
-    outcome = record.outcome
-    message = extract_prefix_register(
-        record.post_state, tokens.tokens[outcome].amps, r
-    )
+    message = StateVector.from_amplitudes(rep.dim, m, rows[outcome], normalize=True)
     message = apply_collective(message, rep.matrices[rep.group.inv(outcome)])
     report = ProtocolReport(
         m=m,

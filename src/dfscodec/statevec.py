@@ -242,12 +242,26 @@ def _projector_amplitudes(state: StateVector, subset, projectors):
     return vectors, rows, block, subset
 
 
+def _outcome_distribution(rows: np.ndarray) -> np.ndarray:
+    """Offered probabilities ``sum |row|^2``, remainder last; refused above 1 + UNITARY_TOL."""
+    probs = np.sum(np.abs(rows) ** 2, axis=1)
+    total = float(np.sum(probs))
+    if total > 1.0 + UNITARY_TOL:
+        raise NonOrthogonalProjectors(f"offered probabilities sum to {total} > 1")
+    return np.append(probs, max(0.0, 1.0 - total))
+
+
+def _draw(probabilities, seed) -> int:
+    """One sampled index of ``probabilities``: the sampler of every channel and measurement."""
+    draw = float(np.random.default_rng(seed).random())
+    index = int(np.searchsorted(np.cumsum(probabilities), draw, side="right"))
+    return min(index, len(probabilities) - 1)
+
+
 def outcome_probabilities(state: StateVector, subset, projectors) -> np.ndarray:
     """Exact probabilities of the offered outcomes plus the remainder, in order."""
     _, rows, _, _ = _projector_amplitudes(state, subset, projectors)
-    probs = np.sum(np.abs(rows) ** 2, axis=1)
-    perp = max(0.0, 1.0 - float(np.sum(probs)))
-    return np.append(probs, perp)
+    return _outcome_distribution(rows)
 
 
 def project_measure(state: StateVector, subset, projectors, seed: int) -> MeasurementRecord:
@@ -256,18 +270,8 @@ def project_measure(state: StateVector, subset, projectors, seed: int) -> Measur
     Same seed, same state: same outcome and a bit-identical post state.
     """
     vectors, rows, block, subset = _projector_amplitudes(state, subset, projectors)
-    probs = np.sum(np.abs(rows) ** 2, axis=1)
-    total = float(np.sum(probs))
-    if total > 1.0 + UNITARY_TOL:
-        raise NonOrthogonalProjectors(f"offered probabilities sum to {total} > 1")
-    perp = max(0.0, 1.0 - total)
-    all_probs = np.append(probs, perp)
-
-    rng = np.random.default_rng(seed)
-    draw = float(rng.random())
-    cumulative = np.cumsum(all_probs)
-    outcome = int(np.searchsorted(cumulative, draw, side="right"))
-    outcome = min(outcome, len(all_probs) - 1)
+    all_probs = _outcome_distribution(rows)
+    outcome = _draw(all_probs, seed)
     is_remainder = outcome == len(vectors)
 
     if is_remainder:
@@ -302,14 +306,3 @@ def inner(a: StateVector, b: StateVector) -> complex:
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2; symmetric and clipped to [0, 1]."""
     return float(min(1.0, abs(inner(a, b)) ** 2))
-
-
-def extract_prefix_register(state: StateVector, prefix: np.ndarray, k: int) -> StateVector:
-    """Contract the leading k qudits against a known vector and renormalize."""
-    dim = state.d**k
-    vec = np.asarray(prefix, dtype=np.complex128).reshape(-1)
-    if vec.size != dim:
-        raise DimensionMismatch(f"prefix vector size {vec.size} != {dim}")
-    block = state.amps.reshape(dim, -1)
-    rest = vec.conj() @ block
-    return StateVector.from_amplitudes(state.d, state.n - k, rest, normalize=True)

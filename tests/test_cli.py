@@ -268,6 +268,17 @@ def test_oversized_dense_basis_change_exits_3(capsys):
     assert err.count("\n") == 1 and "over the budget" in err
 
 
+@pytest.mark.parametrize("group,path,r", [("z14", "general", 13), ("z16", "cyclic", 15)])
+def test_dense_basis_change_is_refused_before_the_tokens(group, path, r, monkeypatch, capsys):
+    import dfscodec.codec as codec
+
+    monkeypatch.setattr(codec, "build_tokens", lambda *args: pytest.fail("tokens built"))
+    assert main(["circuit", "simulate", "--group", group, "--path", path]) == 3
+    assert capsys.readouterr().err == (
+        f"error: a token basis change of 2**{r} x 2**{r}: {4**r} entries, over the budget 2^24\n"
+    )
+
+
 @pytest.mark.parametrize("path", ["general", "abelian", "cyclic"])
 @pytest.mark.parametrize("m", ["0", "-2"])
 def test_circuit_count_needs_a_message_qubit(path, m, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -50,6 +51,7 @@ from dfscodec.statevec import (
     fidelity,
     inner,
     product_state,
+    project_measure,
     random_state,
 )
 
@@ -489,6 +491,67 @@ def test_decode_is_local_per_message_qudit(context_for, rng, monkeypatch):
     # one collective of a d x d matrix on exactly the m message qudits: the
     # same single-qudit correction on each of them
     assert calls == [(2, (2, 2), None)]
+
+
+# (group, rep, dim, r): the diagonal, Pauli, 2-d and regular reps, on qubits and a qutrit
+DECODE_PARITY = [
+    ("z8", "builtin", 2, None),
+    ("s3", "builtin-2d", 2, 6),
+    ("k4", "builtin", 2, None),
+    ("z3", "builtin", 3, None),
+    ("z4xz2", "regular", 2, None),
+]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("name,rep_spec,dim,r", DECODE_PARITY, ids=str)
+def test_decode_reads_the_row_project_measure_would_keep(name, rep_spec, dim, r, m):
+    rep = builtin_rep(builtin_group(name), rep_spec, dim)
+    ctx = prepare_protocol(rep, r=r)
+    d, r = rep.dim, ctx.r
+    vectors = [t.amps for t in ctx.tokens.tokens]
+    for seed in range(10):
+        message = random_state(d, m, np.random.default_rng(seed))
+        received, _ = transmit(uniform_channel(rep), encode(ctx.tokens, message), seed)
+        decoded, report = decode(ctx.tokens, received, seed)
+        record = project_measure(received, range(r), vectors, seed)
+        assert report.outcome_index == record.outcome
+        assert report.perp_probability == record.probabilities[-1]
+        # contract the post-measurement register against the sampled token, then correct
+        row = vectors[record.outcome].conj() @ record.post_state.amps.reshape(d**r, -1)
+        expected = apply_collective(
+            StateVector.from_amplitudes(d, m, row, normalize=True),
+            rep.matrices[rep.group.inv(record.outcome)],
+        )
+        np.testing.assert_allclose(decoded.amps, expected.amps, rtol=0, atol=1e-14)
+
+
+def test_decode_builds_no_full_register(context_for):
+    # z8 has r = 7: the received register holds 2^15 amplitudes, the message 2^8
+    ctx = context_for("z8")
+    message = random_state(2, 8, np.random.default_rng(5))
+    received, _ = transmit(uniform_channel(ctx.rep), encode(ctx.tokens, message), 5)
+    tracemalloc.start()
+    try:
+        decoded, _ = decode(ctx.tokens, received, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fidelity(decoded, message) >= 1 - 1e-9
+    assert peak < received.amps.nbytes / 2
+
+
+def test_transmit_samples_as_the_cumulative_search(context_for):
+    ctx = context_for("z8")
+    probabilities = np.random.default_rng(3).random(8)
+    channel = distribution_channel(ctx.rep, probabilities / probabilities.sum())
+    state = encode(ctx.tokens, basis_state(2, 1, 0))
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        cumulative = np.cumsum(channel.probabilities)
+        expected = int(np.searchsorted(cumulative, float(rng.random()), side="right"))
+        expected = min(expected, ctx.group.order - 1)
+        assert transmit(channel, state, seed)[1] == expected
 
 
 def test_distribution_independence(context_for):

@@ -17,10 +17,8 @@ from dfscodec.statevec import (
     apply_controlled,
     apply_local,
     basis_state,
-    extract_prefix_register,
     fidelity,
     haar_unitary,
-    inner,
     outcome_probabilities,
     product_state,
     project_measure,
@@ -277,6 +275,27 @@ def test_overlapping_projectors_name_their_first_pair(rng):
         outcome_probabilities(state, [1], [e0, e1, e1, e0])
 
 
+def test_measurement_samples_as_the_cumulative_search():
+    # probabilities (0.36, 0, 0.64) and a remainder of 0
+    amps = np.array([0.6, 0, 0, 0, 0.8, 0, 0, 0], dtype=complex)
+    state = StateVector.from_amplitudes(2, 3, amps)
+    for seed in range(200):
+        record = project_measure(state, [0, 1], np.eye(4)[:3], seed)
+        rng = np.random.default_rng(seed)
+        cumulative = np.cumsum(record.probabilities)
+        expected = int(np.searchsorted(cumulative, float(rng.random()), side="right"))
+        assert record.outcome == min(expected, len(record.probabilities) - 1)
+        assert record.outcome in (0, 2)
+
+
+def test_outcome_probabilities_refuse_a_sum_above_one():
+    # the projector's norm is within tolerance, but it carries the whole state:
+    # the offered probability is (1 + 0.9e-9)^2, above 1 + UNITARY_TOL
+    state = basis_state(2, 1, 0)
+    with pytest.raises(NonOrthogonalProjectors, match="sum to"):
+        outcome_probabilities(state, [0], [[1 + 0.9e-9, 0]])
+
+
 def test_remainder_outcome_sampled():
     # state orthogonal to the only offered projector
     state = basis_state(2, 1, 1)
@@ -298,14 +317,6 @@ def test_fidelity_basics(rng):
 def test_fidelity_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         fidelity(basis_state(2, 1, 0), basis_state(2, 2, 0))
-
-
-def test_extract_prefix_register(rng):
-    front = random_state(2, 2, rng)
-    back = random_state(2, 1, rng)
-    joint = product_state(front, back)
-    out = extract_prefix_register(joint, front.amps, 2)
-    assert abs(abs(inner(out, back)) - 1.0) < 1e-12
 
 
 def test_resource_guard():
