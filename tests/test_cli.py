@@ -173,6 +173,18 @@ def test_plan_export_gate_list(tmp_path, capsys):
     assert sum(g["cost"] for g in plan["w"]["gates"]) == 20
 
 
+@pytest.mark.parametrize(
+    "group,path", [("z8", "cyclic"), ("z8", "abelian"), ("k4", "abelian")]
+)
+def test_plan_export_matches_golden(group, path, tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    argv = ["circuit", "count", "--group", group, "--m", "2", "--path", path,
+            "--export-plan", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / f"plan_export_{group}_{path}.json").read_bytes()
+
+
 def test_protocol_violation_exits_4(monkeypatch, capsys):
     # build_parser binds command handlers by name, so patching the module
     # attribute routes the remainder-outcome error through the exit mapping
