@@ -13,10 +13,10 @@ per controlled target.  Chains are emitted as costed marker gates; simulation
 applies the full control pattern on the target gates instead of expanding the
 chain, which keeps equivalence checks exact while preserving the counts.
 
-The basis change from group labels to token states is either a dense unitary
-completion of the token columns (any group) or, for cyclic groups on qubits,
-a Fourier stage followed by a CNOT fan-out/fold network whose CNOT count is
-exactly (token wires + control wires).
+The basis change from group labels to token states is a plan too: either one
+dense gate completing the token columns (any group) or, for cyclic groups on
+qubits, a Fourier stage followed by a CNOT fan-out/fold network whose CNOT
+count is exactly (token wires + control wires).
 """
 
 from __future__ import annotations
@@ -124,21 +124,22 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 def _run_gates(gates, tensor: np.ndarray) -> None:
     """Apply ``gates`` in order, in place, to the writable ``(d,)*n`` tensor.
 
-    Wires are validated per gate; each distinct matrix is checked for
-    unitarity once per call.
+    Wires are validated per gate; each matrix object is checked for
+    unitarity once per call and target width.
     """
     d, n = tensor.shape[0], tensor.ndim
-    checked: set = set()
+    # the memo holds each checked gate, so no matrix id is reused within the call
+    checked: dict = {}
     for gate in gates:
         matrix = _gate_matrix(gate)
         if matrix is None:
             continue
         controls, targets = _check_operands(d, n, gate.controls, gate.targets)
+        key = (id(matrix), len(targets))
         matrix = np.asarray(matrix, dtype=np.complex128)
-        key = (matrix.shape, matrix.tobytes())
         if key not in checked:
             _check_unitary(matrix, d ** len(targets))
-            checked.add(key)
+            checked[key] = gate
         _apply(tensor, tensor, matrix, targets, controls)
 
 
@@ -195,7 +196,8 @@ def _complete_unitary(columns: np.ndarray) -> np.ndarray:
     if np.max(np.abs(columns.conj().T @ columns - np.eye(k))) > UNITARY_TOL:
         raise DfsCodecError("columns to complete are not orthonormal")
     q, _ = np.linalg.qr(columns, mode="complete")
-    return np.hstack([columns, q[:, k:]])
+    q[:, :k] = columns  # exact columns, written into q so the unitary is held once
+    return q
 
 
 def _message_wires(first: int, m: int) -> tuple[int, ...]:
@@ -296,13 +298,7 @@ def synth_w_general(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
     return plan
 
 
-def synth_w_abelian(
-    group: FiniteGroup,
-    rep: UnitaryRep,
-    m: int,
-    generators: list[int] | None = None,
-    orders: list[int] | None = None,
-) -> CircuitPlan:
+def synth_w_abelian(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
     """Generator-power controlled network for abelian groups.
 
     Control labels are generator words (first generator most significant); the
@@ -313,8 +309,7 @@ def synth_w_abelian(
         raise NotAbelian("the generator-power network needs an abelian group")
     if rep.dim != 2:
         raise UnsupportedDimension("gate-level synthesis is defined for qubits only")
-    if generators is None or orders is None:
-        generators, orders = generator_decomposition(group)
+    generators, orders = generator_decomposition(group)
     for bound in orders:
         if bound & (bound - 1):
             raise DfsCodecError(
@@ -385,25 +380,20 @@ def synth_w_cyclic(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
     r_prime = control_wire_count(n)
     control_wires = tuple(range(r_prime))
     message_wires = _message_wires(r_prime, m)
+    powers = word_elements(group, [gen], [n])  # powers[k] is gen^k, and gen has order n
     gates: list[Gate] = []
     # bit i (1-indexed from the least significant) lives on wire r_prime - i
     for i in range(1, r_prime + 1):
-        power_index = 0
-        for _ in range(2 ** (i - 1)):
-            power_index = group.mul(power_index, gen)
-        wire = r_prime - i
-        for t in message_wires:
-            gates.append(
-                Gate(
-                    kind="controlled",
-                    targets=(t,),
-                    controls=((wire, 1),),
-                    matrix=rep.matrices[power_index],
-                    cost=1,
-                    stage="w",
-                    note=f"U^{2 ** (i - 1)}",
-                )
+        gates.extend(
+            _block_gates(
+                ((r_prime - i, 1),),
+                rep.matrices[powers[2 ** (i - 1) % n]],
+                message_wires,
+                stage="w",
+                note=f"U^{2 ** (i - 1)}",
+                conjugate_x=False,
             )
+        )
     layout = RegisterLayout(d=2, control=control_wires, token=(), message=message_wires)
     return CircuitPlan(
         gates=gates,
@@ -414,7 +404,7 @@ def synth_w_cyclic(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
             "r_prime": r_prime,
             "controlled_count": m * r_prime,
             "control_labeling": "generator_words",
-            "word_elements": word_elements(group, [gen], [n]),
+            "word_elements": powers,
         },
     )
 
@@ -433,41 +423,26 @@ def synth_w(path: str, group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPl
 # --- basis change to token states --------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class TokenBasisChange:
-    """Dense unitary completing {|0...0, g_i> -> token_i}; cost bound O(d^r).
-
-    ``element_order[column]`` names the group element encoded by each label
-    column, so generator-word control registers can reuse the same oracle.
-    """
-
-    matrix: np.ndarray
-    r: int
-    d: int
-    bound: int
-    element_order: tuple[int, ...]
-
-
 def check_token_basis_change(d: int, r: int) -> None:
     """Refuse a dense ``d^r x d^r`` token basis change over the dense budget."""
     check_entries(d ** (2 * r), f"a token basis change of {d}**{r} x {d}**{r}")
 
 
-def apply_t_direct(tokens: TokenSet, element_order=None) -> TokenBasisChange:
-    """Complete the token columns, in label order, to a unitary."""
+def apply_t_direct(tokens: TokenSet, element_order=None) -> np.ndarray:
+    """The dense unitary {|0...0, label_i> -> token_i}; cost bound O(d^r).
+
+    ``element_order[i]`` names the group element encoded by label column i,
+    so generator-word control registers reuse the same oracle.
+    """
     d, r = tokens.rep.dim, tokens.r
     check_token_basis_change(d, r)
     order = tokens.group.order
     if element_order is None:
-        element_order = tuple(range(order))
-    else:
-        element_order = tuple(int(x) for x in element_order)
-        if sorted(element_order) != list(range(order)):
-            raise DfsCodecError("element_order must enumerate the group")
-    columns = np.column_stack([tokens.tokens[element].amps for element in element_order])
-    return TokenBasisChange(
-        matrix=_complete_unitary(columns), r=r, d=d, bound=d**r, element_order=element_order
-    )
+        element_order = range(order)
+    elif sorted(map(int, element_order)) != list(range(order)):
+        raise DfsCodecError("element_order must enumerate the group")
+    columns = np.column_stack([tokens.tokens[int(e)].amps for e in element_order])
+    return _complete_unitary(columns)
 
 
 def qft_gates(control_wires) -> list[Gate]:
@@ -573,7 +548,6 @@ def synth_t_cyclic(n: int) -> CircuitPlan:
             "qft_gate_count": r_prime * (r_prime + 1) // 2,
             "cnot_count": cnots,
             "cnot_formula": r + r_prime,
-            "bit_to_control_wire": bit_to_wire,
         },
     )
 
@@ -599,6 +573,8 @@ def network_token_set(rep: UnitaryRep) -> TokenSet:
     from .codec import build_tokens
 
     n = rep.group.order
+    if n < 2:
+        raise DfsCodecError(f"register network needs a group of order at least 2, got {n}")
     if rep.dim != 2 or n & (n - 1):
         raise DfsCodecError("network tokens are defined for qubit cyclic groups of power-of-two order")
     r = n - 1
@@ -640,15 +616,12 @@ def logical_depth(plan: CircuitPlan) -> int:
 class EncodingPipeline:
     """Composed prep + W + basis-change circuit producing the protected state."""
 
-    group: FiniteGroup
-    rep: UnitaryRep
     tokens: TokenSet
     m: int
     path: str
     w_plan: CircuitPlan
     prep: list[Gate]
-    t_plan: CircuitPlan | None
-    t_direct: TokenBasisChange | None
+    t_plan: CircuitPlan
     layout: RegisterLayout
 
     def run(self, message: StateVector) -> StateVector:
@@ -661,15 +634,10 @@ class EncodingPipeline:
         work = np.zeros(2 ** (n - self.m), dtype=np.complex128)
         work[0] = 1.0
         tensor = np.kron(work, message.amps).reshape([2] * n)
-        gates = [*self.prep, *self.w_plan.gates]
-        if self.t_plan is not None:
-            gates += self.t_plan.gates
-        if self.t_direct is not None:
-            gates.append(Gate("single", self.layout.token, matrix=self.t_direct.matrix))
-        _run_gates(gates, tensor)
-        if self.t_direct is not None:
+        _run_gates([*self.prep, *self.w_plan.gates, *self.t_plan.gates], tensor)
+        if set(self.layout.control) <= set(self.layout.token):
             return StateVector(d=2, n=n, amps=tensor.reshape(-1))
-        # the control register must disentangle back to |0...0>
+        # a label register apart from the token wires must disentangle back to |0...0>
         r_prime = len(self.layout.control)
         block = tensor.reshape(2**r_prime, -1)
         leak = float(np.linalg.norm(block[1:]))
@@ -699,7 +667,7 @@ def build_encoding_pipeline(
 
     ``cyclic_network=True`` uses the Fourier + CNOT network (cyclic groups on
     qubits, power-of-two order, with the register-pattern token basis);
-    otherwise the token basis change is the dense completion oracle.
+    otherwise the basis change is one dense gate completing the token columns.
     """
     group = tokens.group
     r = tokens.r
@@ -719,22 +687,19 @@ def build_encoding_pipeline(
         message = tuple(range(r, r + m))
     layout = RegisterLayout(d=2, control=control, token=token, message=message)
     w_plan = _placed(w, w.layout.control + w.layout.message, control + message, layout)
-    t_plan = t_direct = None
     if cyclic_network:
         t = synth_t_cyclic(group.order)
         t_plan = _placed(t, t.layout.control + t.layout.token, control + token, layout)
     else:
-        t_direct = apply_t_direct(tokens, w.metadata.get("word_elements"))
+        dense = apply_t_direct(tokens, w.metadata.get("word_elements"))
+        t_plan = CircuitPlan(gates=[Gate("single", token, matrix=dense)], layout=layout)
     return EncodingPipeline(
-        group=group,
-        rep=tokens.rep,
         tokens=tokens,
         m=m,
         path=path,
         w_plan=w_plan,
         prep=prep_gates(group, control),
         t_plan=t_plan,
-        t_direct=t_direct,
         layout=layout,
     )
 

@@ -82,6 +82,8 @@ class UnitaryRep:
         if mats.shape[0] != group.order or mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"expected {group.order} square matrices, got shape {mats.shape}")
         d = mats.shape[1]
+        if d < 1:
+            raise ValueError(f"representation matrices must be at least 1x1, got {d}x{d}")
         eye = np.eye(d)
         if np.max(np.abs(mats[0] - eye)) > UNITARY_TOL:
             raise ValueError("matrix at the identity element is not the identity")
@@ -412,7 +414,8 @@ def isotypic_decompose(rep: UnitaryRep, r: int, table: CharacterTable) -> Isotyp
 
     Diagonal representations of abelian groups take a fast path that simply
     groups computational basis states by their phase character, in index
-    order; this is what pins the canonical token fixtures.  The general path
+    order.  It is a reference only: ``build_fiducial`` pins the canonical
+    token fixtures.  The general path
     uses matrix-element projectors built from ``table.irrep`` and
     orthonormalizes projector images of computational basis vectors in
     lexicographic order, which is deterministic and RNG-free.

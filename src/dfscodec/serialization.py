@@ -139,9 +139,7 @@ def plan_to_dict(plan) -> dict:
             "message": list(plan.layout.message),
         },
         "total_count": plan.total_count,
-        "metadata": {
-            k: v for k, v in plan.metadata.items() if isinstance(v, (int, str, list, float, type(None)))
-        },
+        "metadata": dict(plan.metadata),
         "gates": [gate_to_dict(g) for g in plan.gates],
     }
 

@@ -238,13 +238,17 @@ def _projector_amplitudes(state: StateVector, subset, projectors):
     if len(overlaps):
         i, j = overlaps[0]
         raise NonOrthogonalProjectors(f"projectors {i} and {j} overlap")
-    rows = np.array([v.conj() @ block for v in vectors])
+    # each GEMV goes straight into its row, so the rows exist once; the GEMV keeps
+    # the bits that pin perp_probability in roundtrip_z8.json
+    rows = np.empty((len(vectors), block.shape[1]), dtype=np.complex128)
+    for v, row in zip(vectors, rows):
+        row[...] = v.conj() @ block
     return vectors, rows, block, subset
 
 
 def _outcome_distribution(rows: np.ndarray) -> np.ndarray:
     """Offered probabilities ``sum |row|^2``, remainder last; refused above 1 + UNITARY_TOL."""
-    probs = np.sum(np.abs(rows) ** 2, axis=1)
+    probs = np.array([np.sum(np.abs(row) ** 2) for row in rows])
     total = float(np.sum(probs))
     if total > 1.0 + UNITARY_TOL:
         raise NonOrthogonalProjectors(f"offered probabilities sum to {total} > 1")

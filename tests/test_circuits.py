@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -28,7 +29,7 @@ from dfscodec.errors import (
     ResourceLimit,
     UnsupportedDimension,
 )
-from dfscodec.groups import builtin_group
+from dfscodec.groups import builtin_group, generator_decomposition
 from dfscodec.reps import pauli_rep, zn_phase_rep
 from dfscodec.statevec import (
     StateVector,
@@ -134,7 +135,7 @@ def test_gate_count_report_pinned_values():
 
 def test_abelian_counts_within_bound():
     k4 = builtin_group("k4")
-    plan = synth_w_abelian(k4, pauli_rep(k4), 2, generators=[1, 3], orders=[2, 2])
+    plan = synth_w_abelian(k4, pauli_rep(k4), 2)
     assert plan.total_count <= plan.metadata["count_bound"]
     z4xz2 = builtin_group("z4xz2")
     plan = synth_w_abelian(z4xz2, zn_phase_rep_product(z4xz2), 2)
@@ -198,7 +199,9 @@ def test_abelian_word_control_matches_word_operator(rng):
     # oracle: explicit sum over words with generator powers
     group = builtin_group("k4")
     rep = pauli_rep(group)
-    plan = synth_w_abelian(group, rep, 1, generators=[1, 3], orders=[2, 2])
+    plan = synth_w_abelian(group, rep, 1)
+    (g1, g2), orders = generator_decomposition(group)
+    assert orders == [2, 2]
     got = plan_unitary(plan, 3)
     expected = np.zeros((8, 8), dtype=complex)
     for l1 in range(2):
@@ -207,7 +210,7 @@ def test_abelian_word_control_matches_word_operator(rng):
             proj = np.zeros((4, 4))
             proj[word, word] = 1.0
             element = group.mul(
-                reduce(group.mul, [1] * l1, 0), reduce(group.mul, [3] * l2, 0)
+                reduce(group.mul, [g1] * l1, 0), reduce(group.mul, [g2] * l2, 0)
             )
             expected += np.kron(proj, rep.matrices[element])
     np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -301,10 +304,10 @@ def test_apply_t_direct_k4_mapping(context_for):
     ctx = context_for("k4")
     change = apply_t_direct(ctx.tokens)
     for label in range(4):
-        col = change.matrix[:, label]
+        col = change[:, label]
         np.testing.assert_allclose(col, ctx.tokens.tokens[label].amps, atol=1e-12)
-    assert np.max(np.abs(change.matrix.conj().T @ change.matrix - np.eye(4))) < 1e-10
-    assert change.bound == 4
+    assert np.max(np.abs(change.conj().T @ change - np.eye(4))) < 1e-10
+    assert change.shape == (4, 4)
 
 
 def test_dense_basis_change_is_refused_before_allocating(context_for, monkeypatch):
@@ -316,11 +319,24 @@ def test_dense_basis_change_is_refused_before_allocating(context_for, monkeypatc
         apply_t_direct(ctx.tokens)
 
 
+def test_apply_t_direct_holds_one_copy_of_the_matrix(context_for):
+    # z10 has r = 9: the completion is 2^9 x 2^9, and no second full copy is made
+    tokens = context_for("z10").tokens
+    tracemalloc.start()
+    try:
+        change = apply_t_direct(tokens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert change.shape == (512, 512)
+    assert peak < 1.5 * change.nbytes
+
+
 def test_apply_t_direct_trivial_group(context_for):
     ctx = context_for("z1")
     change = apply_t_direct(ctx.tokens)
-    assert change.matrix.shape == (2, 2)
-    np.testing.assert_allclose(change.matrix[:, 0], ctx.tokens.fiducial.amps)
+    assert change.shape == (2, 2)
+    np.testing.assert_allclose(change[:, 0], ctx.tokens.fiducial.amps)
 
 
 # --- end-to-end circuit vs direct encoding ----------------------------------------
@@ -354,7 +370,11 @@ def test_cyclic_path_on_relabelled_group_matches_direct_encoding(spec, relabelle
     # control label v is the v-th generator power, not element index v
     tokens = prepare_protocol(zn_phase_rep(relabelled(spec), 2)).tokens
     pipeline = build_encoding_pipeline(tokens, 2, "cyclic")
-    assert pipeline.t_direct.element_order != tuple(range(tokens.group.order))
+    order = pipeline.w_plan.metadata["word_elements"]
+    assert order != list(range(tokens.group.order))
+    (dense,) = pipeline.t_plan.gates
+    for column, element in enumerate(order):
+        np.testing.assert_array_equal(dense.matrix[:, column], tokens.tokens[element].amps)
     message = random_state(2, 2, rng)
     assert fidelity(pipeline.run(message), encode(tokens, message)) >= 1 - 1e-9
 
@@ -468,10 +488,9 @@ def pipeline_like(pipeline, message):
     """The encoder composed gate by gate, each gate returning a fresh state."""
     n_work = pipeline.layout.n_wires - pipeline.m
     state = product_state(basis_state(2, n_work, 0), message)
-    state = run_plan_like([*pipeline.prep, *pipeline.w_plan.gates], state)
-    if pipeline.t_direct is not None:
-        return apply_controlled(state, (), pipeline.t_direct.matrix, pipeline.layout.token)
-    state = run_plan_like(pipeline.t_plan.gates, state)
+    state = run_plan_like([*pipeline.prep, *pipeline.w_plan.gates, *pipeline.t_plan.gates], state)
+    if set(pipeline.layout.control) <= set(pipeline.layout.token):
+        return state
     r_prime = len(pipeline.layout.control)
     block = state.amps.reshape(2**r_prime, -1)
     return StateVector.from_amplitudes(2, state.n - r_prime, block[0], normalize=True)
@@ -514,6 +533,19 @@ def test_non_unitary_gate_mid_plan_is_refused(context_for, rng):
         run_plan(plan, random_state(2, pipeline.layout.n_wires, rng))
     with pytest.raises(DimensionMismatch):
         replace(pipeline, w_plan=plan).run(random_state(2, 1, rng))
+
+
+def test_matrix_reused_on_a_wider_target_set_is_refused(rng):
+    from dfscodec.circuits import CircuitPlan, Gate, RegisterLayout
+
+    eye = np.eye(2, dtype=np.complex128)
+    layout = RegisterLayout(d=2, control=(), token=(0, 1), message=())
+    plan = CircuitPlan(
+        gates=[Gate("single", (0,), matrix=eye), Gate("single", (0, 1), matrix=eye)],
+        layout=layout,
+    )
+    with pytest.raises(DimensionMismatch, match="must be 4x4"):
+        run_plan(plan, random_state(2, 2, rng))
 
 
 def test_run_plan_leaves_its_input_unmodified(context_for, rng):

@@ -280,6 +280,20 @@ def test_oversized_dense_basis_change_exits_3(capsys):
     assert err.count("\n") == 1 and "over the budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["roundtrip", "--group", "z4", "--dim", "0"],
+         "representation matrices must be at least 1x1, got 0x0"),
+        (["circuit", "simulate", "--group", "z1", "--path", "cyclic", "--network"],
+         "register network needs a group of order at least 2, got 1"),
+    ],
+)
+def test_degenerate_sizes_exit_3_with_a_named_line(argv, line, capsys):
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
 @pytest.mark.parametrize("group,path,r", [("z14", "general", 13), ("z16", "cyclic", 15)])
 def test_dense_basis_change_is_refused_before_the_tokens(group, path, r, monkeypatch, capsys):
     import dfscodec.codec as codec

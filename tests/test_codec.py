@@ -541,6 +541,21 @@ def test_decode_builds_no_full_register(context_for):
     assert peak < received.amps.nbytes / 2
 
 
+def test_decode_builds_its_rows_once(context_for):
+    # s3 has r = 3: with m = 12 the six token rows hold 6 x 2^12 amplitudes
+    ctx = context_for("s3")
+    m = 12
+    received = encode(ctx.tokens, random_state(2, m, np.random.default_rng(2)))
+    rows_bytes = ctx.group.order * 2**m * 16
+    tracemalloc.start()
+    try:
+        decode(ctx.tokens, received, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * rows_bytes
+
+
 def test_transmit_samples_as_the_cumulative_search(context_for):
     ctx = context_for("z8")
     probabilities = np.random.default_rng(3).random(8)
