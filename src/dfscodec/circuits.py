@@ -38,9 +38,7 @@ from .limits import UNITARY_TOL, check_entries
 from .reps import UnitaryRep
 from .statevec import (
     StateVector,
-    _apply,
-    _check_operands,
-    _check_unitary,
+    _run,
     apply_controlled,
     check_register,
 )
@@ -122,25 +120,10 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def _run_gates(gates, tensor: np.ndarray) -> None:
-    """Apply ``gates`` in order, in place, to the writable ``(d,)*n`` tensor.
-
-    Wires are validated per gate; each matrix object is checked for
-    unitarity once per call and target width.
-    """
-    d, n = tensor.shape[0], tensor.ndim
-    # the memo holds each checked gate, so no matrix id is reused within the call
-    checked: dict = {}
-    for gate in gates:
-        matrix = _gate_matrix(gate)
-        if matrix is None:
-            continue
-        controls, targets = _check_operands(d, n, gate.controls, gate.targets)
-        key = (id(matrix), len(targets))
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        if key not in checked:
-            _check_unitary(matrix, d ** len(targets))
-            checked[key] = gate
-        _apply(tensor, tensor, matrix, targets, controls)
+    """Apply ``gates`` in order, in place, to the writable ``(d,)*n`` tensor
+    through :func:`statevec._run`; chain markers are skipped."""
+    ops = ((_gate_matrix(gate), gate.controls, gate.targets) for gate in gates)
+    _run(tensor, (op for op in ops if op[0] is not None))
 
 
 def run_plan(plan: CircuitPlan, state: StateVector) -> StateVector:
@@ -575,7 +558,7 @@ def network_token_set(rep: UnitaryRep) -> TokenSet:
     n = rep.group.order
     if n < 2:
         raise DfsCodecError(f"register network needs a group of order at least 2, got {n}")
-    if rep.dim != 2 or n & (n - 1):
+    if rep.dim != 2 or n & (n - 1) or cyclic_generator(rep.group) is None:
         raise DfsCodecError("network tokens are defined for qubit cyclic groups of power-of-two order")
     r = n - 1
     amps = np.zeros(2**r, dtype=np.complex128)

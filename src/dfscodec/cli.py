@@ -41,6 +41,7 @@ from .reps import (
     compound_character,
     min_r,
     multiplicities,
+    require_regular,
 )
 from .serialization import (
     canonical_json,
@@ -260,7 +261,11 @@ def cmd_circuit_count(args) -> int:
     group = _load_group(args.group)
     rep = _load_rep(group, args.rep, args.dim)
     table = _load_table(group, args.table)
-    r = args.r if args.r is not None else min_r(rep, table)
+    # an explicit power must contain the regular representation, as in tokens build
+    if args.r is None:
+        r = min_r(rep, table)
+    else:
+        r = require_regular(multiplicities(rep, table, args.r), table).power
     paths = ("general", "abelian", "cyclic") if args.path == "all" else (args.path,)
     payload = gate_count_report(group, rep, args.m, r, paths=paths)
     payload["command"] = "circuit.count"

@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     NumericalDegeneracy,
     PerpOutcome,
-    RegularRepMissing,
 )
 from .groups import FiniteGroup
 from .limits import EXACT_TOL, ORTHONORMAL_TOL, UNITARY_TOL, check_entries
@@ -40,6 +39,7 @@ from .reps import (
     isotypic_decompose,
     min_r,
     multiplicities,
+    require_regular,
 )
 from .statevec import (
     StateVector,
@@ -156,15 +156,9 @@ def build_fiducial(rep: UnitaryRep, r: int, table: CharacterTable) -> StateVecto
     they equal ``isotypic_decompose(rep, r, table).block_vector(lam, n, n)``,
     and ``build_tokens`` certifies the result.
     """
-    mv = multiplicities(rep, table, r)
+    mv = require_regular(multiplicities(rep, table, r), table)
     order = rep.group.order
     diagonal = table.classes.s == order and _is_diagonal_rep(rep.matrices)
-    for lam in range(table.num_irreps):
-        if mv[lam] < int(table.dims[lam]):
-            raise RegularRepMissing(
-                f"irrep {lam} appears {mv[lam]} times, needs "
-                f">= {int(table.dims[lam])}; increase the tensor power"
-            )
     amps = np.zeros(check_register(rep.dim, r), dtype=np.complex128)
     if diagonal:
         weight = np.sqrt(1 / order)

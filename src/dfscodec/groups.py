@@ -128,11 +128,8 @@ def validate_group(cayley, labels=None, name: str | None = None) -> FiniteGroup:
     if identity != 0:
         perm = idx.copy()
         perm[0], perm[identity] = identity, 0
-        relabeled = np.empty_like(table)
-        for i in range(n):
-            for k in range(n):
-                relabeled[perm[i], perm[k]] = perm[table[i, k]]
-        table = relabeled
+        # perm swaps two labels, so it is its own inverse
+        table = perm[table[np.ix_(perm, perm)]]
         labels = tuple(labels[perm[i]] for i in range(n))
 
     inverse = np.full(n, -1, dtype=np.int64)
@@ -241,14 +238,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     n = a.order * b.order
     if n > MAX_GROUP_ORDER:
         raise GroupTooLarge(f"product order {n} exceeds the supported maximum {MAX_GROUP_ORDER}")
-    table = np.empty((n, n), dtype=np.int64)
-    for i1 in range(a.order):
-        for k1 in range(b.order):
-            for i2 in range(a.order):
-                for k2 in range(b.order):
-                    row = i1 * b.order + k1
-                    col = i2 * b.order + k2
-                    table[row, col] = a.mul(i1, i2) * b.order + b.mul(k1, k2)
+    # axes (i1, k1, i2, k2): (i1, k1) * (i2, k2) = (i1 * i2, k1 * k2)
+    table = (a.cayley[:, None, :, None] * b.order + b.cayley[None, :, None, :]).reshape(n, n)
     labels = [
         f"({a.labels[i]},{b.labels[k]})" for i in range(a.order) for k in range(b.order)
     ]

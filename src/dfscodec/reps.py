@@ -29,6 +29,7 @@ from .errors import (
     NonIntegerMultiplicity,
     NotFaithful,
     NumericalDegeneracy,
+    RegularRepMissing,
     RMaxExceeded,
 )
 from .groups import (
@@ -189,16 +190,18 @@ class CharacterTable:
         if np.max(np.abs(gram - np.eye(s))) > NORM_TOL:
             raise ValueError("characters violate the orthogonality relation")
         if irrep_matrices is not None:
-            irrep_matrices = tuple(np.array(m, dtype=np.complex128) for m in irrep_matrices)
+            blocks = []
             for lam, mats in enumerate(irrep_matrices):
-                if mats.shape != (group.order, dims[lam], dims[lam]):
-                    raise ValueError(f"irrep {lam}: matrix block has shape {mats.shape}")
-                for i in range(group.order):
-                    if np.max(np.abs(mats[i] @ mats - mats[group.cayley[i]])) > UNITARY_TOL:
-                        raise ValueError(f"irrep {lam} is not a homomorphism")
-                trace = np.array([np.trace(mats[c[0]]) for c in classes.classes])
-                if np.max(np.abs(trace - chars[lam])) > UNITARY_TOL:
+                if np.shape(mats) != (group.order, dims[lam], dims[lam]):
+                    raise ValueError(f"irrep {lam}: matrix block has shape {np.shape(mats)}")
+                try:
+                    irrep = UnitaryRep.build(group, mats)
+                except ValueError as exc:
+                    raise ValueError(f"irrep {lam} is not a homomorphism: {exc}") from exc
+                if np.max(np.abs(compound_character(irrep, classes) - chars[lam])) > UNITARY_TOL:
                     raise ValueError(f"irrep {lam} matrices disagree with the character row")
+                blocks.append(irrep.matrices)
+            irrep_matrices = tuple(blocks)
         return cls(
             group=group,
             classes=classes,
@@ -328,6 +331,17 @@ def multiplicities(rep: UnitaryRep, table: CharacterTable, n: int) -> Multiplici
     if total != rep.dim**n:
         raise NonIntegerMultiplicity(f"power {n}: dimensions sum to {total}, not {rep.dim**n}")
     return MultiplicityVector(power=n, gammas=tuple(int(g) for g in gammas))
+
+
+def require_regular(mv: MultiplicityVector, table: CharacterTable) -> MultiplicityVector:
+    """``mv``, refused unless every irrep appears at least ``d_lam`` times."""
+    for lam in range(table.num_irreps):
+        if mv[lam] < int(table.dims[lam]):
+            raise RegularRepMissing(
+                f"irrep {lam} appears {mv[lam]} times, needs "
+                f">= {int(table.dims[lam])}; increase the tensor power"
+            )
+    return mv
 
 
 def contains_regular(mv: MultiplicityVector, table: CharacterTable) -> bool:

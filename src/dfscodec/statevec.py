@@ -97,31 +97,19 @@ def _from_front(block: np.ndarray, axes, ndim: int, d: int) -> np.ndarray:
     return np.moveaxis(block.reshape([d] * ndim), range(len(axes)), axes)
 
 
-def _apply(src: np.ndarray, out: np.ndarray, op: np.ndarray, targets, controls=()) -> None:
-    """The operator kernel: write ``op`` on ``targets``, wherever every control
-    matches, into the writable ``(d,)*n`` tensor ``out``.
-
-    ``src`` holds the input amplitudes and may be ``out`` itself.  Wires and
-    controls are validated and ``op`` is checked by the caller.
-    """
-    n, d = out.ndim, out.shape[0]
-    if not controls:
-        # right-multiplied form: pins perp_probability in roundtrip_z8.json
-        block = (_to_front(src, targets, d).T @ op.T).T
-        out[...] = _from_front(block, targets, n, d)
-        return
-    if out is not src:
-        out[...] = src
+def _apply(tensor: np.ndarray, op: np.ndarray, targets, controls=()) -> None:
+    """The block kernel, unchecked: ``op @ block`` on ``targets``, in place in the
+    writable ``(d,)*n`` tensor, wherever every control matches."""
+    n, d = tensor.ndim, tensor.shape[0]
     index: list = [slice(None)] * n
     for w, v in controls:
         index[w] = v
-    sub = out[tuple(index)]
+    sub = tensor[tuple(index)]
     # axis rank of each target among the non-control wires, in the sliced view
     control_wires = {w for w, _ in controls}
     remaining = [w for w in range(n) if w not in control_wires]
     axes = [remaining.index(t) for t in targets]
-    # left-multiplied form: pins fidelity_vs_direct_encoding in circuit_simulate_z8.json
-    out[tuple(index)] = _from_front(op @ _to_front(sub, axes, d), axes, sub.ndim, d)
+    tensor[tuple(index)] = _from_front(op @ _to_front(sub, axes, d), axes, sub.ndim, d)
 
 
 def _check_wires(n: int, wires) -> list[int]:
@@ -149,9 +137,25 @@ def _check_operands(d: int, n: int, controls, targets) -> tuple[list, list[int]]
     return controls, targets
 
 
+def _run(tensor: np.ndarray, ops) -> None:
+    """``(matrix, controls, targets)`` ops in order through :func:`_apply`, each op's
+    wires validated and each matrix object checked once per call and target width."""
+    d, n = tensor.shape[0], tensor.ndim
+    # the memo holds each checked matrix, so no id is reused within the call
+    checked: dict = {}
+    for matrix, controls, targets in ops:
+        controls, targets = _check_operands(d, n, controls, targets)
+        key = (id(matrix), len(targets))
+        op = np.asarray(matrix, dtype=np.complex128)
+        if key not in checked:
+            _check_unitary(op, d ** len(targets))
+            checked[key] = matrix
+        _apply(tensor, op, targets, controls)
+
+
 def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:
-    """Apply a d x d unitary to one qudit."""
-    return apply_controlled(state, (), u, [target])
+    """Apply a d x d unitary to one qudit: the one-target collective."""
+    return apply_collective(state, u, [target])
 
 
 def _collective_rows(rows: np.ndarray, u: np.ndarray, n: int, targets) -> np.ndarray:
@@ -160,10 +164,10 @@ def _collective_rows(rows: np.ndarray, u: np.ndarray, n: int, targets) -> np.nda
     The collective kernel, with no checks.  ``u`` is one ``(d, d)`` matrix for
     every row or a ``(rows, d, d)`` stack with one matrix per row.  Each step
     views the leading qudit of every row as the columns of a ``(rest, d)``
-    block, right-multiplies it by the transposed matrix as :func:`_apply` does,
-    and flattens so that qudit becomes the trailing one; after ``n`` steps the
-    wires are back in place.  The rows go through one stacked matmul per step,
-    one GEMM per row, so each row comes out bit-identical to a one-row call.
+    block, right-multiplies it by the transposed matrix, and flattens so that
+    qudit becomes the trailing one; after ``n`` steps the wires are back in
+    place.  The rows go through one stacked matmul per step, one GEMM per row,
+    so each row comes out bit-identical to a one-row call.
     """
     d, ut, x = u.shape[-1], np.swapaxes(u, -1, -2), rows
     count = x.shape[0]
@@ -195,12 +199,9 @@ def apply_controlled(state: StateVector, controls, u: np.ndarray, targets) -> St
     empty; amplitudes whose control digits do not match are left bit-exact.
     The result is a fresh state; ``state`` is only read.
     """
-    controls, targets = _check_operands(state.d, state.n, controls, targets)
-    u = np.asarray(u, dtype=np.complex128)
-    _check_unitary(u, state.d ** len(targets))
-    out = np.empty_like(state.amps).reshape([state.d] * state.n)
-    _apply(state.tensor(), out, u, targets, controls)
-    return StateVector(d=state.d, n=state.n, amps=out.reshape(-1))
+    tensor = state.tensor().copy()
+    _run(tensor, [(u, controls, targets)])
+    return StateVector(d=state.d, n=state.n, amps=tensor.reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)

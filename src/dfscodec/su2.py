@@ -93,6 +93,8 @@ def block_structure_certificate(trials: int, seed: int = 0) -> float:
     Checks: no coupling between the spin sectors, no coupling between the two
     degeneracy blocks, and the two degeneracy blocks are the same matrix.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

@@ -572,7 +572,7 @@ def test_apply_controlled_result_does_not_alias_its_input(controls, targets, rng
     assert state.amps.tobytes() == before
 
 
-def test_kernel_keeps_both_multiplication_orientations(rng):
+def test_kernel_multiplies_every_block_on_the_left(rng):
     # 2x2 products round differently in the two orientations, so a swap shows
     state = random_state(2, 6, rng)
     u = haar_unitary(2, rng)
@@ -581,8 +581,8 @@ def test_kernel_keeps_both_multiplication_orientations(rng):
     right = np.moveaxis((block.T @ u.T).T.reshape([2] * 6), 0, 2).reshape(-1)
     left = np.moveaxis((u @ block).reshape([2] * 6), 0, 2).reshape(-1)
     assert right.tobytes() != left.tobytes()
-    # no controls: right-multiplied
-    assert apply_controlled(state, (), u, [2]).amps.tobytes() == right.tobytes()
+    # no controls: left-multiplied
+    assert apply_controlled(state, (), u, [2]).amps.tobytes() == left.tobytes()
     # with controls: left-multiplied on the matching slice, the rest untouched
     sub = np.moveaxis(tensor[:, 1], 1, 0).reshape(2, -1)
     expected = tensor.copy()

@@ -81,6 +81,16 @@ def test_tokens_build_dump_state(tmp_path, capsys):
     assert payload == golden
 
 
+def test_tokens_build_matches_golden_report_and_dump(tmp_path, monkeypatch, capsys):
+    # the report embeds the dump's relative path, so run where that path resolves
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tests" / "golden").mkdir(parents=True)
+    dump = "tests/golden/tokens_z3_dump.json"
+    assert main(["tokens", "build", "--group", "z3", "--dump-state", dump]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "tokens_build_z3.json").read_bytes()
+    assert (tmp_path / dump).read_bytes() == (GOLDEN / "tokens_z3_dump.json").read_bytes()
+
+
 def test_bare_file_path_accepted(capsys):
     assert main(["group", "validate", f"{DATA}/z2_group.json"]) == 0
     assert json.loads(capsys.readouterr().out)["valid"] is True
@@ -345,3 +355,47 @@ def test_z32_gets_its_exact_r(capsys):
 def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
     assert main(["circuit", "count", "--group", "z3", "--m", "1", "--path", "all"]) == 0
     assert list(json.loads(capsys.readouterr().out)["paths"]) == ["general"]
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["circuit", "count", "--group", "z4", "--r", "-1"], "tensor power must be >= 1"),
+        (["circuit", "count", "--group", "z4", "--r", "0"], "tensor power must be >= 1"),
+        (["circuit", "count", "--group", "z4", "--r", "2"],
+         "irrep 3 appears 0 times, needs >= 1; increase the tensor power"),
+        (["circuit", "simulate", "--group", "z2xz2", "--path", "cyclic", "--network"],
+         "network tokens are defined for qubit cyclic groups of power-of-two order"),
+        (["demo", "su2", "--trials", "0"], "need at least one trial, got 0"),
+        (["demo", "su2", "--trials", "-1"], "need at least one trial, got -1"),
+        (["roundtrip", "--group", "z4", "--dist", "fixed:x"],
+         "invalid literal for int() with base 10: 'x'"),
+        (["roundtrip", "--group", "z4", "--dist", "fixed:9"], "fixed element 9 out of range"),
+        (["roundtrip", "--group", "z4", "--dist", "bogus"], "unknown distribution spec 'bogus'"),
+    ],
+    ids=["count-r-1", "count-r0", "count-r2", "network-z2xz2", "su2-trials0", "su2-trials-1",
+         "dist-fixed-x", "dist-fixed-9", "dist-bogus"],
+)
+def test_bad_inputs_exit_3_with_a_named_line(argv, line, capsys):
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def test_circuit_count_accepts_an_explicit_power_with_every_irrep(capsys):
+    assert main(["circuit", "count", "--group", "z64", "--m", "1", "--r", "63"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 63
+
+
+def test_fixed_channel_applies_its_element(capsys):
+    assert main(["roundtrip", "--group", "z4", "--dist", "fixed:3"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["applied_element"] == 3
+    assert abs(report["roundtrip_fidelity"] - 1.0) < 1e-9
+
+
+def test_random_channel_report_is_reproducible(capsys):
+    argv = ["roundtrip", "--group", "z4", "--dist", "random", "--seed", "5"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first

@@ -63,6 +63,18 @@ def test_identity_relocated_to_front():
     assert group.mul(0, 1) == 1
 
 
+def test_identity_relocated_in_a_larger_table():
+    # z4xz2 with labels 0 and 5 swapped: relabelling swaps them back
+    group = builtin_group("z4xz2")
+    perm = np.arange(8)
+    perm[0], perm[5] = 5, 0
+    table = np.empty_like(group.cayley)
+    table[np.ix_(perm, perm)] = perm[group.cayley]
+    moved = validate_group(table, labels=[group.labels[p] for p in perm])
+    assert np.array_equal(moved.cayley, group.cayley)
+    assert moved.labels == group.labels
+
+
 def test_order_guard():
     with pytest.raises(GroupTooLarge):
         cyclic_group(65)
@@ -172,3 +184,20 @@ def test_cyclic_generator_is_lowest_index_of_full_order(relabelled):
     assert cyclic_generator(builtin_group("z3xz2")) == 3
     assert cyclic_generator(klein_group()) is None
     assert cyclic_generator(symmetric_group_3()) is None
+
+
+@pytest.mark.parametrize("spec", ["z2xz2", "z4xz2", "z2xz2xz2", "s3xz2"])
+def test_builtin_product_table_is_the_pairwise_product(spec):
+    # (i1, k1) * (i2, k2) = (i1 * i2, k1 * k2), element (i, k) numbered i * |B| + k
+    parts = [builtin_group(p) for p in spec.split("x")]
+    table = parts[0].cayley
+    for b in parts[1:]:
+        na, nb = table.shape[0], b.order
+        expected = np.empty((na * nb, na * nb), dtype=np.int64)
+        for i1 in range(na):
+            for k1 in range(nb):
+                for i2 in range(na):
+                    for k2 in range(nb):
+                        expected[i1 * nb + k1, i2 * nb + k2] = table[i1, i2] * nb + b.cayley[k1, k2]
+        table = expected
+    assert np.array_equal(builtin_group(spec).cayley, table)

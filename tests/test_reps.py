@@ -613,3 +613,14 @@ def test_perturbed_irrep_block_is_not_a_homomorphism():
     blocks[2][1] = blocks[2][1] @ np.diag([1, -1])
     with pytest.raises(ValueError, match="irrep 2 is not a homomorphism"):
         CharacterTable.build(group, full.dims, full.chars, blocks)
+
+
+def test_non_unitary_irrep_block_is_refused():
+    # S3's 2-d irrep conjugated by diag(1, 2): a homomorphism with the right characters
+    group = builtin_group("s3")
+    full = builtin_character_table(group)
+    blocks = [m.copy() for m in full.irrep_matrices]
+    s = np.diag([1.0, 2.0])
+    blocks[2] = s @ blocks[2] @ np.linalg.inv(s)
+    with pytest.raises(ValueError, match=r"irrep 2 is not a homomorphism: matrix \d is not unitary"):
+        CharacterTable.build(group, full.dims, full.chars, blocks)
