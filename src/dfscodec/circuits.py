@@ -119,17 +119,17 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return apply_controlled(state, gate.controls, matrix, gate.targets)
 
 
-def _run_gates(gates, tensor: np.ndarray) -> None:
-    """Apply ``gates`` in order, in place, to the writable ``(d,)*n`` tensor
-    through :func:`statevec._run`; chain markers are skipped."""
+def _run_gates(gates, tensor: np.ndarray, wires, n: int) -> np.ndarray:
+    """``gates`` in order through :func:`statevec._run` on an n-wire register of
+    which the writable ``tensor`` holds ``wires``, every other wire in |0>; chain
+    markers are skipped.  Returns the ``(2,)*n`` tensor of the whole register."""
     ops = ((_gate_matrix(gate), gate.controls, gate.targets) for gate in gates)
-    _run(tensor, (op for op in ops if op[0] is not None))
+    return _run(tensor, wires, n, (op for op in ops if op[0] is not None))
 
 
 def run_plan(plan: CircuitPlan, state: StateVector) -> StateVector:
-    """The plan's gates applied to ``state`` on one work buffer; ``state`` is only read."""
-    tensor = state.tensor().copy()
-    _run_gates(plan.gates, tensor)
+    """The plan's gates applied to ``state``, every wire held; ``state`` is only read."""
+    tensor = _run_gates(plan.gates, state.tensor().copy(), range(state.n), state.n)
     return StateVector(d=state.d, n=state.n, amps=tensor.reshape(-1))
 
 
@@ -613,11 +613,10 @@ class EncodingPipeline:
             raise DimensionMismatch(f"expected an {self.m}-qubit message")
         n = self.layout.n_wires
         check_register(2, n)
-        # |0...0> on the work wires times the message, as the one work buffer
-        work = np.zeros(2 ** (n - self.m), dtype=np.complex128)
-        work[0] = 1.0
-        tensor = np.kron(work, message.amps).reshape([2] * n)
-        _run_gates([*self.prep, *self.w_plan.gates, *self.t_plan.gates], tensor)
+        # the work wires start idle in |0...0>: the buffer holds the message alone
+        # until a gate targets one of them
+        gates = [*self.prep, *self.w_plan.gates, *self.t_plan.gates]
+        tensor = _run_gates(gates, message.tensor().copy(), self.layout.message, n)
         if set(self.layout.control) <= set(self.layout.token):
             return StateVector(d=2, n=n, amps=tensor.reshape(-1))
         # a label register apart from the token wires must disentangle back to |0...0>

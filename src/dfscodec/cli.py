@@ -222,7 +222,13 @@ def _make_channel(rep, dist: str, seed: int):
     if dist == "uniform":
         return uniform_channel(rep)
     if dist.startswith("fixed:"):
-        return fixed_channel(rep, int(dist.split(":", 1)[1]))
+        try:
+            element = int(dist.split(":", 1)[1])
+        except ValueError:
+            raise DfsCodecError(
+                f"--dist {dist!r} is not one of uniform, random or fixed:<element>"
+            ) from None
+        return fixed_channel(rep, element)
     if dist == "random":
         rng = np.random.default_rng(seed)
         raw = rng.random(rep.group.order) + 1e-3

@@ -374,32 +374,6 @@ def measure_and_realign(
     return out, report
 
 
-def invariance_certificate(
-    tokens: TokenSet, m: int, trials: int, seed: int = 0
-) -> float:
-    """Max |1 - <chi|U_g chi>| over random messages and all elements; phase-sensitive."""
-    rep = tokens.rep
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        message = random_state(rep.dim, m, rng)
-        chi = encode(tokens, message)
-        for g in range(rep.group.order):
-            moved = apply_collective(chi, rep.matrices[g])
-            worst = max(worst, abs(1.0 - inner(chi, moved)))
-    return worst
-
-
-def group_average_projector(tokens: TokenSet) -> np.ndarray:
-    """(1/|G|) sum of token projectors; commutes with every collective operator."""
-    d, r = tokens.rep.dim, tokens.r
-    check_entries(d ** (2 * r), f"a projector of {d}**{r} x {d}**{r}")
-    out = np.zeros((d**r, d**r), dtype=np.complex128)
-    for t in tokens.tokens:
-        out += np.outer(t.amps, t.amps.conj())
-    return out / tokens.group.order
-
-
 def decode_outcome_probabilities(tokens: TokenSet, received: StateVector) -> np.ndarray:
     """Analytic outcome distribution of the decoding measurement (remainder last)."""
     return outcome_probabilities(

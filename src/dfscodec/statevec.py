@@ -137,12 +137,19 @@ def _check_operands(d: int, n: int, controls, targets) -> tuple[list, list[int]]
     return controls, targets
 
 
-def _run(tensor: np.ndarray, ops) -> None:
-    """``(matrix, controls, targets)`` ops in order through :func:`_apply`, each op's
-    wires validated and each matrix object checked once per call and target width."""
-    d, n = tensor.shape[0], tensor.ndim
+# OpenBLAS gives a product on a block of 1 or 2 columns other bits than on a wider
+# block, while power-of-two widths from 4 to 256 agree.  A block on held wires is
+# widened to this many columns (or all of the register's, if fewer), so every
+# amplitude keeps the bits of a run on the whole register.
+MIN_BLOCK_COLUMNS = 64
+
+
+def _checked_ops(d: int, n: int, ops) -> list:
+    """``(matrix, controls, targets)`` ops validated on an n-qudit register, each
+    matrix object checked unitary once per target width, as ``(op, controls, targets)``."""
     # the memo holds each checked matrix, so no id is reused within the call
     checked: dict = {}
+    out = []
     for matrix, controls, targets in ops:
         controls, targets = _check_operands(d, n, controls, targets)
         key = (id(matrix), len(targets))
@@ -150,7 +157,52 @@ def _run(tensor: np.ndarray, ops) -> None:
         if key not in checked:
             _check_unitary(op, d ** len(targets))
             checked[key] = matrix
-        _apply(tensor, op, targets, controls)
+        out.append((op, controls, targets))
+    return out
+
+
+def _hold(tensor: np.ndarray, wires: list[int], new) -> tuple[np.ndarray, list[int]]:
+    """``tensor`` on the ascending ``wires``, widened by the idle |0> wires ``new``:
+    the old amplitudes at digit 0 of each new wire, zeros at the others."""
+    order = sorted([*wires, *new])
+    out = np.zeros((tensor.shape[0],) * len(order), dtype=tensor.dtype)
+    out[tuple(0 if w in new else slice(None) for w in order)] = tensor
+    return out, order
+
+
+def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
+    """``(matrix, controls, targets)`` ops in order through :func:`_apply`; returns
+    the ``(d,)*n`` tensor of the whole register.
+
+    The writable ``tensor`` holds the ascending ``wires`` of an n-qudit register
+    whose every other wire is idle in |0>, and ops may write into it.  Every op is
+    validated on the whole register before any runs.  An op controlled on an idle
+    wire drops that control when it asks for 0 and is skipped otherwise; an idle
+    target wire joins the held ones, as do the lowest idle non-control wires that
+    the block needs to reach ``MIN_BLOCK_COLUMNS`` columns, or the whole
+    register's count if that is smaller.
+    """
+    d, wires = tensor.shape[0], list(wires)
+    for op, controls, targets in _checked_ops(d, n, ops):
+        if any(v and w not in wires for w, v in controls):
+            continue  # an idle wire holds 0, so this control never matches
+        floor = min(MIN_BLOCK_COLUMNS, d ** (n - len(targets) - len(controls)))
+        control_wires = [w for w, _ in controls]
+        controls = [(w, v) for w, v in controls if w in wires]
+        new = [t for t in targets if t not in wires]
+        columns = d ** (len(wires) + len(new) - len(targets) - len(controls))
+        for w in range(n):
+            if columns >= floor:
+                break
+            if w not in wires and w not in new and w not in control_wires:
+                new.append(w)
+                columns *= d
+        if new:
+            tensor, wires = _hold(tensor, wires, new)
+        axis = {w: i for i, w in enumerate(wires)}
+        _apply(tensor, op, [axis[t] for t in targets], [(axis[w], v) for w, v in controls])
+    idle = [w for w in range(n) if w not in wires]
+    return _hold(tensor, wires, idle)[0] if idle else tensor
 
 
 def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:
@@ -199,8 +251,7 @@ def apply_controlled(state: StateVector, controls, u: np.ndarray, targets) -> St
     empty; amplitudes whose control digits do not match are left bit-exact.
     The result is a fresh state; ``state`` is only read.
     """
-    tensor = state.tensor().copy()
-    _run(tensor, [(u, controls, targets)])
+    tensor = _run(state.tensor().copy(), range(state.n), state.n, [(u, controls, targets)])
     return StateVector(d=state.d, n=state.n, amps=tensor.reshape(-1))
 
 

@@ -11,9 +11,9 @@ settings.load_profile("suite")
 
 
 def make_context(spec: str):
-    """Protocol context for a named channel: 'k4', 's3', 'z<N>' or 'z<N>:d'."""
-    if spec == "k4":
-        group = builtin_group("k4")
+    """Protocol context for a named channel: 'k4', 'z2xz2', 's3', 'z<N>' or 'z<N>:d'."""
+    if spec in ("k4", "z2xz2"):
+        group = builtin_group(spec)
         return prepare_protocol(pauli_rep(group))
     if spec == "s3":
         group = builtin_group("s3")

@@ -496,11 +496,19 @@ def pipeline_like(pipeline, message):
     return StateVector.from_amplitudes(2, state.n - r_prime, block[0], normalize=True)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("spec,path", [("z8", "general"), ("z8", "abelian"),
-                                        ("z8", "cyclic"), ("z8", "network"),
-                                        ("k4", "general"), ("k4", "abelian"),
-                                        ("s3", "general")])
+IN_PLACE_CASES = [
+    *[(spec, path, m) for spec, path in [("z8", "general"), ("z8", "abelian"),
+                                         ("z8", "cyclic"), ("z8", "network"),
+                                         ("k4", "general"), ("k4", "abelian"),
+                                         ("s3", "general"), ("z4", "network"),
+                                         ("z16", "network"), ("z2xz2", "abelian")]
+      for m in (1, 2, 3)],
+    ("z12", "general", 1),
+    ("z12", "general", 2),
+]
+
+
+@pytest.mark.parametrize("spec,path,m", IN_PLACE_CASES)
 def test_in_place_runs_are_bit_identical_to_gate_by_gate(spec, path, m, context_for, rng):
     if path == "network":
         tokens = network_token_set(zn_phase_rep(builtin_group(spec), 2))
@@ -515,6 +523,55 @@ def test_in_place_runs_are_bit_identical_to_gate_by_gate(spec, path, m, context_
         if plan is not None:
             got = run_plan(plan, state)
             assert got.amps.tobytes() == run_plan_like(plan.gates, state).amps.tobytes()
+
+
+def _with_first_w_gate(pipeline, gate):
+    from dataclasses import replace
+
+    from dfscodec.circuits import CircuitPlan
+
+    plan = CircuitPlan(gates=[gate, *pipeline.w_plan.gates], layout=pipeline.layout)
+    return replace(pipeline, w_plan=plan)
+
+
+def test_gate_that_never_fires_is_still_checked(rng):
+    from dfscodec.circuits import Gate
+    from dfscodec.errors import BadTarget
+
+    tokens = network_token_set(zn_phase_rep(builtin_group("z8"), 2))
+    pipeline = build_encoding_pipeline(tokens, 2, "cyclic", cyclic_network=True)
+    layout = pipeline.layout
+    message = random_state(2, 2, rng)
+    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    # the token wires stay |0> until the fan-out, so a control asking for 1 never matches
+    idle = ((layout.token[0], 1),)
+    skipped = Gate(kind="controlled", targets=(layout.message[0],), controls=idle, matrix=x)
+    assert (_with_first_w_gate(pipeline, skipped).run(message).amps.tobytes()
+            == pipeline.run(message).amps.tobytes())
+    bad = Gate(kind="controlled", targets=(layout.message[0],), controls=idle,
+               matrix=2 * np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        _with_first_w_gate(pipeline, bad).run(message)
+    outside = Gate(kind="controlled", targets=(layout.n_wires,), controls=idle, matrix=x)
+    with pytest.raises(BadTarget):
+        _with_first_w_gate(pipeline, outside).run(message)
+
+
+def test_network_encoder_peak_stays_near_one_register(rng):
+    # z8 network, m = 7: 17 wires, of which the message is held from the start and
+    # the token wires join at their first CNOT; a run on the full buffer from the
+    # first gate peaks at 3x the register's bytes
+    tokens = network_token_set(zn_phase_rep(builtin_group("z8"), 2))
+    pipeline = build_encoding_pipeline(tokens, 7, "cyclic", cyclic_network=True)
+    assert pipeline.layout.n_wires == 17
+    message = random_state(2, 7, rng)
+    tracemalloc.start()
+    try:
+        pipeline.run(message)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 2**17 * 16
 
 
 def test_non_unitary_gate_mid_plan_is_refused(context_for, rng):

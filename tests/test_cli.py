@@ -369,12 +369,14 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
         (["demo", "su2", "--trials", "0"], "need at least one trial, got 0"),
         (["demo", "su2", "--trials", "-1"], "need at least one trial, got -1"),
         (["roundtrip", "--group", "z4", "--dist", "fixed:x"],
-         "invalid literal for int() with base 10: 'x'"),
+         "--dist 'fixed:x' is not one of uniform, random or fixed:<element>"),
+        (["roundtrip", "--group", "z4", "--dist", "fixed:"],
+         "--dist 'fixed:' is not one of uniform, random or fixed:<element>"),
         (["roundtrip", "--group", "z4", "--dist", "fixed:9"], "fixed element 9 out of range"),
         (["roundtrip", "--group", "z4", "--dist", "bogus"], "unknown distribution spec 'bogus'"),
     ],
     ids=["count-r-1", "count-r0", "count-r2", "network-z2xz2", "su2-trials0", "su2-trials-1",
-         "dist-fixed-x", "dist-fixed-9", "dist-bogus"],
+         "dist-fixed-x", "dist-fixed-empty", "dist-fixed-9", "dist-bogus"],
 )
 def test_bad_inputs_exit_3_with_a_named_line(argv, line, capsys):
     assert main(argv) == 3

@@ -16,8 +16,6 @@ from dfscodec.codec import (
     distribution_channel,
     encode,
     fixed_channel,
-    group_average_projector,
-    invariance_certificate,
     measure_and_realign,
     prepare_protocol,
     run_roundtrip,
@@ -34,6 +32,7 @@ from dfscodec.errors import (
     RegularRepMissing,
 )
 from dfscodec.groups import builtin_group
+from dfscodec.limits import check_entries
 from dfscodec.reps import (
     CharacterTable,
     UnitaryRep,
@@ -367,6 +366,30 @@ def test_encoded_state_invariant_under_every_element(spec, context_for, rng):
         out, applied = transmit(fixed_channel(ctx.rep, g), chi)
         assert applied == g
         assert abs(inner(chi, out) - 1.0) < 1e-9  # equality with phase
+
+
+def invariance_certificate(tokens, m: int, trials: int, seed: int = 0) -> float:
+    """Max |1 - <chi|U_g chi>| over random messages and all elements; phase-sensitive."""
+    rep = tokens.rep
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        message = random_state(rep.dim, m, rng)
+        chi = encode(tokens, message)
+        for g in range(rep.group.order):
+            moved = apply_collective(chi, rep.matrices[g])
+            worst = max(worst, abs(1.0 - inner(chi, moved)))
+    return worst
+
+
+def group_average_projector(tokens) -> np.ndarray:
+    """(1/|G|) sum of token projectors; commutes with every collective operator."""
+    d, r = tokens.rep.dim, tokens.r
+    check_entries(d ** (2 * r), f"a projector of {d}**{r} x {d}**{r}")
+    out = np.zeros((d**r, d**r), dtype=np.complex128)
+    for t in tokens.tokens:
+        out += np.outer(t.amps, t.amps.conj())
+    return out / tokens.group.order
 
 
 def test_invariance_certificate_small(context_for):

@@ -11,8 +11,10 @@ from dfscodec.errors import (
     ResourceLimit,
 )
 from dfscodec.statevec import (
+    MIN_BLOCK_COLUMNS,
     StateVector,
     _collective_rows,
+    _run,
     apply_collective,
     apply_controlled,
     apply_local,
@@ -207,6 +209,37 @@ def test_stacked_matrices_equal_one_collective_per_row(d, n, rng):
     got = _collective_rows(rows, stack, n, range(n))
     for i in range(4):
         assert np.array_equal(got[i], _collective_rows(rows[i][None], stack[i], n, range(n))[0])
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 128])
+def test_gemm_columns_keep_their_bits_in_a_narrower_block(k, rng):
+    # the runner widens a block on held wires to MIN_BLOCK_COLUMNS columns and
+    # relies on each column of a product having the bits it has in a wider block
+    op = haar_unitary(k, rng)
+    block = rng.normal(size=(k, 4096)) + 1j * rng.normal(size=(k, 4096))
+    narrow = op @ block[:, :MIN_BLOCK_COLUMNS]
+    assert narrow.tobytes() == (op @ block)[:, :MIN_BLOCK_COLUMNS].tobytes(), (
+        f"this BLAS gives a {k}x{k} product on {MIN_BLOCK_COLUMNS} columns other bits"
+        " than on 4096; runs on held wires would drift from whole-register runs"
+    )
+
+
+@pytest.mark.parametrize("d, n, held", [(2, 10, [6, 7, 8, 9]), (2, 9, [0, 4]),
+                                        (3, 6, [4, 5]), (3, 6, [1, 3])])
+def test_run_on_held_wires_equals_the_whole_register(d, n, held, rng):
+    # random gates on random wires, some controlled on wires that are still idle
+    ops = []
+    for _ in range(40):
+        wires = rng.permutation(n)
+        width, count = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        controls = [(int(w), int(rng.integers(0, d))) for w in wires[width:width + count]]
+        ops.append((haar_unitary(d**width, rng), controls, wires[:width].tolist()))
+    part = random_state(d, len(held), rng)
+    whole = np.zeros([d] * n, dtype=np.complex128)
+    whole[tuple(slice(None) if w in held else 0 for w in range(n))] = part.tensor()
+    got = _run(part.tensor().copy(), held, n, ops)
+    assert got.shape == (d,) * n
+    assert got.tobytes() == _run(whole, range(n), n, ops).tobytes()
 
 
 def test_control_target_overlap_rejected(rng):
