@@ -334,7 +334,13 @@ def cmd_demo_su2(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the commands that ``argv`` names get their arguments.
+
+    argparse picks a command only by an exact match with one of ``argv``'s
+    strings, so the command that runs is always complete. The others keep the
+    name and help that the root's usage and help text list.
+    """
     parser = argparse.ArgumentParser(
         prog="dfscodec",
         description="Token-state protection against collective noise from a finite group",
@@ -343,98 +349,105 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     group_cmd = sub.add_parser("group", help="group validation and structure")
-    group_sub = group_cmd.add_subparsers(dest="subcommand", required=True)
-    gv = group_sub.add_parser("validate", help="check a group definition file")
-    gv.add_argument("group", help="@file.json or a builtin name")
-    gv.add_argument("--report")
-    gv.set_defaults(func=cmd_group_validate)
-    gi = group_sub.add_parser("info", help="order, classes and labels")
-    gi.add_argument("group", nargs="?", default=None)
-    gi.add_argument("--builtin", help="builtin name, e.g. s3 or z8")
-    gi.add_argument("--report")
-    gi.set_defaults(func=cmd_group_info)
+    if "group" in argv:
+        group_sub = group_cmd.add_subparsers(dest="subcommand", required=True)
+        gv = group_sub.add_parser("validate", help="check a group definition file")
+        gv.add_argument("group", help="@file.json or a builtin name")
+        gv.add_argument("--report")
+        gv.set_defaults(func=cmd_group_validate)
+        gi = group_sub.add_parser("info", help="order, classes and labels")
+        gi.add_argument("group", nargs="?", default=None)
+        gi.add_argument("--builtin", help="builtin name, e.g. s3 or z8")
+        gi.add_argument("--report")
+        gi.set_defaults(func=cmd_group_info)
 
     rep_cmd = sub.add_parser("rep", help="representation analysis")
-    rep_sub = rep_cmd.add_subparsers(dest="subcommand", required=True)
-    ra = rep_sub.add_parser("analyze", help="characters and irrep content")
-    ra.add_argument("group")
-    ra.add_argument("rep")
-    ra.add_argument("--dim", type=int, default=2)
-    ra.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
-    ra.add_argument("--report")
-    ra.set_defaults(func=cmd_rep_analyze)
-    rm = rep_sub.add_parser("min-r", help="smallest power containing the regular rep")
-    rm.add_argument("group")
-    rm.add_argument("rep")
-    rm.add_argument("--dim", type=int, default=2)
-    rm.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
-    rm.add_argument("--r-max", type=int, default=DEFAULT_R_MAX)
-    rm.add_argument("--report")
-    rm.set_defaults(func=cmd_rep_min_r)
+    if "rep" in argv:
+        rep_sub = rep_cmd.add_subparsers(dest="subcommand", required=True)
+        ra = rep_sub.add_parser("analyze", help="characters and irrep content")
+        ra.add_argument("group")
+        ra.add_argument("rep")
+        ra.add_argument("--dim", type=int, default=2)
+        ra.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
+        ra.add_argument("--report")
+        ra.set_defaults(func=cmd_rep_analyze)
+        rm = rep_sub.add_parser("min-r", help="smallest power containing the regular rep")
+        rm.add_argument("group")
+        rm.add_argument("rep")
+        rm.add_argument("--dim", type=int, default=2)
+        rm.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
+        rm.add_argument("--r-max", type=int, default=DEFAULT_R_MAX)
+        rm.add_argument("--report")
+        rm.set_defaults(func=cmd_rep_min_r)
 
     tok_cmd = sub.add_parser("tokens", help="token-state construction")
-    tok_sub = tok_cmd.add_subparsers(dest="subcommand", required=True)
-    tb = tok_sub.add_parser("build", help="build and certify the token set")
-    tb.add_argument("--group", required=True)
-    tb.add_argument("--rep", default="builtin")
-    tb.add_argument("--dim", type=int, default=2)
-    tb.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
-    tb.add_argument("--r", type=int, default=None)
-    tb.add_argument("--dump-state", help="write fiducial and tokens to a JSON file")
-    tb.add_argument("--report")
-    tb.set_defaults(func=cmd_tokens_build)
+    if "tokens" in argv:
+        tok_sub = tok_cmd.add_subparsers(dest="subcommand", required=True)
+        tb = tok_sub.add_parser("build", help="build and certify the token set")
+        tb.add_argument("--group", required=True)
+        tb.add_argument("--rep", default="builtin")
+        tb.add_argument("--dim", type=int, default=2)
+        tb.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
+        tb.add_argument("--r", type=int, default=None)
+        tb.add_argument("--dump-state", help="write fiducial and tokens to a JSON file")
+        tb.add_argument("--report")
+        tb.set_defaults(func=cmd_tokens_build)
 
     rt = sub.add_parser("roundtrip", help="encode, transmit, decode")
-    rt.add_argument("--group", required=True)
-    rt.add_argument("--rep", default="builtin")
-    rt.add_argument("--dim", type=int, default=2)
-    rt.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
-    rt.add_argument("--m", type=int, default=1)
-    rt.add_argument("--r", type=int, default=None)
-    rt.add_argument("--dist", default="uniform", help="uniform | fixed:<k> | random")
-    rt.add_argument("--seed", type=int, default=None)
-    rt.add_argument("--report")
-    rt.set_defaults(func=cmd_roundtrip)
+    if "roundtrip" in argv:
+        rt.add_argument("--group", required=True)
+        rt.add_argument("--rep", default="builtin")
+        rt.add_argument("--dim", type=int, default=2)
+        rt.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
+        rt.add_argument("--m", type=int, default=1)
+        rt.add_argument("--r", type=int, default=None)
+        rt.add_argument("--dist", default="uniform", help="uniform | fixed:<k> | random")
+        rt.add_argument("--seed", type=int, default=None)
+        rt.add_argument("--report")
+        rt.set_defaults(func=cmd_roundtrip)
 
     circ_cmd = sub.add_parser("circuit", help="gate synthesis and verification")
-    circ_sub = circ_cmd.add_subparsers(dest="subcommand", required=True)
-    cc = circ_sub.add_parser("count", help="gate counts per synthesis path")
-    cc.add_argument("--group", required=True)
-    cc.add_argument("--rep", default="builtin")
-    cc.add_argument("--dim", type=int, default=2)
-    cc.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
-    cc.add_argument("--m", type=int, default=1)
-    cc.add_argument("--r", type=int, default=None)
-    cc.add_argument("--path", default="all", choices=["all", "general", "abelian", "cyclic"])
-    cc.add_argument("--export-plan", help="write the emitted gate list to a JSON file")
-    cc.add_argument("--report")
-    cc.set_defaults(func=cmd_circuit_count)
-    cs = circ_sub.add_parser("simulate", help="simulate a synthesized encoder")
-    cs.add_argument("--group", required=True)
-    cs.add_argument("--rep", default="builtin")
-    cs.add_argument("--dim", type=int, default=2)
-    cs.add_argument("--m", type=int, default=1)
-    cs.add_argument("--path", default="general", choices=["general", "abelian", "cyclic"])
-    cs.add_argument("--network", action="store_true",
-                    help="use the Fourier + CNOT basis change (cyclic path)")
-    cs.add_argument("--verify", action="store_true")
-    cs.add_argument("--seed", type=int, default=None)
-    cs.add_argument("--report")
-    cs.set_defaults(func=cmd_circuit_simulate)
+    if "circuit" in argv:
+        circ_sub = circ_cmd.add_subparsers(dest="subcommand", required=True)
+        cc = circ_sub.add_parser("count", help="gate counts per synthesis path")
+        cc.add_argument("--group", required=True)
+        cc.add_argument("--rep", default="builtin")
+        cc.add_argument("--dim", type=int, default=2)
+        cc.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
+        cc.add_argument("--m", type=int, default=1)
+        cc.add_argument("--r", type=int, default=None)
+        cc.add_argument("--path", default="all", choices=["all", "general", "abelian", "cyclic"])
+        cc.add_argument("--export-plan", help="write the emitted gate list to a JSON file")
+        cc.add_argument("--report")
+        cc.set_defaults(func=cmd_circuit_count)
+        cs = circ_sub.add_parser("simulate", help="simulate a synthesized encoder")
+        cs.add_argument("--group", required=True)
+        cs.add_argument("--rep", default="builtin")
+        cs.add_argument("--dim", type=int, default=2)
+        cs.add_argument("--m", type=int, default=1)
+        cs.add_argument("--path", default="general", choices=["general", "abelian", "cyclic"])
+        cs.add_argument("--network", action="store_true",
+                        help="use the Fourier + CNOT basis change (cyclic path)")
+        cs.add_argument("--verify", action="store_true")
+        cs.add_argument("--seed", type=int, default=None)
+        cs.add_argument("--report")
+        cs.set_defaults(func=cmd_circuit_simulate)
 
     demo_cmd = sub.add_parser("demo", help="worked demonstrations")
-    demo_sub = demo_cmd.add_subparsers(dest="subcommand", required=True)
-    ds = demo_sub.add_parser("su2", help="three-qubit collective-rotation check")
-    ds.add_argument("--trials", type=int, default=50)
-    ds.add_argument("--seed", type=int, default=None)
-    ds.add_argument("--report")
-    ds.set_defaults(func=cmd_demo_su2)
+    if "demo" in argv:
+        demo_sub = demo_cmd.add_subparsers(dest="subcommand", required=True)
+        ds = demo_sub.add_parser("su2", help="three-qubit collective-rotation check")
+        ds.add_argument("--trials", type=int, default=50)
+        ds.add_argument("--seed", type=int, default=None)
+        ds.add_argument("--report")
+        ds.set_defaults(func=cmd_demo_su2)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if args.func is cmd_group_info and args.group is None and not args.builtin:
         parser.exit(EXIT_USAGE, "dfscodec group info: error: give a group or --builtin\n")

@@ -45,6 +45,7 @@ from .limits import (
     MULTIPLICITY_TOL,
     NORM_TOL,
     ORTHONORMAL_TOL,
+    PRODUCT_BLOCK_ENTRIES,
     RANK_TOL,
     UNITARY_TOL,
     check_entries,
@@ -93,25 +94,28 @@ class UnitaryRep:
         i = int(np.argmax(errs > UNITARY_TOL))  # the first failing matrix, if any
         if errs[i] > UNITARY_TOL:
             raise ValueError(f"matrix {i} is not unitary (residue {errs[i]:.2e})")
-        # one row of pairs (i, k) at a time: |G| d^2 entries, never |G|^2 d^2
-        for i in range(group.order):
-            prods = mats[i] @ mats
-            targets = mats[group.cayley[i]]
+        # a block of rows of pairs (i, k) at a time: at most PRODUCT_BLOCK_ENTRIES
+        # entries, or one row of |G| d^2 when a row is larger, never |G|^2 d^2
+        rows = max(1, PRODUCT_BLOCK_ENTRIES // (group.order * d * d))
+        for start in range(0, group.order, rows):
+            prods = mats[start : start + rows, None] @ mats[None]
+            targets = mats[group.cayley[start : start + rows]]
             if projective:
                 # per-pair phase trace(target^H prod) / d
-                phases = np.einsum("kab,kab->k", targets.conj(), prods) / d
+                phases = np.einsum("ikab,ikab->ik", targets.conj(), prods) / d
                 off_phase = np.abs(np.abs(phases) - 1.0) > MULTIPLICITY_TOL
-                targets = phases[:, None, None] * targets
+                targets = phases[..., None, None] * targets
             else:
-                off_phase = np.zeros(group.order, dtype=bool)
-            errs = np.max(np.abs(prods - targets), axis=(1, 2))
+                off_phase = np.zeros(prods.shape[:2], dtype=bool)
+            errs = np.max(np.abs(prods - targets), axis=(2, 3))
             failed = off_phase | (errs > UNITARY_TOL)
             if failed.any():
-                k = int(np.argmax(failed))
-                if off_phase[k]:
-                    raise ValueError(f"pair ({i},{k}) is not a product up to phase")
+                # argmax of the flattened block: the first failing pair, row-major
+                i, k = np.unravel_index(np.argmax(failed), failed.shape)
+                if off_phase[i, k]:
+                    raise ValueError(f"pair ({start + i},{k}) is not a product up to phase")
                 raise ValueError(
-                    f"product law fails at pair ({i},{k}) with residue {errs[k]:.2e}"
+                    f"product law fails at pair ({start + i},{k}) with residue {errs[i, k]:.2e}"
                 )
         return cls(group=group, dim=d, matrices=mats, projective=projective)
 
@@ -149,9 +153,6 @@ class CharacterTable:
         out = self.chars[:, self.classes.class_of]
         out.setflags(write=False)
         return out
-
-    def element_character(self, lam: int, element: int) -> complex:
-        return complex(self.element_chars[lam, element])
 
     def irrep(self, lam: int) -> np.ndarray:
         """The ``(|G|, d_lam, d_lam)`` matrices of irrep ``lam``; a 1-d irrep is its characters."""

@@ -401,3 +401,99 @@ def test_random_channel_report_is_reproducible(capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of one ``main`` call; usage exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_import_builds_no_parser():
+    probe = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import dfscodec.cli
+assert not built, len(built)
+dfscodec.cli.main(["rep", "min-r", "z3", "builtin"])
+assert built
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_main_builds_only_the_command_its_argv_names(monkeypatch, capsys):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert _outcome(["rep", "min-r", "z3", "builtin"], capsys)[0] == 0
+    top = ["dfscodec group", "dfscodec rep", "dfscodec tokens", "dfscodec roundtrip",
+           "dfscodec circuit", "dfscodec demo"]
+    assert built == ["dfscodec", *top[:2], "dfscodec rep analyze", "dfscodec rep min-r", *top[2:]]
+    built.clear()
+    # the root's help still lists every command
+    code, out, err = _outcome(["--help"], capsys)
+    assert built == ["dfscodec", *top] and (code, err) == (0, "")
+    for line in ("group               group validation and structure",
+                 "demo                worked demonstrations"):
+        assert line in out
+    built.clear()
+    code, out, err = _outcome([], capsys)
+    assert built == ["dfscodec", *top] and (code, out) == (2, "")
+    assert err.endswith("dfscodec: error: the following arguments are required: command\n")
+
+
+def test_handler_patched_between_main_calls_is_the_one_that_runs(monkeypatch, capsys):
+    import dfscodec.cli as cli
+
+    assert _outcome(["group", "info", "--builtin", "z2"], capsys)[0] == 0
+    seen = []
+
+    def fake(args):
+        seen.append(args.builtin)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_group_info", fake)
+    assert _outcome(["group", "info", "--builtin", "s3"], capsys) == (0, "", "")
+    assert seen == ["s3"]
+    # the missing-group check reads the patched handler too
+    code, out, err = _outcome(["group", "info"], capsys)
+    assert (code, out, seen) == (2, "", ["s3"])
+    assert err == "dfscodec group info: error: give a group or --builtin\n"
+
+
+def test_golden_commands_repeat_byte_for_byte_between_usage_errors(capsys):
+    import dfscodec
+
+    others = [["roundtrip", "--group", "z8", "--m", "x"], ["group"], ["--version"]]
+    rounds = []
+    for _ in range(2):
+        seen = []
+        for argv, golden in END_TO_END:
+            code, out, err = _outcome(argv, capsys)
+            assert (code, err) == (0, ""), argv
+            assert out.encode() == (GOLDEN / golden).read_bytes(), golden
+            seen.append((code, out, err))
+            seen += [_outcome(other, capsys) for other in others]
+        rounds.append(seen)
+    assert rounds[0] == rounds[1]
+    bad_m, bare_group, version = rounds[0][1:4]
+    assert bad_m[0] == 2 and "argument --m: invalid int value: 'x'" in bad_m[2]
+    assert bare_group[0] == 2 and bare_group[2].startswith("usage: dfscodec group")
+    assert version == (0, f"{dfscodec.__version__}\n", "")

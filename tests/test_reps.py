@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dfscodec.errors import (
     RMaxExceeded,
 )
 from dfscodec.groups import builtin_group, conjugacy_classes, cyclic_group
+from dfscodec.limits import MULTIPLICITY_TOL, UNITARY_TOL
 from dfscodec.reps import (
     CharacterTable,
     UnitaryRep,
@@ -604,6 +607,57 @@ def test_perturbed_rep_names_first_failing_pair_in_row_major_order():
     pauli[2] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     with pytest.raises(ValueError, match=r"pair \(1,2\) is not a product up to phase"):
         UnitaryRep.build(k4, pauli, projective=True)
+
+
+def _first_failing_pair_row_by_row(group, mats, projective):
+    """Reference: the product-law message of a check that scans one row at a time."""
+    d = mats.shape[1]
+    for i in range(group.order):
+        prods = mats[i] @ mats
+        targets = mats[group.cayley[i]]
+        off_phase = np.zeros(group.order, dtype=bool)
+        if projective:
+            phases = np.einsum("kab,kab->k", targets.conj(), prods) / d
+            off_phase = np.abs(np.abs(phases) - 1.0) > MULTIPLICITY_TOL
+            targets = phases[:, None, None] * targets
+        errs = np.max(np.abs(prods - targets), axis=(1, 2))
+        for k in range(group.order):
+            if off_phase[k]:
+                return f"pair ({i},{k}) is not a product up to phase"
+            if errs[k] > UNITARY_TOL:
+                return f"product law fails at pair ({i},{k}) with residue {errs[k]:.2e}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "name,spec,projective",
+    [("z8", "builtin", False), ("s3", "builtin-2d", False), ("s3", "builtin-2d", True),
+     ("k4", "builtin", True)],
+)
+@pytest.mark.parametrize("rows", [0.5, 1, 2, 3, 64])
+def test_product_law_blocks_name_the_row_by_row_first_pair(
+    name, spec, projective, rows, monkeypatch
+):
+    # a wrong Cayley entry fails exactly its own pair; with two rows a block,
+    # (2, n-1) and (3, 1) share a block and (n-1, 0) lies in a later one for
+    # z8 and s3, and (3, 1) comes first in column order but not in row order;
+    # a budget of half a row still checks one row per block
+    group = builtin_group(name)
+    mats = builtin_rep(group, spec).matrices
+    n, d = group.order, mats.shape[1]
+    monkeypatch.setattr(reps, "PRODUCT_BLOCK_ENTRIES", int(rows * n * d * d))
+    planted = [(2, n - 1), (3, 1), (n - 1, 0)]
+    for pairs in (planted, planted[1:], planted[2:]):
+        cayley = group.cayley.copy()
+        for i, k in pairs:
+            cayley[i, k] = (cayley[i, k] + 1) % n
+        bad = dataclasses.replace(group, cayley=cayley)
+        expected = _first_failing_pair_row_by_row(bad, mats, projective)
+        assert "pair ({},{})".format(*min(pairs)) in expected
+        with pytest.raises(ValueError) as info:
+            UnitaryRep.build(bad, mats, projective=projective)
+        assert str(info.value) == expected
+    UnitaryRep.build(group, mats, projective=projective)
 
 
 def test_perturbed_irrep_block_is_not_a_homomorphism():
