@@ -65,13 +65,6 @@ class Gate:
     stage: str = ""
     note: str = ""
 
-    def remapped(self, wire_map: dict[int, int]) -> "Gate":
-        return replace(
-            self,
-            targets=tuple(wire_map[t] for t in self.targets),
-            controls=tuple((wire_map[w], v) for w, v in self.controls),
-        )
-
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -190,6 +183,11 @@ def _message_wires(first: int, m: int) -> tuple[int, ...]:
     return tuple(range(first, first + m))
 
 
+def _w_layout(r_prime: int, m: int) -> RegisterLayout:
+    """A W stage's own wires: control 0..r'-1, then the m message wires."""
+    return RegisterLayout(2, tuple(range(r_prime)), (), _message_wires(r_prime, m))
+
+
 def _chain_cost(num_controls: int) -> int:
     return 20 * max(num_controls - 2, 0)
 
@@ -235,7 +233,7 @@ def _block_gates(
     return gates
 
 
-def synth_w_general(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
+def synth_w_general(group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_layout) -> CircuitPlan:
     """Block-per-element controlled network on ceil(log2 |G|) control wires.
 
     Emits the X conjugation of every block explicitly; over a full power-of-two
@@ -245,16 +243,15 @@ def synth_w_general(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
     if rep.dim != 2:
         raise UnsupportedDimension("gate-level synthesis is defined for qubits only")
     r_prime = control_wire_count(group.order)
-    control_wires = tuple(range(r_prime))
-    message_wires = _message_wires(r_prime, m)
+    layout = place(r_prime, m)
     gates: list[Gate] = []
     for i in range(group.order):
-        pattern = _control_pattern(control_wires, i)
+        pattern = _control_pattern(layout.control, i)
         gates.extend(
             _block_gates(
                 pattern,
                 rep.matrices[i],
-                message_wires,
+                layout.message,
                 stage="w",
                 note=f"element {group.labels[i]}",
                 conjugate_x=True,
@@ -263,7 +260,6 @@ def synth_w_general(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
     formula = None
     if group.order == 2**r_prime:
         formula = group.order * (41 * r_prime - 80 + m)
-    layout = RegisterLayout(d=2, control=control_wires, token=(), message=message_wires)
     plan = CircuitPlan(
         gates=gates,
         layout=layout,
@@ -281,7 +277,7 @@ def synth_w_general(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
     return plan
 
 
-def synth_w_abelian(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
+def synth_w_abelian(group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_layout) -> CircuitPlan:
     """Generator-power controlled network for abelian groups.
 
     Control labels are generator words (first generator most significant); the
@@ -300,8 +296,7 @@ def synth_w_abelian(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
             )
     widths = [max(1, int(np.log2(bound))) for bound in orders]
     r_prime = sum(widths)
-    control_wires = tuple(range(r_prime))
-    message_wires = _message_wires(r_prime, m)
+    layout = place(r_prime, m)
     elements = word_elements(group, generators, orders)
     if sorted(set(elements)) != list(range(group.order)):
         raise DfsCodecError("generator words do not enumerate the group bijectively")
@@ -310,7 +305,7 @@ def synth_w_abelian(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
     offset = 0
     bound_total = 0
     for gen, bound, width in zip(generators, orders, widths):
-        block_wires = tuple(control_wires[offset : offset + width])
+        block_wires = layout.control[offset : offset + width]
         offset += width
         bound_total += bound * (40 * max(width - 2, 0) + m)
         power = 0
@@ -321,13 +316,12 @@ def synth_w_abelian(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
                 _block_gates(
                     pattern,
                     rep.matrices[power],
-                    message_wires,
+                    layout.message,
                     stage="w",
                     note=f"{group.labels[gen]}^{exponent}",
                     conjugate_x=False,
                 )
             )
-    layout = RegisterLayout(d=2, control=control_wires, token=(), message=message_wires)
     return CircuitPlan(
         gates=gates,
         layout=layout,
@@ -344,7 +338,7 @@ def synth_w_abelian(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
     )
 
 
-def synth_w_cyclic(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
+def synth_w_cyclic(group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_layout) -> CircuitPlan:
     """One controlled power of the generator per control wire: m log2 N gates.
 
     Control label v stands for the v-th power of the generator, so the labels
@@ -361,23 +355,21 @@ def synth_w_cyclic(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
     if gen is None:
         raise NotAbelian("group has no generator; the cyclic path needs a cyclic group")
     r_prime = control_wire_count(n)
-    control_wires = tuple(range(r_prime))
-    message_wires = _message_wires(r_prime, m)
+    layout = place(r_prime, m)
     powers = word_elements(group, [gen], [n])  # powers[k] is gen^k, and gen has order n
     gates: list[Gate] = []
-    # bit i (1-indexed from the least significant) lives on wire r_prime - i
+    # bit i (1-indexed from the least significant) lives on layout.control[r_prime - i]
     for i in range(1, r_prime + 1):
         gates.extend(
             _block_gates(
-                ((r_prime - i, 1),),
+                ((layout.control[r_prime - i], 1),),
                 rep.matrices[powers[2 ** (i - 1) % n]],
-                message_wires,
+                layout.message,
                 stage="w",
                 note=f"U^{2 ** (i - 1)}",
                 conjugate_x=False,
             )
         )
-    layout = RegisterLayout(d=2, control=control_wires, token=(), message=message_wires)
     return CircuitPlan(
         gates=gates,
         layout=layout,
@@ -392,14 +384,15 @@ def synth_w_cyclic(group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
     )
 
 
-def synth_w(path: str, group: FiniteGroup, rep: UnitaryRep, m: int) -> CircuitPlan:
-    """The controlled-rotation stage W of one synthesis path."""
+def synth_w(path: str, group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_layout) -> CircuitPlan:
+    """The controlled-rotation stage W of one synthesis path, on the register
+    ``place(r', m)`` lays out for the r' control wires the path needs."""
     if path == "general":
-        return synth_w_general(group, rep, m)
+        return synth_w_general(group, rep, m, place)
     if path == "abelian":
-        return synth_w_abelian(group, rep, m)
+        return synth_w_abelian(group, rep, m, place)
     if path == "cyclic":
-        return synth_w_cyclic(group, rep, m)
+        return synth_w_cyclic(group, rep, m, place)
     raise DfsCodecError(f"unknown synthesis path {path!r}")
 
 
@@ -628,16 +621,6 @@ class EncodingPipeline:
         return StateVector.from_amplitudes(2, n - r_prime, block[0], normalize=True)
 
 
-def _placed(plan: CircuitPlan, old_wires, new_wires, layout: RegisterLayout) -> CircuitPlan:
-    """``plan`` with wire ``old_wires[i]`` moved to ``new_wires[i]``, on ``layout``."""
-    wire_map = dict(zip(old_wires, new_wires))
-    return CircuitPlan(
-        gates=[g.remapped(wire_map) for g in plan.gates],
-        layout=layout,
-        metadata=dict(plan.metadata),
-    )
-
-
 def build_encoding_pipeline(
     tokens: TokenSet,
     m: int,
@@ -650,37 +633,36 @@ def build_encoding_pipeline(
     ``cyclic_network=True`` uses the Fourier + CNOT network (cyclic groups on
     qubits, power-of-two order, with the register-pattern token basis);
     otherwise the basis change is one dense gate completing the token columns.
+    The W gates are synthesized on the encoder's wires, so no gate is moved.
     """
     group = tokens.group
     r = tokens.r
-    w = synth_w(path, group, tokens.rep, m)
-    r_prime = w.metadata["r_prime"]
-    if cyclic_network:
-        if path != "cyclic":
-            raise DfsCodecError("the register network pairs with the cyclic W path")
-        # wires: control 0..r'-1, token r'..r'+r-1, message after
-        control = tuple(range(r_prime))
-        token = tuple(range(r_prime, r_prime + r))
-        message = tuple(range(r_prime + r, r_prime + r + m))
-    else:
+    if cyclic_network and path != "cyclic":
+        raise DfsCodecError("the register network pairs with the cyclic W path")
+
+    def place(r_prime: int, m: int) -> RegisterLayout:
+        # network: control 0..r'-1, token r'..r'+r-1, message after; otherwise the
         # label register doubles as the trailing r' token wires
-        token = tuple(range(r))
-        control = tuple(range(r - r_prime, r))
-        message = tuple(range(r, r + m))
-    layout = RegisterLayout(d=2, control=control, token=token, message=message)
-    w_plan = _placed(w, w.layout.control + w.layout.message, control + message, layout)
+        first = r_prime if cyclic_network else 0
+        control = tuple(range(r_prime)) if cyclic_network else tuple(range(r - r_prime, r))
+        token = tuple(range(first, first + r))
+        return RegisterLayout(2, control, token, _message_wires(first + r, m))
+
+    w_plan = synth_w(path, group, tokens.rep, m, place)
+    layout = w_plan.layout
     if cyclic_network:
+        # the network's own wires, control 0..r'-1 then the tokens, are the encoder's
         t = synth_t_cyclic(group.order)
-        t_plan = _placed(t, t.layout.control + t.layout.token, control + token, layout)
+        t_plan = CircuitPlan(gates=t.gates, layout=layout, metadata=t.metadata)
     else:
-        dense = apply_t_direct(tokens, w.metadata.get("word_elements"))
-        t_plan = CircuitPlan(gates=[Gate("single", token, matrix=dense)], layout=layout)
+        dense = apply_t_direct(tokens, w_plan.metadata.get("word_elements"))
+        t_plan = CircuitPlan([Gate("single", layout.token, matrix=dense)], layout)
     return EncodingPipeline(
         tokens=tokens,
         m=m,
         path=path,
         w_plan=w_plan,
-        prep=prep_gates(group, control),
+        prep=prep_gates(group, layout.control),
         t_plan=t_plan,
         layout=layout,
     )

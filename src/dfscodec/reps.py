@@ -86,6 +86,9 @@ class UnitaryRep:
         d = mats.shape[1]
         if d < 1:
             raise ValueError(f"representation matrices must be at least 1x1, got {d}x{d}")
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"matrix {int(np.argmin(finite))} has a non-finite entry")
         eye = np.eye(d)
         if np.max(np.abs(mats[0] - eye)) > UNITARY_TOL:
             raise ValueError("matrix at the identity element is not the identity")
@@ -183,6 +186,8 @@ class CharacterTable:
             raise ValueError(f"character matrix must be {s}x{s}, got {chars.shape}")
         if dims.shape != (s,):
             raise ValueError(f"expected {s} irrep dimensions")
+        if not np.isfinite(chars).all():
+            raise ValueError("character matrix has a non-finite entry")
         if int(np.sum(dims**2)) != group.order:
             raise ValueError("sum of squared irrep dimensions must equal the group order")
         if np.max(np.abs(chars[0] - 1.0)) > NORM_TOL:

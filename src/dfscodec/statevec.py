@@ -44,6 +44,8 @@ class StateVector:
         if arr.size != size:
             raise DimensionMismatch(f"expected {size} amplitudes, got {arr.size}")
         norm = np.linalg.norm(arr)
+        if not np.isfinite(norm):
+            raise DimensionMismatch(f"state amplitudes are not finite (norm {norm})")
         if normalize:
             if norm == 0:
                 raise DimensionMismatch("cannot normalize the zero vector")
@@ -80,21 +82,28 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _check_unitary(u: np.ndarray, dim: int) -> None:
-    if u.shape != (dim, dim):
-        raise DimensionMismatch(f"operator must be {dim}x{dim}, got {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > UNITARY_TOL:
-        raise DimensionMismatch("operator is not unitary within tolerance")
+def _unitarity_residues(stack: np.ndarray) -> np.ndarray:
+    """``max |U^H U - I|`` of each matrix of a ``(k, dim, dim)`` stack; NaN or inf
+    for a matrix with a NaN or infinite entry, which fails every ``<= tol`` check."""
+    k, dim = stack.shape[:2]
+    with np.errstate(invalid="ignore", over="ignore"):  # the residue carries them
+        residue = (stack.conj().transpose(0, 2, 1) @ stack).reshape(k, -1)
+    residue[:, :: dim + 1] -= 1  # the diagonal, in place: no identity is built
+    return np.abs(residue).max(axis=1)
 
 
 def _to_front(tensor: np.ndarray, axes, d: int) -> np.ndarray:
-    """Move ``axes`` to the front, in order, and flatten to a (d^k, rest) block."""
-    return np.moveaxis(tensor, axes, range(len(axes))).reshape(d ** len(axes), -1)
+    """``axes`` moved to the front, in order, and flattened to a (d^k, rest) block:
+    one transpose by the permutation ``[*axes, *rest]``, the view ``np.moveaxis`` makes."""
+    rest = [a for a in range(tensor.ndim) if a not in axes]
+    return tensor.transpose([*axes, *rest]).reshape(d ** len(axes), -1)
 
 
 def _from_front(block: np.ndarray, axes, ndim: int, d: int) -> np.ndarray:
     """Inverse of :func:`_to_front`: an ``ndim``-axis tensor with ``axes`` back in place."""
-    return np.moveaxis(block.reshape([d] * ndim), range(len(axes)), axes)
+    perm = [*axes, *(a for a in range(ndim) if a not in axes)]
+    # the inverse permutation: axis a comes from position perm.index(a) of the front
+    return block.reshape([d] * ndim).transpose(sorted(range(ndim), key=perm.__getitem__))
 
 
 def _apply(tensor: np.ndarray, op: np.ndarray, targets, controls=()) -> None:
@@ -106,9 +115,7 @@ def _apply(tensor: np.ndarray, op: np.ndarray, targets, controls=()) -> None:
         index[w] = v
     sub = tensor[tuple(index)]
     # axis rank of each target among the non-control wires, in the sliced view
-    control_wires = {w for w, _ in controls}
-    remaining = [w for w in range(n) if w not in control_wires]
-    axes = [remaining.index(t) for t in targets]
+    axes = [t - sum(w < t for w, _ in controls) for t in targets]
     tensor[tuple(index)] = _from_front(op @ _to_front(sub, axes, d), axes, sub.ndim, d)
 
 
@@ -144,20 +151,39 @@ def _check_operands(d: int, n: int, controls, targets) -> tuple[list, list[int]]
 MIN_BLOCK_COLUMNS = 64
 
 
+def _check_unitaries(d: int, ops: list) -> None:
+    """Each ``(op, dim)`` checked to be a ``dim x dim`` unitary, the first failure in
+    order raised; the ``(d, d)`` ops of one-wire gates share one stacked residue."""
+    small = [i for i, (op, dim) in enumerate(ops) if dim == d and op.shape == (d, d)]
+    passed = np.zeros(len(ops), dtype=bool)
+    if small:
+        passed[small] = _unitarity_residues(np.array([ops[i][0] for i in small])) <= UNITARY_TOL
+    for (op, dim), ok in zip(ops, passed):
+        if ok:
+            continue
+        if op.shape != (dim, dim):
+            raise DimensionMismatch(f"operator must be {dim}x{dim}, got {op.shape}")
+        if not _unitarity_residues(op[None])[0] <= UNITARY_TOL:
+            raise DimensionMismatch("operator is not unitary within tolerance")
+
+
 def _checked_ops(d: int, n: int, ops) -> list:
     """``(matrix, controls, targets)`` ops validated on an n-qudit register, each
-    matrix object checked unitary once per target width, as ``(op, controls, targets)``."""
+    matrix object checked unitary once per target width, as ``(op, controls, targets)``.
+
+    The first invalid op in list order raises: when an op's wires are bad, the
+    matrices of the ops before it are checked first."""
     # the memo holds each checked matrix, so no id is reused within the call
-    checked: dict = {}
+    first: dict = {}
     out = []
-    for matrix, controls, targets in ops:
-        controls, targets = _check_operands(d, n, controls, targets)
-        key = (id(matrix), len(targets))
-        op = np.asarray(matrix, dtype=np.complex128)
-        if key not in checked:
-            _check_unitary(op, d ** len(targets))
-            checked[key] = matrix
-        out.append((op, controls, targets))
+    try:
+        for matrix, controls, targets in ops:
+            controls, targets = _check_operands(d, n, controls, targets)
+            op = np.asarray(matrix, dtype=np.complex128)
+            first.setdefault((id(matrix), len(targets)), (matrix, op, d ** len(targets)))
+            out.append((op, controls, targets))
+    finally:
+        _check_unitaries(d, [(op, dim) for _, op, dim in first.values()])
     return out
 
 
@@ -183,25 +209,28 @@ def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
     register's count if that is smaller.
     """
     d, wires = tensor.shape[0], list(wires)
+    held, axis = set(wires), {w: i for i, w in enumerate(wires)}
     for op, controls, targets in _checked_ops(d, n, ops):
-        if any(v and w not in wires for w, v in controls):
+        if any(v and w not in held for w, v in controls):
             continue  # an idle wire holds 0, so this control never matches
         floor = min(MIN_BLOCK_COLUMNS, d ** (n - len(targets) - len(controls)))
-        control_wires = [w for w, _ in controls]
-        controls = [(w, v) for w, v in controls if w in wires]
-        new = [t for t in targets if t not in wires]
-        columns = d ** (len(wires) + len(new) - len(targets) - len(controls))
-        for w in range(n):
-            if columns >= floor:
-                break
-            if w not in wires and w not in new and w not in control_wires:
-                new.append(w)
-                columns *= d
+        kept = [(w, v) for w, v in controls if w in held]
+        new = [t for t in targets if t not in held]
+        columns = d ** (len(held) + len(new) - len(targets) - len(kept))
+        if columns < floor:
+            control_wires = {w for w, _ in controls}
+            for w in range(n):
+                if w not in held and w not in new and w not in control_wires:
+                    new.append(w)
+                    columns *= d
+                    if columns >= floor:
+                        break
         if new:
             tensor, wires = _hold(tensor, wires, new)
-        axis = {w: i for i, w in enumerate(wires)}
-        _apply(tensor, op, [axis[t] for t in targets], [(axis[w], v) for w, v in controls])
-    idle = [w for w in range(n) if w not in wires]
+            held.update(new)
+            axis = {w: i for i, w in enumerate(wires)}
+        _apply(tensor, op, [axis[t] for t in targets], [(axis[w], v) for w, v in kept])
+    idle = [w for w in range(n) if w not in held]
     return _hold(tensor, wires, idle)[0] if idle else tensor
 
 
@@ -239,7 +268,7 @@ def apply_collective(state: StateVector, u: np.ndarray, targets=None) -> StateVe
     """
     targets = set(_check_wires(state.n, range(state.n) if targets is None else targets))
     u = np.asarray(u, dtype=np.complex128)
-    _check_unitary(u, state.d)
+    _check_unitaries(state.d, [(u, state.d)])
     amps = _collective_rows(state.amps[None], u, state.n, targets)[0]
     return StateVector(d=state.d, n=state.n, amps=amps)
 
@@ -282,7 +311,7 @@ def _projector_amplitudes(state: StateVector, subset, projectors):
         if v.size != dim:
             raise DimensionMismatch(f"projector size {v.size} != {dim}")
         norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > UNITARY_TOL:
+        if not abs(norm - 1.0) <= UNITARY_TOL:  # a NaN norm fails too
             raise NonOrthogonalProjectors(f"projector vector has norm {norm}")
         vectors.append(v)
     stacked = np.reshape(vectors, (len(vectors), dim))

@@ -525,6 +525,49 @@ def test_in_place_runs_are_bit_identical_to_gate_by_gate(spec, path, m, context_
             assert got.amps.tobytes() == run_plan_like(plan.gates, state).amps.tobytes()
 
 
+def moveaxis_apply(tensor, op, targets, controls=()):
+    """The block kernel as it was before the gather by permutation, kept as the
+    reference: ``np.moveaxis`` there and back, in place in the whole register."""
+    n, d = tensor.ndim, tensor.shape[0]
+    index: list = [slice(None)] * n
+    for w, v in controls:
+        index[w] = v
+    sub = tensor[tuple(index)]
+    remaining = [w for w in range(n) if w not in {c for c, _ in controls}]
+    axes = [remaining.index(t) for t in targets]
+    block = np.moveaxis(sub, axes, range(len(axes))).reshape(d ** len(axes), -1)
+    tensor[tuple(index)] = np.moveaxis((op @ block).reshape(sub.shape), range(len(axes)), axes)
+
+
+# the four encoders of the circuit benchmark, then the z4 and z16 networks at m = 1-3
+REFERENCE_ENCODERS = [
+    ("z8", "network", 7), ("z8", "general", 3), ("k4", "abelian", 6), ("s3", "general", 3),
+    *[(spec, "network", m) for spec in ("z4", "z16") for m in (1, 2, 3)],
+]
+
+
+@pytest.mark.parametrize("spec,path,m", REFERENCE_ENCODERS)
+def test_encoder_is_bit_identical_to_the_moveaxis_kernel(spec, path, m, context_for, rng):
+    from dfscodec.circuits import _gate_matrix
+
+    if path == "network":
+        tokens = network_token_set(zn_phase_rep(builtin_group(spec), 2))
+        pipeline = build_encoding_pipeline(tokens, m, "cyclic", cyclic_network=True)
+    else:
+        pipeline = build_encoding_pipeline(context_for(spec).tokens, m, path)
+    message = random_state(2, m, rng)
+    n, layout = pipeline.layout.n_wires, pipeline.layout
+    tensor = product_state(basis_state(2, n - m, 0), message).tensor().copy()
+    for gate in [*pipeline.prep, *pipeline.w_plan.gates, *pipeline.t_plan.gates]:
+        if gate.kind != "chain":
+            moveaxis_apply(tensor, _gate_matrix(gate), gate.targets, gate.controls)
+    expected = tensor.reshape(-1)
+    if not set(layout.control) <= set(layout.token):
+        expected = tensor.reshape(2 ** len(layout.control), -1)[0]
+        expected = expected / np.linalg.norm(expected)
+    assert pipeline.run(message).amps.tobytes() == expected.tobytes()
+
+
 def _with_first_w_gate(pipeline, gate):
     from dataclasses import replace
 

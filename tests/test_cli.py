@@ -374,9 +374,14 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
          "--dist 'fixed:' is not one of uniform, random or fixed:<element>"),
         (["roundtrip", "--group", "z4", "--dist", "fixed:9"], "fixed element 9 out of range"),
         (["roundtrip", "--group", "z4", "--dist", "bogus"], "unknown distribution spec 'bogus'"),
+        # the file's JSON NaN literal: no RuntimeWarning, and not blamed on the table
+        (["rep", "analyze", "z2", f"@{DATA}/nan_rep_z2.json"], "matrix 1 has a non-finite entry"),
+        (["tokens", "build", "--group", "z2", "--rep", f"@{DATA}/nan_rep_z2.json"],
+         "matrix 1 has a non-finite entry"),
     ],
     ids=["count-r-1", "count-r0", "count-r2", "network-z2xz2", "su2-trials0", "su2-trials-1",
-         "dist-fixed-x", "dist-fixed-empty", "dist-fixed-9", "dist-bogus"],
+         "dist-fixed-x", "dist-fixed-empty", "dist-fixed-9", "dist-bogus", "analyze-nan-rep",
+         "tokens-nan-rep"],
 )
 def test_bad_inputs_exit_3_with_a_named_line(argv, line, capsys):
     assert main(argv) == 3

@@ -517,6 +517,32 @@ def test_unitary_rep_build_rejects_bad_matrices():
         UnitaryRep.build(group, [np.eye(2), np.diag([1, 1j])])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 1])
+def test_unitary_rep_build_refuses_non_finite_matrices(bad, index):
+    # a NaN in the identity's matrix used to be snapped away, and elsewhere it
+    # passed every residue check
+    group = cyclic_group(2)
+    mats = zn_phase_rep(group).matrices.copy()
+    mats[index, 1, 1] = bad
+    with pytest.raises(ValueError, match=rf"^matrix {index} has a non-finite entry$"):
+        UnitaryRep.build(group, mats)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_character_table_build_refuses_non_finite_entries(bad):
+    group = builtin_group("s3")
+    full = builtin_character_table(group)
+    chars = full.chars.copy()
+    chars[1, 2] = bad
+    with pytest.raises(ValueError, match="^character matrix has a non-finite entry$"):
+        CharacterTable.build(group, full.dims, chars, full.irrep_matrices)
+    blocks = [m.copy() for m in full.irrep_matrices]
+    blocks[2][3, 0, 1] = bad
+    with pytest.raises(ValueError, match="irrep 2 is not a homomorphism: matrix 3 has a non-finite"):
+        CharacterTable.build(group, full.dims, full.chars, blocks)
+
+
 def test_unitarity_failure_names_the_first_failing_matrix():
     # matrices 2 and 3 both fail; the batched residue reports index 2
     group = cyclic_group(4)

@@ -6,15 +6,21 @@ from hypothesis import given, strategies as st
 
 from dfscodec.errors import (
     BadTarget,
+    DfsCodecError,
     DimensionMismatch,
     NonOrthogonalProjectors,
     ResourceLimit,
 )
+from dfscodec.limits import UNITARY_TOL
 from dfscodec.statevec import (
     MIN_BLOCK_COLUMNS,
     StateVector,
+    _check_operands,
+    _checked_ops,
     _collective_rows,
+    _from_front,
     _run,
+    _to_front,
     apply_collective,
     apply_controlled,
     apply_local,
@@ -360,3 +366,113 @@ def test_resource_guard():
 def test_norm_validation():
     with pytest.raises(DimensionMismatch):
         StateVector.from_amplitudes(2, 1, [1.0, 1.0])
+
+
+def test_norm_validation_refuses_non_finite_amplitudes():
+    for amps in ([np.nan, 0.0], [np.inf, 0.0], [1.0, -np.inf], [np.nan, np.inf]):
+        for normalize in (False, True):
+            with pytest.raises(DimensionMismatch, match="state amplitudes are not finite"):
+                StateVector.from_amplitudes(2, 1, amps, normalize=normalize)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_operators_are_refused(bad, rng):
+    state = random_state(2, 3, rng)
+    u = np.eye(2, dtype=complex)
+    u[1, 1] = bad
+    wide = np.eye(4, dtype=complex)
+    wide[0, 3] = bad
+    with pytest.raises(DimensionMismatch, match="not unitary"):
+        apply_collective(state, u)
+    with pytest.raises(DimensionMismatch, match="not unitary"):
+        apply_local(state, u, 1)
+    with pytest.raises(DimensionMismatch, match="not unitary"):
+        apply_controlled(state, [(0, 1)], u, [2])
+    with pytest.raises(DimensionMismatch, match="not unitary"):
+        apply_controlled(state, [], wide, [0, 2])
+
+
+def test_non_finite_projector_is_refused(rng):
+    state = random_state(2, 2, rng)
+    with pytest.raises(NonOrthogonalProjectors, match="norm nan"):
+        project_measure(state, [0], [[np.nan, 0.0]], seed=1)
+
+
+@given(
+    d=st.sampled_from([2, 3]),
+    ndim=st.integers(1, 8),
+    sliced=st.booleans(),
+    data=st.data(),
+)
+def test_gather_is_moveaxis_and_scatter_inverts_it(d, ndim, sliced, data):
+    # the block the kernel multiplies is the view np.moveaxis gives, strides and
+    # all, so the GEMM reads its operand the same way and keeps its bits
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (d,) * (ndim + sliced)
+    whole = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # a controlled op gathers from the slice where its control matches
+    tensor = whole[:, 1] if sliced else whole
+    axes = data.draw(st.permutations(range(ndim)))[: data.draw(st.integers(1, ndim))]
+    block = _to_front(tensor, axes, d)
+    expected = np.moveaxis(tensor, axes, range(len(axes))).reshape(d ** len(axes), -1)
+    assert block.tobytes() == expected.tobytes()
+    assert block.strides == expected.strides
+    back = _from_front(block, axes, ndim, d)
+    assert back.tobytes() == tensor.tobytes()
+    reference = np.moveaxis(block.reshape([d] * ndim), range(len(axes)), axes)
+    assert back.strides == reference.strides
+
+
+def _reference_checked_ops(d, n, ops):
+    """The op check as one loop: each op's wires, then its matrix once per target width."""
+    checked = {}
+    for matrix, controls, targets in ops:
+        controls, targets = _check_operands(d, n, controls, targets)
+        op = np.asarray(matrix, dtype=np.complex128)
+        dim = d ** len(targets)
+        if (id(matrix), len(targets)) not in checked:
+            if op.shape != (dim, dim):
+                raise DimensionMismatch(f"operator must be {dim}x{dim}, got {op.shape}")
+            with np.errstate(invalid="ignore"):
+                residue = np.max(np.abs(op.conj().T @ op - np.eye(dim)))
+            if not residue <= UNITARY_TOL:
+                raise DimensionMismatch("operator is not unitary within tolerance")
+            checked[(id(matrix), len(targets))] = matrix
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except DfsCodecError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_unitarity_check_raises_the_first_invalid_op(d, rng):
+    n = 4
+    good = [haar_unitary(d, rng) for _ in range(3)]
+    wide = haar_unitary(d**2, rng)
+    # faults planted among valid ops: (matrix, controls, targets)
+    faults = [
+        lambda: (1.5 * haar_unitary(d, rng), [], [0]),
+        lambda: (np.full((d, d), np.nan), [], [0]),
+        lambda: (np.eye(d + 1), [], [0]),
+        lambda: (2 * haar_unitary(d**2, rng), [], [1, 2]),
+        lambda: (wide, [], [0]),  # a matrix already used on two wires, on one
+        lambda: (good[0], [], [n]),
+        lambda: (good[1], [(2, d)], [0]),
+    ]
+    for _ in range(80):
+        ops = []
+        for _ in range(int(rng.integers(1, 8))):
+            if rng.random() < 0.2:
+                ops.append((wide, [], [0, 3]))
+            else:
+                ops.append((good[int(rng.integers(3))], [(1, 0)], [int(rng.integers(2, 4))]))
+        for _ in range(int(rng.integers(0, 3))):
+            ops.insert(int(rng.integers(len(ops) + 1)), faults[int(rng.integers(len(faults)))]())
+        expected = _raised(_reference_checked_ops, d, n, ops)
+        assert _raised(_checked_ops, d, n, ops) == expected
+        if expected is None:
+            assert all(op is m for (op, _, _), (m, _, _) in zip(_checked_ops(d, n, ops), ops))
