@@ -1,6 +1,7 @@
 """Gate-level synthesis of the encoding network, with cost accounting.
 
-Three routes build the controlled-rotation stage W = sum_g |g><g| (x) U_g^(x m):
+One synthesizer, :func:`synth_w`, builds the controlled-rotation stage
+W = sum_g |g><g| (x) U_g^(x m) from the controlled blocks of one of three paths:
 
 * general: one block per group element, each block an X conjugation on the
   control wires plus m multi-controlled U_g gates;
@@ -39,6 +40,7 @@ from .reps import UnitaryRep
 from .statevec import (
     StateVector,
     _run,
+    _unitarity_residues,
     apply_controlled,
     check_register,
 )
@@ -100,8 +102,8 @@ def _gate_matrix(gate: Gate) -> np.ndarray | None:
         return None
     if gate.kind not in ("single", "prep", "controlled", "cnot"):
         raise DfsCodecError(f"unknown gate kind {gate.kind!r}")
-    if gate.matrix is None and gate.kind in ("controlled", "cnot"):
-        return _X
+    if gate.matrix is None:
+        raise DfsCodecError(f"{gate.kind} gate has no matrix")
     return gate.matrix
 
 
@@ -168,11 +170,10 @@ def prep_gates(group: FiniteGroup, control_wires) -> list[Gate]:
 
 def _complete_unitary(columns: np.ndarray) -> np.ndarray:
     """The given orthonormal columns, followed by an orthonormal complement."""
-    k = columns.shape[1]
-    if np.max(np.abs(columns.conj().T @ columns - np.eye(k))) > UNITARY_TOL:
+    if not _unitarity_residues(columns[None])[0] <= UNITARY_TOL:
         raise DfsCodecError("columns to complete are not orthonormal")
     q, _ = np.linalg.qr(columns, mode="complete")
-    q[:, :k] = columns  # exact columns, written into q so the unitary is held once
+    q[:, : columns.shape[1]] = columns  # exact columns, written into q so the unitary is held once
     return q
 
 
@@ -192,160 +193,89 @@ def _chain_cost(num_controls: int) -> int:
     return 20 * max(num_controls - 2, 0)
 
 
-def _block_gates(
-    pattern: tuple[tuple[int, int], ...],
-    unitary: np.ndarray,
-    message_wires,
-    stage: str,
-    note: str,
-    conjugate_x: bool,
-) -> list[Gate]:
-    """One controlled block: optional X conjugation, chain markers, m target gates."""
-    gates: list[Gate] = []
-    all_ones = tuple((w, 1) for w, _ in pattern)
-    flip = [w for w, v in pattern if v == 0] if conjugate_x else []
-    for w in flip:
-        gates.append(Gate(kind="single", targets=(w,), matrix=_X, cost=1, stage=stage))
-    effective = all_ones if conjugate_x else pattern
-    chain = _chain_cost(len(pattern))
-    if chain:
-        gates.append(
-            Gate(kind="chain", targets=(), controls=effective, cost=chain, stage=stage)
-        )
-    for t in message_wires:
-        gates.append(
-            Gate(
-                kind="controlled",
-                targets=(t,),
-                controls=effective,
-                matrix=unitary,
-                cost=1,
-                stage=stage,
-                note=note,
-            )
-        )
-    if chain:
-        gates.append(
-            Gate(kind="chain", targets=(), controls=effective, cost=chain, stage=stage)
-        )
-    for w in flip:
-        gates.append(Gate(kind="single", targets=(w,), matrix=_X, cost=1, stage=stage))
-    return gates
+def _block_gates(pattern, unitary, message_wires, note: str, conjugate_x: bool) -> list[Gate]:
+    """One controlled block: chain markers around m target gates, X-conjugated
+    into an all-ones pattern when ``conjugate_x``."""
+    flips = []
+    if conjugate_x:
+        flips = [Gate("single", (w,), matrix=_X, stage="w") for w, v in pattern if v == 0]
+        pattern = tuple((w, 1) for w, _ in pattern)
+    cost = _chain_cost(len(pattern))
+    chain = [Gate("chain", (), pattern, cost=cost, stage="w")] if cost else []
+    targets = [
+        Gate("controlled", (t,), pattern, unitary, stage="w", note=note) for t in message_wires
+    ]
+    return [*flips, *chain, *targets, *chain, *flips]
 
 
-def synth_w_general(group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_layout) -> CircuitPlan:
+# Each W path gives its r', its blocks as (control pattern, element, note) triples,
+# the pattern over control positions 0..r'-1, and its own metadata.
+
+
+def _general_blocks(group: FiniteGroup, m: int):
     """Block-per-element controlled network on ceil(log2 |G|) control wires.
 
-    Emits the X conjugation of every block explicitly; over a full power-of-two
-    enumeration the emitted gates sum to |G| * (41 r' - 80 + m), matching the
-    closed-form count.
+    The X conjugation of every block is emitted explicitly; over a full
+    power-of-two enumeration the emitted gates sum to |G| * (41 r' - 80 + m),
+    matching the closed-form count.
     """
-    if rep.dim != 2:
-        raise UnsupportedDimension("gate-level synthesis is defined for qubits only")
     r_prime = control_wire_count(group.order)
-    layout = place(r_prime, m)
-    gates: list[Gate] = []
-    for i in range(group.order):
-        pattern = _control_pattern(layout.control, i)
-        gates.extend(
-            _block_gates(
-                pattern,
-                rep.matrices[i],
-                layout.message,
-                stage="w",
-                note=f"element {group.labels[i]}",
-                conjugate_x=True,
-            )
-        )
-    formula = None
-    if group.order == 2**r_prime:
-        formula = group.order * (41 * r_prime - 80 + m)
-    plan = CircuitPlan(
-        gates=gates,
-        layout=layout,
-        metadata={
-            "path": "general",
-            "m": m,
-            "r_prime": r_prime,
-            "count_formula": formula,
-            "depth_formula": group.order * (41 * r_prime - 80 + 1)
-            if group.order == 2**r_prime
-            else None,
-            "control_labeling": "element_index",
-        },
-    )
-    return plan
+    blocks = [
+        (_control_pattern(range(r_prime), i), i, f"element {group.labels[i]}")
+        for i in range(group.order)
+    ]
+    full = group.order == 2**r_prime
+    return r_prime, blocks, {
+        "count_formula": group.order * (41 * r_prime - 80 + m) if full else None,
+        "depth_formula": group.order * (41 * r_prime - 80 + 1) if full else None,
+        "control_labeling": "element_index",
+    }
 
 
-def synth_w_abelian(group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_layout) -> CircuitPlan:
+def _abelian_blocks(group: FiniteGroup, m: int):
     """Generator-power controlled network for abelian groups.
 
     Control labels are generator words (first generator most significant); the
     identity power of each generator needs no gates, so the emitted count sits
     below the per-generator bound L_i * (40 max(log2 L_i - 2, 0) + m).
     """
-    if not group.is_abelian:
-        raise NotAbelian("the generator-power network needs an abelian group")
-    if rep.dim != 2:
-        raise UnsupportedDimension("gate-level synthesis is defined for qubits only")
     generators, orders = generator_decomposition(group)
     for bound in orders:
         if bound & (bound - 1):
             raise DfsCodecError(
                 f"generator order {bound} is not a power of two; control wires are qubits"
             )
-    widths = [max(1, int(np.log2(bound))) for bound in orders]
-    r_prime = sum(widths)
-    layout = place(r_prime, m)
     elements = word_elements(group, generators, orders)
     if sorted(set(elements)) != list(range(group.order)):
         raise DfsCodecError("generator words do not enumerate the group bijectively")
-
-    gates: list[Gate] = []
-    offset = 0
-    bound_total = 0
-    for gen, bound, width in zip(generators, orders, widths):
-        block_wires = layout.control[offset : offset + width]
-        offset += width
+    blocks = []
+    r_prime = bound_total = 0  # each generator's exponent takes the next width positions
+    for gen, bound in zip(generators, orders):
+        width = max(1, int(np.log2(bound)))
+        positions = range(r_prime, r_prime + width)
+        r_prime += width
         bound_total += bound * (40 * max(width - 2, 0) + m)
         power = 0
         for exponent in range(1, bound):
             power = group.mul(power, gen)
-            pattern = _control_pattern(block_wires, exponent)
-            gates.extend(
-                _block_gates(
-                    pattern,
-                    rep.matrices[power],
-                    layout.message,
-                    stage="w",
-                    note=f"{group.labels[gen]}^{exponent}",
-                    conjugate_x=False,
-                )
+            blocks.append(
+                (_control_pattern(positions, exponent), power, f"{group.labels[gen]}^{exponent}")
             )
-    return CircuitPlan(
-        gates=gates,
-        layout=layout,
-        metadata={
-            "path": "abelian",
-            "m": m,
-            "r_prime": r_prime,
-            "generators": list(generators),
-            "generator_orders": list(orders),
-            "count_bound": bound_total,
-            "control_labeling": "generator_words",
-            "word_elements": elements,
-        },
-    )
+    return r_prime, blocks, {
+        "generators": list(generators),
+        "generator_orders": list(orders),
+        "count_bound": bound_total,
+        "control_labeling": "generator_words",
+        "word_elements": elements,
+    }
 
 
-def synth_w_cyclic(group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_layout) -> CircuitPlan:
+def _cyclic_blocks(group: FiniteGroup, m: int):
     """One controlled power of the generator per control wire: m log2 N gates.
 
     Control label v stands for the v-th power of the generator, so the labels
     are generator words like those of the abelian path.
     """
-    if rep.dim != 2:
-        raise UnsupportedDimension("gate-level synthesis is defined for qubits only")
     n = group.order
     if n & (n - 1):
         raise DfsCodecError(
@@ -355,45 +285,45 @@ def synth_w_cyclic(group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_layout)
     if gen is None:
         raise NotAbelian("group has no generator; the cyclic path needs a cyclic group")
     r_prime = control_wire_count(n)
-    layout = place(r_prime, m)
     powers = word_elements(group, [gen], [n])  # powers[k] is gen^k, and gen has order n
-    gates: list[Gate] = []
-    # bit i (1-indexed from the least significant) lives on layout.control[r_prime - i]
-    for i in range(1, r_prime + 1):
-        gates.extend(
-            _block_gates(
-                ((layout.control[r_prime - i], 1),),
-                rep.matrices[powers[2 ** (i - 1) % n]],
-                layout.message,
-                stage="w",
-                note=f"U^{2 ** (i - 1)}",
-                conjugate_x=False,
-            )
-        )
-    return CircuitPlan(
-        gates=gates,
-        layout=layout,
-        metadata={
-            "path": "cyclic",
-            "m": m,
-            "r_prime": r_prime,
-            "controlled_count": m * r_prime,
-            "control_labeling": "generator_words",
-            "word_elements": powers,
-        },
-    )
+    # bit i (1-indexed from the least significant) lives on control position r' - i
+    blocks = [
+        (((r_prime - i, 1),), powers[2 ** (i - 1) % n], f"U^{2 ** (i - 1)}")
+        for i in range(1, r_prime + 1)
+    ]
+    return r_prime, blocks, {
+        "controlled_count": m * r_prime,
+        "control_labeling": "generator_words",
+        "word_elements": powers,
+    }
+
+
+_W_PATHS = {"general": _general_blocks, "abelian": _abelian_blocks, "cyclic": _cyclic_blocks}
 
 
 def synth_w(path: str, group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_layout) -> CircuitPlan:
     """The controlled-rotation stage W of one synthesis path, on the register
-    ``place(r', m)`` lays out for the r' control wires the path needs."""
-    if path == "general":
-        return synth_w_general(group, rep, m, place)
-    if path == "abelian":
-        return synth_w_abelian(group, rep, m, place)
-    if path == "cyclic":
-        return synth_w_cyclic(group, rep, m, place)
-    raise DfsCodecError(f"unknown synthesis path {path!r}")
+    ``place(r', m)`` lays out for the r' control wires the path needs.
+
+    Every block becomes m controlled ``U_element`` gates on the message wires,
+    X-conjugated on the general path, whose patterns read the element index.
+    """
+    if path not in _W_PATHS:
+        raise DfsCodecError(f"unknown synthesis path {path!r}")
+    if path == "abelian" and not group.is_abelian:
+        raise NotAbelian("the generator-power network needs an abelian group")
+    if rep.dim != 2:
+        raise UnsupportedDimension("gate-level synthesis is defined for qubits only")
+    r_prime, blocks, metadata = _W_PATHS[path](group, m)
+    layout = place(r_prime, m)
+    gates: list[Gate] = []
+    for pattern, element, note in blocks:
+        wired = tuple((layout.control[pos], v) for pos, v in pattern)
+        gates.extend(
+            _block_gates(wired, rep.matrices[element], layout.message, note, path == "general")
+        )
+    metadata = {"path": path, "m": m, "r_prime": r_prime, **metadata}
+    return CircuitPlan(gates=gates, layout=layout, metadata=metadata)
 
 
 # --- basis change to token states --------------------------------------------
@@ -539,6 +469,45 @@ def network_basis_index(n: int, value: int) -> np.ndarray:
     return pattern
 
 
+def _check_network(rep: UnitaryRep, fiducial: StateVector | None = None) -> np.ndarray:
+    """The weight-code fiducial's amplitudes, uniform over the patterns
+    :func:`network_basis_index` gives the labels, once ``rep`` (and a given
+    ``fiducial``) is one whose tokens the register network realizes.
+
+    The Fourier stage gives label k the phase e^(2 pi i k w / N) on the pattern of
+    weight w.  That is the action of U_(g^k) on every token wire, for the generator
+    g of :func:`cyclic_generator`, only when U_(g^k) = diag(1, e^(2 pi i k / N)),
+    and the labels' states are those tokens only when the fiducial is this one.
+    """
+    group = rep.group
+    n = group.order
+    if n < 2:
+        raise DfsCodecError(f"register network needs a group of order at least 2, got {n}")
+    gen = cyclic_generator(group)
+    if rep.dim != 2 or n & (n - 1) or gen is None:
+        raise DfsCodecError("network tokens are defined for qubit cyclic groups of power-of-two order")
+    expected = np.zeros((n, 2, 2), dtype=np.complex128)
+    expected[:, 0, 0] = 1.0
+    expected[:, 1, 1] = np.exp(2j * np.pi * np.arange(n) / n)
+    if np.max(np.abs(rep.matrices[word_elements(group, [gen], [n])] - expected)) > UNITARY_TOL:
+        raise DfsCodecError(
+            f"the register network needs U(g^k) = diag(1, e^(2 pi i k/{n})) "
+            f"for the generator g = {group.labels[gen]!r}"
+        )
+    r, r_prime = n - 1, control_wire_count(n)
+    # big-endian index of each label's pattern: the place values of its bit groups
+    places = 2 ** np.arange(r - 1, -1, -1)
+    group_places = [places[lo:hi].sum() for lo, hi in token_group_slices(r_prime)]
+    bits = (np.arange(n)[:, None] >> np.arange(r_prime)) & 1
+    amps = np.zeros(check_register(2, r), dtype=np.complex128)
+    amps[bits @ group_places] = 1.0 / np.sqrt(n)
+    if fiducial is not None and (
+        fiducial.n != r or np.max(np.abs(fiducial.amps - amps)) > UNITARY_TOL
+    ):
+        raise DfsCodecError("the register network realizes only the tokens of network_token_set")
+    return amps
+
+
 def network_token_set(rep: UnitaryRep) -> TokenSet:
     """Token set whose per-label basis states match the register network output.
 
@@ -548,20 +517,8 @@ def network_token_set(rep: UnitaryRep) -> TokenSet:
     """
     from .codec import build_tokens
 
-    n = rep.group.order
-    if n < 2:
-        raise DfsCodecError(f"register network needs a group of order at least 2, got {n}")
-    if rep.dim != 2 or n & (n - 1) or cyclic_generator(rep.group) is None:
-        raise DfsCodecError("network tokens are defined for qubit cyclic groups of power-of-two order")
-    r = n - 1
-    amps = np.zeros(2**r, dtype=np.complex128)
-    for value in range(n):
-        digits = network_basis_index(n, value)
-        index = int(np.ravel_multi_index(tuple(digits), (2,) * r)) if r > 0 else 0
-        amps[index] += 1.0
-    amps /= np.sqrt(n)
-    fiducial = StateVector.from_amplitudes(2, r, amps)
-    return build_tokens(rep, r, fiducial)
+    r = rep.group.order - 1
+    return build_tokens(rep, r, StateVector.from_amplitudes(2, r, _check_network(rep)))
 
 
 def logical_depth(plan: CircuitPlan) -> int:
@@ -653,6 +610,7 @@ def build_encoding_pipeline(
     if cyclic_network:
         # the network's own wires, control 0..r'-1 then the tokens, are the encoder's
         t = synth_t_cyclic(group.order)
+        _check_network(tokens.rep, tokens.fiducial)
         t_plan = CircuitPlan(gates=t.gates, layout=layout, metadata=t.metadata)
     else:
         dense = apply_t_direct(tokens, w_plan.metadata.get("word_elements"))

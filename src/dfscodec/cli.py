@@ -292,8 +292,9 @@ def cmd_circuit_simulate(args) -> int:
     group = _load_group(args.group)
     rep = _load_rep(group, args.rep, args.dim)
     seed = _resolve_seed(args)
-    use_network = args.path == "cyclic" and args.network
-    if use_network:
+    if args.network and args.path != "cyclic":
+        raise DfsCodecError(f"--network pairs with --path cyclic, got --path {args.path}")
+    if args.network:
         tokens = network_token_set(rep)
     else:
         # the dense basis change is refused from r alone, before the tokens are prepared
@@ -301,9 +302,7 @@ def cmd_circuit_simulate(args) -> int:
         r = min_r(rep, table)
         check_token_basis_change(rep.dim, r)
         tokens = prepare_protocol(rep, table, r=r).tokens
-    pipeline = build_encoding_pipeline(
-        tokens, args.m, args.path, cyclic_network=use_network
-    )
+    pipeline = build_encoding_pipeline(tokens, args.m, args.path, cyclic_network=args.network)
     rng = np.random.default_rng(seed)
     message = random_state(2, args.m, rng)
     circuit_state = pipeline.run(message)
@@ -313,7 +312,7 @@ def cmd_circuit_simulate(args) -> int:
         "command": "circuit.simulate",
         "group": group.name,
         "path": args.path,
-        "network_basis_change": use_network,
+        "network_basis_change": args.network,
         "m": args.m,
         "seed": seed,
         "w_gate_count": pipeline.w_plan.total_count,

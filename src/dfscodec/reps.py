@@ -50,6 +50,7 @@ from .limits import (
     UNITARY_TOL,
     check_entries,
 )
+from .statevec import _unitarity_residues
 
 DEFAULT_R_MAX = 32
 
@@ -93,9 +94,9 @@ class UnitaryRep:
         if np.max(np.abs(mats[0] - eye)) > UNITARY_TOL:
             raise ValueError("matrix at the identity element is not the identity")
         mats[0] = eye
-        errs = np.max(np.abs(np.swapaxes(mats.conj(), 1, 2) @ mats - eye), axis=(1, 2))
-        i = int(np.argmax(errs > UNITARY_TOL))  # the first failing matrix, if any
-        if errs[i] > UNITARY_TOL:
+        errs = _unitarity_residues(mats)
+        i = int(np.argmin(errs <= UNITARY_TOL))  # the first failing matrix, if any
+        if not errs[i] <= UNITARY_TOL:
             raise ValueError(f"matrix {i} is not unitary (residue {errs[i]:.2e})")
         # a block of rows of pairs (i, k) at a time: at most PRODUCT_BLOCK_ENTRIES
         # entries, or one row of |G| d^2 when a row is larger, never |G|^2 d^2
@@ -501,8 +502,8 @@ def isotypic_decompose(rep: UnitaryRep, r: int, table: CharacterTable) -> Isotyp
         raise NumericalDegeneracy(
             f"block basis has shape {basis.shape}, expected ({dim}, {dim})"
         )
-    unitarity = np.max(np.abs(basis.conj().T @ basis - np.eye(dim)))
-    if unitarity > UNITARY_TOL:
+    unitarity = _unitarity_residues(basis[None])[0]
+    if not unitarity <= UNITARY_TOL:
         raise NumericalDegeneracy(f"block basis is not unitary (residue {unitarity:.3e})")
 
     decomp = IsotypicDecomposition(

@@ -83,13 +83,15 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _unitarity_residues(stack: np.ndarray) -> np.ndarray:
-    """``max |U^H U - I|`` of each matrix of a ``(k, dim, dim)`` stack; NaN or inf
-    for a matrix with a NaN or infinite entry, which fails every ``<= tol`` check."""
-    k, dim = stack.shape[:2]
+    """``max |U^H U - I|`` of each matrix of a ``(k, n, c)`` stack: the unitarity
+    residue of square matrices, the isometry residue of ``c`` columns.  NaN or inf
+    for a matrix with a NaN or infinite entry or whose product overflows, which
+    fails every ``<= tol`` check."""
+    k, _, c = stack.shape
     with np.errstate(invalid="ignore", over="ignore"):  # the residue carries them
         residue = (stack.conj().transpose(0, 2, 1) @ stack).reshape(k, -1)
-    residue[:, :: dim + 1] -= 1  # the diagonal, in place: no identity is built
-    return np.abs(residue).max(axis=1)
+        residue[:, :: c + 1] -= 1  # the diagonal, in place: no identity is built
+        return np.abs(residue).max(axis=1)
 
 
 def _to_front(tensor: np.ndarray, axes, d: int) -> np.ndarray:

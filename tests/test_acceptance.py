@@ -13,8 +13,7 @@ from dfscodec.circuits import (
     logical_depth,
     network_token_set,
     synth_t_cyclic,
-    synth_w_cyclic,
-    synth_w_general,
+    synth_w,
 )
 from dfscodec.codec import (
     decode_outcome_probabilities,
@@ -187,16 +186,16 @@ def test_criterion_5_outcome_hiding():
 def test_criterion_6_gate_count_formulas():
     k4 = builtin_group("k4")
     rep = ctx("k4").rep
-    plan3 = synth_w_general(k4, rep, 3)
-    plan1 = synth_w_general(k4, rep, 1)
+    plan3 = synth_w("general", k4, rep, 3)
+    plan1 = synth_w("general", k4, rep, 1)
     assert sum(g.cost for g in plan3.gates) == 20
     assert sum(g.cost for g in plan1.gates) == 12
-    depths = {logical_depth(synth_w_general(k4, rep, m)) for m in (1, 3, 17)}
+    depths = {logical_depth(synth_w("general", k4, rep, m)) for m in (1, 3, 17)}
     assert depths == {12}
 
     z8 = builtin_group("z8")
     rep8 = ctx("z8").rep
-    cyc = synth_w_cyclic(z8, rep8, 4)
+    cyc = synth_w("cyclic", z8, rep8, 4)
     assert sum(g.cost for g in cyc.gates) == 12
     assert all(g.kind == "controlled" for g in cyc.gates)
     t_plan = synth_t_cyclic(8)

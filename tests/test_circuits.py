@@ -16,9 +16,7 @@ from dfscodec.circuits import (
     register_network_gates,
     run_plan,
     synth_t_cyclic,
-    synth_w_abelian,
-    synth_w_cyclic,
-    synth_w_general,
+    synth_w,
     token_group_slices,
 )
 from dfscodec.codec import decode, encode, prepare_protocol
@@ -75,7 +73,7 @@ def test_k4_general_counts():
     group = builtin_group("k4")
     rep = pauli_rep(group)
     for m, expected in ((3, 20), (1, 12)):
-        plan = synth_w_general(group, rep, m)
+        plan = synth_w("general", group, rep, m)
         assert plan.total_count == expected
         assert plan.metadata["count_formula"] == expected
         assert plan.total_count == sum(g.cost for g in plan.gates)
@@ -84,7 +82,7 @@ def test_k4_general_counts():
 def test_z8_general_count_and_depth():
     group = builtin_group("z8")
     rep = zn_phase_rep(group, 2)
-    plan = synth_w_general(group, rep, 2)
+    plan = synth_w("general", group, rep, 2)
     assert plan.metadata["count_formula"] == 8 * (41 * 3 - 80 + 2) == 360
     assert plan.total_count == 360
     assert logical_depth(plan) == 8 * (41 * 3 - 80 + 1) == 352
@@ -93,18 +91,18 @@ def test_z8_general_count_and_depth():
 def test_k4_depth_independent_of_m():
     group = builtin_group("k4")
     rep = pauli_rep(group)
-    depths = {logical_depth(synth_w_general(group, rep, m)) for m in (1, 2, 5, 64)}
+    depths = {logical_depth(synth_w("general", group, rep, m)) for m in (1, 2, 5, 64)}
     assert depths == {12}
 
 
 def test_cyclic_counts():
     group = builtin_group("z8")
     rep = zn_phase_rep(group, 2)
-    plan = synth_w_cyclic(group, rep, 4)
+    plan = synth_w("cyclic", group, rep, 4)
     assert plan.total_count == 12  # m log2 N
     assert all(g.kind == "controlled" for g in plan.gates)
     z2 = builtin_group("z2")
-    assert synth_w_cyclic(z2, zn_phase_rep(z2, 2), 1).total_count == 1
+    assert synth_w("cyclic", z2, zn_phase_rep(z2, 2), 1).total_count == 1
 
 
 def test_t_cyclic_cnot_counts():
@@ -135,10 +133,10 @@ def test_gate_count_report_pinned_values():
 
 def test_abelian_counts_within_bound():
     k4 = builtin_group("k4")
-    plan = synth_w_abelian(k4, pauli_rep(k4), 2)
+    plan = synth_w("abelian", k4, pauli_rep(k4), 2)
     assert plan.total_count <= plan.metadata["count_bound"]
     z4xz2 = builtin_group("z4xz2")
-    plan = synth_w_abelian(z4xz2, zn_phase_rep_product(z4xz2), 2)
+    plan = synth_w("abelian", z4xz2, zn_phase_rep_product(z4xz2), 2)
     assert plan.total_count <= plan.metadata["count_bound"]
 
 
@@ -155,7 +153,7 @@ def zn_phase_rep_product(group):
 
 def test_z2_abelian_single_controlled_gate():
     z2 = builtin_group("z2")
-    plan = synth_w_abelian(z2, zn_phase_rep(z2, 2), 1)
+    plan = synth_w("abelian", z2, zn_phase_rep(z2, 2), 1)
     assert plan.total_count == 1
     assert plan.gates[0].kind == "controlled"
 
@@ -166,7 +164,7 @@ def test_z2_abelian_single_controlled_gate():
 def test_general_w_matches_dense_oracle():
     group = builtin_group("k4")
     rep = pauli_rep(group)
-    plan = synth_w_general(group, rep, 1)
+    plan = synth_w("general", group, rep, 1)
     got = plan_unitary(plan, 3)
     np.testing.assert_allclose(got, w_operator(group, rep, 1), atol=1e-10)
 
@@ -174,8 +172,8 @@ def test_general_w_matches_dense_oracle():
 def test_cyclic_w_equals_general_w(rng):
     group = builtin_group("z8")
     rep = zn_phase_rep(group, 2)
-    general = synth_w_general(group, rep, 2)
-    cyclic = synth_w_cyclic(group, rep, 2)
+    general = synth_w("general", group, rep, 2)
+    cyclic = synth_w("cyclic", group, rep, 2)
     for _ in range(10):
         state = random_state(2, 5, rng)
         a = run_plan(general, state)
@@ -199,7 +197,7 @@ def test_abelian_word_control_matches_word_operator(rng):
     # oracle: explicit sum over words with generator powers
     group = builtin_group("k4")
     rep = pauli_rep(group)
-    plan = synth_w_abelian(group, rep, 1)
+    plan = synth_w("abelian", group, rep, 1)
     (g1, g2), orders = generator_decomposition(group)
     assert orders == [2, 2]
     got = plan_unitary(plan, 3)
@@ -355,7 +353,7 @@ def test_pipeline_matches_direct_encoding(spec, path, context_for, rng):
         assert fidelity(pipeline.run(message), encode(ctx.tokens, message)) >= 1 - 1e-9
 
 
-@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_network_pipeline_matches_direct_encoding(n, rng):
     rep = zn_phase_rep(builtin_group(f"z{n}"), 2)
     tokens = network_token_set(rep)
@@ -363,6 +361,43 @@ def test_network_pipeline_matches_direct_encoding(n, rng):
     for _ in range(3):
         message = random_state(2, 2, rng)
         assert fidelity(pipeline.run(message), encode(tokens, message)) >= 1 - 1e-9
+
+
+def test_network_fiducial_over_the_budget_is_refused_before_allocating():
+    # z32 has r = 31: the weight-code fiducial would be 2^31 amplitudes
+    rep = zn_phase_rep(builtin_group("z32"), 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="a register of 2\\*\\*31 amplitudes"):
+            network_token_set(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("spec", ["z4", "z8"])
+def test_network_refuses_tokens_it_does_not_realize(spec, context_for):
+    # the canonical tokens are certified, but their fiducial is not the weight code
+    # the Fourier and CNOT stage maps label 0 to
+    with pytest.raises(DfsCodecError, match="realizes only the tokens of network_token_set"):
+        build_encoding_pipeline(context_for(spec).tokens, 2, "cyclic", cyclic_network=True)
+
+
+@pytest.mark.parametrize("power", [3, 5, 7])
+def test_network_refuses_a_generator_it_does_not_realize(power):
+    # U_k = diag(1, w^(power k)) is faithful, and its canonical tokens are certified,
+    # but the Fourier stage gives label k the phases of diag(1, w^k)
+    from dfscodec.reps import UnitaryRep
+
+    z8 = builtin_group("z8")
+    phases = np.exp(2j * np.pi * (power * np.arange(8) % 8) / 8)
+    rep = UnitaryRep.build(z8, [np.diag([1.0, p]) for p in phases])
+    line = r"needs U\(g\^k\) = diag\(1, e\^\(2 pi i k/8\)\) for the generator g = '1'"
+    with pytest.raises(DfsCodecError, match=line):
+        network_token_set(rep)
+    with pytest.raises(DfsCodecError, match=line):
+        build_encoding_pipeline(prepare_protocol(rep).tokens, 2, "cyclic", cyclic_network=True)
 
 
 @pytest.mark.parametrize("spec", ["z4", "z8"])
@@ -417,13 +452,13 @@ def test_qutrit_synthesis_rejected():
     z3 = builtin_group("z3")
     rep = zn_phase_rep(z3, 3)
     with pytest.raises(UnsupportedDimension):
-        synth_w_general(z3, rep, 1)
+        synth_w("general", z3, rep, 1)
 
 
 def test_cyclic_path_rejects_non_power_orders():
     z3 = builtin_group("z3")
     with pytest.raises(DfsCodecError):
-        synth_w_cyclic(z3, zn_phase_rep(z3, 2), 1)
+        synth_w("cyclic", z3, zn_phase_rep(z3, 2), 1)
 
 
 def test_abelian_path_rejects_s3():
@@ -431,7 +466,7 @@ def test_abelian_path_rejects_s3():
     from dfscodec.reps import s3_two_dim_rep
 
     with pytest.raises(NotAbelian):
-        synth_w_abelian(s3, s3_two_dim_rep(s3), 1)
+        synth_w("abelian", s3, s3_two_dim_rep(s3), 1)
 
 
 def test_prep_gates_non_power_order(context_for):
@@ -452,6 +487,23 @@ def test_apply_gate_rejects_non_unitary_prep():
         apply_gate(basis_state(2, 2, 0), gate)
 
 
+@pytest.mark.parametrize("kind,targets,controls", [
+    ("single", (0,), ()), ("prep", (0, 1), ()),
+    ("controlled", (1,), ((0, 1),)), ("cnot", (1,), ((0, 1),)),
+])
+def test_gate_without_a_matrix_is_refused(kind, targets, controls, rng):
+    # no kind falls back to the identity or to X
+    from dfscodec.circuits import CircuitPlan, Gate, RegisterLayout, apply_gate
+
+    gate = Gate(kind, targets, controls)
+    state = random_state(2, 2, rng)
+    with pytest.raises(DfsCodecError, match=f"^{kind} gate has no matrix$"):
+        apply_gate(state, gate)
+    plan = CircuitPlan([gate], RegisterLayout(2, (), (0, 1), ()))
+    with pytest.raises(DfsCodecError, match=f"^{kind} gate has no matrix$"):
+        run_plan(plan, state)
+
+
 def test_unitary_completion_keeps_columns_and_rejects_overlap(rng):
     from dfscodec.circuits import _complete_unitary
 
@@ -461,6 +513,16 @@ def test_unitary_completion_keeps_columns_and_rejects_overlap(rng):
     np.testing.assert_allclose(full.conj().T @ full, np.eye(8), atol=1e-12)
     with pytest.raises(DfsCodecError):
         _complete_unitary(np.column_stack([columns[:, 0], columns[:, 0]]))
+
+
+def test_unitary_completion_refuses_huge_columns_without_a_warning():
+    # |1e200|^2 overflows: the residue is inf, refused, and no RuntimeWarning escapes
+    from dfscodec.circuits import _complete_unitary
+
+    columns = np.zeros((4, 2), dtype=np.complex128)
+    columns[0, 0], columns[1, 1] = 1e200, 1.0
+    with pytest.raises(DfsCodecError, match="columns to complete are not orthonormal"):
+        _complete_unitary(columns)
 
 
 def run_plan_like(gates, state):
@@ -474,8 +536,6 @@ def run_plan_like(gates, state):
 @pytest.mark.parametrize("path", ["general", "abelian", "cyclic"])
 @pytest.mark.parametrize("m", [0, -2])
 def test_every_w_path_needs_a_message_qubit(path, m):
-    from dfscodec.circuits import synth_w
-
     group = builtin_group("z8")
     with pytest.raises(DimensionMismatch):
         synth_w(path, group, zn_phase_rep(group), m)

@@ -315,6 +315,15 @@ def test_dense_basis_change_is_refused_before_the_tokens(group, path, r, monkeyp
     )
 
 
+@pytest.mark.parametrize("path", ["general", "abelian"])
+def test_network_off_the_cyclic_path_is_refused_before_the_tokens(path, monkeypatch, capsys):
+    import dfscodec.codec as codec
+
+    monkeypatch.setattr(codec, "build_tokens", lambda *args: pytest.fail("tokens built"))
+    assert main(["circuit", "simulate", "--group", "z4", "--path", path, "--network"]) == 3
+    assert capsys.readouterr().err == f"error: --network pairs with --path cyclic, got --path {path}\n"
+
+
 @pytest.mark.parametrize("path", ["general", "abelian", "cyclic"])
 @pytest.mark.parametrize("m", ["0", "-2"])
 def test_circuit_count_needs_a_message_qubit(path, m, capsys):
@@ -378,10 +387,20 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
         (["rep", "analyze", "z2", f"@{DATA}/nan_rep_z2.json"], "matrix 1 has a non-finite entry"),
         (["tokens", "build", "--group", "z2", "--rep", f"@{DATA}/nan_rep_z2.json"],
          "matrix 1 has a non-finite entry"),
+        # |1e200|^2 overflows in the unitarity product: no RuntimeWarning, one line
+        (["rep", "analyze", "z2", f"@{DATA}/huge_rep_z2.json"],
+         "matrix 1 is not unitary (residue inf)"),
+        # U_k = diag(1, w^(3k)) is faithful, but the network realizes only diag(1, w^k)
+        (["circuit", "simulate", "--group", "z8", "--rep", f"@{DATA}/z8_phase3_rep.json",
+          "--path", "cyclic", "--network", "--m", "2", "--seed", "3"],
+         "the register network needs U(g^k) = diag(1, e^(2 pi i k/8)) for the generator g = '1'"),
+        (["circuit", "simulate", "--group", "z8", "--m", "2", "--path", "general", "--network",
+          "--verify", "--seed", "3"],
+         "--network pairs with --path cyclic, got --path general"),
     ],
     ids=["count-r-1", "count-r0", "count-r2", "network-z2xz2", "su2-trials0", "su2-trials-1",
          "dist-fixed-x", "dist-fixed-empty", "dist-fixed-9", "dist-bogus", "analyze-nan-rep",
-         "tokens-nan-rep"],
+         "tokens-nan-rep", "analyze-huge-rep", "network-z8-phase3", "network-general"],
 )
 def test_bad_inputs_exit_3_with_a_named_line(argv, line, capsys):
     assert main(argv) == 3

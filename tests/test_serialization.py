@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from dfscodec.circuits import synth_w_general
+from dfscodec.circuits import synth_w
 from dfscodec.groups import builtin_group
 from dfscodec.reps import builtin_character_table, pauli_rep
 from dfscodec.serialization import (
@@ -57,7 +57,7 @@ def test_state_roundtrip(rng):
 
 def test_plan_export_schema():
     group = builtin_group("k4")
-    plan = synth_w_general(group, pauli_rep(group), 2)
+    plan = synth_w("general", group, pauli_rep(group), 2)
     data = plan_to_dict(plan)
     assert data["total_count"] == sum(g["cost"] for g in data["gates"])
     kinds = {g["kind"] for g in data["gates"]}

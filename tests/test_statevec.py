@@ -392,6 +392,21 @@ def test_non_finite_operators_are_refused(bad, rng):
         apply_controlled(state, [], wide, [0, 2])
 
 
+def test_unitarity_residues_of_isometry_stacks(rng):
+    # (k, n, c) stacks: the residue of c orthonormal columns, and one per matrix
+    from dfscodec.statevec import _unitarity_residues
+
+    q = np.linalg.qr(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))[0]
+    huge, nan = q.copy(), q.copy()
+    huge[0, 0], nan[2, 1] = 1e200, np.nan
+    residues = _unitarity_residues(np.array([q, 2 * q, huge, nan]))
+    assert residues[0] <= 1e-12
+    assert residues[1] == pytest.approx(3.0)
+    assert residues[2] == np.inf and np.isnan(residues[3])
+    square = np.array([haar_unitary(4, rng), np.eye(4)])
+    assert np.all(_unitarity_residues(square) <= 1e-12)
+
+
 def test_non_finite_projector_is_refused(rng):
     state = random_state(2, 2, rng)
     with pytest.raises(NonOrthogonalProjectors, match="norm nan"):
