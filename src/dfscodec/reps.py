@@ -193,8 +193,10 @@ class CharacterTable:
             raise ValueError("sum of squared irrep dimensions must equal the group order")
         if np.max(np.abs(chars[0] - 1.0)) > NORM_TOL:
             raise ValueError("row 0 must be the trivial irrep (all ones)")
-        gram = (chars * classes.class_sizes) @ chars.conj().T / group.order
-        if np.max(np.abs(gram - np.eye(s))) > NORM_TOL:
+        # the rows scaled by sqrt(|C|/|G|) are orthonormal; their isometry residue,
+        # unlike the Gram product, refuses a huge character without an overflow warning
+        scaled = chars * np.sqrt(classes.class_sizes / group.order)
+        if not _unitarity_residues(scaled.conj().T[None])[0] <= NORM_TOL:
             raise ValueError("characters violate the orthogonality relation")
         if irrep_matrices is not None:
             blocks = []

@@ -121,6 +121,23 @@ def _apply(tensor: np.ndarray, op: np.ndarray, targets, controls=()) -> None:
     tensor[tuple(index)] = _from_front(op @ _to_front(sub, axes, d), axes, sub.ndim, d)
 
 
+def _move(tensor: np.ndarray, cycles, target: int, controls=()) -> None:
+    """The permutation kernel, unchecked: along each cycle ``[a, b, ..., z]`` of
+    :func:`_digit_cycles`, digit ``a`` of ``target`` takes digit ``b``'s amplitudes,
+    and so on, and ``z`` takes ``a``'s, in place in the writable ``(d,)*n`` tensor
+    wherever every control matches.  Copies, no arithmetic: the values ``op @ block``
+    gives for the op's exact 0s and 1s."""
+    index: list = [slice(None)] * tensor.ndim
+    for w, v in controls:
+        index[w] = slice(v, v + 1)  # a slice keeps its axis, so no view collapses to a scalar
+    digits = np.moveaxis(tensor[tuple(index)], target, 0)
+    for cycle in cycles:
+        saved = digits[cycle[0]].copy()
+        for a, b in zip(cycle, cycle[1:]):
+            digits[a] = digits[b]
+        digits[cycle[-1]] = saved
+
+
 def _check_wires(n: int, wires) -> list[int]:
     wires = [int(w) for w in wires]
     if len(set(wires)) != len(wires):
@@ -169,9 +186,36 @@ def _check_unitaries(d: int, ops: list) -> None:
             raise DimensionMismatch("operator is not unitary within tolerance")
 
 
+def _digit_cycles(op: np.ndarray, d: int) -> list[list[int]] | None:
+    """The cycles of a ``d x d`` matrix of exact 0s and 1s with one 1 in each row and
+    column, each as ``[a, b, ...]`` where row ``a`` has its 1 in column ``b``, fixed
+    digits left out; ``None`` for any other matrix."""
+    if op.shape != (d, d):
+        return None
+    rows = op.tolist()  # Python scalars: a d x d matrix takes microseconds, not numpy calls
+    if not all(x == 0 or x == 1 for row in rows for x in row):
+        return None
+    source = [row.index(1) for row in rows if row.count(1) == 1]
+    if sorted(source) != list(range(d)):
+        return None
+    cycles, seen = [], set()
+    for start in range(d):
+        if start in seen:
+            continue
+        cycle = [start]
+        while source[cycle[-1]] != start:
+            cycle.append(source[cycle[-1]])
+        seen.update(cycle)
+        if len(cycle) > 1:
+            cycles.append(cycle)
+    return cycles
+
+
 def _checked_ops(d: int, n: int, ops) -> list:
     """``(matrix, controls, targets)`` ops validated on an n-qudit register, each
-    matrix object checked unitary once per target width, as ``(op, controls, targets)``.
+    matrix object checked unitary once per target width, as ``(op, controls, targets,
+    cycles)``: ``cycles`` is :func:`_digit_cycles` of a one-target op, ``None`` for an
+    op that is not a 0/1 permutation or has more targets.
 
     The first invalid op in list order raises: when an op's wires are bad, the
     matrices of the ops before it are checked first."""
@@ -182,10 +226,13 @@ def _checked_ops(d: int, n: int, ops) -> list:
         for matrix, controls, targets in ops:
             controls, targets = _check_operands(d, n, controls, targets)
             op = np.asarray(matrix, dtype=np.complex128)
-            first.setdefault((id(matrix), len(targets)), (matrix, op, d ** len(targets)))
-            out.append((op, controls, targets))
+            key = (id(matrix), len(targets))
+            if key not in first:
+                cycles = _digit_cycles(op, d) if len(targets) == 1 else None
+                first[key] = (matrix, op, d ** len(targets), cycles)
+            out.append((op, controls, targets, first[key][3]))
     finally:
-        _check_unitaries(d, [(op, dim) for _, op, dim in first.values()])
+        _check_unitaries(d, [(op, dim) for _, op, dim, _ in first.values()])
     return out
 
 
@@ -199,8 +246,9 @@ def _hold(tensor: np.ndarray, wires: list[int], new) -> tuple[np.ndarray, list[i
 
 
 def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
-    """``(matrix, controls, targets)`` ops in order through :func:`_apply`; returns
-    the ``(d,)*n`` tensor of the whole register.
+    """``(matrix, controls, targets)`` ops in order, a one-target 0/1 permutation
+    through :func:`_move` and every other op through :func:`_apply`; returns the
+    ``(d,)*n`` tensor of the whole register.
 
     The writable ``tensor`` holds the ascending ``wires`` of an n-qudit register
     whose every other wire is idle in |0>, and ops may write into it.  Every op is
@@ -212,7 +260,7 @@ def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
     """
     d, wires = tensor.shape[0], list(wires)
     held, axis = set(wires), {w: i for i, w in enumerate(wires)}
-    for op, controls, targets in _checked_ops(d, n, ops):
+    for op, controls, targets, cycles in _checked_ops(d, n, ops):
         if any(v and w not in held for w, v in controls):
             continue  # an idle wire holds 0, so this control never matches
         floor = min(MIN_BLOCK_COLUMNS, d ** (n - len(targets) - len(controls)))
@@ -231,7 +279,11 @@ def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
             tensor, wires = _hold(tensor, wires, new)
             held.update(new)
             axis = {w: i for i, w in enumerate(wires)}
-        _apply(tensor, op, [axis[t] for t in targets], [(axis[w], v) for w, v in kept])
+        matched = [(axis[w], v) for w, v in kept]
+        if cycles is None:
+            _apply(tensor, op, [axis[t] for t in targets], matched)
+        else:
+            _move(tensor, cycles, axis[targets[0]], matched)
     idle = [w for w in range(n) if w not in held]
     return _hold(tensor, wires, idle)[0] if idle else tensor
 

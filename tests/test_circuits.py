@@ -628,6 +628,47 @@ def test_encoder_is_bit_identical_to_the_moveaxis_kernel(spec, path, m, context_
     assert pipeline.run(message).amps.tobytes() == expected.tobytes()
 
 
+def test_network_cnots_are_moved_not_multiplied(monkeypatch, rng):
+    from dfscodec import statevec
+
+    tokens = network_token_set(zn_phase_rep(builtin_group("z8"), 2))
+    pipeline = build_encoding_pipeline(tokens, 7, "cyclic", cyclic_network=True)
+    gates = [gate for gate in [*pipeline.prep, *pipeline.w_plan.gates, *pipeline.t_plan.gates]
+             if gate.kind != "chain"]
+    calls = []
+    apply = statevec._apply
+    monkeypatch.setattr(statevec, "_apply", lambda *args: calls.append(args) or apply(*args))
+    pipeline.run(random_state(2, 7, rng))
+    assert (len(gates), sum(gate.kind == "cnot" for gate in gates), len(calls)) == (40, 10, 30)
+
+
+@pytest.mark.parametrize("controls", [(), ((0, 2),)], ids=["uncontrolled", "control-2"])
+@pytest.mark.parametrize("power", [1, 2])
+def test_qudit_shifts_are_bit_identical_to_the_moveaxis_kernel(power, controls, monkeypatch, rng):
+    from dfscodec import statevec
+
+    shift = np.linalg.matrix_power(np.roll(np.eye(3, dtype=np.complex128), 1, axis=0), power)
+    state = random_state(3, 4, rng)
+    expected = state.tensor().copy()
+    moveaxis_apply(expected, shift, [2], controls)
+    monkeypatch.setattr(statevec, "_apply", lambda *args: pytest.fail("the shift was multiplied"))
+    assert apply_controlled(state, controls, shift, [2]).amps.tobytes() == expected.tobytes()
+
+
+def test_a_move_keeps_negative_zeros_whose_values_equal_the_product(rng):
+    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amps[:4] = complex(-0.0, -0.0)
+    state = StateVector.from_amplitudes(2, 3, amps, normalize=True)
+    expected = state.tensor().copy()
+    moveaxis_apply(expected, x, [0])
+    got = apply_controlled(state, (), x, [0]).amps
+    assert (got == expected.reshape(-1)).all()
+    # the one difference from the product: a move copies, so each -0.0 keeps its sign
+    assert np.signbit(state.amps[:4].real).all()
+    assert got.tobytes() == np.concatenate([state.amps[4:], state.amps[:4]]).tobytes()
+
+
 def _with_first_w_gate(pipeline, gate):
     from dataclasses import replace
 

@@ -390,6 +390,9 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
         # |1e200|^2 overflows in the unitarity product: no RuntimeWarning, one line
         (["rep", "analyze", "z2", f"@{DATA}/huge_rep_z2.json"],
          "matrix 1 is not unitary (residue inf)"),
+        # a character at -1e200 overflows the Gram product: no RuntimeWarning, one line
+        (["rep", "analyze", "z2", "builtin", "--table", f"@{DATA}/huge_table_z2.json"],
+         "characters violate the orthogonality relation"),
         # U_k = diag(1, w^(3k)) is faithful, but the network realizes only diag(1, w^k)
         (["circuit", "simulate", "--group", "z8", "--rep", f"@{DATA}/z8_phase3_rep.json",
           "--path", "cyclic", "--network", "--m", "2", "--seed", "3"],
@@ -400,7 +403,8 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
     ],
     ids=["count-r-1", "count-r0", "count-r2", "network-z2xz2", "su2-trials0", "su2-trials-1",
          "dist-fixed-x", "dist-fixed-empty", "dist-fixed-9", "dist-bogus", "analyze-nan-rep",
-         "tokens-nan-rep", "analyze-huge-rep", "network-z8-phase3", "network-general"],
+         "tokens-nan-rep", "analyze-huge-rep", "analyze-huge-table", "network-z8-phase3",
+         "network-general"],
 )
 def test_bad_inputs_exit_3_with_a_named_line(argv, line, capsys):
     assert main(argv) == 3

@@ -248,6 +248,23 @@ def test_run_on_held_wires_equals_the_whole_register(d, n, held, rng):
     assert got.tobytes() == _run(whole, range(n), n, ops).tobytes()
 
 
+def test_identity_moves_nothing_and_other_monomials_are_multiplied(monkeypatch, rng):
+    from dfscodec import statevec
+
+    calls = []
+    apply = statevec._apply
+    monkeypatch.setattr(statevec, "_apply", lambda *args: calls.append(args) or apply(*args))
+    tensor = random_state(2, 3, rng).tensor().copy()
+    tensor.setflags(write=False)  # any write raises
+    assert _run(tensor, range(3), 3, [(np.eye(2), [(0, 1)], [1]), (np.eye(2), [], [2])]) is tensor
+    assert not calls
+    state = random_state(2, 3, rng)
+    for op in (np.array([[0, -1], [1, 0]]), np.diag([1, 1j])):
+        expected = dense_apply(state, embed_local(op, 1, 2, 3))
+        assert np.allclose(apply_controlled(state, (), op, [1]).amps, expected, atol=1e-12)
+    assert len(calls) == 2
+
+
 def test_control_target_overlap_rejected(rng):
     state = random_state(2, 2, rng)
     with pytest.raises(BadTarget):
@@ -490,4 +507,4 @@ def test_batched_unitarity_check_raises_the_first_invalid_op(d, rng):
         expected = _raised(_reference_checked_ops, d, n, ops)
         assert _raised(_checked_ops, d, n, ops) == expected
         if expected is None:
-            assert all(op is m for (op, _, _), (m, _, _) in zip(_checked_ops(d, n, ops), ops))
+            assert all(op is m for (op, *_), (m, _, _) in zip(_checked_ops(d, n, ops), ops))
