@@ -17,7 +17,10 @@ chain, which keeps equivalence checks exact while preserving the counts.
 The basis change from group labels to token states is a plan too: either one
 dense gate completing the token columns (any group) or, for cyclic groups on
 qubits, a Fourier stage followed by a CNOT fan-out/fold network whose CNOT
-count is exactly (token wires + control wires).
+count is exactly (token wires + control wires).  The network writes label k as a
+token pattern of weight k; :func:`token_group_slices` is the one definition of
+that weight code, and the fan-out, the network fiducial and
+:func:`network_basis_indices` all read it.
 """
 
 from __future__ import annotations
@@ -379,10 +382,11 @@ def qft_gates(control_wires) -> list[Gate]:
 
 
 def token_group_slices(r_prime: int) -> list[tuple[int, int]]:
-    """Token-wire span of each bit group, most significant group first.
+    """The weight code: the token-wire span of each bit group, most significant first.
 
     Group m (1-indexed, least significant last) holds 2^(m-1) wires; the list
-    is indexed by m-1.
+    is indexed by m-1.  Label k sets the groups of its set bits, a pattern of
+    weight k.  Every reader of the network's label patterns derives from here.
     """
     spans = []
     for m in range(1, r_prime + 1):
@@ -391,30 +395,35 @@ def token_group_slices(r_prime: int) -> list[tuple[int, int]]:
     return spans
 
 
-def register_network_gates(
-    r_prime: int,
-    control_wires,
-    token_wires,
-    bit_to_control_wire,
-) -> list[Gate]:
-    """CNOT fan-out then fold: copies bit m onto its 2^(m-1)-wire group, clears controls.
+def network_basis_indices(n: int) -> np.ndarray:
+    """Big-endian token-wire index of each label's pattern, for a power-of-two n.
 
-    Exactly len(token_wires) + r_prime CNOTs.
+    Exact in int64 up to n = 64, whose largest index is 2^63 - 1.
     """
-    control_wires = list(control_wires)
-    token_wires = list(token_wires)
-    spans = token_group_slices(r_prime)
+    r_prime, r = control_wire_count(n), n - 1
+    # the place value of a group [lo, hi) of the r token wires
+    places = np.array([2 ** (r - lo) - 2 ** (r - hi) for lo, hi in token_group_slices(r_prime)])
+    return ((np.arange(n)[:, None] >> np.arange(r_prime)) & 1) @ places
+
+
+def register_network_gates(control_wires, token_wires) -> list[Gate]:
+    """CNOT fan-out then fold: copies bit m, read on control_wires[m-1], onto its
+    2^(m-1)-wire group, then clears the controls.
+
+    Exactly len(token_wires) + len(control_wires) CNOTs.
+    """
+    spans = token_group_slices(len(control_wires))
     gates: list[Gate] = []
-    for m in range(r_prime, 0, -1):
-        ctl = bit_to_control_wire[m]
+    for m in range(len(control_wires), 0, -1):
+        ctl = control_wires[m - 1]
         lo, hi = spans[m - 1]
         for t in token_wires[lo:hi]:
             gates.append(
                 Gate(kind="cnot", targets=(t,), controls=((ctl, 1),), matrix=_X,
                      cost=1, stage="t_fanout")
             )
-    for m in range(r_prime, 0, -1):
-        ctl = bit_to_control_wire[m]
+    for m in range(len(control_wires), 0, -1):
+        ctl = control_wires[m - 1]
         lo, _ = spans[m - 1]
         gates.append(
             Gate(kind="cnot", targets=(ctl,), controls=((token_wires[lo], 1),),
@@ -423,24 +432,28 @@ def register_network_gates(
     return gates
 
 
+def _check_network_order(n: int) -> None:
+    """The one order check of the register network: N = 2^r' with r' >= 1."""
+    if n < 2:
+        raise DfsCodecError(f"register network needs a group of order at least 2, got {n}")
+    if n & (n - 1):
+        raise DfsCodecError(f"register network needs a power-of-two order, got {n}")
+
+
 def synth_t_cyclic(n: int) -> CircuitPlan:
     """Fourier stage plus CNOT network mapping group labels to token states.
 
     Uses r' control wires and r = N - 1 token wires; after the fold the control
     register returns to |0...0> and the token register carries the state.  The
-    fan-out reads the Fourier output in its natural reversed bit order, so no
-    swap gates are needed.
+    swap-free Fourier stage leaves output bit m on control wire m-1, which is
+    where the fan-out reads it, so no swap gates are needed.
     """
-    if n < 2 or n & (n - 1):
-        raise DfsCodecError(f"register network needs a power-of-two order, got {n}")
+    _check_network_order(n)
     r_prime = control_wire_count(n)
     r = n - 1
     control_wires = tuple(range(r_prime))
     token_wires = tuple(range(r_prime, r_prime + r))
-    gates = qft_gates(control_wires)
-    # after the swap-free Fourier stage, output bit m sits on control wire m-1
-    bit_to_wire = {m: control_wires[m - 1] for m in range(1, r_prime + 1)}
-    gates.extend(register_network_gates(r_prime, control_wires, token_wires, bit_to_wire))
+    gates = [*qft_gates(control_wires), *register_network_gates(control_wires, token_wires)]
     layout = RegisterLayout(d=2, control=control_wires, token=token_wires, message=())
     cnots = sum(1 for g in gates if g.kind == "cnot")
     return CircuitPlan(
@@ -458,20 +471,9 @@ def synth_t_cyclic(n: int) -> CircuitPlan:
     )
 
 
-def network_basis_index(n: int, value: int) -> np.ndarray:
-    """Token-wire bit pattern the network produces for a group label value."""
-    r_prime = control_wire_count(n)
-    pattern = np.zeros(n - 1, dtype=np.int64)
-    for m in range(1, r_prime + 1):
-        if (value >> (m - 1)) & 1:
-            lo, hi = token_group_slices(r_prime)[m - 1]
-            pattern[lo:hi] = 1
-    return pattern
-
-
 def _check_network(rep: UnitaryRep, fiducial: StateVector | None = None) -> np.ndarray:
     """The weight-code fiducial's amplitudes, uniform over the patterns
-    :func:`network_basis_index` gives the labels, once ``rep`` (and a given
+    :func:`network_basis_indices` gives the labels, once ``rep`` (and a given
     ``fiducial``) is one whose tokens the register network realizes.
 
     The Fourier stage gives label k the phase e^(2 pi i k w / N) on the pattern of
@@ -481,10 +483,9 @@ def _check_network(rep: UnitaryRep, fiducial: StateVector | None = None) -> np.n
     """
     group = rep.group
     n = group.order
-    if n < 2:
-        raise DfsCodecError(f"register network needs a group of order at least 2, got {n}")
+    _check_network_order(n)
     gen = cyclic_generator(group)
-    if rep.dim != 2 or n & (n - 1) or gen is None:
+    if rep.dim != 2 or gen is None:
         raise DfsCodecError("network tokens are defined for qubit cyclic groups of power-of-two order")
     expected = np.zeros((n, 2, 2), dtype=np.complex128)
     expected[:, 0, 0] = 1.0
@@ -494,13 +495,9 @@ def _check_network(rep: UnitaryRep, fiducial: StateVector | None = None) -> np.n
             f"the register network needs U(g^k) = diag(1, e^(2 pi i k/{n})) "
             f"for the generator g = {group.labels[gen]!r}"
         )
-    r, r_prime = n - 1, control_wire_count(n)
-    # big-endian index of each label's pattern: the place values of its bit groups
-    places = 2 ** np.arange(r - 1, -1, -1)
-    group_places = [places[lo:hi].sum() for lo, hi in token_group_slices(r_prime)]
-    bits = (np.arange(n)[:, None] >> np.arange(r_prime)) & 1
+    r = n - 1
     amps = np.zeros(check_register(2, r), dtype=np.complex128)
-    amps[bits @ group_places] = 1.0 / np.sqrt(n)
+    amps[network_basis_indices(n)] = 1.0 / np.sqrt(n)
     if fiducial is not None and (
         fiducial.n != r or np.max(np.abs(fiducial.amps - amps)) > UNITARY_TOL
     ):

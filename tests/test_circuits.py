@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from dfscodec.circuits import (
+    _check_network,
     apply_t_direct,
     build_encoding_pipeline,
     gate_count_report,
     inverse_plan,
     logical_depth,
-    network_basis_index,
+    network_basis_indices,
     network_token_set,
     prep_gates,
     register_network_gates,
@@ -223,8 +224,7 @@ def test_register_network_fanout_and_fold_all_patterns(n):
     r = n - 1
     control = tuple(range(r_prime))
     token = tuple(range(r_prime, r_prime + r))
-    bit_to_wire = {m: r_prime - m for m in range(1, r_prime + 1)}  # big-endian register
-    gates = register_network_gates(r_prime, control, token, bit_to_wire)
+    gates = register_network_gates(control[::-1], token)  # big-endian register
     fanout = [g for g in gates if g.stage == "t_fanout"]
     fold = [g for g in gates if g.stage == "t_fold"]
     assert len(fanout) == r and len(fold) == r_prime
@@ -250,19 +250,13 @@ def test_register_network_fanout_and_fold_all_patterns(n):
             from dfscodec.circuits import apply_gate
 
             out = apply_gate(out, g)
-        digits = np.unravel_index(int(np.argmax(np.abs(out.amps))), (2,) * (r_prime + r))
-        assert all(digit == 0 for digit in digits[:r_prime])
-        np.testing.assert_array_equal(
-            np.array(digits[r_prime:]), network_basis_index(n, value)
-        )
+        index = int(np.argmax(np.abs(out.amps)))
+        assert index == network_basis_indices(n)[value]  # control wires cleared
 
 
 def test_register_network_z4_worked_example():
     # value 2, two-bit register: fan-out sets the two-wire group, fold clears
-    r_prime, r = 2, 3
-    control, token = (0, 1), (2, 3, 4)
-    bit_to_wire = {1: 1, 2: 0}
-    gates = register_network_gates(r_prime, control, token, bit_to_wire)
+    gates = register_network_gates((1, 0), (2, 3, 4))  # bit 1 on wire 1, bit 2 on wire 0
     from dfscodec.circuits import apply_gate
 
     state = product_state(basis_state(2, 2, 2), basis_state(2, 3, 0))  # |10>|000>
@@ -276,6 +270,20 @@ def test_register_network_z4_worked_example():
     np.testing.assert_allclose(
         state.amps, product_state(basis_state(2, 2, 0), basis_state(2, 3, 6)).amps
     )  # |00> (x) |110>
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_weight_code_gives_label_k_a_distinct_pattern_of_weight_k(n):
+    indices = network_basis_indices(n)
+    assert indices.dtype == np.int64
+    assert len(set(indices.tolist())) == n
+    # the Fourier stage gives label k the phases of a weight-k pattern
+    assert [bin(int(i)).count("1") for i in indices] == list(range(n))
+    # z64's all-ones pattern sits on the int64 edge without wrapping
+    assert int(indices.max()) == 2 ** (n - 1) - 1
+    if n <= 16:
+        support = np.flatnonzero(_check_network(zn_phase_rep(builtin_group(f"z{n}"), 2)))
+        np.testing.assert_array_equal(support, np.sort(indices))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])

@@ -297,11 +297,15 @@ def test_oversized_dense_basis_change_exits_3(capsys):
          "representation matrices must be at least 1x1, got 0x0"),
         (["circuit", "simulate", "--group", "z1", "--path", "cyclic", "--network"],
          "register network needs a group of order at least 2, got 1"),
+        (["circuit", "count", "--group", "z1", "--m", "1", "--path", "cyclic",
+          "--export-plan", "{tmp}/z1-plan.json"],
+         "register network needs a group of order at least 2, got 1"),
     ],
 )
-def test_degenerate_sizes_exit_3_with_a_named_line(argv, line, capsys):
-    assert main(argv) == 3
+def test_degenerate_sizes_exit_3_with_a_named_line(argv, line, tmp_path, capsys):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 3
     assert capsys.readouterr().err == f"error: {line}\n"
+    assert not list(tmp_path.iterdir())  # refused before any report is written
 
 
 @pytest.mark.parametrize("group,path,r", [("z14", "general", 13), ("z16", "cyclic", 15)])
