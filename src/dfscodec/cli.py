@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .codec import (
     run_roundtrip,
     uniform_channel,
 )
-from .errors import DfsCodecError, PerpOutcome
+from .errors import DfsCodecError, PerpOutcome, UnknownBuiltin
 from .groups import builtin_group, conjugacy_classes
 from .limits import UNITARY_TOL
 from .reps import (
@@ -39,6 +40,7 @@ from .reps import (
     builtin_character_table,
     builtin_rep,
     compound_character,
+    integral_multiplicities,
     min_r,
     multiplicities,
     require_regular,
@@ -67,7 +69,7 @@ EXIT_PROTOCOL = 4
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return int(args.seed)
     env = os.environ.get("DFSCODEC_SEED")
     if env is not None:
@@ -75,129 +77,113 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _load_group(spec: str):
+def _resolve(spec: str, builtin, load):
+    """``load(path)`` for ``@path``, else the builtin that ``spec`` names, else
+    ``load(spec)`` for an existing file; ``builtin=None`` reads only files."""
     if spec.startswith("@"):
-        return load_group_file(spec[1:])
-    try:
-        return builtin_group(spec)
-    except DfsCodecError:
-        if os.path.exists(spec):
-            return load_group_file(spec)
-        raise
+        return load(spec[1:])
+    if builtin is not None:
+        try:
+            return builtin(spec)
+        except UnknownBuiltin as exc:
+            if not os.path.exists(spec):
+                raise UnknownBuiltin(f"{exc}, and no such file exists") from None
+    return load(spec)
 
 
-def _load_rep(group, spec: str, dim: int):
-    if spec.startswith("@"):
-        return load_rep_file(group, spec[1:])
-    try:
-        return builtin_rep(group, spec, dim)
-    except ValueError:
-        if os.path.exists(spec):
-            return load_rep_file(group, spec)
-        raise
+def _load_inputs(args):
+    """The group, rep and character table that ``args`` names; None for those it lacks."""
+    group = _resolve(vars(args).get("builtin") or args.group, builtin_group, load_group_file)
+    if "rep" not in args:
+        return group, None, None
+    rep = _resolve(
+        args.rep, lambda spec: builtin_rep(group, spec, args.dim), partial(load_rep_file, group)
+    )
+    if "table" not in args:  # circuit simulate builds the builtin table if it needs one
+        return group, rep, None
+    if args.table is None:
+        return group, rep, builtin_character_table(group)
+    return group, rep, _resolve(args.table, None, partial(load_character_table_file, group))
 
 
-def _load_table(group, spec):
-    if spec is None:
-        return builtin_character_table(group)
-    return load_character_table_file(group, spec.lstrip("@"))
-
-
-def _emit(args, payload: dict) -> None:
-    text = canonical_json(payload)
-    sys.stdout.write(text)
-    report_path = getattr(args, "report", None)
-    if report_path:
-        write_report(report_path, payload)
-
-
-def _input_digest(group, rep=None) -> str:
-    payload = {"group": group_to_dict(group)}
-    if rep is not None:
-        payload["rep"] = {"dim": rep.dim, "matrices": complex_pairs(rep.matrices)}
-    return digest(payload)
+def _emit(args, payload: dict, group=None, rep=None) -> None:
+    """Print ``payload`` and write it to ``--report``, stamped with the digest of the
+    group and rep it was computed from."""
+    if group is not None:
+        inputs = {"group": group_to_dict(group)}
+        if rep is not None:
+            inputs["rep"] = {"dim": rep.dim, "matrices": complex_pairs(rep.matrices)}
+        payload["input_digest"] = digest(inputs)
+    sys.stdout.write(canonical_json(payload))
+    if args.report:
+        write_report(args.report, payload)
 
 
 def cmd_group_validate(args) -> int:
-    group = _load_group(args.group)
-    _emit(
-        args,
-        {
-            "command": "group.validate",
-            "valid": True,
-            "order": group.order,
-            "abelian": group.is_abelian,
-            "input_digest": _input_digest(group),
-        },
-    )
+    group, _, _ = _load_inputs(args)
+    payload = {
+        "command": "group.validate",
+        "valid": True,
+        "order": group.order,
+        "abelian": group.is_abelian,
+    }
+    _emit(args, payload, group)
     return EXIT_OK
 
 
 def cmd_group_info(args) -> int:
-    group = _load_group(args.builtin or args.group)
+    group, _, _ = _load_inputs(args)
     classes = conjugacy_classes(group)
-    _emit(
-        args,
-        {
-            "command": "group.info",
-            "name": group.name,
-            "order": group.order,
-            "abelian": group.is_abelian,
-            "labels": list(group.labels),
-            "num_classes": classes.s,
-            "class_sizes": classes.class_sizes.tolist(),
-            "classes": [list(c) for c in classes.classes],
-            "input_digest": _input_digest(group),
-        },
-    )
+    payload = {
+        "command": "group.info",
+        "name": group.name,
+        "order": group.order,
+        "abelian": group.is_abelian,
+        "labels": list(group.labels),
+        "num_classes": classes.s,
+        "class_sizes": classes.class_sizes.tolist(),
+        "classes": [list(c) for c in classes.classes],
+    }
+    _emit(args, payload, group)
     return EXIT_OK
 
 
 def cmd_rep_analyze(args) -> int:
-    group = _load_group(args.group)
-    rep = _load_rep(group, args.rep, args.dim)
-    table = _load_table(group, args.table)
+    group, rep, table = _load_inputs(args)
     chi = compound_character(rep, table.classes)
-    mv = multiplicities(rep, table, 1)
-    _emit(
-        args,
-        {
-            "command": "rep.analyze",
-            "group": group.name,
-            "dim": rep.dim,
-            "projective": rep.projective,
-            "compound_character": complex_pairs(chi),
-            "irrep_dims": table.dims.tolist(),
-            "multiplicities_power_1": list(mv.gammas),
-            "input_digest": _input_digest(group, rep),
-        },
-    )
+    mv = integral_multiplicities(rep, table)
+    payload = {
+        "command": "rep.analyze",
+        "group": group.name,
+        "dim": rep.dim,
+        "projective": rep.projective,
+        "compound_character": complex_pairs(chi),
+        "irrep_dims": table.dims.tolist(),
+        "multiplicities_power_1": list(mv.gammas) if mv.power == 1 else None,
+    }
+    if mv.power > 1:  # a projective rep: power 1 has no integer multiplicities
+        payload["first_integral_power"] = mv.power
+        payload["multiplicities_first_integral_power"] = list(mv.gammas)
+    _emit(args, payload, group, rep)
     return EXIT_OK
 
 
 def cmd_rep_min_r(args) -> int:
-    group = _load_group(args.group)
-    rep = _load_rep(group, args.rep, args.dim)
-    table = _load_table(group, args.table)
-    r = min_r(rep, table, args.r_max)
-    _emit(
-        args,
-        {
-            "command": "rep.min_r",
-            "group": group.name,
-            "dim": rep.dim,
-            "r": r,
-            "r_max": args.r_max,
-            "input_digest": _input_digest(group, rep),
-        },
-    )
+    group, rep, table = _load_inputs(args)
+    payload = {
+        "command": "rep.min_r",
+        "group": group.name,
+        "dim": rep.dim,
+        "r": min_r(rep, table, args.r_max),
+        "r_max": args.r_max,
+    }
+    _emit(args, payload, group, rep)
     return EXIT_OK
 
 
 def cmd_tokens_build(args) -> int:
-    group = _load_group(args.group)
-    rep = _load_rep(group, args.rep, args.dim)
-    context = prepare_protocol(rep, _load_table(group, args.table), r=args.r)
+    group, rep, table = _load_inputs(args)
+    context = prepare_protocol(rep, table, r=args.r)
     payload = {
         "command": "tokens.build",
         "group": group.name,
@@ -205,7 +191,6 @@ def cmd_tokens_build(args) -> int:
         "r": context.r,
         "gram_residue": context.tokens.gram_residue,
         "fiducial": state_to_dict(context.tokens.fiducial),
-        "input_digest": _input_digest(group, rep),
     }
     if args.dump_state:
         dump = {
@@ -214,7 +199,7 @@ def cmd_tokens_build(args) -> int:
         }
         write_report(args.dump_state, dump)
         payload["state_dump"] = args.dump_state
-    _emit(args, payload)
+    _emit(args, payload, group, rep)
     return EXIT_OK
 
 
@@ -237,10 +222,9 @@ def _make_channel(rep, dist: str, seed: int):
 
 
 def cmd_roundtrip(args) -> int:
-    group = _load_group(args.group)
-    rep = _load_rep(group, args.rep, args.dim)
+    group, rep, table = _load_inputs(args)
     seed = _resolve_seed(args)
-    context = prepare_protocol(rep, _load_table(group, args.table), r=args.r)
+    context = prepare_protocol(rep, table, r=args.r)
     channel = _make_channel(rep, args.dist, seed + 1)
     result = run_roundtrip(
         context,
@@ -257,16 +241,13 @@ def cmd_roundtrip(args) -> int:
         "distribution": args.dist,
         "seed": seed,
         "report": result.report.to_dict(),
-        "input_digest": _input_digest(group, rep),
     }
-    _emit(args, payload)
+    _emit(args, payload, group, rep)
     return EXIT_OK
 
 
 def cmd_circuit_count(args) -> int:
-    group = _load_group(args.group)
-    rep = _load_rep(group, args.rep, args.dim)
-    table = _load_table(group, args.table)
+    group, rep, table = _load_inputs(args)
     # an explicit power must contain the regular representation, as in tokens build
     if args.r is None:
         r = min_r(rep, table)
@@ -275,7 +256,6 @@ def cmd_circuit_count(args) -> int:
     paths = ("general", "abelian", "cyclic") if args.path == "all" else (args.path,)
     payload = gate_count_report(group, rep, args.m, r, paths=paths)
     payload["command"] = "circuit.count"
-    payload["input_digest"] = _input_digest(group, rep)
     if args.export_plan:
         if args.path == "all":
             raise DfsCodecError("--export-plan needs a single --path")
@@ -284,13 +264,12 @@ def cmd_circuit_count(args) -> int:
             export["t"] = plan_to_dict(synth_t_cyclic(group.order))
         write_report(args.export_plan, export)
         payload["plan_export"] = args.export_plan
-    _emit(args, payload)
+    _emit(args, payload, group, rep)
     return EXIT_OK
 
 
 def cmd_circuit_simulate(args) -> int:
-    group = _load_group(args.group)
-    rep = _load_rep(group, args.rep, args.dim)
+    group, rep, _ = _load_inputs(args)
     seed = _resolve_seed(args)
     if args.network and args.path != "cyclic":
         raise DfsCodecError(f"--network pairs with --path cyclic, got --path {args.path}")
@@ -317,9 +296,8 @@ def cmd_circuit_simulate(args) -> int:
         "seed": seed,
         "w_gate_count": pipeline.w_plan.total_count,
         "fidelity_vs_direct_encoding": fid,
-        "input_digest": _input_digest(group, rep),
     }
-    _emit(args, payload)
+    _emit(args, payload, group, rep)
     if args.verify and fid < 1.0 - UNITARY_TOL:
         raise PerpOutcome(f"circuit/encoder fidelity {fid} below 1 - {UNITARY_TOL}")
     return EXIT_OK
@@ -346,101 +324,91 @@ def build_parser(argv) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = []
+
+    def declare(command, func, inputs=None, table=True):
+        """``command`` running ``func``, with its inputs: ``group`` and ``rep`` as
+        positionals or as options, then ``--dim`` and ``--table``. Its own flags
+        follow, and ``--report`` comes last."""
+        command.set_defaults(func=func)
+        if inputs == "positional":
+            command.add_argument("group")
+            command.add_argument("rep")
+        elif inputs == "options":
+            command.add_argument("--group", required=True)
+            command.add_argument("--rep", default="builtin")
+        if inputs:
+            command.add_argument("--dim", type=int, default=2)
+        if inputs and table:
+            command.add_argument(
+                "--table", help="@file with dims, chars and optional irrep matrices"
+            )
+        leaves.append(command)
 
     group_cmd = sub.add_parser("group", help="group validation and structure")
     if "group" in argv:
         group_sub = group_cmd.add_subparsers(dest="subcommand", required=True)
         gv = group_sub.add_parser("validate", help="check a group definition file")
+        declare(gv, cmd_group_validate)
         gv.add_argument("group", help="@file.json or a builtin name")
-        gv.add_argument("--report")
-        gv.set_defaults(func=cmd_group_validate)
         gi = group_sub.add_parser("info", help="order, classes and labels")
+        declare(gi, cmd_group_info)
         gi.add_argument("group", nargs="?", default=None)
         gi.add_argument("--builtin", help="builtin name, e.g. s3 or z8")
-        gi.add_argument("--report")
-        gi.set_defaults(func=cmd_group_info)
 
     rep_cmd = sub.add_parser("rep", help="representation analysis")
     if "rep" in argv:
         rep_sub = rep_cmd.add_subparsers(dest="subcommand", required=True)
         ra = rep_sub.add_parser("analyze", help="characters and irrep content")
-        ra.add_argument("group")
-        ra.add_argument("rep")
-        ra.add_argument("--dim", type=int, default=2)
-        ra.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
-        ra.add_argument("--report")
-        ra.set_defaults(func=cmd_rep_analyze)
+        declare(ra, cmd_rep_analyze, "positional")
         rm = rep_sub.add_parser("min-r", help="smallest power containing the regular rep")
-        rm.add_argument("group")
-        rm.add_argument("rep")
-        rm.add_argument("--dim", type=int, default=2)
-        rm.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
+        declare(rm, cmd_rep_min_r, "positional")
         rm.add_argument("--r-max", type=int, default=DEFAULT_R_MAX)
-        rm.add_argument("--report")
-        rm.set_defaults(func=cmd_rep_min_r)
 
     tok_cmd = sub.add_parser("tokens", help="token-state construction")
     if "tokens" in argv:
         tok_sub = tok_cmd.add_subparsers(dest="subcommand", required=True)
         tb = tok_sub.add_parser("build", help="build and certify the token set")
-        tb.add_argument("--group", required=True)
-        tb.add_argument("--rep", default="builtin")
-        tb.add_argument("--dim", type=int, default=2)
-        tb.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
+        declare(tb, cmd_tokens_build, "options")
         tb.add_argument("--r", type=int, default=None)
         tb.add_argument("--dump-state", help="write fiducial and tokens to a JSON file")
-        tb.add_argument("--report")
-        tb.set_defaults(func=cmd_tokens_build)
 
     rt = sub.add_parser("roundtrip", help="encode, transmit, decode")
     if "roundtrip" in argv:
-        rt.add_argument("--group", required=True)
-        rt.add_argument("--rep", default="builtin")
-        rt.add_argument("--dim", type=int, default=2)
-        rt.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
+        declare(rt, cmd_roundtrip, "options")
         rt.add_argument("--m", type=int, default=1)
         rt.add_argument("--r", type=int, default=None)
         rt.add_argument("--dist", default="uniform", help="uniform | fixed:<k> | random")
         rt.add_argument("--seed", type=int, default=None)
-        rt.add_argument("--report")
-        rt.set_defaults(func=cmd_roundtrip)
 
     circ_cmd = sub.add_parser("circuit", help="gate synthesis and verification")
     if "circuit" in argv:
         circ_sub = circ_cmd.add_subparsers(dest="subcommand", required=True)
         cc = circ_sub.add_parser("count", help="gate counts per synthesis path")
-        cc.add_argument("--group", required=True)
-        cc.add_argument("--rep", default="builtin")
-        cc.add_argument("--dim", type=int, default=2)
-        cc.add_argument("--table", default=None, help="@file with dims, chars and optional irrep matrices")
+        declare(cc, cmd_circuit_count, "options")
         cc.add_argument("--m", type=int, default=1)
         cc.add_argument("--r", type=int, default=None)
         cc.add_argument("--path", default="all", choices=["all", "general", "abelian", "cyclic"])
         cc.add_argument("--export-plan", help="write the emitted gate list to a JSON file")
-        cc.add_argument("--report")
-        cc.set_defaults(func=cmd_circuit_count)
         cs = circ_sub.add_parser("simulate", help="simulate a synthesized encoder")
-        cs.add_argument("--group", required=True)
-        cs.add_argument("--rep", default="builtin")
-        cs.add_argument("--dim", type=int, default=2)
+        declare(cs, cmd_circuit_simulate, "options", table=False)
         cs.add_argument("--m", type=int, default=1)
         cs.add_argument("--path", default="general", choices=["general", "abelian", "cyclic"])
         cs.add_argument("--network", action="store_true",
                         help="use the Fourier + CNOT basis change (cyclic path)")
         cs.add_argument("--verify", action="store_true")
         cs.add_argument("--seed", type=int, default=None)
-        cs.add_argument("--report")
-        cs.set_defaults(func=cmd_circuit_simulate)
 
     demo_cmd = sub.add_parser("demo", help="worked demonstrations")
     if "demo" in argv:
         demo_sub = demo_cmd.add_subparsers(dest="subcommand", required=True)
         ds = demo_sub.add_parser("su2", help="three-qubit collective-rotation check")
+        declare(ds, cmd_demo_su2)
         ds.add_argument("--trials", type=int, default=50)
         ds.add_argument("--seed", type=int, default=None)
-        ds.add_argument("--report")
-        ds.set_defaults(func=cmd_demo_su2)
 
+    for command in leaves:
+        command.add_argument("--report")
     return parser
 
 

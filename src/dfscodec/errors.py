@@ -9,6 +9,10 @@ class NotAGroup(DfsCodecError):
     """A candidate Cayley table violates one of the group axioms."""
 
 
+class UnknownBuiltin(DfsCodecError, ValueError):
+    """A spec names no built-in group or representation."""
+
+
 class GroupTooLarge(DfsCodecError):
     """Group order exceeds ``limits.MAX_GROUP_ORDER``."""
 

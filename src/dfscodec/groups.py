@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupTooLarge, NotAGroup
+from .errors import GroupTooLarge, NotAGroup, UnknownBuiltin
 from .limits import MAX_GROUP_ORDER
 
 
@@ -251,21 +251,22 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 def builtin_group(spec: str) -> FiniteGroup:
     """Build one of the named groups: ``z<N>``, ``k4``, ``s3`` or products like ``z4xz2``."""
-    spec = spec.strip().lower()
-    if "x" in spec and spec != "x":
-        parts = spec.split("x")
-        group = builtin_group(parts[0])
-        for part in parts[1:]:
-            group = direct_product(group, builtin_group(part))
-        return group
-    if spec == "k4":
-        return klein_group()
-    if spec == "s3":
-        return symmetric_group_3()
-    m = re.fullmatch(r"z(\d+)", spec)
-    if m:
-        return cyclic_group(int(m.group(1)))
-    raise NotAGroup(f"unknown builtin group {spec!r} (expected z<N>, k4, s3 or a product)")
+    group = None
+    for part in (p.strip() for p in spec.strip().lower().split("x")):
+        m = re.fullmatch(r"z(\d+)", part)
+        if m:
+            factor = cyclic_group(int(m.group(1)))
+        elif part == "k4":
+            factor = klein_group()
+        elif part == "s3":
+            factor = symmetric_group_3()
+        else:
+            # the whole spec, as given: one of its fragments may be no name at all
+            raise UnknownBuiltin(
+                f"unknown builtin group {spec!r} (expected z<N>, k4, s3 or a product)"
+            )
+        group = factor if group is None else direct_product(group, factor)
+    return group
 
 
 def cyclic_generator(group: FiniteGroup) -> int | None:

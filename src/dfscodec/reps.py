@@ -31,6 +31,7 @@ from .errors import (
     NumericalDegeneracy,
     RegularRepMissing,
     RMaxExceeded,
+    UnknownBuiltin,
 )
 from .groups import (
     ConjugacyClasses,
@@ -340,6 +341,16 @@ def multiplicities(rep: UnitaryRep, table: CharacterTable, n: int) -> Multiplici
     if total != rep.dim**n:
         raise NonIntegerMultiplicity(f"power {n}: dimensions sum to {total}, not {rep.dim**n}")
     return MultiplicityVector(power=n, gammas=tuple(int(g) for g in gammas))
+
+
+def integral_multiplicities(rep: UnitaryRep, table: CharacterTable) -> MultiplicityVector:
+    """Multiplicities of the least power with integer ones: power 1 for a linear V, the
+    first linear power of a projective V (2 for the Pauli set); power 1's refusal if none."""
+    chi = compound_character(rep, table.classes)
+    sequence = islice(_multiplicity_sequence(chi, table, rep.projective), DEFAULT_R_MAX)
+    integral = (n for n, gammas in enumerate(sequence, 1)
+                if gammas is not None and all(g.denominator == 1 for g in gammas))
+    return multiplicities(rep, table, next(integral, 1))
 
 
 def require_regular(mv: MultiplicityVector, table: CharacterTable) -> MultiplicityVector:
@@ -695,6 +706,6 @@ def builtin_rep(group: FiniteGroup, spec: str = "builtin", dim: int = 2) -> Unit
         return pauli_rep(group)
     if spec in ("builtin", "builtin-2d", "standard") and _is_s3(group):
         return s3_two_dim_rep(group)
-    raise ValueError(
+    raise UnknownBuiltin(
         f"no built-in representation {spec!r} for group {group.name or group.order}"
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NotAGroup
+from .errors import DfsCodecError, NotAGroup
 from .groups import FiniteGroup, validate_group
 from .reps import CharacterTable, UnitaryRep
 from .statevec import StateVector
@@ -54,13 +54,24 @@ def group_from_dict(data: dict, name: str | None = None) -> FiniteGroup:
     labels = data.get("labels")
     group = validate_group(data["cayley"], labels=labels, name=name)
     if "order" in data and data["order"] != group.order:
-        raise NotAGroup(f"declared order {data['order']} != table size {group.order}")
+        raise NotAGroup(f"declared order {data['order']!r} != table size {group.order}")
     return group
 
 
-def load_group_file(path: str | Path) -> FiniteGroup:
+def _read_object(path: str | Path, *keys: str) -> dict:
+    """The JSON object in the file at ``path``, refused unless it has every key in ``keys``;
+    the one reader of every input file."""
     data = json.loads(Path(path).read_text())
-    return group_from_dict(data, name=Path(path).stem)
+    if not isinstance(data, dict):
+        raise DfsCodecError(f"{path} is not a JSON object")
+    for key in keys:
+        if key not in data:
+            raise DfsCodecError(f"{path} has no {key!r} entry")
+    return data
+
+
+def load_group_file(path: str | Path) -> FiniteGroup:
+    return group_from_dict(_read_object(path), name=Path(path).stem)
 
 
 def rep_to_dict(rep: UnitaryRep) -> dict:
@@ -79,7 +90,7 @@ def rep_from_dict(group: FiniteGroup, data: dict) -> UnitaryRep:
 
 
 def load_rep_file(group: FiniteGroup, path: str | Path) -> UnitaryRep:
-    return rep_from_dict(group, json.loads(Path(path).read_text()))
+    return rep_from_dict(group, _read_object(path, "matrices"))
 
 
 def character_table_to_dict(table: CharacterTable) -> dict:
@@ -112,7 +123,7 @@ def state_from_dict(data: dict) -> StateVector:
 
 
 def load_character_table_file(group: FiniteGroup, path: str | Path) -> CharacterTable:
-    return character_table_from_dict(group, json.loads(Path(path).read_text()))
+    return character_table_from_dict(group, _read_object(path, "dims", "chars"))
 
 
 def gate_to_dict(gate) -> dict:

@@ -120,6 +120,22 @@ def test_unknown_builtin_exits_3(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_a_table_spec_is_a_file_with_one_optional_at(tmp_path, monkeypatch, capsys):
+    from dfscodec.groups import builtin_group
+    from dfscodec.reps import builtin_character_table
+    from dfscodec.serialization import canonical_json, character_table_to_dict
+
+    table = canonical_json(character_table_to_dict(builtin_character_table(builtin_group("z2"))))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.json").write_text(table)
+    (tmp_path / "@z2").write_text(table)  # and no file z2: "@@z2" names "@z2"
+    for spec in ("table.json", "@table.json", "@@z2"):
+        assert main(["rep", "min-r", "z2", "builtin", "--table", spec]) == 0
+        assert json.loads(capsys.readouterr().out)["r"] == 1
+    assert main(["rep", "min-r", "z2", "builtin", "--table", "@nonexist.json"]) == 3
+    assert "No such file or directory: 'nonexist.json'" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["roundtrip", "--m", "1"])  # missing --group
@@ -345,13 +361,14 @@ def test_circuit_count_refuses_a_named_path_it_cannot_build(path, message, capsy
 
 
 def test_rep_analyze_names_the_projective_power(capsys):
-    # the Pauli set is the default rep of k4: its first power is not a linear representation
-    assert main(["rep", "analyze", "k4", "builtin"]) == 3
-    err = capsys.readouterr().err
-    assert err == (
-        "error: power 1 of a projective representation has non-integer multiplicities "
-        "(residue 5.000e-01)\n"
-    )
+    # the Pauli set is the default rep of both: power 1 is not a linear representation,
+    # power 2 holds every irrep once
+    for group in ("k4", "z2xz2"):
+        assert main(["rep", "analyze", group, "builtin"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["projective"] is True and payload["multiplicities_power_1"] is None
+        assert payload["first_integral_power"] == 2
+        assert payload["multiplicities_first_integral_power"] == [1, 1, 1, 1]
 
 
 def test_z32_gets_its_exact_r(capsys):
@@ -404,11 +421,34 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
         (["circuit", "simulate", "--group", "z8", "--m", "2", "--path", "general", "--network",
           "--verify", "--seed", "3"],
          "--network pairs with --path cyclic, got --path general"),
+        # malformed input files: a missing key or a file that holds no JSON object
+        (["rep", "analyze", "z2", f"@{DATA}/rep_without_matrices_z2.json"],
+         f"{DATA}/rep_without_matrices_z2.json has no 'matrices' entry"),
+        (["rep", "analyze", "z2", "builtin", "--table", f"@{DATA}/table_without_chars_z2.json"],
+         f"{DATA}/table_without_chars_z2.json has no 'chars' entry"),
+        (["rep", "analyze", "z2", "builtin", "--table", f"@{DATA}/table_without_dims_z2.json"],
+         f"{DATA}/table_without_dims_z2.json has no 'dims' entry"),
+        (["rep", "analyze", "z2", f"@{DATA}/rep_array_z2.json"],
+         f"{DATA}/rep_array_z2.json is not a JSON object"),
+        (["rep", "analyze", "z2", "builtin", "--table", f"@{DATA}/table_array_z2.json"],
+         f"{DATA}/table_array_z2.json is not a JSON object"),
+        # the declared order is the string '2', which equals no table size
+        (["group", "validate", f"@{DATA}/group_string_order.json"],
+         "declared order '2' != table size 2"),
+        # neither a builtin nor a file: the whole spec is quoted, not its fragment before an x
+        (["group", "validate", f"{DATA}/nonexist.json"],
+         f"unknown builtin group '{DATA}/nonexist.json' (expected z<N>, k4, s3 or a product), "
+         "and no such file exists"),
+        (["rep", "analyze", "z2", f"{DATA}/nonexist.json"],
+         f"no built-in representation '{DATA}/nonexist.json' for group z2, "
+         "and no such file exists"),
     ],
     ids=["count-r-1", "count-r0", "count-r2", "network-z2xz2", "su2-trials0", "su2-trials-1",
          "dist-fixed-x", "dist-fixed-empty", "dist-fixed-9", "dist-bogus", "analyze-nan-rep",
          "tokens-nan-rep", "analyze-huge-rep", "analyze-huge-table", "network-z8-phase3",
-         "network-general"],
+         "network-general", "rep-without-matrices", "table-without-chars",
+         "table-without-dims", "rep-array", "table-array", "group-string-order",
+         "group-neither-builtin-nor-file", "rep-neither-builtin-nor-file"],
 )
 def test_bad_inputs_exit_3_with_a_named_line(argv, line, capsys):
     assert main(argv) == 3
@@ -529,3 +569,52 @@ def test_golden_commands_repeat_byte_for_byte_between_usage_errors(capsys):
     assert bad_m[0] == 2 and "argument --m: invalid int value: 'x'" in bad_m[2]
     assert bare_group[0] == 2 and bare_group[2].startswith("usage: dfscodec group")
     assert version == (0, f"{dfscodec.__version__}\n", "")
+
+
+INPUTS = {"dim": 2, "table": None, "report": None}
+PARSED = [
+    (["group", "validate", "z2"],
+     {"command": "group", "subcommand": "validate", "group": "z2", "report": None}),
+    (["group", "info"],
+     {"command": "group", "subcommand": "info", "group": None, "builtin": None, "report": None}),
+    (["rep", "analyze", "z3", "builtin"],
+     {"command": "rep", "subcommand": "analyze", "group": "z3", "rep": "builtin", **INPUTS}),
+    (["rep", "min-r", "z3", "builtin"],
+     {"command": "rep", "subcommand": "min-r", "group": "z3", "rep": "builtin", "r_max": 32,
+      **INPUTS}),
+    (["tokens", "build", "--group", "z3"],
+     {"command": "tokens", "subcommand": "build", "group": "z3", "rep": "builtin", "r": None,
+      "dump_state": None, **INPUTS}),
+    (["roundtrip", "--group", "z3"],
+     {"command": "roundtrip", "group": "z3", "rep": "builtin", "m": 1, "r": None,
+      "dist": "uniform", "seed": None, **INPUTS}),
+    (["circuit", "count", "--group", "z3"],
+     {"command": "circuit", "subcommand": "count", "group": "z3", "rep": "builtin", "m": 1,
+      "r": None, "path": "all", "export_plan": None, **INPUTS}),
+    (["circuit", "simulate", "--group", "z3"],
+     {"command": "circuit", "subcommand": "simulate", "group": "z3", "rep": "builtin",
+      "dim": 2, "m": 1, "path": "general", "network": False, "verify": False, "seed": None,
+      "report": None}),
+    (["demo", "su2"],
+     {"command": "demo", "subcommand": "su2", "trials": 50, "seed": None, "report": None}),
+]
+
+
+def _parsed(argv):
+    from dfscodec.cli import build_parser
+
+    parsed = vars(build_parser(argv).parse_args(argv))
+    del parsed["func"]
+    return parsed
+
+
+@pytest.mark.parametrize(
+    "argv,expected", PARSED, ids=[f"{e['command']} {e.get('subcommand', '')}" for _, e in PARSED]
+)
+def test_each_command_parses_its_own_flags_and_defaults(argv, expected):
+    assert _parsed(argv) == expected
+    # the shared flags keep their types: --dim is an int, --table and --report are strings
+    values = {"dim": 3, "table": "t.json", "report": "r.json"}
+    shared = {dest: value for dest, value in values.items() if dest in expected}
+    given = [arg for dest, value in shared.items() for arg in (f"--{dest}", str(value))]
+    assert _parsed(argv + given) == {**expected, **shared}
