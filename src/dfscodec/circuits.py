@@ -248,9 +248,6 @@ def _abelian_blocks(group: FiniteGroup, m: int):
             raise DfsCodecError(
                 f"generator order {bound} is not a power of two; control wires are qubits"
             )
-    elements = word_elements(group, generators, orders)
-    if sorted(set(elements)) != list(range(group.order)):
-        raise DfsCodecError("generator words do not enumerate the group bijectively")
     blocks = []
     r_prime = bound_total = 0  # each generator's exponent takes the next width positions
     for gen, bound in zip(generators, orders):
@@ -258,18 +255,16 @@ def _abelian_blocks(group: FiniteGroup, m: int):
         positions = range(r_prime, r_prime + width)
         r_prime += width
         bound_total += bound * (40 * max(width - 2, 0) + m)
-        power = 0
-        for exponent in range(1, bound):
-            power = group.mul(power, gen)
-            blocks.append(
-                (_control_pattern(positions, exponent), power, f"{group.labels[gen]}^{exponent}")
-            )
+        blocks.extend(
+            (_control_pattern(positions, k), group.powers[gen, k], f"{group.labels[gen]}^{k}")
+            for k in range(1, bound)
+        )
     return r_prime, blocks, {
         "generators": list(generators),
         "generator_orders": list(orders),
         "count_bound": bound_total,
         "control_labeling": "generator_words",
-        "word_elements": elements,
+        "word_elements": word_elements(group, generators, orders),
     }
 
 

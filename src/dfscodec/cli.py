@@ -44,6 +44,7 @@ from .reps import (
     min_r,
     multiplicities,
     require_regular,
+    require_regular_possible,
 )
 from .serialization import (
     canonical_json,
@@ -71,10 +72,11 @@ EXIT_PROTOCOL = 4
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return int(args.seed)
-    env = os.environ.get("DFSCODEC_SEED")
-    if env is not None:
+    env = os.environ.get("DFSCODEC_SEED", str(DEFAULT_SEED))
+    try:
         return int(env)
-    return DEFAULT_SEED
+    except ValueError:
+        raise DfsCodecError(f"DFSCODEC_SEED must be an integer, got {env!r}") from None
 
 
 def _resolve(spec: str, builtin, load):
@@ -252,6 +254,7 @@ def cmd_circuit_count(args) -> int:
     if args.r is None:
         r = min_r(rep, table)
     else:
+        require_regular_possible(rep, table)
         r = require_regular(multiplicities(rep, table, args.r), table).power
     paths = ("general", "abelian", "cyclic") if args.path == "all" else (args.path,)
     payload = gate_count_report(group, rep, args.m, r, paths=paths)

@@ -40,6 +40,7 @@ from .reps import (
     min_r,
     multiplicities,
     require_regular,
+    require_regular_possible,
 )
 from .statevec import (
     StateVector,
@@ -411,6 +412,8 @@ def prepare_protocol(
     table = table or builtin_character_table(rep.group)
     if r is None:
         r = min_r(rep, table)
+    else:
+        require_regular_possible(rep, table)
     # the |G| tokens, and the closure check's stack, are the largest objects built
     check_entries(
         rep.group.order * rep.dim**r, f"{rep.group.order} tokens of {rep.dim}**{r} amplitudes"

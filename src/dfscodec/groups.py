@@ -4,12 +4,18 @@ Elements are integers ``0..order-1`` and the identity always sits at index 0;
 ``validate_group`` relabels input tables that put it elsewhere.  Groups above
 ``MAX_GROUP_ORDER`` are rejected: the dense protocol state, not the group
 algebra, is the binding cost, and nothing past order 64 fits that budget.
+
+Element orders, the cyclic generator and generator words are read from one
+power table per group, :attr:`FiniteGroup.powers`; conjugacy classes from one
+conjugation table.  Both are whole-table array operations on the Cayley table.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,13 +51,19 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.cayley, self.cayley.T))
 
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """Frozen ``(|G|, |G|+1)`` table: ``powers[i, k]`` is the index of ``g_i^k``."""
+        idx = np.arange(self.order)
+        out = np.zeros((self.order, self.order + 1), dtype=np.int64)
+        for k in range(self.order):
+            out[:, k + 1] = self.cayley[out[:, k], idx]
+        out.setflags(write=False)
+        return out
+
     def element_order(self, i: int) -> int:
         """Smallest n >= 1 with g_i^n = e."""
-        n, cur = 1, i
-        while cur != 0:
-            cur = self.mul(cur, i)
-            n += 1
-        return n
+        return self.powers[i].tolist().index(0, 1)
 
     def conjugate(self, l: int, i: int) -> int:
         """Index of g_l * g_i * g_l^-1."""
@@ -86,8 +98,9 @@ class ConjugacyClasses:
 def validate_group(cayley, labels=None, name: str | None = None) -> FiniteGroup:
     """Check a raw Cayley table and build a :class:`FiniteGroup`.
 
-    Verifies closure, identity, inverses and associativity; the error message
-    pinpoints the first failing triple.  If the identity is not element 0 the
+    Verifies closure, identity, inverses and associativity, in that order; the
+    error message names the first failing element or triple.  These axioms make
+    every row and column a permutation.  If the identity is not element 0 the
     table is relabeled by swapping it into place.
     """
     table = np.asarray(cayley)
@@ -95,12 +108,9 @@ def validate_group(cayley, labels=None, name: str | None = None) -> FiniteGroup:
         raise NotAGroup(f"Cayley table must be square, got shape {table.shape}")
     if table.size == 0:
         raise NotAGroup("Cayley table is empty")
-    if not np.issubdtype(table.dtype, np.integer):
-        if not np.all(table == np.floor(table)):
-            raise NotAGroup("Cayley table entries must be integers")
-        table = table.astype(np.int64)
-    else:
-        table = table.astype(np.int64)
+    if not np.issubdtype(table.dtype, np.integer) and not np.all(table == np.floor(table)):
+        raise NotAGroup("Cayley table entries must be integers")
+    table = table.astype(np.int64)
     n = table.shape[0]
     if n > MAX_GROUP_ORDER:
         raise GroupTooLarge(f"group order {n} exceeds the supported maximum {MAX_GROUP_ORDER}")
@@ -110,21 +120,15 @@ def validate_group(cayley, labels=None, name: str | None = None) -> FiniteGroup:
             f"entry [{bad[0]}][{bad[1]}] = {table[bad[0], bad[1]]} is outside 0..{n - 1}"
         )
 
-    if labels is not None:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n:
-            raise NotAGroup(f"expected {n} labels, got {len(labels)}")
-    else:
-        labels = tuple(str(i) for i in range(n))
+    labels = tuple(str(x) for x in (range(n) if labels is None else labels))
+    if len(labels) != n:
+        raise NotAGroup(f"expected {n} labels, got {len(labels)}")
 
     idx = np.arange(n)
-    identity = None
-    for e in range(n):
-        if np.array_equal(table[e, :], idx) and np.array_equal(table[:, e], idx):
-            identity = e
-            break
-    if identity is None:
+    identities = np.flatnonzero((table == idx).all(axis=1) & (table == idx[:, None]).all(axis=0))
+    if identities.size == 0:
         raise NotAGroup("no two-sided identity element found")
+    identity = int(identities[0])
     if identity != 0:
         perm = idx.copy()
         perm[0], perm[identity] = identity, 0
@@ -132,15 +136,15 @@ def validate_group(cayley, labels=None, name: str | None = None) -> FiniteGroup:
         table = perm[table[np.ix_(perm, perm)]]
         labels = tuple(labels[perm[i]] for i in range(n))
 
-    inverse = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        hits = np.flatnonzero(table[i, :] == 0)
-        if hits.size == 0:
+    # the first right inverse of each element, and whether it is a left inverse too
+    zero = table == 0
+    has_right, inverse = zero.any(axis=1), np.argmax(zero, axis=1)
+    two_sided = has_right & (table[inverse, idx] == 0)
+    if not two_sided.all():
+        i = int(np.argmin(two_sided))
+        if not has_right[i]:
             raise NotAGroup(f"element {i} has no right inverse")
-        k = int(hits[0])
-        if table[k, i] != 0:
-            raise NotAGroup(f"element {i}: right inverse {k} is not a left inverse")
-        inverse[i] = k
+        raise NotAGroup(f"element {i}: right inverse {inverse[i]} is not a left inverse")
 
     # cayley[cayley[i,j],k] against cayley[i,cayley[j,k]], all triples at once
     left = table[table, :]
@@ -154,36 +158,22 @@ def validate_group(cayley, labels=None, name: str | None = None) -> FiniteGroup:
             f"but {labels[i]}*({labels[j]}*{labels[k]}) = {labels[int(right[i, j, k])]}"
         )
 
-    sorted_rows = np.sort(table, axis=1)
-    sorted_cols = np.sort(table, axis=0)
-    if not (np.all(sorted_rows == idx) and np.all(sorted_cols == idx[:, None])):
-        bad = 0 if np.all(sorted_rows == idx) else int(np.argwhere(sorted_rows != idx)[0][0])
-        raise NotAGroup(f"row/column {bad} of the Cayley table is not a permutation")
-
     return FiniteGroup(order=n, cayley=table, inverse=inverse, labels=labels, name=name)
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
     """Partition the group into conjugacy classes, sorted by minimal element."""
-    n = group.order
-    seen = np.zeros(n, dtype=bool)
-    classes: list[tuple[int, ...]] = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        orbit = {group.conjugate(l, i) for l in range(n)}
-        for x in orbit:
-            seen[x] = True
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda c: c[0])
-    class_of = np.empty(n, dtype=np.int64)
-    for c, members in enumerate(classes):
-        for x in members:
-            class_of[x] = c
-    sizes = np.array([len(c) for c in classes], dtype=np.int64)
-    reps = tuple(c[0] for c in classes)
+    # column i of the conjugation table holds g_l g_i g_l^-1 for every l: the class of g_i
+    least = group.cayley[group.cayley, group.inverse[:, None]].min(axis=0)
+    reps = np.flatnonzero(least == np.arange(group.order))  # each class's least member
+    class_of = np.searchsorted(reps, least)
+    sizes = np.bincount(class_of)
+    members, ends = np.argsort(class_of, kind="stable").tolist(), np.cumsum(sizes).tolist()
     return ConjugacyClasses(
-        classes=tuple(classes), class_of=class_of, class_sizes=sizes, representatives=reps
+        classes=tuple(tuple(members[start:end]) for start, end in zip([0, *ends], ends)),
+        class_of=class_of.astype(np.int64),
+        class_sizes=sizes.astype(np.int64),
+        representatives=tuple(reps.tolist()),
     )
 
 
@@ -271,9 +261,8 @@ def builtin_group(spec: str) -> FiniteGroup:
 
 def cyclic_generator(group: FiniteGroup) -> int | None:
     """Lowest-index element of order |G|, or None when the group is not cyclic."""
-    return next(
-        (i for i in range(group.order) if group.element_order(i) == group.order), None
-    )
+    full = np.flatnonzero(group.powers[:, 1:-1].all(axis=1))  # no g^k = e below k = |G|
+    return int(full[0]) if full.size else None
 
 
 def generator_decomposition(group: FiniteGroup) -> tuple[list[int], list[int]]:
@@ -290,36 +279,29 @@ def generator_decomposition(group: FiniteGroup) -> tuple[list[int], list[int]]:
         raise NotAGroup("generator decomposition is only defined here for abelian groups")
     generators: list[int] = []
     bounds: list[int] = []
-    generated = {0}
-    while len(generated) < group.order:
-        best_bound, best = 0, None
-        for g in range(group.order):
-            if g in generated:
-                continue
-            quotient_order, cur = 1, g
-            while cur not in generated:
-                cur = group.mul(cur, g)
-                quotient_order += 1
-            # the product formula is a character only if each generator's order is its bound
-            if cur == 0 and quotient_order > best_bound:
-                best_bound, best = quotient_order, g
-        if best is None:
+    generated = np.arange(group.order) == 0
+    while not generated.all():
+        # quotient order: the least k >= 1 with g^k already generated
+        quotient = np.argmax(generated[group.powers[:, 1:]], axis=1) + 1
+        # the product formula is a character only if each generator's order is its bound
+        exact = ~generated & (group.powers[np.arange(group.order), quotient] == 0)
+        best = int(np.argmax(np.where(exact, quotient, 0)))
+        if not exact[best]:
             raise NotAGroup("failed to generate the group")
         generators.append(best)
-        bounds.append(best_bound)
-        generated = set(word_elements(group, generators, bounds))
+        bounds.append(int(quotient[best]))
+        generated[word_elements(group, generators, bounds)] = True
+    if math.prod(bounds) != group.order:
+        raise NotAGroup("generator words do not enumerate the group bijectively")
     return generators, bounds
 
 
 def word_elements(group: FiniteGroup, generators: list[int], bounds: list[int]) -> list[int]:
     """Element index for every word, in mixed-radix order (first generator most significant)."""
-    elements = [0]
+    elements = np.zeros(1, dtype=np.int64)
     for g, bound in zip(generators, bounds):
-        powers = [0]
-        for _ in range(bound - 1):
-            powers.append(group.mul(powers[-1], g))
-        elements = [group.mul(e, p) for e in elements for p in powers]
-    return elements
+        elements = group.cayley[elements[:, None], group.powers[g, :bound]].ravel()
+    return elements.tolist()
 
 
 def element_words(group: FiniteGroup, generators: list[int], bounds: list[int]) -> np.ndarray:

@@ -199,6 +199,10 @@ class CharacterTable:
         scaled = chars * np.sqrt(classes.class_sizes / group.order)
         if not _unitarity_residues(scaled.conj().T[None])[0] <= NORM_TOL:
             raise ValueError("characters violate the orthogonality relation")
+        wrong = np.flatnonzero(np.abs(chars[:, 0] - dims) > NORM_TOL)  # class 0 is {e}
+        if wrong.size:
+            lam = wrong[0]
+            raise ValueError(f"irrep {lam}: chi(e) = {chars[lam, 0]} != dimension {dims[lam]}")
         if irrep_matrices is not None:
             blocks = []
             for lam, mats in enumerate(irrep_matrices):
@@ -378,10 +382,10 @@ def is_faithful(rep: UnitaryRep) -> bool:
     return True
 
 
-def min_r(rep: UnitaryRep, table: CharacterTable, r_max: int = DEFAULT_R_MAX) -> int:
-    """Smallest tensor power containing the regular representation; non-integral powers
-    (of a projective V) are skipped.  If U_g = c I for a g != e, every power holds only
-    irreps where g acts as c^n (Schur), so no cap helps."""
+def require_regular_possible(rep: UnitaryRep, table: CharacterTable) -> np.ndarray:
+    """The compound character of ``rep``, refused when no tensor power can contain the
+    regular representation: two elements share a matrix, or U_g = c I for a g != e, so
+    that every power holds only irreps where g acts as c^n (Schur)."""
     if not is_faithful(rep):
         raise NotFaithful("two elements share a matrix; the token construction needs all |G|")
     chi = compound_character(rep, table.classes)
@@ -389,6 +393,13 @@ def min_r(rep: UnitaryRep, table: CharacterTable, r_max: int = DEFAULT_R_MAX) ->
     if len(scalar) > 1:
         g = table.classes.representatives[scalar[1]]
         raise RMaxExceeded(f"element {g} acts as a scalar; no power has every irrep")
+    return chi
+
+
+def min_r(rep: UnitaryRep, table: CharacterTable, r_max: int = DEFAULT_R_MAX) -> int:
+    """Smallest tensor power containing the regular representation; non-integral powers
+    (of a projective V) are skipped, and reps no cap helps are refused up front."""
+    chi = require_regular_possible(rep, table)
     sequence = _multiplicity_sequence(chi, table, rep.projective)
     for r, gammas in enumerate(islice(sequence, max(r_max, 0)), 1):
         if gammas is not None and all(
@@ -400,11 +411,9 @@ def min_r(rep: UnitaryRep, table: CharacterTable, r_max: int = DEFAULT_R_MAX) ->
 
 def regular_rep(group: FiniteGroup) -> UnitaryRep:
     """The |G|-dimensional permutation representation g_k : |g_i> -> |g_k g_i>."""
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=np.complex128)
-    for k in range(n):
-        for i in range(n):
-            mats[k, group.mul(k, i), i] = 1.0
+    idx = np.arange(group.order)
+    mats = np.zeros((group.order,) * 3, dtype=np.complex128)
+    mats[idx[:, None], group.cayley, idx] = 1.0
     return UnitaryRep.build(group, mats)
 
 

@@ -35,9 +35,17 @@ def complex_pairs(array: np.ndarray) -> list:
 
 def pairs_to_complex(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != 2:
+    if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError("expected trailing [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _entry(data: dict, key: str, kind: type, default=None):
+    """``data[key]``, or ``default`` when absent; refused unless a JSON array or boolean."""
+    if key in data and not isinstance(data[key], kind):
+        expected = "true or false" if kind is bool else "an array"
+        raise DfsCodecError(f"{key!r} must be {expected}, got {data[key]!r}")
+    return data.get(key, default)
 
 
 def group_to_dict(group: FiniteGroup) -> dict:
@@ -51,7 +59,7 @@ def group_to_dict(group: FiniteGroup) -> dict:
 def group_from_dict(data: dict, name: str | None = None) -> FiniteGroup:
     if "cayley" not in data:
         raise NotAGroup("group file must contain a 'cayley' table")
-    labels = data.get("labels")
+    labels = _entry(data, "labels", list)
     group = validate_group(data["cayley"], labels=labels, name=name)
     if "order" in data and data["order"] != group.order:
         raise NotAGroup(f"declared order {data['order']!r} != table size {group.order}")
@@ -83,9 +91,9 @@ def rep_to_dict(rep: UnitaryRep) -> dict:
 
 
 def rep_from_dict(group: FiniteGroup, data: dict) -> UnitaryRep:
-    matrices = pairs_to_complex(data["matrices"])
+    matrices = pairs_to_complex(_entry(data, "matrices", list))
     return UnitaryRep.build(
-        group, matrices, projective=bool(data.get("projective", False))
+        group, matrices, projective=_entry(data, "projective", bool, False)
     )
 
 
@@ -106,9 +114,9 @@ def character_table_to_dict(table: CharacterTable) -> dict:
 def character_table_from_dict(group: FiniteGroup, data: dict) -> CharacterTable:
     irreps = None
     if "irrep_matrices" in data:
-        irreps = tuple(pairs_to_complex(m) for m in data["irrep_matrices"])
+        irreps = tuple(pairs_to_complex(m) for m in _entry(data, "irrep_matrices", list))
     return CharacterTable.build(
-        group, data["dims"], pairs_to_complex(data["chars"]), irreps
+        group, data["dims"], pairs_to_complex(_entry(data, "chars", list)), irreps
     )
 
 

@@ -158,6 +158,12 @@ def test_env_seed_used_and_recorded(monkeypatch, capsys):
     assert payload["seed"] == 4242
 
 
+def test_malformed_env_seed_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("DFSCODEC_SEED", "x")
+    assert main(["roundtrip", "--group", "z2"]) == 3
+    assert capsys.readouterr().err == "error: DFSCODEC_SEED must be an integer, got 'x'\n"
+
+
 def test_default_seed_is_fixed_constant(capsys):
     assert main(["roundtrip", "--group", "z2", "--m", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -442,13 +448,48 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
         (["rep", "analyze", "z2", f"{DATA}/nonexist.json"],
          f"no built-in representation '{DATA}/nonexist.json' for group z2, "
          "and no such file exists"),
+        # entries of the wrong JSON type: a string or number for a boolean or an array
+        (["rep", "analyze", "z2", f"@{DATA}/rep_string_projective_z2.json"],
+         "'projective' must be true or false, got 'false'"),
+        (["rep", "analyze", "z2", f"@{DATA}/rep_int_projective_z2.json"],
+         "'projective' must be true or false, got 1"),
+        (["group", "info", f"@{DATA}/group_string_labels.json"],
+         "'labels' must be an array, got 'ea'"),
+        (["group", "info", f"@{DATA}/group_int_labels.json"], "'labels' must be an array, got 5"),
+        (["rep", "analyze", "z2", f"@{DATA}/rep_int_matrices_z2.json"],
+         "'matrices' must be an array, got 5"),
+        (["rep", "analyze", "z2", "builtin", "--table", f"@{DATA}/table_int_chars_z2.json"],
+         "'chars' must be an array, got 5"),
+        (["rep", "analyze", "z2", "builtin", "--table", f"@{DATA}/table_int_irreps_z2.json"],
+         "'irrep_matrices' must be an array, got 3"),
+        # orthonormal characters with chi_1(e) = -1: no power would contain irrep 1 d_1 times
+        (["rep", "min-r", "z2", "builtin", "--table", f"@{DATA}/table_wrong_identity_z2.json"],
+         "irrep 1: chi(e) = (-1+0j) != dimension 1"),
+        (["tokens", "build", "--group", "z2", "--table", f"@{DATA}/table_wrong_identity_z2.json"],
+         "irrep 1: chi(e) = (-1+0j) != dimension 1"),
+        # U_k = diag(1, (-1)^k) is not faithful and U_k = i^k I is scalar: no power works,
+        # so an explicit --r gets min_r's refusals
+        (["tokens", "build", "--group", "z4", "--rep", f"@{DATA}/z4_unfaithful_rep.json"],
+         "two elements share a matrix; the token construction needs all |G|"),
+        (["tokens", "build", "--group", "z4", "--rep", f"@{DATA}/z4_unfaithful_rep.json",
+          "--r", "3"], "two elements share a matrix; the token construction needs all |G|"),
+        (["circuit", "count", "--group", "z4", "--rep", f"@{DATA}/z4_unfaithful_rep.json",
+          "--r", "3"], "two elements share a matrix; the token construction needs all |G|"),
+        (["tokens", "build", "--group", "z4", "--rep", f"@{DATA}/z4_scalar_rep.json",
+          "--r", "3"], "element 1 acts as a scalar; no power has every irrep"),
+        (["circuit", "count", "--group", "z4", "--rep", f"@{DATA}/z4_scalar_rep.json",
+          "--r", "3"], "element 1 acts as a scalar; no power has every irrep"),
     ],
     ids=["count-r-1", "count-r0", "count-r2", "network-z2xz2", "su2-trials0", "su2-trials-1",
          "dist-fixed-x", "dist-fixed-empty", "dist-fixed-9", "dist-bogus", "analyze-nan-rep",
          "tokens-nan-rep", "analyze-huge-rep", "analyze-huge-table", "network-z8-phase3",
          "network-general", "rep-without-matrices", "table-without-chars",
          "table-without-dims", "rep-array", "table-array", "group-string-order",
-         "group-neither-builtin-nor-file", "rep-neither-builtin-nor-file"],
+         "group-neither-builtin-nor-file", "rep-neither-builtin-nor-file",
+         "rep-string-projective", "rep-int-projective", "group-string-labels",
+         "group-int-labels", "rep-int-matrices", "table-int-chars", "table-int-irreps",
+         "min-r-wrong-identity", "tokens-wrong-identity", "tokens-unfaithful",
+         "tokens-unfaithful-r3", "count-unfaithful-r3", "tokens-scalar-r3", "count-scalar-r3"],
 )
 def test_bad_inputs_exit_3_with_a_named_line(argv, line, capsys):
     assert main(argv) == 3

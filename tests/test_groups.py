@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -150,7 +152,9 @@ def test_zn_classes_all_singletons():
 
 
 def test_generator_decomposition_bijection():
-    for name in ("z8", "k4", "z4xz2"):
+    for name in ("z8", "k4", "z4xz2", "z2xz2", "z3xz2", "z2xz2xz2", "z6xz2", "z8xz2", "z3xz3",
+                 "z4xz4", "z3xz6", "k4xz4", "k4xk4", "z8xz8", "z4xz16", "z2xz4xz8",
+                 "z2xz2xz3xz4", "z2xz2xz2xz2xz2xz2"):
         group = builtin_group(name)
         generators, bounds = generator_decomposition(group)
         elements = word_elements(group, generators, bounds)
@@ -175,6 +179,65 @@ def test_element_words_invert_word_elements(name):
     words = element_words(group, generators, bounds)
     elements = word_elements(group, generators, bounds)
     assert words[elements].tolist() == [list(w) for w in np.ndindex(*bounds)]
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["z24", "s3xz2"])
+def test_power_table_matches_a_walk(name, relabelled):
+    for group in [builtin_group(name)] + ([relabelled(name)] if name != "z1" else []):
+        n = group.order
+        walk = [[0] for _ in range(n)]
+        for i, row in enumerate(walk):
+            for _ in range(n):
+                row.append(group.mul(row[-1], i))
+        assert group.powers.dtype == np.int64 and not group.powers.flags.writeable
+        assert group.powers.tolist() == walk
+        orders = [row.index(0, 1) for row in walk]
+        assert [group.element_order(i) for i in range(n)] == orders
+        assert cyclic_generator(group) == next((i for i in range(n) if orders[i] == n), None)
+
+
+def _axiom_refusal(table):
+    """The refusal ``validate_group`` documents for a table over 0..n-1, by brute force:
+    identity, then inverses element by element, then associativity; None for a group."""
+    n = len(table)
+    ids = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
+    if not ids:
+        return "no two-sided identity element found"
+    swap = {0: ids[0], ids[0]: 0}  # the identity moves to index 0
+    s = [swap.get(x, x) for x in range(n)]
+    t = [[s[table[s[i]][s[k]]] for k in range(n)] for i in range(n)]
+    for i in range(n):
+        rights = [k for k in range(n) if t[i][k] == 0]
+        if not rights:
+            return f"element {i} has no right inverse"
+        if t[rights[0]][i] != 0:
+            return f"element {i}: right inverse {rights[0]} is not a left inverse"
+    for i, j, k in itertools.product(range(n), repeat=3):
+        left, right = t[t[i][j]][k], t[i][t[j][k]]
+        if left != right:
+            return (f"associativity fails at triple ({i},{j},{k}): ({s[i]}*{s[j]})*{s[k]} = "
+                    f"{s[left]} but {s[i]}*({s[j]}*{s[k]}) = {s[right]}")
+    return None
+
+
+def test_validate_group_on_every_two_and_three_element_table():
+    # 16 + 19683 tables: the axioms alone decide, and they leave no non-Latin table
+    accepted = 0
+    for n in (2, 3):
+        for flat in itertools.product(range(n), repeat=n * n):
+            table = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+            expected = _axiom_refusal(table)
+            if expected is None:
+                group = validate_group(table)
+                accepted += 1
+                for t in (np.array(table), group.cayley):
+                    assert (np.sort(t, axis=0) == np.arange(n)[:, None]).all()
+                    assert (np.sort(t, axis=1) == np.arange(n)).all()
+            else:
+                with pytest.raises(NotAGroup) as info:
+                    validate_group(table)
+                assert str(info.value) == expected
+    assert accepted == 2 + 3  # z2 and z3, each with every element as the identity once
 
 
 def test_cyclic_generator_is_lowest_index_of_full_order(relabelled):

@@ -343,16 +343,21 @@ def test_rephased_projective_rep_steps_by_its_first_integral_power():
 
 
 def test_inconsistent_table_is_blamed_on_the_fusion_counts():
-    # a unitary change of basis on the z3 characters keeps them orthonormal,
-    # so the table passes validation, but its fusion counts are not integers
+    # a unitary mix of the z3 classes g and g^2 that fixes the trivial row keeps
+    # the characters orthonormal and chi(e) = d, so the table passes validation,
+    # but its fusion counts are not integers
     group = cyclic_group(3)
     table = builtin_character_table(group)
-    theta = 0.3
-    c, s = np.cos(theta), np.sin(theta)
-    mix = np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
-    skewed = CharacterTable.build(group, table.dims, mix @ table.chars, classes=table.classes)
+    z = np.exp(0.3j)
+    mix = np.array([[1, 0, 0], [0, (1 + z) / 2, (1 - z) / 2], [0, (1 - z) / 2, (1 + z) / 2]])
+    skewed = CharacterTable.build(group, table.dims, table.chars @ mix, classes=table.classes)
     with pytest.raises(NonIntegerMultiplicity, match="character table is inconsistent"):
         multiplicities(zn_phase_rep(group, 2), skewed, 1)
+    # a rotation of the rows is orthonormal too, but moves chi(e) off the dimensions
+    c, s = np.cos(0.3), np.sin(0.3)
+    rotated = np.array([[1, 0, 0], [0, c, -s], [0, s, c]]) @ table.chars
+    with pytest.raises(ValueError, match=r"irrep 1: chi\(e\) = \(0\.659.* != dimension 1"):
+        CharacterTable.build(group, table.dims, rotated, classes=table.classes)
 
 
 def test_dimension_accounting_for_every_builtin():
