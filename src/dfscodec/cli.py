@@ -318,16 +318,24 @@ def build_parser(argv) -> argparse.ArgumentParser:
     """The parser for ``argv``: only the commands that ``argv`` names get their arguments.
 
     argparse picks a command only by an exact match with one of ``argv``'s
-    strings, so the command that runs is always complete. The others keep the
-    name and help that the root's usage and help text list.
+    strings, so the command that runs is always complete, and only a command
+    that ``argv`` names needs a ``-h`` action. The others keep the name and help
+    that the root's usage and help text list. Each command list gets its
+    ``prog``, which argparse would otherwise derive by formatting a usage line.
     """
     parser = argparse.ArgumentParser(
         prog="dfscodec",
         description="Token-state protection against collective noise from a finite group",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="dfscodec")
     leaves = []
+
+    def add(commands, name, summary):
+        return commands.add_parser(name, help=summary, add_help=name in argv)
+
+    def subcommands(command):
+        return command.add_subparsers(dest="subcommand", required=True, prog=command.prog)
 
     def declare(command, func, inputs=None, table=True):
         """``command`` running ``func``, with its inputs: ``group`` and ``rep`` as
@@ -348,35 +356,35 @@ def build_parser(argv) -> argparse.ArgumentParser:
             )
         leaves.append(command)
 
-    group_cmd = sub.add_parser("group", help="group validation and structure")
+    group_cmd = add(sub, "group", "group validation and structure")
     if "group" in argv:
-        group_sub = group_cmd.add_subparsers(dest="subcommand", required=True)
-        gv = group_sub.add_parser("validate", help="check a group definition file")
+        group_sub = subcommands(group_cmd)
+        gv = add(group_sub, "validate", "check a group definition file")
         declare(gv, cmd_group_validate)
         gv.add_argument("group", help="@file.json or a builtin name")
-        gi = group_sub.add_parser("info", help="order, classes and labels")
+        gi = add(group_sub, "info", "order, classes and labels")
         declare(gi, cmd_group_info)
         gi.add_argument("group", nargs="?", default=None)
         gi.add_argument("--builtin", help="builtin name, e.g. s3 or z8")
 
-    rep_cmd = sub.add_parser("rep", help="representation analysis")
+    rep_cmd = add(sub, "rep", "representation analysis")
     if "rep" in argv:
-        rep_sub = rep_cmd.add_subparsers(dest="subcommand", required=True)
-        ra = rep_sub.add_parser("analyze", help="characters and irrep content")
+        rep_sub = subcommands(rep_cmd)
+        ra = add(rep_sub, "analyze", "characters and irrep content")
         declare(ra, cmd_rep_analyze, "positional")
-        rm = rep_sub.add_parser("min-r", help="smallest power containing the regular rep")
+        rm = add(rep_sub, "min-r", "smallest power containing the regular rep")
         declare(rm, cmd_rep_min_r, "positional")
         rm.add_argument("--r-max", type=int, default=DEFAULT_R_MAX)
 
-    tok_cmd = sub.add_parser("tokens", help="token-state construction")
+    tok_cmd = add(sub, "tokens", "token-state construction")
     if "tokens" in argv:
-        tok_sub = tok_cmd.add_subparsers(dest="subcommand", required=True)
-        tb = tok_sub.add_parser("build", help="build and certify the token set")
+        tok_sub = subcommands(tok_cmd)
+        tb = add(tok_sub, "build", "build and certify the token set")
         declare(tb, cmd_tokens_build, "options")
         tb.add_argument("--r", type=int, default=None)
         tb.add_argument("--dump-state", help="write fiducial and tokens to a JSON file")
 
-    rt = sub.add_parser("roundtrip", help="encode, transmit, decode")
+    rt = add(sub, "roundtrip", "encode, transmit, decode")
     if "roundtrip" in argv:
         declare(rt, cmd_roundtrip, "options")
         rt.add_argument("--m", type=int, default=1)
@@ -384,16 +392,16 @@ def build_parser(argv) -> argparse.ArgumentParser:
         rt.add_argument("--dist", default="uniform", help="uniform | fixed:<k> | random")
         rt.add_argument("--seed", type=int, default=None)
 
-    circ_cmd = sub.add_parser("circuit", help="gate synthesis and verification")
+    circ_cmd = add(sub, "circuit", "gate synthesis and verification")
     if "circuit" in argv:
-        circ_sub = circ_cmd.add_subparsers(dest="subcommand", required=True)
-        cc = circ_sub.add_parser("count", help="gate counts per synthesis path")
+        circ_sub = subcommands(circ_cmd)
+        cc = add(circ_sub, "count", "gate counts per synthesis path")
         declare(cc, cmd_circuit_count, "options")
         cc.add_argument("--m", type=int, default=1)
         cc.add_argument("--r", type=int, default=None)
         cc.add_argument("--path", default="all", choices=["all", "general", "abelian", "cyclic"])
         cc.add_argument("--export-plan", help="write the emitted gate list to a JSON file")
-        cs = circ_sub.add_parser("simulate", help="simulate a synthesized encoder")
+        cs = add(circ_sub, "simulate", "simulate a synthesized encoder")
         declare(cs, cmd_circuit_simulate, "options", table=False)
         cs.add_argument("--m", type=int, default=1)
         cs.add_argument("--path", default="general", choices=["general", "abelian", "cyclic"])
@@ -402,10 +410,10 @@ def build_parser(argv) -> argparse.ArgumentParser:
         cs.add_argument("--verify", action="store_true")
         cs.add_argument("--seed", type=int, default=None)
 
-    demo_cmd = sub.add_parser("demo", help="worked demonstrations")
+    demo_cmd = add(sub, "demo", "worked demonstrations")
     if "demo" in argv:
-        demo_sub = demo_cmd.add_subparsers(dest="subcommand", required=True)
-        ds = demo_sub.add_parser("su2", help="three-qubit collective-rotation check")
+        demo_sub = subcommands(demo_cmd)
+        ds = add(demo_sub, "su2", "three-qubit collective-rotation check")
         declare(ds, cmd_demo_su2)
         ds.add_argument("--trials", type=int, default=50)
         ds.add_argument("--seed", type=int, default=None)

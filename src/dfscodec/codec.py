@@ -26,7 +26,7 @@ from .errors import (
     NumericalDegeneracy,
     PerpOutcome,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, generator_decomposition
 from .limits import EXACT_TOL, ORTHONORMAL_TOL, UNITARY_TOL, check_entries
 from .reps import (
     CharacterTable,
@@ -67,6 +67,7 @@ class TokenSet:
     fiducial: StateVector
     tokens: tuple[StateVector, ...]
     gram_residue: float
+    closure_bound: float  # certified max ||U_g^{(x)r} t_k - t_{gk}|| over all pairs
 
     @property
     def group(self) -> FiniteGroup:
@@ -254,36 +255,96 @@ def _orbit(rep: UnitaryRep, amps: np.ndarray, n: int) -> np.ndarray:
     return _collective_rows(rows, rep.matrices, n, range(n))
 
 
+def _word_lengths(group: FiniteGroup, generators: list[int]) -> list[int]:
+    """Length of the shortest positive word ``s_1 ... s_l`` over ``generators`` for each
+    element, by breadth-first search on the Cayley table (``g = s h``); -1 for the
+    elements outside the subgroup they generate."""
+    moves = group.cayley[generators].tolist()  # moves[j][h] is s_j h
+    lengths = [0] + [-1] * (group.order - 1)
+    frontier = [0]
+    while frontier:
+        reached = []
+        for h in frontier:
+            for row in moves:
+                if lengths[row[h]] < 0:
+                    lengths[row[h]] = lengths[h] + 1
+                    reached.append(row[h])
+        frontier = reached
+    return lengths
+
+
+def _generating_set(group: FiniteGroup) -> tuple[list[int], list[int]]:
+    """A generating set ``S`` and each element's word length over it: an abelian
+    group's generator decomposition; otherwise, one at a time, the lowest-index
+    element outside the subgroup generated so far."""
+    if group.is_abelian:
+        generators = generator_decomposition(group)[0]
+        return generators, _word_lengths(group, generators)
+    generators: list[int] = []
+    lengths = _word_lengths(group, generators)
+    while -1 in lengths:
+        generators.append(lengths.index(-1))
+        lengths = _word_lengths(group, generators)
+    return generators, lengths
+
+
 def build_tokens(rep: UnitaryRep, r: int, fiducial: StateVector) -> TokenSet:
-    """Act with every element on the fiducial state and certify both token conditions."""
+    """Act with every element on the fiducial state and certify both token conditions.
+
+    Closure is checked on a generating set ``S`` only, one batched collective per
+    generator.  Let ``delta = max ||U_s^{(x)r} t_k - t_{sk}||`` over ``S`` and the
+    tokens, ``eps`` the rep's product-law residue (``||U_g U_h - omega U_gh||`` is
+    at most ``d eps``, and ``r d eps`` on the r-th power) and ``c`` the largest
+    ``|omega(g, h)^r - 1|`` of a projective rep's phases (0 for a linear rep).
+    Peeling one generator off a word costs at most ``delta + r d eps + c``, so
+    every pair obeys ``||U_g^{(x)r} t_k - t_{gk}|| <= L (delta + r d eps + c)``,
+    where ``L`` is the longest shortest word over ``S`` (at least 1, which covers
+    the identity's own matrix).  For unit tokens, ``|<t_{gk}|U_g t_k> - 1|`` is at
+    most that distance.  A bound above ``UNITARY_TOL`` is refused.
+    """
     if fiducial.d != rep.dim or fiducial.n != r:
         raise DimensionMismatch(
             f"fiducial lives on {fiducial.n} qudits of dimension {fiducial.d}, "
             f"expected ({r}, {rep.dim})"
         )
-    order = rep.group.order
+    group = rep.group
     # one frozen stack of U_g^{(x)r}|fiducial>; the tokens are its rows
     stack = _orbit(rep, fiducial.amps, r)
     stack.setflags(write=False)
     tokens = tuple(StateVector(d=rep.dim, n=r, amps=row) for row in stack)
     gram = np.array([[inner(a, b) for b in tokens] for a in tokens])
-    residue = float(np.max(np.abs(gram - np.eye(order))))
+    residue = float(np.max(np.abs(gram - np.eye(group.order))))
     if residue > ORTHONORMAL_TOL:
         raise ConditionOneViolated(
             f"token overlap residue {residue:.3e} exceeds {ORTHONORMAL_TOL:.1e}"
         )
-    # closure: U_k^{(x)r} on the whole token stack, one batched collective per k
-    for k in range(order):
-        moved = _collective_rows(stack, rep.matrices[k], r, range(r))
-        targets = stack[rep.group.cayley[k]]
-        devs = np.abs(np.einsum("ij,ij->i", targets.conj(), moved) - 1.0)
-        failed = devs > UNITARY_TOL
+    # closure: U_s^{(x)r} on the whole token stack, one batched collective per s in S
+    generators, lengths = _generating_set(group)
+    delta = 0.0
+    for s in generators:
+        moved = _collective_rows(stack, rep.matrices[s], r, range(r))
+        moved -= stack[group.cayley[s]]
+        pairs = moved.view(np.float64)  # re and im side by side: no squared copy
+        devs = np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
+        failed = ~(devs <= UNITARY_TOL)
         if failed.any():
             i = int(np.argmax(failed))
             raise ConditionTwoViolated(
-                f"closure fails at pair (k={k}, i={i}) with deviation {devs[i]:.3e}"
+                f"closure fails at pair (k={s}, i={i}) with deviation {devs[i]:.3e}"
             )
-    return TokenSet(rep=rep, r=r, fiducial=fiducial, tokens=tokens, gram_residue=residue)
+        delta = max(delta, float(devs.max()))
+    eps, phases = rep.product_law
+    cocycle = 0.0 if phases is None else float(np.max(np.abs(phases**r - 1.0)))
+    longest = max(1, *lengths)
+    bound = longest * (delta + r * rep.dim * eps + cocycle)
+    if not bound <= UNITARY_TOL:
+        raise ConditionTwoViolated(
+            f"closure bound L*(delta + r*d*eps + c) = {longest}*({delta:.3e} + "
+            f"{r}*{rep.dim}*{eps:.3e} + {cocycle:.3e}) = {bound:.3e} exceeds {UNITARY_TOL:.1e}"
+        )
+    return TokenSet(
+        rep=rep, r=r, fiducial=fiducial, tokens=tokens, gram_residue=residue, closure_bound=bound
+    )
 
 
 def encode(tokens: TokenSet, message: StateVector) -> StateVector:

@@ -32,9 +32,9 @@ MAX_GROUP_ORDER = 64
 # decomposition's basis, the token basis change, the group-average projector);
 # and the |G| stacked tensor powers
 MAX_AMPLITUDES = 2**24
-# entries of one block of UnitaryRep.build's product-law check (1 MiB of
-# complex128): the block holds as many rows of pairs (i, k), at |G| d^2 entries
-# each, as fit, and at least one
+# entries of one block of the product-law check of a stack of k representations
+# (1 MiB of complex128): the block holds as many rows of pairs (i, h), at
+# k |G| d^2 entries each, as fit, and at least one
 PRODUCT_BLOCK_ENTRIES = 2**16
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, count, islice, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +74,16 @@ class UnitaryRep:
     def __post_init__(self) -> None:
         self.matrices.setflags(write=False)
 
+    @cached_property
+    def product_law(self) -> tuple[float, np.ndarray | None]:
+        """``(eps, omega)``: the largest entrywise product-law residue
+        ``|U_g U_h - omega(g, h) U_gh|`` over all pairs, and a projective rep's
+        ``(|G|, |G|)`` phases ``omega`` (None for a linear rep, where they are 1).
+        :meth:`build` keeps the ones its check measured; a rep constructed
+        directly measures them on first read, with the same helper."""
+        errs, phases = _product_law(self.group, self.matrices[None], self.projective)
+        return float(errs.max()), None if phases is None else phases[0]
+
     @classmethod
     def build(
         cls,
@@ -83,46 +94,137 @@ class UnitaryRep:
     ) -> "UnitaryRep":
         """Validate and construct; the identity matrix is snapped to exact I."""
         mats = np.array(matrices, dtype=np.complex128)
-        if mats.shape[0] != group.order or mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"expected {group.order} square matrices, got shape {mats.shape}")
         d = mats.shape[1]
         if d < 1:
             raise ValueError(f"representation matrices must be at least 1x1, got {d}x{d}")
-        finite = np.isfinite(mats).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"matrix {int(np.argmin(finite))} has a non-finite entry")
-        eye = np.eye(d)
-        if np.max(np.abs(mats[0] - eye)) > UNITARY_TOL:
-            raise ValueError("matrix at the identity element is not the identity")
-        mats[0] = eye
-        errs = _unitarity_residues(mats)
-        i = int(np.argmin(errs <= UNITARY_TOL))  # the first failing matrix, if any
-        if not errs[i] <= UNITARY_TOL:
-            raise ValueError(f"matrix {i} is not unitary (residue {errs[i]:.2e})")
-        # a block of rows of pairs (i, k) at a time: at most PRODUCT_BLOCK_ENTRIES
-        # entries, or one row of |G| d^2 when a row is larger, never |G|^2 d^2
-        rows = max(1, PRODUCT_BLOCK_ENTRIES // (group.order * d * d))
-        for start in range(0, group.order, rows):
-            prods = mats[start : start + rows, None] @ mats[None]
-            targets = mats[group.cayley[start : start + rows]]
+        check = _check_stack(group, mats[None], projective=projective)
+        if check.faults[0] is not None:
+            raise ValueError(check.faults[0])
+        rep = cls(group=group, dim=d, matrices=mats, projective=projective)
+        # the residue the check measured, kept for the token closure certificate
+        rep.__dict__["product_law"] = (
+            float(check.residues[0]), None if check.phases is None else check.phases[0]
+        )
+        return rep
+
+
+class _StackCheck(NamedTuple):
+    """What :func:`_check_stack` found on a ``(k, |G|, d, d)`` stack of representations."""
+
+    faults: list[str | None]  # per member: the message of its first failing check
+    residues: np.ndarray  # (k,) largest product-law residue of each member
+    phases: np.ndarray | None  # (k, |G|, |G|) projective phases; None for linear members
+    characters: np.ndarray | None  # (k, s) traces per class, when classes are given
+
+
+def _product_law(group: FiniteGroup, stack: np.ndarray, projective: bool):
+    """Per-pair residues ``max |U_g U_h - omega(g, h) U_gh|`` of each member of a
+    ``(k, |G|, d, d)`` stack, ``(k, |G|, |G|)``, and the phases ``omega`` of a
+    projective stack (``trace(U_gh^H U_g U_h) / d``; None for a linear one).
+
+    Products are formed a block of rows ``g`` at a time: at most
+    ``PRODUCT_BLOCK_ENTRIES`` entries, or one row of ``k |G| d^2`` when a row is
+    larger, never ``k |G|^2 d^2``.  NaN and inf pass through to the residue.
+    """
+    k, n, d, _ = stack.shape
+    rows = max(1, PRODUCT_BLOCK_ENTRIES // (k * n * d * d))
+    errs = np.empty((k, n, n))
+    phases = np.empty((k, n, n), dtype=np.complex128) if projective else None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            prods = stack[:, block, None] @ stack[:, None]
+            targets = stack[:, group.cayley[block]]
             if projective:
-                # per-pair phase trace(target^H prod) / d
-                phases = np.einsum("ikab,ikab->ik", targets.conj(), prods) / d
-                off_phase = np.abs(np.abs(phases) - 1.0) > MULTIPLICITY_TOL
-                targets = phases[..., None, None] * targets
-            else:
-                off_phase = np.zeros(prods.shape[:2], dtype=bool)
-            errs = np.max(np.abs(prods - targets), axis=(2, 3))
-            failed = off_phase | (errs > UNITARY_TOL)
-            if failed.any():
-                # argmax of the flattened block: the first failing pair, row-major
-                i, k = np.unravel_index(np.argmax(failed), failed.shape)
-                if off_phase[i, k]:
-                    raise ValueError(f"pair ({start + i},{k}) is not a product up to phase")
-                raise ValueError(
-                    f"product law fails at pair ({start + i},{k}) with residue {errs[i, k]:.2e}"
-                )
-        return cls(group=group, dim=d, matrices=mats, projective=projective)
+                phases[:, block] = np.einsum("jikab,jikab->jik", targets.conj(), prods) / d
+                targets = phases[:, block, :, None, None] * targets
+            errs[:, block] = np.max(np.abs(prods - targets), axis=(3, 4))
+    return errs, phases
+
+
+def _class_traces(stack: np.ndarray, classes: ConjugacyClasses):
+    """The trace of each member of a ``(k, |G|, d, d)`` stack at each class's
+    representative, ``(k, s)``, and per member the message of a class whose
+    members disagree on the trace (the class of the largest spread), or None."""
+    traces = np.trace(stack, axis1=2, axis2=3)
+    values = traces[:, list(classes.representatives)]
+    spread = np.abs(traces - values[:, classes.class_of])
+    worst = np.argmax(spread, axis=1)
+    faults = [
+        f"class {classes.class_of[g]} members disagree on the trace"
+        if spread[j, g] > UNITARY_TOL else None
+        for j, g in enumerate(worst.tolist())
+    ]
+    return values, faults
+
+
+def _check_stack(
+    group: FiniteGroup,
+    stack: np.ndarray,
+    *,
+    projective: bool = False,
+    classes: ConjugacyClasses | None = None,
+    prefixes: list[str] | None = None,
+) -> _StackCheck:
+    """Check ``k`` representations at once, a ``(k, |G|, d, d)`` stack: finite
+    entries, the identity at element 0 (then snapped to exact I, in place),
+    unitarity, the product law (up to a phase when ``projective``) and, with
+    ``classes``, traces constant on each class.
+
+    Every check runs on the whole stack; each member keeps the message of the
+    first check it fails, in that order, naming the first failing matrix or
+    pair in row-major order, as one member checked alone would.  ``prefixes``
+    (one string per member) lead the messages of every check but the traces.
+    """
+    k, n, d, _ = stack.shape
+    faults: list[str | None] = [None] * k
+
+    def blame(failed, message):
+        """``message(j, i)`` for each member ``j`` without a fault whose row of
+        ``failed`` has a True, ``i`` its first, row-major."""
+        if not failed.any():
+            return
+        flat = failed.reshape(k, -1)
+        for j in np.flatnonzero(flat.any(axis=1)).tolist():
+            if faults[j] is None:
+                faults[j] = message(j, int(np.argmax(flat[j])))
+
+    with np.errstate(invalid="ignore", over="ignore"):  # a failing member's NaN or inf
+        blame(
+            ~np.isfinite(stack).all(axis=(2, 3)), lambda j, i: f"matrix {i} has a non-finite entry"
+        )
+        eye = np.eye(d)
+        blame(
+            np.max(np.abs(stack[:, 0] - eye), axis=(1, 2)) > UNITARY_TOL,
+            lambda j, i: "matrix at the identity element is not the identity",
+        )
+        stack[:, 0] = eye
+        unitarity = _unitarity_residues(stack.reshape(k * n, d, d)).reshape(k, n)
+        blame(
+            ~(unitarity <= UNITARY_TOL),
+            lambda j, i: f"matrix {i} is not unitary (residue {unitarity[j, i]:.2e})",
+        )
+        errs, phases = _product_law(group, stack, projective)
+        off_phase = np.zeros(errs.shape, dtype=bool)
+        if projective:
+            off_phase = np.abs(np.abs(phases) - 1.0) > MULTIPLICITY_TOL
+
+        def law(j, pair):
+            i, h = divmod(pair, n)
+            if off_phase[j, i, h]:
+                return f"pair ({i},{h}) is not a product up to phase"
+            return f"product law fails at pair ({i},{h}) with residue {errs[j, i, h]:.2e}"
+
+        blame(off_phase | (errs > UNITARY_TOL), law)
+        if prefixes is not None:
+            faults[:] = [f if f is None else p + f for f, p in zip(faults, prefixes)]
+        characters = None
+        if classes is not None:
+            characters, trace_faults = _class_traces(stack, classes)
+            faults[:] = [f or t for f, t in zip(faults, trace_faults)]
+    return _StackCheck(faults, errs.max(axis=(1, 2)), phases, characters)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,18 +306,28 @@ class CharacterTable:
             lam = wrong[0]
             raise ValueError(f"irrep {lam}: chi(e) = {chars[lam, 0]} != dimension {dims[lam]}")
         if irrep_matrices is not None:
-            blocks = []
+            # one stack per irrep dimension, checked at once; the lowest failing
+            # irrep is refused, with the message of its first failing check
+            faults, blocks, by_dim = {}, {}, {}
             for lam, mats in enumerate(irrep_matrices):
                 if np.shape(mats) != (group.order, dims[lam], dims[lam]):
-                    raise ValueError(f"irrep {lam}: matrix block has shape {np.shape(mats)}")
-                try:
-                    irrep = UnitaryRep.build(group, mats)
-                except ValueError as exc:
-                    raise ValueError(f"irrep {lam} is not a homomorphism: {exc}") from exc
-                if np.max(np.abs(compound_character(irrep, classes) - chars[lam])) > UNITARY_TOL:
-                    raise ValueError(f"irrep {lam} matrices disagree with the character row")
-                blocks.append(irrep.matrices)
-            irrep_matrices = tuple(blocks)
+                    faults[lam] = f"irrep {lam}: matrix block has shape {np.shape(mats)}"
+                else:
+                    by_dim.setdefault(int(dims[lam]), []).append(lam)
+            for lams in by_dim.values():
+                stack = np.array([irrep_matrices[lam] for lam in lams], dtype=np.complex128)
+                prefixes = [f"irrep {lam} is not a homomorphism: " for lam in lams]
+                check = _check_stack(group, stack, classes=classes, prefixes=prefixes)
+                off_row = np.max(np.abs(check.characters - chars[lams]), axis=1) > UNITARY_TOL
+                for lam, fault, off, block in zip(lams, check.faults, off_row.tolist(), stack):
+                    if fault is None and off:
+                        fault = f"irrep {lam} matrices disagree with the character row"
+                    if fault is not None:
+                        faults[lam] = fault
+                    blocks[lam] = block
+            if faults:
+                raise ValueError(faults[min(faults)])
+            irrep_matrices = tuple(blocks[lam] for lam in range(len(irrep_matrices)))
         return cls(
             group=group,
             classes=classes,
@@ -286,14 +398,10 @@ class IsotypicDecomposition:
 
 def compound_character(rep: UnitaryRep, classes: ConjugacyClasses | None = None) -> np.ndarray:
     """Trace of the representing matrix, one entry per conjugacy class."""
-    classes = classes or conjugacy_classes(rep.group)
-    traces = np.trace(rep.matrices, axis1=1, axis2=2)
-    values = traces[list(classes.representatives)]
-    spread = np.abs(traces - values[classes.class_of])
-    if np.max(spread) > UNITARY_TOL:
-        c = classes.class_of[np.argmax(spread)]
-        raise ValueError(f"class {c} members disagree on the trace")
-    return values
+    values, faults = _class_traces(rep.matrices[None], classes or conjugacy_classes(rep.group))
+    if faults[0] is not None:
+        raise ValueError(faults[0])
+    return values[0]
 
 
 def _multiplicity_sequence(chi: np.ndarray, table: CharacterTable, projective: bool):

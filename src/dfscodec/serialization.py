@@ -33,10 +33,14 @@ def complex_pairs(array: np.ndarray) -> list:
     return stacked.tolist()
 
 
-def pairs_to_complex(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] != 2:
-        raise ValueError("expected trailing [re, im] pairs")
+def pairs_to_complex(data, what: str = "data") -> np.ndarray:
+    """Nested [re, im] number pairs as a complex array; ``what`` names them in a refusal."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):  # an entry that is no number, or ragged nesting
+        arr = None
+    if arr is None or arr.ndim == 0 or arr.shape[-1] != 2:
+        raise ValueError(f"{what} must be nested arrays of [re, im] number pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -91,7 +95,7 @@ def rep_to_dict(rep: UnitaryRep) -> dict:
 
 
 def rep_from_dict(group: FiniteGroup, data: dict) -> UnitaryRep:
-    matrices = pairs_to_complex(_entry(data, "matrices", list))
+    matrices = pairs_to_complex(_entry(data, "matrices", list), "'matrices'")
     return UnitaryRep.build(
         group, matrices, projective=_entry(data, "projective", bool, False)
     )
@@ -114,10 +118,12 @@ def character_table_to_dict(table: CharacterTable) -> dict:
 def character_table_from_dict(group: FiniteGroup, data: dict) -> CharacterTable:
     irreps = None
     if "irrep_matrices" in data:
-        irreps = tuple(pairs_to_complex(m) for m in _entry(data, "irrep_matrices", list))
-    return CharacterTable.build(
-        group, data["dims"], pairs_to_complex(_entry(data, "chars", list)), irreps
-    )
+        irreps = tuple(
+            pairs_to_complex(m, "'irrep_matrices'") for m in _entry(data, "irrep_matrices", list)
+        )
+    dims = _entry(data, "dims", list)
+    chars = pairs_to_complex(_entry(data, "chars", list), "'chars'")
+    return CharacterTable.build(group, dims, chars, irreps)
 
 
 def state_to_dict(state: StateVector) -> dict:
@@ -126,7 +132,7 @@ def state_to_dict(state: StateVector) -> dict:
 
 def state_from_dict(data: dict) -> StateVector:
     return StateVector.from_amplitudes(
-        int(data["d"]), int(data["n"]), pairs_to_complex(data["amps"])
+        int(data["d"]), int(data["n"]), pairs_to_complex(data["amps"], "'amps'")
     )
 
 

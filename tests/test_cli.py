@@ -462,6 +462,12 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
          "'chars' must be an array, got 5"),
         (["rep", "analyze", "z2", "builtin", "--table", f"@{DATA}/table_int_irreps_z2.json"],
          "'irrep_matrices' must be an array, got 3"),
+        # an entry of the right JSON type holding the wrong thing: an object for a
+        # [re, im] pair, a string for the dimensions
+        (["rep", "analyze", "z2", f"@{DATA}/rep_object_matrices_z2.json"],
+         "'matrices' must be nested arrays of [re, im] number pairs"),
+        (["rep", "analyze", "z2", "builtin", "--table", f"@{DATA}/table_string_dims_z2.json"],
+         "'dims' must be an array, got 'ab'"),
         # orthonormal characters with chi_1(e) = -1: no power would contain irrep 1 d_1 times
         (["rep", "min-r", "z2", "builtin", "--table", f"@{DATA}/table_wrong_identity_z2.json"],
          "irrep 1: chi(e) = (-1+0j) != dimension 1"),
@@ -488,6 +494,7 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
          "group-neither-builtin-nor-file", "rep-neither-builtin-nor-file",
          "rep-string-projective", "rep-int-projective", "group-string-labels",
          "group-int-labels", "rep-int-matrices", "table-int-chars", "table-int-irreps",
+         "rep-object-matrices", "table-string-dims",
          "min-r-wrong-identity", "tokens-wrong-identity", "tokens-unfaithful",
          "tokens-unfaithful-r3", "count-unfaithful-r3", "tokens-scalar-r3", "count-scalar-r3"],
 )
@@ -570,6 +577,32 @@ def test_main_builds_only_the_command_its_argv_names(monkeypatch, capsys):
     code, out, err = _outcome([], capsys)
     assert built == ["dfscodec", *top] and (code, out) == (2, "")
     assert err.endswith("dfscodec: error: the following arguments are required: command\n")
+
+
+COMMAND_PATHS = [
+    [], ["group"], ["group", "validate"], ["group", "info"], ["rep"], ["rep", "analyze"],
+    ["rep", "min-r"], ["tokens"], ["tokens", "build"], ["roundtrip"], ["circuit"],
+    ["circuit", "count"], ["circuit", "simulate"], ["demo"], ["demo", "su2"],
+]
+
+
+@pytest.mark.parametrize(
+    "extra", [["-h"], [], ["--bogus"], ["bogus"]],
+    ids=["help", "bare", "unknown-flag", "invalid-choice"],
+)
+@pytest.mark.parametrize("path", COMMAND_PATHS, ids=lambda path: " ".join(path) or "root")
+def test_parser_for_argv_answers_as_the_parser_of_every_command(path, extra, monkeypatch, capsys):
+    # only the commands argv names get -h, and every command list its prog: the
+    # exit code, stdout and stderr are those of the parser that has every command
+    import dfscodec.cli as cli
+
+    argv = [*path, *extra]
+    own = _outcome(argv, capsys)
+    if extra == ["-h"]:
+        assert own[0] == 0 and own[1].startswith(f"usage: {' '.join(['dfscodec', *path])} ")
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda _: full(sum(COMMAND_PATHS, [])))
+    assert _outcome(argv, capsys) == own
 
 
 def test_handler_patched_between_main_calls_is_the_one_that_runs(monkeypatch, capsys):

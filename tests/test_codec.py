@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -32,7 +33,7 @@ from dfscodec.errors import (
     RegularRepMissing,
 )
 from dfscodec.groups import builtin_group
-from dfscodec.limits import check_entries
+from dfscodec.limits import UNITARY_TOL, check_entries
 from dfscodec.reps import (
     CharacterTable,
     UnitaryRep,
@@ -40,6 +41,7 @@ from dfscodec.reps import (
     builtin_rep,
     isotypic_decompose,
     min_r,
+    pauli_rep,
     s3_two_dim_rep,
     zn_phase_rep,
 )
@@ -149,10 +151,16 @@ def test_closure_violation_names_the_first_failing_pair(context_for):
         build_tokens(wrong, z4.r, z4.tokens.fiducial)
 
 
-@pytest.mark.parametrize("spec", ["z8", "s3", "k4"])
-def test_build_tokens_applies_one_collective_per_element(spec, context_for, monkeypatch):
+@pytest.mark.parametrize(
+    "spec,generators", [("z8", [1]), ("s3", [1, 3]), ("k4", [1, 2])], ids=["z8", "s3", "k4"]
+)
+def test_build_tokens_applies_one_collective_per_element(
+    spec, generators, context_for, monkeypatch
+):
     # the orbit is one batched collective, row g under U_g; the closure check
-    # adds one (d, d) collective per element on the whole stack
+    # adds one (d, d) collective per generator on the whole stack: z8's
+    # generator, k4's decomposition, and for s3 the rotation (123) and then
+    # (12)(3), the lowest index outside the rotations
     ctx = context_for(spec)
     order, d, r = ctx.group.order, ctx.rep.dim, ctx.r
     calls = []
@@ -166,12 +174,96 @@ def test_build_tokens_applies_one_collective_per_element(spec, context_for, monk
     tokens = build_tokens(ctx.rep, r, ctx.tokens.fiducial)
     (shape, orbit), *closure = calls
     assert shape == (order, d**r) and np.array_equal(orbit, ctx.rep.matrices)
-    assert len(closure) == order and all(u.shape == (d, d) for _, u in closure)
+    assert [u.shape for _, u in closure] == [(d, d)] * len(generators)
+    assert all(np.array_equal(u, ctx.rep.matrices[s]) for (_, u), s in zip(closure, generators))
     for i, token in enumerate(tokens.tokens):
         want = apply_collective(ctx.tokens.fiducial, ctx.rep.matrices[i])
         assert np.array_equal(token.amps, want.amps)
         assert np.array_equal(token.amps, ctx.tokens.tokens[i].amps)
     assert tokens.gram_residue == ctx.tokens.gram_residue
+
+
+def _full_closure_loop(tokens):
+    """The |G| loop the generator certificate replaces: U_k^{(x)r} on the whole token
+    stack for every element k; the largest distance ||U_k t_i - t_{ki}|| and overlap
+    deviation |<t_{ki}|U_k t_i> - 1| over all |G|^2 pairs."""
+    rep, r = tokens.rep, tokens.r
+    stack = np.array([t.amps for t in tokens.tokens])
+    distance = deviation = 0.0
+    for k in range(rep.group.order):
+        moved = codec._collective_rows(stack, rep.matrices[k], r, range(r))
+        targets = stack[rep.group.cayley[k]]
+        distance = max(distance, float(np.max(np.linalg.norm(moved - targets, axis=1))))
+        overlaps = np.einsum("ij,ij->i", targets.conj(), moved)
+        deviation = max(deviation, float(np.max(np.abs(overlaps - 1.0))))
+    return distance, deviation
+
+
+CERTIFIED = [(f"z{n}", "builtin", 2) for n in range(2, 13)] + [
+    ("k4", "builtin", 2),
+    ("s3", "builtin-2d", 2),
+    ("z4xz2", "regular", 2),
+    ("z3", "builtin", 3),
+    ("z5", "builtin", 5),
+]
+
+
+@pytest.mark.parametrize("name,spec,dim", CERTIFIED, ids=str)
+def test_generator_certificate_bounds_the_full_closure_loop(name, spec, dim):
+    # the bound certified on the generators holds for every pair, as the full loop
+    # measures it, and both accept; the overlap of a token a norm error off 1 is
+    # at most the distance plus that error, which the Gram residue bounds
+    tokens = prepare_protocol(builtin_rep(builtin_group(name), spec, dim)).tokens
+    distance, deviation = _full_closure_loop(tokens)
+    assert distance <= tokens.closure_bound <= UNITARY_TOL
+    assert deviation <= distance + tokens.gram_residue
+
+
+def _level_two_rep(theta):
+    """z4 on a qutrit, U_g = diag(1, i^g, e^(i theta_g)): the tokens at r = 3 live on
+    levels 0 and 1, so closure holds exactly however theta breaks the product law."""
+    group = builtin_group("z4")
+    mats = np.array([np.diag([1, 1j**g, np.exp(1j * t)]) for g, t in enumerate(theta)])
+    return group, mats
+
+
+def test_product_law_residue_refuses_closure_its_generators_pass():
+    exact_group, exact = _level_two_rep([0, 0, 0, 0])
+    ctx = prepare_protocol(UnitaryRep.build(exact_group, exact))
+    assert ctx.r == 3 and ctx.tokens.closure_bound == 0.0
+    # off its product law on level 2 only: U_3 U_3 = U_2 fails by |e^(2i 1e-3) - 1|
+    group, mats = _level_two_rep([0, 0, 0, 1e-3])
+    broken = UnitaryRep(group=group, dim=3, matrices=mats)
+    eps, phases = broken.product_law
+    assert phases is None and eps == pytest.approx(2e-3, rel=1e-6)
+    # the tokens are closed (the full loop passes, and delta is 0), but nothing
+    # certifies the elements beyond the generator
+    tokens = ctx.tokens
+    assert _full_closure_loop(tokens)[1] <= UNITARY_TOL
+    with pytest.raises(
+        ConditionTwoViolated,
+        match=r"^closure bound L\*\(delta \+ r\*d\*eps \+ c\) = "
+        r"3\*\(0\.000e\+00 \+ 3\*3\*2\.000e-03 \+ 0\.000e\+00\) = 5\.400e-02 exceeds 1\.0e-09$",
+    ):
+        build_tokens(broken, 3, tokens.fiducial)
+
+
+def test_cocycle_term_refuses_a_projective_rep_its_generators_pass():
+    # the Pauli set with U_3 rephased by e^(i theta): at r = 2 a generator moves a
+    # token by at most delta = |e^(2i theta) - 1| = 4e-10, so L delta = 8e-10 passes,
+    # but omega(3, 3)^2 = e^(4i theta) puts c at 8e-10 and L (delta + c) over 1e-9
+    group = builtin_group("k4")
+    mats = pauli_rep(group).matrices.copy()
+    mats[3] *= np.exp(2e-10j)
+    rep = UnitaryRep.build(group, mats, projective=True)
+    with pytest.raises(ConditionTwoViolated) as info:
+        prepare_protocol(rep)
+    delta, eps, cocycle, bound = map(float, re.fullmatch(
+        r"closure bound .* = 2\*\((\S+) \+ 2\*2\*(\S+) \+ (\S+)\) = (\S+) exceeds 1\.0e-09",
+        str(info.value),
+    ).groups())
+    assert 2 * (delta + 4 * eps) <= UNITARY_TOL < bound
+    assert cocycle == pytest.approx(8e-10, rel=1e-3)
 
 
 def test_build_fiducial_requires_regular_containment(context_for):

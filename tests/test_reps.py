@@ -709,3 +709,87 @@ def test_non_unitary_irrep_block_is_refused():
     blocks[2] = s @ blocks[2] @ np.linalg.inv(s)
     with pytest.raises(ValueError, match=r"irrep 2 is not a homomorphism: matrix \d is not unitary"):
         CharacterTable.build(group, full.dims, full.chars, blocks)
+
+
+def _first_failing_irrep_one_at_a_time(group, dims, chars, blocks):
+    """Reference: the table's refusal when each irrep is built and traced on its own."""
+    classes = conjugacy_classes(group)
+    for lam, mats in enumerate(blocks):
+        if np.shape(mats) != (group.order, dims[lam], dims[lam]):
+            return f"irrep {lam}: matrix block has shape {np.shape(mats)}"
+        try:
+            irrep = UnitaryRep.build(group, mats)
+        except ValueError as exc:
+            return f"irrep {lam} is not a homomorphism: {exc}"
+        try:
+            values = compound_character(irrep, classes)
+        except ValueError as exc:
+            return str(exc)
+        if np.max(np.abs(values - chars[lam])) > UNITARY_TOL:
+            return f"irrep {lam} matrices disagree with the character row"
+    return None
+
+
+def _plant(blocks, lam, fault):
+    """Irrep ``lam`` of a copied block list with one fault planted."""
+    mats = blocks[lam].copy()
+    d = mats.shape[1]
+    if fault == "nan":
+        mats[1, 0, 0] = np.nan
+    elif fault == "identity":
+        mats[0] = -mats[0]
+    elif fault == "unitary":
+        mats[2] = 1.5 * mats[2]
+    elif fault == "product":
+        mats[1] = mats[1] @ np.diag([1j] + [1] * (d - 1))
+    elif fault == "row":  # a homomorphism of another character: another 1-d irrep on level 0
+        other = next(
+            m for m in blocks if m.shape[1] == 1 and not np.array_equal(m, mats[:, :1, :1])
+        )
+        mats = np.broadcast_to(np.eye(d), mats.shape).astype(complex)
+        mats[:, 0, 0] = other[:, 0, 0]
+    elif fault == "shape":
+        mats = mats[1:]
+    blocks = list(blocks)
+    blocks[lam] = mats
+    return blocks
+
+
+FAULTS = ["nan", "identity", "unitary", "product", "row", "shape"]
+
+
+@pytest.mark.parametrize("name,lams", [("s3", (1, 2)), ("s3", (2, 0)), ("z4xz2", (6, 3))])
+def test_stacked_irreps_name_the_irrep_one_at_a_time_checks_name(name, lams):
+    # every pair of planted faults, in two irreps (of different dimensions for
+    # S3): the stacked check refuses with the message the per-irrep loop gives
+    group = builtin_group(name)
+    full = builtin_character_table(group)
+    base = [np.array(m) for m in full.irrep_matrices]
+    for first in FAULTS:
+        for second in [None, *FAULTS]:
+            blocks = _plant(base, lams[0], first)
+            if second is not None:
+                blocks = _plant(blocks, lams[1], second)
+            expected = _first_failing_irrep_one_at_a_time(group, full.dims, full.chars, blocks)
+            assert expected is not None and expected.split(" ")[1].rstrip(":") in {
+                str(lams[0]), str(lams[1])
+            }
+            with pytest.raises(ValueError) as info:
+                CharacterTable.build(group, full.dims, full.chars, blocks)
+            assert str(info.value) == expected, (first, second)
+
+
+@pytest.mark.parametrize(
+    "name,spec,dim", [("z8", "builtin", 2), ("k4", "builtin", 2), ("s3", "builtin-2d", 2),
+                      ("z4xz2", "regular", 2), ("z5", "builtin", 3)]
+)
+def test_build_keeps_the_product_law_a_direct_rep_measures(name, spec, dim):
+    rep = builtin_rep(builtin_group(name), spec, dim)
+    kept = rep.product_law
+    direct = UnitaryRep(group=rep.group, dim=rep.dim, matrices=rep.matrices,
+                        projective=rep.projective)
+    measured = direct.product_law
+    assert kept[0] == measured[0] <= UNITARY_TOL
+    assert (kept[1] is None) == (measured[1] is None) == (not rep.projective)
+    if rep.projective:
+        assert np.array_equal(kept[1], measured[1])
