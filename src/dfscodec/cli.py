@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -109,16 +110,17 @@ def _load_inputs(args):
 
 
 def _emit(args, payload: dict, group=None, rep=None) -> None:
-    """Print ``payload`` and write it to ``--report``, stamped with the digest of the
-    group and rep it was computed from."""
+    """Print ``payload`` and write the same text to ``--report``, stamped with the
+    digest of the group and rep it was computed from."""
     if group is not None:
         inputs = {"group": group_to_dict(group)}
         if rep is not None:
             inputs["rep"] = {"dim": rep.dim, "matrices": complex_pairs(rep.matrices)}
         payload["input_digest"] = digest(inputs)
-    sys.stdout.write(canonical_json(payload))
+    text = canonical_json(payload)
+    sys.stdout.write(text)
     if args.report:
-        write_report(args.report, payload)
+        Path(args.report).write_text(text)
 
 
 def cmd_group_validate(args) -> int:

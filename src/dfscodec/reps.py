@@ -17,6 +17,7 @@ group and the two-dimensional action for S3.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -282,6 +283,11 @@ class CharacterTable:
         classes: ConjugacyClasses | None = None,
     ) -> "CharacterTable":
         classes = classes or conjugacy_classes(group)
+        # int64 would truncate 1.5 and read True as 1, so each entry is checked first
+        if not all(_is_dimension(x, group.order) for x in dims):
+            raise ValueError(
+                f"'dims' entries must be whole numbers from 1 to {group.order}, got {dims!r}"
+            )
         # copies: the table freezes them, and the caller's arrays stay writable and apart
         dims = np.array(dims, dtype=np.int64)
         chars = np.array(chars, dtype=np.complex128)
@@ -290,6 +296,10 @@ class CharacterTable:
             raise ValueError(f"character matrix must be {s}x{s}, got {chars.shape}")
         if dims.shape != (s,):
             raise ValueError(f"expected {s} irrep dimensions")
+        if irrep_matrices is not None and len(irrep_matrices) != s:
+            raise ValueError(
+                f"expected {s} irrep matrix blocks, one per irrep, got {len(irrep_matrices)}"
+            )
         if not np.isfinite(chars).all():
             raise ValueError("character matrix has a non-finite entry")
         if int(np.sum(dims**2)) != group.order:
@@ -335,6 +345,13 @@ class CharacterTable:
             chars=chars,
             irrep_matrices=irrep_matrices,
         )
+
+
+def _is_dimension(x, order: int) -> bool:
+    """Whether ``x`` is an integer, or an integral float, from 1 to ``order``; a bool is not."""
+    if isinstance(x, bool) or not isinstance(x, (numbers.Integral, float)):
+        return False
+    return 1 <= x <= order and float(x).is_integer()
 
 
 @dataclass(frozen=True)

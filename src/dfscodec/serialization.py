@@ -2,12 +2,19 @@
 
 Reports are serialized with sorted keys and a fixed layout so identical runs
 produce byte-identical files; every report embeds a digest of its inputs.
+:func:`canonical_json` is the one encoder. Its text is byte-identical to
+``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"``
+for every payload, refusals included, without ``json``'s pure-Python
+``indent`` encoder.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +25,139 @@ from .reps import CharacterTable, UnitaryRep
 from .statevec import StateVector
 
 
+_ARRAYS = frozenset((list, tuple))
+_NUMBERS = {float: float.__repr__, int: int.__repr__}
+
+
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """``payload`` as sorted-key, 2-space-indented ASCII JSON with a final newline."""
+    out: list[str] = []
+    _write(payload, 0, out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+def _float(x) -> str:
+    """``x`` as ``json`` writes a float: its repr, or NaN, Infinity or -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` converts it, after sorting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(value, level: int, out: list, markers: dict) -> None:
+    """Append ``value``'s text at indent ``level`` to ``out``; ``markers`` holds the
+    containers being written, by id, as ``json``'s cycle check does."""
+    if isinstance(value, str):
+        out.append(_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        if id(value) in markers:
+            raise ValueError("Circular reference detected")
+        markers[id(value)] = value
+        newline = "\n" + "  " * (level + 1)
+        if isinstance(value, dict):
+            sep = "{" + newline
+            for key, item in sorted(value.items()):
+                out.append(sep)
+                out.append(_string(_key(key)))
+                out.append(": ")
+                _write(item, level + 1, out, markers)
+                sep = "," + newline
+            out.append("\n" + "  " * level + "}")
+        else:
+            text = _numbers(value, level, markers)
+            if text is not None:
+                out.append(text)
+            else:
+                sep = "[" + newline
+                for item in value:
+                    out.append(sep)
+                    _write(item, level + 1, out, markers)
+                    sep = "," + newline
+                out.append("\n" + "  " * level + "]")
+        del markers[id(value)]
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _numbers(array, level: int, markers: dict) -> str | None:
+    """The text of ``array`` at indent ``level`` when it is a rectangular nested list
+    of only floats or only ints, else None.
+
+    Each axis costs C-level passes: the types and lengths of its entries, one
+    flattening, and after the scalars are formatted, one join. An array that
+    holds itself is a cycle, left to :func:`_write` to name: a list met again
+    among arrays that hold arrays is caught by its id, and one met among the
+    innermost arrays brings a container among the scalars.
+    """
+    sizes, seen, entries = [], set(markers), array
+    kinds = set(map(type, entries))
+    while kinds <= _ARRAYS:
+        lengths = set(map(len, entries))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        if type(entries[0][0]) in _ARRAYS:
+            ids = set(map(id, entries))
+            if not seen.isdisjoint(ids):
+                return None
+            seen |= ids
+        sizes.append(lengths.pop())
+        entries = list(chain.from_iterable(entries))
+        kinds = set(map(type, entries))
+    if len(kinds) != 1 or kinds.isdisjoint(_NUMBERS):
+        return None
+    (kind,) = kinds
+    # the entries of axis k sit at indent level + k + 1. Each separator closes
+    # and reopens the axes below its own, so one join per axis, innermost
+    # first, leaves one run of openings and one of closings for the whole array
+    depth = len(sizes) + 1
+    newlines = ["\n" + "  " * (level + k) for k in range(depth + 1)]
+    opens = ["[" + newlines[k + 1] for k in range(depth)]
+    closes = [newlines[k] + "]" for k in range(depth)]
+
+    def separator(k: int) -> str:
+        return "".join(closes[:k:-1]) + "," + newlines[k + 1] + "".join(opens[k + 1:])
+
+    parts = map(_NUMBERS[kind], entries)
+    for k in range(depth - 1, 0, -1):
+        parts = map(separator(k).join, zip(*[iter(parts)] * sizes[k - 1]))
+    text = "".join(opens) + separator(0).join(parts) + "".join(closes[::-1])
+    if kind is float and "n" in text:  # nan and inf, as json writes them
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def digest(payload) -> str:

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import dfscodec.cli as cli
+import dfscodec.serialization as serialization
 from dfscodec.cli import main
+from dfscodec.serialization import canonical_json
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -63,11 +66,25 @@ def test_reports_byte_identical_across_runs(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_stdout_equals_report_file(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    assert main(["rep", "min-r", "z3", "builtin", "--report", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert printed == out.read_text()
+def test_stdout_equals_report_file(tmp_path, monkeypatch, capsys):
+    # the report is encoded once (the digest's inputs hold no "command"), and the
+    # same text goes to stdout and the file
+    encoded = []
+
+    def counting(payload):
+        if "command" in payload:
+            encoded.append(payload["command"])
+        return canonical_json(payload)
+
+    monkeypatch.setattr(cli, "canonical_json", counting)
+    monkeypatch.setattr(serialization, "canonical_json", counting)
+    for argv in (["rep", "min-r", "z3", "builtin"], ["tokens", "build", "--group", "z3"],
+                 ["demo", "su2", "--trials", "3", "--seed", "2"]):
+        out = tmp_path / "report.json"
+        encoded.clear()
+        assert main(argv + ["--report", str(out)]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+        assert len(encoded) == 1
 
 
 def test_tokens_build_dump_state(tmp_path, capsys):
@@ -468,6 +485,17 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
          "'matrices' must be nested arrays of [re, im] number pairs"),
         (["rep", "analyze", "z2", "builtin", "--table", f"@{DATA}/table_string_dims_z2.json"],
          "'dims' must be an array, got 'ab'"),
+        # dimensions that int64 would truncate or misread, and one irrep matrix block
+        # too many or too few
+        (["rep", "analyze", "z2", "builtin", "--table", f"@{DATA}/table_fractional_dims_z2.json"],
+         "'dims' entries must be whole numbers from 1 to 2, got [1.5, 1]"),
+        (["rep", "analyze", "z2", "builtin", "--table",
+          f"@{DATA}/table_string_entries_dims_z2.json"],
+         "'dims' entries must be whole numbers from 1 to 2, got ['a', 'b']"),
+        (["rep", "analyze", "z2", "builtin", "--table", f"@{DATA}/table_extra_irreps_z2.json"],
+         "expected 2 irrep matrix blocks, one per irrep, got 3"),
+        (["rep", "analyze", "z2", "builtin", "--table", f"@{DATA}/table_missing_irreps_z2.json"],
+         "expected 2 irrep matrix blocks, one per irrep, got 1"),
         # orthonormal characters with chi_1(e) = -1: no power would contain irrep 1 d_1 times
         (["rep", "min-r", "z2", "builtin", "--table", f"@{DATA}/table_wrong_identity_z2.json"],
          "irrep 1: chi(e) = (-1+0j) != dimension 1"),
@@ -494,7 +522,8 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
          "group-neither-builtin-nor-file", "rep-neither-builtin-nor-file",
          "rep-string-projective", "rep-int-projective", "group-string-labels",
          "group-int-labels", "rep-int-matrices", "table-int-chars", "table-int-irreps",
-         "rep-object-matrices", "table-string-dims",
+         "rep-object-matrices", "table-string-dims", "table-fractional-dims",
+         "table-string-entries-dims", "table-extra-irreps", "table-missing-irreps",
          "min-r-wrong-identity", "tokens-wrong-identity", "tokens-unfaithful",
          "tokens-unfaithful-r3", "count-unfaithful-r3", "tokens-scalar-r3", "count-scalar-r3"],
 )

@@ -95,6 +95,35 @@ def test_character_table_build_leaves_the_callers_arrays_writable():
     assert table.irrep_matrices[1][1, 0, 0] == full.irrep_matrices[1][1, 0, 0]
 
 
+@pytest.mark.parametrize(
+    "dims", [[1.5, 1], [True, 1], [1, np.bool_(True)], ["1", "1"], [float("nan"), 1], [0, 1],
+             [3, 1], [1, 10**30], [[1], [1]]]
+)
+def test_character_table_refuses_dims_that_are_not_whole_numbers(dims):
+    group = cyclic_group(2)
+    full = builtin_character_table(group)
+    with pytest.raises(ValueError, match=r"^'dims' entries must be whole numbers from 1 to 2"):
+        CharacterTable.build(group, dims, full.chars)
+
+
+def test_character_table_reads_integral_dims_of_any_number_type():
+    group = cyclic_group(2)
+    full = builtin_character_table(group)
+    for dims in ([1.0, 1.0], np.array([1, 1], dtype=np.int32), [np.float64(1), np.int64(1)]):
+        table = CharacterTable.build(group, dims, full.chars)
+        assert table.dims.dtype == np.int64 and table.dims.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_character_table_needs_one_matrix_block_per_irrep(count):
+    group = cyclic_group(2)
+    full = builtin_character_table(group)
+    blocks = [full.irrep_matrices[lam % 2] for lam in range(count)]
+    expected = f"^expected 2 irrep matrix blocks, one per irrep, got {count}$"
+    with pytest.raises(ValueError, match=expected):
+        CharacterTable.build(group, full.dims, full.chars, blocks)
+
+
 def test_k4_pauli_compound_character_squares_to_regular():
     group = builtin_group("k4")
     rep = pauli_rep(group)
