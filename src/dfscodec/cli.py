@@ -71,13 +71,20 @@ EXIT_PROTOCOL = 4
 
 
 def _resolve_seed(args) -> int:
+    """``--seed``, else ``DFSCODEC_SEED``, else ``DEFAULT_SEED``.  A negative seed is
+    refused up front: the run derives its generators' seeds from it, and numpy
+    takes no negative one."""
     if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("DFSCODEC_SEED", str(DEFAULT_SEED))
-    try:
-        return int(env)
-    except ValueError:
-        raise DfsCodecError(f"DFSCODEC_SEED must be an integer, got {env!r}") from None
+        name, seed = "--seed", args.seed
+    else:
+        name, env = "DFSCODEC_SEED", os.environ.get("DFSCODEC_SEED", str(DEFAULT_SEED))
+        try:
+            seed = int(env)
+        except ValueError:
+            raise DfsCodecError(f"DFSCODEC_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise DfsCodecError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _resolve(spec: str, builtin, load):

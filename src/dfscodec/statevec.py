@@ -8,6 +8,8 @@ used everywhere in the package; conversions never happen at module borders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import sub
 
 import numpy as np
 
@@ -186,18 +188,34 @@ def _check_unitaries(d: int, ops: list) -> None:
             raise DimensionMismatch("operator is not unitary within tolerance")
 
 
+def _monomial(op: np.ndarray) -> tuple[list[int], list] | None:
+    """``(src, phases)`` of a ``(d, d)`` matrix or a ``(k, d, d)`` stack whose every
+    matrix has exactly one nonzero in each row and column, zeros compared ``== 0``
+    with no tolerance: for row ``j`` of each matrix in turn, ``src`` holds the
+    column of its nonzero and ``phases`` the value, as Python scalars.  ``None``
+    for any other input.  Built-in list steps on Python scalars: microseconds for
+    the small matrices of a rep, where numpy calls would cost more."""
+    d = op.shape[-1]
+    entries = op.reshape(-1).tolist()
+    hits = list(compress(range(len(entries)), entries))  # positions of the nonzeros
+    if len(hits) * d != len(entries):
+        return None
+    src = list(map(sub, hits, range(0, len(entries), d)))
+    if min(src) < 0 or max(src) >= d:
+        return None  # some row has no nonzero and another more than one
+    if any(len(set(src[i : i + d])) < d for i in range(0, len(src), d)):
+        return None  # some matrix has two nonzeros in one column
+    return src, list(map(entries.__getitem__, hits))
+
+
 def _digit_cycles(op: np.ndarray, d: int) -> list[list[int]] | None:
     """The cycles of a ``d x d`` matrix of exact 0s and 1s with one 1 in each row and
     column, each as ``[a, b, ...]`` where row ``a`` has its 1 in column ``b``, fixed
     digits left out; ``None`` for any other matrix."""
-    if op.shape != (d, d):
+    found = _monomial(op) if op.shape == (d, d) else None
+    if found is None or found[1].count(1) != d:
         return None
-    rows = op.tolist()  # Python scalars: a d x d matrix takes microseconds, not numpy calls
-    if not all(x == 0 or x == 1 for row in rows for x in row):
-        return None
-    source = [row.index(1) for row in rows if row.count(1) == 1]
-    if sorted(source) != list(range(d)):
-        return None
+    source = found[0]
     cycles, seen = [], set()
     for start in range(d):
         if start in seen:
@@ -293,6 +311,12 @@ def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:
     return apply_collective(state, u, [target])
 
 
+# Each elementwise product of a monomial collective step covers at least this many
+# amplitudes; on smaller blocks numpy's cost per call exceeds the GEMM's, so those
+# keep the GEMM.
+MONOMIAL_MIN_BLOCK = 2**10
+
+
 def _collective_rows(rows: np.ndarray, u: np.ndarray, n: int, targets) -> np.ndarray:
     """``u`` on every wire in ``targets`` of each row of a ``(rows, d**n)`` array.
 
@@ -303,13 +327,43 @@ def _collective_rows(rows: np.ndarray, u: np.ndarray, n: int, targets) -> np.nda
     qudit becomes the trailing one; after ``n`` steps the wires are back in
     place.  The rows go through one stacked matmul per step, one GEMM per row,
     so each row comes out bit-identical to a one-row call.
+
+    When every matrix is monomial (:func:`_monomial`), a step runs no GEMM:
+    output digit ``j`` of a row is its source digit ``src[j]``, read in place,
+    times ``phase[j]``, one elementwise product per output digit that writes
+    into the rotated block, for all rows at once when they share a permutation
+    and row by row otherwise.  Each product must cover ``MONOMIAL_MIN_BLOCK``
+    amplitudes, and one wire keeps the GEMM, whose bits there differ from the
+    multiply's even at d = 2.  On two or more wires, at d = 2, every nonzero
+    amplitude has the GEMM's bits and only the sign of a zero may differ; at
+    larger d the GEMM sums d products, so the last bit may move.
     """
-    d, ut, x = u.shape[-1], np.swapaxes(u, -1, -2), rows
-    count = x.shape[0]
+    d, x, count = u.shape[-1], rows, rows.shape[0]
+    block = d ** (n - 1)  # amplitudes of one digit of one row
+    moves = None
+    if n > 1 and count * block >= MONOMIAL_MIN_BLOCK and (found := _monomial(u)):
+        # (rows, source digit of each output digit, phases) for each group of rows
+        src, phases = found
+        phases = np.array(phases, dtype=np.complex128).reshape(-1, d, 1)  # (1 or rows, d, 1)
+        if src == src[:d] * (len(src) // d):  # one permutation for every row
+            moves = [(slice(None), src[:d], phases)]
+        elif block >= MONOMIAL_MIN_BLOCK:
+            moves = [(slice(i, i + 1), src[i * d : i * d + d], phases[i : i + 1])
+                     for i in range(count)]
+    if moves is None:
+        ut = np.swapaxes(u, -1, -2)
     for w in range(n):
-        x = x.reshape(count, d, -1).transpose(0, 2, 1)
-        if w in targets:
-            x = x @ ut
+        x = x.reshape(count, d, -1)
+        if w not in targets:
+            x = x.transpose(0, 2, 1)
+        elif moves is None:
+            x = x.transpose(0, 2, 1) @ ut
+        else:
+            out = np.empty((count, block, d), dtype=np.complex128)
+            for sel, sources, phase in moves:
+                for j, k in enumerate(sources):
+                    np.multiply(x[sel, k], phase[:, j], out=out[sel, :, j])
+            x = out
         x = x.reshape(count, -1)
     return x
 

@@ -181,6 +181,20 @@ def test_malformed_env_seed_names_the_variable(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: DFSCODEC_SEED must be an integer, got 'x'\n"
 
 
+@pytest.mark.parametrize("argv", [["roundtrip", "--group", "z2"], ["demo", "su2", "--trials", "1"]])
+def test_negative_env_seed_names_the_variable(argv, monkeypatch, capsys):
+    monkeypatch.setenv("DFSCODEC_SEED", "-9")
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: DFSCODEC_SEED must be a non-negative integer, got -9\n"
+    assert captured.out == ""
+
+
+def test_seed_zero_runs(capsys):
+    assert main(["roundtrip", "--group", "z8", "--seed", "0", "--dist", "random"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+
 def test_default_seed_is_fixed_constant(capsys):
     assert main(["roundtrip", "--group", "z2", "--m", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -513,6 +527,17 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
           "--r", "3"], "element 1 acts as a scalar; no power has every irrep"),
         (["circuit", "count", "--group", "z4", "--rep", f"@{DATA}/z4_scalar_rep.json",
           "--r", "3"], "element 1 acts as a scalar; no power has every irrep"),
+        # a negative seed, refused before any generator is seeded from it: -2 used to
+        # run unless --dist random seeded -1, and -3 failed on the message seed
+        (["roundtrip", "--group", "z8", "--seed", "-2"],
+         "--seed must be a non-negative integer, got -2"),
+        (["roundtrip", "--group", "z8", "--seed", "-2", "--dist", "random"],
+         "--seed must be a non-negative integer, got -2"),
+        (["roundtrip", "--group", "z8", "--seed", "-3"],
+         "--seed must be a non-negative integer, got -3"),
+        (["demo", "su2", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (["circuit", "simulate", "--group", "z2", "--m", "1", "--path", "general",
+          "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
     ],
     ids=["count-r-1", "count-r0", "count-r2", "network-z2xz2", "su2-trials0", "su2-trials-1",
          "dist-fixed-x", "dist-fixed-empty", "dist-fixed-9", "dist-bogus", "analyze-nan-rep",
@@ -525,7 +550,9 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
          "rep-object-matrices", "table-string-dims", "table-fractional-dims",
          "table-string-entries-dims", "table-extra-irreps", "table-missing-irreps",
          "min-r-wrong-identity", "tokens-wrong-identity", "tokens-unfaithful",
-         "tokens-unfaithful-r3", "count-unfaithful-r3", "tokens-scalar-r3", "count-scalar-r3"],
+         "tokens-unfaithful-r3", "count-unfaithful-r3", "tokens-scalar-r3", "count-scalar-r3",
+         "roundtrip-seed-2", "roundtrip-random-seed-2", "roundtrip-seed-3", "su2-seed-1",
+         "simulate-seed-1"],
 )
 def test_bad_inputs_exit_3_with_a_named_line(argv, line, capsys):
     assert main(argv) == 3

@@ -183,6 +183,39 @@ def test_build_tokens_applies_one_collective_per_element(
     assert tokens.gram_residue == ctx.tokens.gram_residue
 
 
+@pytest.mark.parametrize("spec, m", [("z2", 11), ("z5", 9), ("z8", 9), ("z12", 5),
+                                     ("k4", 11), ("s3", 3), ("z3:3", 7)])
+def test_round_trip_values_match_the_gemm_kernel(spec, m, context_for, monkeypatch):
+    # the monomial collective against the GEMM on every step of a round trip, at
+    # m = 1 and at an m whose encode, transmit or decode collective is monomial
+    # (z2 and k4: all three): at d = 2 every value (a zero may change sign) and
+    # every report field is the GEMM's; at d = 3 values agree to 1e-15 and the
+    # outcomes are the same
+    import dfscodec.statevec as statevec
+
+    ctx = context_for(spec)
+    channel = uniform_channel(ctx.rep)
+    runs = []
+    for detector in (statevec._monomial, lambda op: None):
+        monkeypatch.setattr(statevec, "_monomial", detector)
+        runs.append([
+            run_roundtrip(ctx, channel, m=size, message_seed=seed, channel_seed=seed + 1,
+                          measure_seed=seed + 2)
+            for size in (1, m) for seed in (1, 5)
+        ])
+    for got, want in zip(*runs):
+        assert got.report.outcome_index == want.report.outcome_index
+        assert got.report.applied_element == want.report.applied_element
+        for a, b in [(got.encoded, want.encoded), (got.decoded, want.decoded)]:
+            if ctx.rep.dim == 2:
+                assert np.array_equal(a.amps, b.amps)
+            else:
+                assert np.max(np.abs(a.amps - b.amps)) <= 1e-15
+        if ctx.rep.dim == 2:
+            assert got.report.perp_probability == want.report.perp_probability
+            assert got.report.roundtrip_fidelity == want.report.roundtrip_fidelity
+
+
 def _full_closure_loop(tokens):
     """The |G| loop the generator certificate replaces: U_k^{(x)r} on the whole token
     stack for every element k; the largest distance ||U_k t_i - t_{ki}|| and overlap

@@ -11,14 +11,19 @@ from dfscodec.errors import (
     NonOrthogonalProjectors,
     ResourceLimit,
 )
+from dfscodec.groups import builtin_group
 from dfscodec.limits import UNITARY_TOL
+from dfscodec.reps import builtin_rep
 from dfscodec.statevec import (
     MIN_BLOCK_COLUMNS,
+    MONOMIAL_MIN_BLOCK,
     StateVector,
     _check_operands,
     _checked_ops,
     _collective_rows,
+    _digit_cycles,
     _from_front,
+    _monomial,
     _run,
     _to_front,
     apply_collective,
@@ -215,6 +220,142 @@ def test_stacked_matrices_equal_one_collective_per_row(d, n, rng):
     got = _collective_rows(rows, stack, n, range(n))
     for i in range(4):
         assert np.array_equal(got[i], _collective_rows(rows[i][None], stack[i], n, range(n))[0])
+
+
+def _gemm_rows(rows, u, n, targets):
+    """The collective kernel before its monomial step, the oracle: one stacked
+    matmul per target wire, whatever ``u`` is."""
+    d, ut, x = u.shape[-1], np.swapaxes(u, -1, -2), rows
+    count = x.shape[0]
+    for w in range(n):
+        x = x.reshape(count, d, -1).transpose(0, 2, 1)
+        if w in targets:
+            x = x @ ut
+        x = x.reshape(count, -1)
+    return x
+
+
+def _monomial_matrix(d, rng, exact, perm=None):
+    """A random permutation (or ``perm``) times random phases, or exact ones from
+    {1, -1, i, -i}."""
+    if exact:
+        phases = rng.choice(np.array([1, -1, 1j, -1j]), size=d)
+    else:
+        phases = np.exp(2j * np.pi * rng.random(d))
+    return np.eye(d)[rng.permutation(d) if perm is None else perm] * phases[:, None]
+
+
+def _planted_zero_rows(d, n, count, rng):
+    """Unit rows with about a quarter of the amplitudes' parts set to +0.0 or -0.0."""
+    rows = rng.normal(size=(count, d**n)) + 1j * rng.normal(size=(count, d**n))
+    pairs = rows.view(np.float64)
+    planted = rng.random(pairs.shape) < 0.25
+    pairs[planted] = np.where(rng.random(int(planted.sum())) < 0.5, 0.0, -0.0)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["one", "shared", "per-row"])
+@pytest.mark.parametrize("exact", [False, True], ids=["random-phases", "exact-phases"])
+def test_monomial_collective_matches_the_gemm_loop(d, kind, exact, rng):
+    # values equal at d = 2 (a zero may change sign), within 1e-15 above, where
+    # the GEMM sums d products; the sizes reach both sides of MONOMIAL_MIN_BLOCK,
+    # for a shared permutation and row by row, and 15 qubits are a round trip's
+    for n in {2: [1, 2, 9, 11, 15], 3: [1, 2, 7, 8], 5: [1, 2, 5, 6]}[d]:
+        for count in (1, 4):
+            if kind == "one":
+                u = _monomial_matrix(d, rng, exact)
+            elif kind == "shared":
+                perm = rng.permutation(d)
+                u = np.array([_monomial_matrix(d, rng, exact, perm) for _ in range(count)])
+            else:
+                u = np.array([_monomial_matrix(d, rng, exact) for _ in range(count)])
+            rows = _planted_zero_rows(d, n, count, rng)
+            subset = set(rng.choice(n, size=(n + 1) // 2, replace=False).tolist())
+            for targets in (set(range(n)), subset):
+                got, want = _collective_rows(rows, u, n, targets), _gemm_rows(rows, u, n, targets)
+                if d == 2:
+                    assert np.array_equal(got, want), (n, count, targets)
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-15, (n, count, targets)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Count of ``np.multiply`` calls: one per output digit and row group of a
+    monomial step, none on the GEMM path."""
+    calls = [0]
+    multiply = np.multiply
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return multiply(*args, **kwargs)
+
+    monkeypatch.setattr(np, "multiply", spy)
+    return calls
+
+
+# (group, rep, d, n): n puts MONOMIAL_MIN_BLOCK amplitudes in each product of a row
+_MONOMIAL_REPS = [(f"z{k}", "builtin", 2, 11) for k in range(2, 13)] + [
+    ("k4", "builtin", 2, 11), ("z3", "builtin", 3, 8), ("z5", "builtin", 5, 6),
+    ("z4xz2", "regular", 8, 5)]
+
+
+@pytest.mark.parametrize("group, spec, dim, n", _MONOMIAL_REPS, ids=[
+    f"{g}-{s}-d{d}" for g, s, d, _ in _MONOMIAL_REPS])
+def test_monomial_reps_run_no_gemm(group, spec, dim, n, products, rng):
+    # the orbit's stack and each element's matrix, on every wire and on a subset;
+    # the product count shows the path: d per target step for rows that share a
+    # permutation, d per row otherwise, and none where the GEMM runs
+    matrices = builtin_rep(builtin_group(group), spec, dim).matrices
+    state = random_state(dim, n, rng)
+    orbit = np.broadcast_to(state.amps, (len(matrices), dim**n))
+    shared = len({tuple(np.argmax(m != 0, axis=1)) for m in matrices}) == 1
+    cases = [(orbit, matrices, range(n), 1 if shared else len(matrices))]
+    cases += [(state.amps[None], m, [0, n - 1], 1) for m in matrices]
+    for rows, u, targets, groups in cases:
+        products[0] = 0
+        _collective_rows(rows, u, n, set(targets))
+        assert products[0] == dim * groups * len(targets)
+    assert MONOMIAL_MIN_BLOCK <= dim ** (n - 1)
+
+
+def test_other_collectives_keep_the_gemm(products, rng):
+    # the s3 2-d stack, a Haar matrix and 1e-300 where X has a zero; a monomial
+    # on one wire, even over MONOMIAL_MIN_BLOCK rows, where numpy's matmul rounds
+    # some products otherwise than the multiply; and blocks below the floor: X on
+    # 2**9 amplitudes per digit, and the k4 stack, whose four rows share no
+    # permutation, on 2**8 per digit and row
+    s3 = builtin_rep(builtin_group("s3"), "builtin-2d", 2).matrices
+    k4 = builtin_rep(builtin_group("k4"), "builtin", 2).matrices
+    near_x = X.copy()
+    near_x[0, 0] = 1e-300
+    rows = np.array([random_state(2, 11, rng).amps for _ in range(len(s3))])
+    wide = np.array([random_state(2, 1, rng).amps for _ in range(MONOMIAL_MIN_BLOCK)])
+    for block, u, n in [(rows, s3, 11), (rows[:1], haar_unitary(2, rng), 11),
+                        (rows[:1], near_x, 11), (wide, _monomial_matrix(2, rng, False), 1),
+                        (rows[:1, :2**10], X, 10),
+                        (rows[:4, :2**9], k4, 9)]:
+        got = _collective_rows(block, u, n, set(range(n)))
+        assert products[0] == 0
+        assert got.tobytes() == _gemm_rows(block, u, n, set(range(n))).tobytes()
+    assert 2**9 < MONOMIAL_MIN_BLOCK <= 4 * 2**8
+
+
+def test_one_monomial_detector_serves_moves_and_collectives():
+    # exact zeros only; the 0/1 permutations are the monomials with unit phases
+    y = np.array([[0, -1j], [1j, 0]])
+    assert _monomial(y) == ([1, 0], [-1j, 1j])
+    assert _monomial(np.array([X, y])) == ([1, 0, 1, 0], [1, 1, -1j, 1j])
+    assert _monomial(np.array([[1, 1e-300], [0, 1]])) is None
+    assert _monomial(np.array([[0, 1], [0, 1]])) is None  # one column twice
+    assert _monomial(np.array([[1, 0], [0, 0]])) is None  # a zero row
+    assert _monomial(np.array([np.eye(2), [[1, 1], [0, 1]]])) is None
+    assert _digit_cycles(X.astype(complex), 2) == [[0, 1]]
+    assert _digit_cycles(y, 2) is None
+    assert _digit_cycles(np.eye(3)[[1, 2, 0]], 3) == [[0, 1, 2]]
+    assert _digit_cycles(np.eye(3), 3) == []
+    assert _digit_cycles(np.eye(2), 3) is None
 
 
 @pytest.mark.parametrize("k", [2, 4, 8, 128])
