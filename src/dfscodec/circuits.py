@@ -338,15 +338,8 @@ def apply_t_direct(tokens: TokenSet, element_order=None) -> np.ndarray:
     ``element_order[i]`` names the group element encoded by label column i,
     so generator-word control registers reuse the same oracle.
     """
-    d, r = tokens.rep.dim, tokens.r
-    check_token_basis_change(d, r)
-    order = tokens.group.order
-    if element_order is None:
-        element_order = range(order)
-    elif sorted(map(int, element_order)) != list(range(order)):
-        raise DfsCodecError("element_order must enumerate the group")
-    columns = np.column_stack([tokens.tokens[int(e)].amps for e in element_order])
-    return _complete_unitary(columns)
+    check_token_basis_change(tokens.rep.dim, tokens.r)
+    return _complete_unitary(tokens.columns(element_order))
 
 
 def qft_gates(control_wires) -> list[Gate]:

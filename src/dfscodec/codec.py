@@ -22,7 +22,9 @@ import numpy as np
 from .errors import (
     ConditionOneViolated,
     ConditionTwoViolated,
+    DfsCodecError,
     DimensionMismatch,
+    NonOrthogonalProjectors,
     NumericalDegeneracy,
     PerpOutcome,
 )
@@ -47,12 +49,10 @@ from .statevec import (
     _collective_rows,
     _draw,
     _outcome_distribution,
-    _projector_amplitudes,
+    _overlap_rows,
     apply_collective,
     check_register,
     fidelity,
-    inner,
-    outcome_probabilities,
     product_state,
     random_state,
 )
@@ -60,18 +60,62 @@ from .statevec import (
 
 @dataclass(frozen=True, eq=False)
 class TokenSet:
-    """The |G| mutually orthogonal ancilla states closed under the collective action."""
+    """The |G| mutually orthogonal ancilla states closed under the collective action.
+
+    The one store is ``stack``, the frozen ``(|G|, d^r)`` array whose row k is
+    ``U_k^{(x)r}|fiducial>``, certified by ``gram_residue`` and ``closure_bound``.
+    Readers use three operations: :meth:`overlaps` (the rows ``<t_k| B`` of a
+    received register), :meth:`superpose` (the encoded register) and :meth:`columns`
+    (the tokens as columns).  ``tokens`` views the rows as states.
+    """
 
     rep: UnitaryRep
     r: int
     fiducial: StateVector
-    tokens: tuple[StateVector, ...]
+    stack: np.ndarray
     gram_residue: float
     closure_bound: float  # certified max ||U_g^{(x)r} t_k - t_{gk}|| over all pairs
 
     @property
     def group(self) -> FiniteGroup:
         return self.rep.group
+
+    @cached_property
+    def tokens(self) -> tuple[StateVector, ...]:
+        return tuple(StateVector(d=self.rep.dim, n=self.r, amps=row) for row in self.stack)
+
+    def overlaps(self, received: StateVector) -> np.ndarray:
+        """The ``(|G|, d^m)`` rows ``<t_k| B`` on the received register's first r wires.
+        Only ``received`` is checked; the tokens are trusted to their certificate, and
+        a Gram residue above ``UNITARY_TOL`` (which ``build_tokens`` accepts up to
+        ``ORTHONORMAL_TOL``) is refused as a measurement."""
+        if received.d != self.rep.dim or received.n <= self.r:
+            raise DimensionMismatch(
+                f"received {received.n} qudits of dimension {received.d}; "
+                f"need more than {self.r} of dimension {self.rep.dim}"
+            )
+        if self.gram_residue > UNITARY_TOL:
+            raise NonOrthogonalProjectors(
+                f"token Gram residue {self.gram_residue:.3e} exceeds {UNITARY_TOL:.1e}"
+            )
+        return _overlap_rows(self.stack, received.amps.reshape(self.stack.shape[1], -1))
+
+    def superpose(self, rotated: np.ndarray) -> np.ndarray:
+        """``sum_k t_k (x) rotated_k / sqrt|G|`` over the ``(|G|, w)`` rows ``rotated``,
+        summed in element order, each term through one reused temporary."""
+        out = np.zeros((self.stack.shape[1], rotated.shape[1]), dtype=np.complex128)
+        term = np.empty_like(out)
+        for token, row in zip(self.stack, rotated):
+            out += np.outer(token, row, out=term)
+        out /= np.sqrt(len(self.stack))
+        return out.reshape(-1)
+
+    def columns(self, element_order=None) -> np.ndarray:
+        """The ``(d^r, |G|)`` array whose column i is token ``element_order[i]``."""
+        order = list(map(int, range(len(self.stack)) if element_order is None else element_order))
+        if sorted(order) != list(range(len(self.stack))):
+            raise DfsCodecError("element_order must enumerate the group")
+        return np.ascontiguousarray(self.stack[order].T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,8 +355,7 @@ def build_tokens(rep: UnitaryRep, r: int, fiducial: StateVector) -> TokenSet:
     # one frozen stack of U_g^{(x)r}|fiducial>; the tokens are its rows
     stack = _orbit(rep, fiducial.amps, r)
     stack.setflags(write=False)
-    tokens = tuple(StateVector(d=rep.dim, n=r, amps=row) for row in stack)
-    gram = np.array([[inner(a, b) for b in tokens] for a in tokens])
+    gram = np.array([[np.vdot(a, b) for b in stack] for a in stack])
     residue = float(np.max(np.abs(gram - np.eye(group.order))))
     if residue > ORTHONORMAL_TOL:
         raise ConditionOneViolated(
@@ -333,8 +376,7 @@ def build_tokens(rep: UnitaryRep, r: int, fiducial: StateVector) -> TokenSet:
                 f"closure fails at pair (k={s}, i={i}) with deviation {devs[i]:.3e}"
             )
         delta = max(delta, float(devs.max()))
-    eps, phases = rep.product_law
-    cocycle = 0.0 if phases is None else float(np.max(np.abs(phases**r - 1.0)))
+    eps, cocycle = rep.product_law[0], rep.cocycle_residue(r)
     longest = max(1, *lengths)
     bound = longest * (delta + r * rep.dim * eps + cocycle)
     if not bound <= UNITARY_TOL:
@@ -343,7 +385,7 @@ def build_tokens(rep: UnitaryRep, r: int, fiducial: StateVector) -> TokenSet:
             f"{r}*{rep.dim}*{eps:.3e} + {cocycle:.3e}) = {bound:.3e} exceeds {UNITARY_TOL:.1e}"
         )
     return TokenSet(
-        rep=rep, r=r, fiducial=fiducial, tokens=tokens, gram_residue=residue, closure_bound=bound
+        rep=rep, r=r, fiducial=fiducial, stack=stack, gram_residue=residue, closure_bound=bound
     )
 
 
@@ -356,12 +398,10 @@ def encode(tokens: TokenSet, message: StateVector) -> StateVector:
         )
     if message.n < 1:
         raise DimensionMismatch("need at least one message qudit")
-    order = rep.group.order
-    out = np.zeros(check_register(rep.dim, tokens.r + message.n), dtype=np.complex128)
-    for token, rotated in zip(tokens.tokens, _orbit(rep, message.amps, message.n)):
-        out += np.outer(token.amps, rotated).reshape(-1)
-    out /= np.sqrt(order)
-    return StateVector.from_amplitudes(rep.dim, tokens.r + message.n, out)
+    n = tokens.r + message.n
+    check_register(rep.dim, n)
+    amps = tokens.superpose(_orbit(rep, message.amps, message.n))
+    return StateVector.from_amplitudes(rep.dim, n, amps)
 
 
 def transmit(
@@ -380,17 +420,15 @@ def decode(
 ) -> tuple[StateVector, ProtocolReport]:
     """Measure the token register, then undo the rotation with one collective.
 
-    The measurement makes every check of :func:`project_measure` and the same
-    draw, but builds no post-measurement register: the message is the sampled
+    The measurement trusts the tokens' certificate and draws as :func:`project_measure`
+    does, but builds no post-measurement register: the message is the sampled
     token's row ``<t_k|received``, normalized.  The correction is a product of
     identical single-qudit unitaries, so in a multi-receiver setting each holder
     of a message qudit can apply it locally once told the outcome.
     """
     rep, r = tokens.rep, tokens.r
     m = received.n - r
-    if m < 1:
-        raise DimensionMismatch(f"received register has no message qudits (n={received.n})")
-    _, rows, _, _ = _projector_amplitudes(received, range(r), [t.amps for t in tokens.tokens])
+    rows = tokens.overlaps(received)
     probabilities = _outcome_distribution(rows)
     outcome = _draw(probabilities, seed)
     perp_probability = float(probabilities[-1])
@@ -428,7 +466,7 @@ def measure_and_realign(
     """
     rep = tokens.rep
     rotated = apply_collective(message, rep.matrices[alice_element])
-    state = product_state(tokens.tokens[alice_element], rotated)
+    state = product_state(StateVector(rep.dim, tokens.r, tokens.stack[alice_element]), rotated)
     received, applied = transmit(channel, state, channel_seed)
     out, report = decode(tokens, received, measure_seed)
     report.applied_element = applied
@@ -438,9 +476,7 @@ def measure_and_realign(
 
 def decode_outcome_probabilities(tokens: TokenSet, received: StateVector) -> np.ndarray:
     """Analytic outcome distribution of the decoding measurement (remainder last)."""
-    return outcome_probabilities(
-        received, range(tokens.r), [t.amps for t in tokens.tokens]
-    )
+    return _outcome_distribution(tokens.overlaps(received))
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,17 +108,21 @@ def validate_group(cayley, labels=None, name: str | None = None) -> FiniteGroup:
         raise NotAGroup(f"Cayley table must be square, got shape {table.shape}")
     if table.size == 0:
         raise NotAGroup("Cayley table is empty")
-    if not np.issubdtype(table.dtype, np.integer) and not np.all(table == np.floor(table)):
+    # integers, or floats with integral values (NaN fails); no object, string or bool
+    if table.dtype.kind not in "iu" and (
+        table.dtype.kind != "f" or not np.all(table == np.floor(table))
+    ):
         raise NotAGroup("Cayley table entries must be integers")
-    table = table.astype(np.int64)
     n = table.shape[0]
     if n > MAX_GROUP_ORDER:
         raise GroupTooLarge(f"group order {n} exceeds the supported maximum {MAX_GROUP_ORDER}")
+    # the range is checked before the cast, so no float (inf, 1e200) casts out of int64
     if table.min() < 0 or table.max() >= n:
         bad = np.argwhere((table < 0) | (table >= n))[0]
         raise NotAGroup(
             f"entry [{bad[0]}][{bad[1]}] = {table[bad[0], bad[1]]} is outside 0..{n - 1}"
         )
+    table = table.astype(np.int64)
 
     labels = tuple(str(x) for x in (range(n) if labels is None else labels))
     if len(labels) != n:

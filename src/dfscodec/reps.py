@@ -85,6 +85,13 @@ class UnitaryRep:
         errs, phases = _product_law(self.group, self.matrices[None], self.projective)
         return float(errs.max()), None if phases is None else phases[0]
 
+    def cocycle_residue(self, n: int) -> float:
+        """``max |omega(g, h)^n - 1|`` over the phases of :attr:`product_law`, 0 for a
+        linear rep: the n-th tensor power is a linear rep only within ``UNITARY_TOL``."""
+        if not self.projective:
+            return 0.0
+        return float(np.max(np.abs(self.product_law[1] ** n - 1.0)))
+
     @classmethod
     def build(
         cls,
@@ -464,6 +471,11 @@ def multiplicities(rep: UnitaryRep, table: CharacterTable, n: int) -> Multiplici
         raise NonIntegerMultiplicity(
             f"power {n} of a projective representation has non-integer multiplicities{detail}"
         )
+    if (cocycle := rep.cocycle_residue(n)) > UNITARY_TOL:
+        raise NonIntegerMultiplicity(
+            f"power {n} of a projective representation is not linear "
+            f"(max |omega^{n} - 1| = {cocycle:.3e})"
+        )
     if min(gammas) < 0:
         raise NonIntegerMultiplicity(f"negative multiplicity at power {n}")
     total = sum(g * int(d) for g, d in zip(gammas, table.dims))
@@ -476,10 +488,20 @@ def integral_multiplicities(rep: UnitaryRep, table: CharacterTable) -> Multiplic
     """Multiplicities of the least power with integer ones: power 1 for a linear V, the
     first linear power of a projective V (2 for the Pauli set); power 1's refusal if none."""
     chi = compound_character(rep, table.classes)
-    sequence = islice(_multiplicity_sequence(chi, table, rep.projective), DEFAULT_R_MAX)
-    integral = (n for n, gammas in enumerate(sequence, 1)
-                if gammas is not None and all(g.denominator == 1 for g in gammas))
-    return multiplicities(rep, table, next(integral, 1))
+    first = next(_linear_powers(rep, chi, table, DEFAULT_R_MAX), (1, None))[0]
+    return multiplicities(rep, table, first)
+
+
+def _linear_powers(rep: UnitaryRep, chi: np.ndarray, table: CharacterTable, limit: int):
+    """``(n, gammas)`` for each power ``n <= limit`` of ``rep`` that is a linear rep with
+    integer multiplicities.  Integral fusion counts alone do not make a power linear:
+    the Weyl set's fuse at every power, but ``V^(x)n`` is linear only where
+    ``rep.cocycle_residue(n)`` is within ``UNITARY_TOL``."""
+    sequence = islice(_multiplicity_sequence(chi, table, rep.projective), max(limit, 0))
+    for n, gammas in enumerate(sequence, 1):
+        if (gammas is not None and all(g.denominator == 1 for g in gammas)
+                and rep.cocycle_residue(n) <= UNITARY_TOL):
+            yield n, gammas
 
 
 def require_regular(mv: MultiplicityVector, table: CharacterTable) -> MultiplicityVector:
@@ -522,14 +544,12 @@ def require_regular_possible(rep: UnitaryRep, table: CharacterTable) -> np.ndarr
 
 
 def min_r(rep: UnitaryRep, table: CharacterTable, r_max: int = DEFAULT_R_MAX) -> int:
-    """Smallest tensor power containing the regular representation; non-integral powers
-    (of a projective V) are skipped, and reps no cap helps are refused up front."""
+    """Smallest tensor power containing the regular representation; powers of a projective
+    V that are not linear reps with integer multiplicities are skipped, and reps no cap
+    helps are refused up front."""
     chi = require_regular_possible(rep, table)
-    sequence = _multiplicity_sequence(chi, table, rep.projective)
-    for r, gammas in enumerate(islice(sequence, max(r_max, 0)), 1):
-        if gammas is not None and all(
-            g.denominator == 1 and g >= d for g, d in zip(gammas, table.dims)
-        ):
+    for r, gammas in _linear_powers(rep, chi, table, r_max):
+        if all(g >= d for g, d in zip(gammas, table.dims)):
             return r
     raise RMaxExceeded(f"no power r <= {r_max} contains the regular representation; raise r_max")
 

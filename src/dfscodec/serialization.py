@@ -198,11 +198,24 @@ def group_to_dict(group: FiniteGroup) -> dict:
     }
 
 
-def group_from_dict(data: dict, name: str | None = None) -> FiniteGroup:
+def _cayley(data: dict) -> list:
+    """``data["cayley"]``, refused at the first entry of a row that is no JSON integer
+    within int64; rows that are no arrays are left to :func:`validate_group`'s shape check."""
     if "cayley" not in data:
         raise NotAGroup("group file must contain a 'cayley' table")
+    table = _entry(data, "cayley", list)
+    for i, row in enumerate(table):
+        for j, x in enumerate(row if isinstance(row, list) else ()):
+            if type(x) is not int or not -(2**63) <= x < 2**63:
+                raise NotAGroup(
+                    f"'cayley' entry [{i}][{j}] must be an integer within int64, got {x!r}"
+                )
+    return table
+
+
+def group_from_dict(data: dict, name: str | None = None) -> FiniteGroup:
     labels = _entry(data, "labels", list)
-    group = validate_group(data["cayley"], labels=labels, name=name)
+    group = validate_group(_cayley(data), labels=labels, name=name)
     if "order" in data and data["order"] != group.order:
         raise NotAGroup(f"declared order {data['order']!r} != table size {group.order}")
     return group

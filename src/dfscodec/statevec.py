@@ -427,12 +427,17 @@ def _projector_amplitudes(state: StateVector, subset, projectors):
     if len(overlaps):
         i, j = overlaps[0]
         raise NonOrthogonalProjectors(f"projectors {i} and {j} overlap")
-    # each GEMV goes straight into its row, so the rows exist once; the GEMV keeps
-    # the bits that pin perp_probability in roundtrip_z8.json
+    return stacked, _overlap_rows(stacked, block), block, subset
+
+
+def _overlap_rows(vectors: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``<v_i| block`` for each row of ``vectors``, unchecked.  Each GEMV goes straight
+    into its row, so the rows exist once; the GEMV keeps the bits that pin
+    perp_probability in roundtrip_z8.json."""
     rows = np.empty((len(vectors), block.shape[1]), dtype=np.complex128)
     for v, row in zip(vectors, rows):
         row[...] = v.conj() @ block
-    return vectors, rows, block, subset
+    return rows
 
 
 def _outcome_distribution(rows: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from dfscodec.codec import prepare_protocol
 from dfscodec.groups import builtin_group, validate_group
-from dfscodec.reps import pauli_rep, s3_two_dim_rep, zn_phase_rep
+from dfscodec.reps import UnitaryRep, pauli_rep, s3_two_dim_rep, zn_phase_rep
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
@@ -21,6 +21,16 @@ def make_context(spec: str):
     name, _, dim = spec.partition(":")
     group = builtin_group(name)
     return prepare_protocol(zn_phase_rep(group, int(dim) if dim else 2))
+
+
+def weyl_rep(d: int) -> UnitaryRep:
+    """The clock-and-shift set X^a Z^b on one qudit, a projective rep of z<d>xz<d> whose
+    element (a, b) has index a d + b; its phases are d-th roots of unity."""
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    mats = [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            for a in range(d) for b in range(d)]
+    return UnitaryRep.build(builtin_group(f"z{d}xz{d}"), np.array(mats), projective=True)
 
 
 _CONTEXT_CACHE: dict = {}

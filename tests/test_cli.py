@@ -472,6 +472,16 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
         # the declared order is the string '2', which equals no table size
         (["group", "validate", f"@{DATA}/group_string_order.json"],
          "declared order '2' != table size 2"),
+        # a Cayley entry that is no JSON integer within int64, named before numpy reads it:
+        # these raised TypeError, OverflowError or a cast warning
+        (["group", "validate", f"@{DATA}/group_null_cayley.json"],
+         "'cayley' entry [1][1] must be an integer within int64, got None"),
+        (["group", "validate", f"@{DATA}/group_string_cayley.json"],
+         "'cayley' entry [1][1] must be an integer within int64, got 'a'"),
+        (["group", "validate", f"@{DATA}/group_float_cayley.json"],
+         "'cayley' entry [1][1] must be an integer within int64, got 1e+200"),
+        (["group", "validate", f"@{DATA}/group_huge_cayley.json"],
+         "'cayley' entry [1][1] must be an integer within int64, got -1180591620717411303424"),
         # neither a builtin nor a file: the whole spec is quoted, not its fragment before an x
         (["group", "validate", f"{DATA}/nonexist.json"],
          f"unknown builtin group '{DATA}/nonexist.json' (expected z<N>, k4, s3 or a product), "
@@ -544,6 +554,7 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
          "tokens-nan-rep", "analyze-huge-rep", "analyze-huge-table", "network-z8-phase3",
          "network-general", "rep-without-matrices", "table-without-chars",
          "table-without-dims", "rep-array", "table-array", "group-string-order",
+         "group-null-cayley", "group-string-cayley", "group-float-cayley", "group-huge-cayley",
          "group-neither-builtin-nor-file", "rep-neither-builtin-nor-file",
          "rep-string-projective", "rep-int-projective", "group-string-labels",
          "group-int-labels", "rep-int-matrices", "table-int-chars", "table-int-irreps",
@@ -748,3 +759,18 @@ def test_each_command_parses_its_own_flags_and_defaults(argv, expected):
     shared = {dest: value for dest, value in values.items() if dest in expected}
     given = [arg for dest, value in shared.items() for arg in (f"--{dest}", str(value))]
     assert _parsed(argv + given) == {**expected, **shared}
+
+
+def test_weyl_rep_file_gets_the_first_linear_power(tmp_path, capsys):
+    # the clock-and-shift set at d = 3 fuses integrally at r = 2, where its tokens
+    # failed closure by 1.732; its first linear power is 3
+    from conftest import weyl_rep
+
+    path = tmp_path / "weyl3.json"
+    path.write_text(canonical_json(serialization.rep_to_dict(weyl_rep(3))))
+    assert main(["rep", "min-r", "z3xz3", f"@{path}"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 3
+    assert main(["tokens", "build", "--group", "z3xz3", "--rep", f"@{path}"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 3
+    assert main(["rep", "analyze", "z3xz3", f"@{path}"]) == 0
+    assert json.loads(capsys.readouterr().out)["first_integral_power"] == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import dfscodec.codec as codec
 import dfscodec.reps as reps
+from dfscodec.circuits import _complete_unitary, apply_t_direct
 from dfscodec.codec import (
     build_fiducial,
     build_tokens,
@@ -28,12 +30,13 @@ from dfscodec.errors import (
     ConditionTwoViolated,
     DimensionMismatch,
     MissingIrrepMatrices,
+    NonOrthogonalProjectors,
     NumericalDegeneracy,
     PerpOutcome,
     RegularRepMissing,
 )
 from dfscodec.groups import builtin_group
-from dfscodec.limits import UNITARY_TOL, check_entries
+from dfscodec.limits import ORTHONORMAL_TOL, UNITARY_TOL, check_entries
 from dfscodec.reps import (
     CharacterTable,
     UnitaryRep,
@@ -220,8 +223,7 @@ def _full_closure_loop(tokens):
     """The |G| loop the generator certificate replaces: U_k^{(x)r} on the whole token
     stack for every element k; the largest distance ||U_k t_i - t_{ki}|| and overlap
     deviation |<t_{ki}|U_k t_i> - 1| over all |G|^2 pairs."""
-    rep, r = tokens.rep, tokens.r
-    stack = np.array([t.amps for t in tokens.tokens])
+    rep, r, stack = tokens.rep, tokens.r, tokens.stack
     distance = deviation = 0.0
     for k in range(rep.group.order):
         moved = codec._collective_rows(stack, rep.matrices[k], r, range(r))
@@ -672,6 +674,111 @@ def test_decode_reads_the_row_project_measure_would_keep(name, rep_spec, dim, r,
             rep.matrices[rep.group.inv(record.outcome)],
         )
         np.testing.assert_allclose(decoded.amps, expected.amps, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("name,rep_spec,dim,r", DECODE_PARITY, ids=str)
+def test_token_operations_keep_the_bits_of_the_token_tuple(name, rep_spec, dim, r, m):
+    # each operation on the frozen stack against the expression over the tuple of
+    # token states that it replaced
+    rep = builtin_rep(builtin_group(name), rep_spec, dim)
+    tokens = prepare_protocol(rep, r=r).tokens
+    d, r, order = rep.dim, tokens.r, rep.group.order
+    message = random_state(d, m, np.random.default_rng(m))
+    want = np.zeros(d ** (r + m), dtype=np.complex128)
+    for token, u in zip(tokens.tokens, rep.matrices):
+        want += np.outer(token.amps, apply_collective(message, u).amps).reshape(-1)
+    want /= np.sqrt(order)
+    encoded = encode(tokens, message)
+    assert np.array_equal(encoded.amps, want)
+    received, _ = transmit(uniform_channel(rep), encoded, m)
+    block = received.amps.reshape(d**r, -1)
+    rows = np.array([t.amps.conj() @ block for t in tokens.tokens])
+    assert np.array_equal(tokens.overlaps(received), rows)
+    for element_order in (None, np.random.default_rng(m).permutation(order)):
+        picks = range(order) if element_order is None else element_order
+        columns = np.column_stack([tokens.tokens[int(e)].amps for e in picks])
+        assert np.array_equal(tokens.columns(element_order), columns)
+        assert np.array_equal(apply_t_direct(tokens, element_order), _complete_unitary(columns))
+    gram = np.array([[inner(a, b) for b in tokens.tokens] for a in tokens.tokens])
+    assert tokens.gram_residue == float(np.max(np.abs(gram - np.eye(order))))
+
+
+def test_encode_holds_two_registers_and_the_message_orbit(context_for):
+    # s3 has r = 3: with m = 12 the register holds 2^15 amplitudes and the message
+    # orbit 6 x 2^12; the sum and one term buffer reused across the tokens
+    ctx = context_for("s3")
+    message = random_state(2, 12, np.random.default_rng(4))
+    register, orbit = 2**15 * 16, ctx.group.order * 2**12 * 16
+    tracemalloc.start()
+    try:
+        encode(ctx.tokens, message)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * register + orbit + 64 * 1024
+
+
+def test_decode_refuses_tokens_certified_only_to_the_orthonormal_tolerance(context_for):
+    # a z8 fiducial perturbed by 1e-9 N(0, 1) certifies at a Gram residue between
+    # UNITARY_TOL and ORTHONORMAL_TOL: the measurement refuses it from the stored
+    # certificate, as its re-check of every token overlap did; encode's norm check
+    # refuses the register
+    ctx = context_for("z8")
+    amps = ctx.tokens.fiducial.amps + 1e-9 * np.random.default_rng(0).normal(size=2**7)
+    tokens = build_tokens(ctx.rep, 7, StateVector.from_amplitudes(2, 7, amps, normalize=True))
+    assert UNITARY_TOL < tokens.gram_residue <= ORTHONORMAL_TOL
+    phi = random_state(2, 1, np.random.default_rng(1))
+    received = product_state(tokens.tokens[0], phi)
+    refusal = r"^token Gram residue \d\.\d{3}e-09 exceeds 1\.0e-09$"
+    with pytest.raises(NonOrthogonalProjectors, match=refusal):
+        decode(tokens, received, 0)
+    with pytest.raises(NonOrthogonalProjectors, match=refusal):
+        decode_outcome_probabilities(tokens, received)
+    with pytest.raises(DimensionMismatch, match="state norm"):
+        encode(tokens, phi)
+
+
+def test_decode_reads_the_certificate_not_the_tokens(context_for, rng):
+    # the same orthonormal stack under a certificate that says otherwise is refused
+    ctx = context_for("z3")
+    chi = encode(ctx.tokens, random_state(2, 1, rng))
+    assert decode(ctx.tokens, chi, 0)[1].perp_probability <= 1e-12
+    doubted = dataclasses.replace(ctx.tokens, gram_residue=2 * UNITARY_TOL)
+    with pytest.raises(NonOrthogonalProjectors, match="token Gram residue 2.000e-09"):
+        decode(doubted, chi, 0)
+
+
+@pytest.mark.parametrize(
+    "measure", [lambda t, s: decode(t, s, 0), decode_outcome_probabilities],
+    ids=["decode", "probabilities"],
+)
+def test_decode_refuses_received_states_it_cannot_measure(measure, context_for, rng):
+    # z3 has r = 2 on qubits: another local dimension, no message qudit, and an
+    # unnormalized register whose offered probabilities sum past 1
+    tokens = context_for("z3").tokens
+    with pytest.raises(DimensionMismatch, match="dimension 3"):
+        measure(tokens, random_state(3, 3, rng))
+    for n in (1, 2):
+        with pytest.raises(DimensionMismatch, match=f"received {n} qudits"):
+            measure(tokens, random_state(2, n, rng))
+    chi = encode(tokens, random_state(2, 1, rng))
+    with pytest.raises(NonOrthogonalProjectors, match="sum to"):
+        measure(tokens, StateVector(d=2, n=3, amps=1.01 * chi.amps))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_weyl_channels_round_trip_at_r_equal_d(d):
+    # the clock-and-shift set's fusion counts are integral at every power, but only
+    # power d is linear: min_r gives r = d, and every element is recovered at m = 1
+    from conftest import weyl_rep
+
+    rep = weyl_rep(d)
+    ctx = prepare_protocol(rep)
+    assert ctx.r == d
+    for h in range(rep.group.order):
+        res = run_roundtrip(ctx, fixed_channel(rep, h), m=1, message_seed=h, measure_seed=h)
+        assert res.report.roundtrip_fidelity >= 1 - 1e-9
 
 
 def test_decode_builds_no_full_register(context_for):

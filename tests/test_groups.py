@@ -240,6 +240,30 @@ def test_validate_group_on_every_two_and_three_element_table():
     assert accepted == 2 + 3  # z2 and z3, each with every element as the identity once
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (np.array([[0, 1], [1, 1.5]]), "entries must be integers"),
+        (np.array([[0, 1], [1, np.nan]]), "entries must be integers"),
+        (np.array([[0, 1], [1, np.inf]]), r"entry \[1\]\[1\] = inf is outside 0\.\.1"),
+        (np.array([[0, 1], [1, 1e200]]), r"entry \[1\]\[1\] = 1e\+200 is outside 0\.\.1"),
+        (np.array([[0, 1], [1, None]], dtype=object), "entries must be integers"),
+        (np.array([["0", "1"], ["1", "0"]]), "entries must be integers"),
+        (np.array([[False, True], [True, False]]), "entries must be integers"),
+        ([[0, 1], [1, -(2**70)]], "entries must be integers"),
+    ],
+    ids=["fraction", "nan", "inf", "1e200", "none", "string", "bool", "below-int64"],
+)
+def test_validate_group_refuses_entries_that_are_no_integers_in_range(table, message):
+    # each used to raise TypeError or OverflowError, or warn on a cast out of int64
+    with pytest.raises(NotAGroup, match=message):
+        validate_group(table)
+
+
+def test_validate_group_reads_integral_floats():
+    assert validate_group(np.array([[0.0, 1.0], [1.0, 0.0]])).cayley.tolist() == [[0, 1], [1, 0]]
+
+
 def test_cyclic_generator_is_lowest_index_of_full_order(relabelled):
     assert cyclic_generator(cyclic_group(1)) == 0
     assert cyclic_generator(cyclic_group(8)) == 1

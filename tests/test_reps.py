@@ -21,6 +21,7 @@ from dfscodec.reps import (
     builtin_rep,
     compound_character,
     contains_regular,
+    integral_multiplicities,
     is_faithful,
     isotypic_decompose,
     min_r,
@@ -259,10 +260,11 @@ def test_exact_multiplicities_match_the_float_character_sum(name, spec, dim, r):
         # exact in floats at these sizes: |G| d^n <= 2^12
         raw = (table.chars.conj() * table.classes.class_sizes) @ chi**n / group.order
         rounded = np.round(raw.real)
-        if np.max(np.abs(raw - rounded)) < 1e-9:
+        if np.max(np.abs(raw - rounded)) < 1e-9 and rep.cocycle_residue(n) <= UNITARY_TOL:
             assert multiplicities(rep, table, n).gammas == tuple(int(x) for x in rounded)
         else:
-            # only the odd powers of the Pauli set are not linear representations
+            # only the odd powers of the Pauli set are not linear representations; the
+            # third fuses integrally and is refused all the same
             assert rep.projective and n % 2 == 1
             with pytest.raises(NonIntegerMultiplicity, match=f"power {n} of a projective"):
                 multiplicities(rep, table, n)
@@ -369,6 +371,22 @@ def test_rephased_projective_rep_steps_by_its_first_integral_power():
                                projective=True)
     with pytest.raises(NonIntegerMultiplicity, match="floats cannot test power 21"):
         min_r(generic, table)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_weyl_rep_skips_powers_that_are_not_linear(d):
+    # chi = d delta_e fuses integrally at every power, but V^(x)n is linear only where
+    # omega^n = 1, which for the clock-and-shift phases means d | n
+    from conftest import weyl_rep
+
+    rep = weyl_rep(d)
+    table = builtin_character_table(rep.group)
+    assert min_r(rep, table) == d
+    assert integral_multiplicities(rep, table).power == d
+    assert rep.cocycle_residue(d) <= UNITARY_TOL < rep.cocycle_residue(2)
+    with pytest.raises(NonIntegerMultiplicity,
+                       match=r"^power 2 of a projective representation is not linear \(max"):
+        multiplicities(rep, table, 2)
 
 
 def test_inconsistent_table_is_blamed_on_the_fusion_counts():
