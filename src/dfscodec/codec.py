@@ -100,14 +100,30 @@ class TokenSet:
             )
         return _overlap_rows(self.stack, received.amps.reshape(self.stack.shape[1], -1))
 
+    @cached_property
+    def _support(self) -> np.ndarray:
+        """The basis states on which some token is nonzero, ascending: all ``d^r``
+        for a dense action, ``|G|`` for a diagonal one."""
+        return np.flatnonzero(np.any(self.stack != 0, axis=0))
+
     def superpose(self, rotated: np.ndarray) -> np.ndarray:
         """``sum_k t_k (x) rotated_k / sqrt|G|`` over the ``(|G|, w)`` rows ``rotated``,
-        summed in element order, each term through one reused temporary."""
+        summed in element order, each term through one reused temporary.
+
+        Only the rows of ``_support`` are summed; every other row stays the
+        ``+0.0`` the full sum leaves there (``+0.0 + (+-0.0) = +0.0``), so the bytes,
+        the sign of every zero included, are those of the sum over all rows.  When
+        every row is in the support the sum runs on the output itself."""
         out = np.zeros((self.stack.shape[1], rotated.shape[1]), dtype=np.complex128)
-        term = np.empty_like(out)
-        for token, row in zip(self.stack, rotated):
-            out += np.outer(token, row, out=term)
-        out /= np.sqrt(len(self.stack))
+        live = self._support
+        dense = len(live) == len(out)
+        part = out if dense else np.zeros((len(live), rotated.shape[1]), dtype=np.complex128)
+        term = np.empty_like(part)
+        for token, row in zip(self.stack if dense else self.stack[:, live], rotated):
+            part += np.outer(token, row, out=term)
+        part /= np.sqrt(len(self.stack))
+        if not dense:
+            out[live] = part
         return out.reshape(-1)
 
     def columns(self, element_order=None) -> np.ndarray:
@@ -400,8 +416,8 @@ def encode(tokens: TokenSet, message: StateVector) -> StateVector:
         raise DimensionMismatch("need at least one message qudit")
     n = tokens.r + message.n
     check_register(rep.dim, n)
-    amps = tokens.superpose(_orbit(rep, message.amps, message.n))
-    return StateVector.from_amplitudes(rep.dim, n, amps)
+    # the sum is fresh: it becomes the state's amplitudes, checked but not copied
+    return StateVector._adopt(rep.dim, n, tokens.superpose(_orbit(rep, message.amps, message.n)))
 
 
 def transmit(

@@ -8,7 +8,7 @@ used everywhere in the package; conversions never happen at module borders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, groupby
 from operator import sub
 
 import numpy as np
@@ -45,19 +45,31 @@ class StateVector:
         arr = np.array(amps, dtype=np.complex128).reshape(-1)
         if arr.size != size:
             raise DimensionMismatch(f"expected {size} amplitudes, got {arr.size}")
-        norm = np.linalg.norm(arr)
-        if not np.isfinite(norm):
-            raise DimensionMismatch(f"state amplitudes are not finite (norm {norm})")
-        if normalize:
-            if norm == 0:
-                raise DimensionMismatch("cannot normalize the zero vector")
-            arr = arr / norm
-        elif abs(norm - 1.0) > NORM_TOL:
+        if not normalize:
+            return cls._adopt(d, n, arr)
+        norm = _finite_norm(arr)
+        if norm == 0:
+            raise DimensionMismatch("cannot normalize the zero vector")
+        return cls(d=d, n=n, amps=arr / norm)
+
+    @classmethod
+    def _adopt(cls, d: int, n: int, arr: np.ndarray) -> "StateVector":
+        """The state whose amplitudes are the fresh complex vector ``arr`` of ``d**n``
+        entries, frozen in place, not copied, once its norm is checked to be 1."""
+        norm = _finite_norm(arr)
+        if abs(norm - 1.0) > NORM_TOL:
             raise DimensionMismatch(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         return cls(d=d, n=n, amps=arr)
 
     def tensor(self) -> np.ndarray:
         return self.amps.reshape([self.d] * self.n)
+
+
+def _finite_norm(arr: np.ndarray) -> float:
+    norm = np.linalg.norm(arr)
+    if not np.isfinite(norm):
+        raise DimensionMismatch(f"state amplitudes are not finite (norm {norm})")
+    return norm
 
 
 def basis_state(d: int, n: int, index: int = 0) -> StateVector:
@@ -316,6 +328,58 @@ def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:
 # keep the GEMM.
 MONOMIAL_MIN_BLOCK = 2**10
 
+# The exact unit phases: products of them round nothing.
+_UNITS = frozenset({1, -1, 1j, -1j})
+
+# The fused exact-phase step multiplies by one phase table per group of target
+# wires, each of at most this many entries: groups of 8 wires at d = 2.
+FUSED_TABLE_ENTRIES = 2**8
+
+
+def _fused_width(d: int) -> int:
+    """Wires per group of the fused step: the most whose phase table fits
+    ``FUSED_TABLE_ENTRIES``, and at least one."""
+    width = 1
+    while d ** (width + 1) <= FUSED_TABLE_ENTRIES:
+        width += 1
+    return width
+
+
+def _phase_table(phases: np.ndarray, widths: list[int]) -> np.ndarray:
+    """The product of ``phases[row, digit]`` over the digits of the wires of each
+    run, broadcast over a ``(rows, ...)`` tensor of runs of wires: a run of
+    width ``w`` gets ``d**w`` entries, one of width 0 a single entry."""
+    rows, d = phases.shape
+    table = np.ones((rows, 1), dtype=np.complex128)
+    for _ in range(sum(widths)):
+        table = (table[:, :, None] * phases[:, None, :]).reshape(rows, -1)
+    return table.reshape(rows, *(d**w for w in widths))
+
+
+def _fused_rows(rows: np.ndarray, n: int, targets, moves, phases: np.ndarray) -> np.ndarray:
+    """The exact-phase collective step for permutations that are the identity or
+    the digit reversal: for each ``(rows, src)`` group of rows, the rows
+    themselves or a view with every target wire's digits reversed, then one
+    multiply per group of :func:`_fused_width` target wires by its table of the
+    ``(1 or rows, d)`` phases, each written straight into the output.  Adjacent
+    wires of one group, or of none, are merged into one axis, so each multiply
+    runs over a few long axes."""
+    count, d = rows.shape[0], phases.shape[1]
+    wires, width = sorted(targets), _fused_width(d)
+    group = {w: i // width for i, w in enumerate(wires)}
+    runs = [(key, len(list(run))) for key, run in groupby(range(n), lambda w: group.get(w, -1))]
+    shape = (count, *(d**length for _, length in runs))
+    tensor, out = rows.reshape(shape), np.empty(shape, dtype=np.complex128)
+    tables = [_phase_table(phases, [length if key == g else 0 for key, length in runs])
+              for g in range(group[wires[-1]] + 1)]
+    reverse = (slice(None), *(slice(None, None, -1 if key >= 0 else 1) for key, _ in runs))
+    for sel, src in moves:
+        view = tensor[sel][reverse] if src[0] else tensor[sel]  # src[0] = d - 1: reversal
+        for table in tables:
+            np.multiply(view, table[sel], out=out[sel])
+            view = out[sel]
+    return out.reshape(count, -1)
+
 
 def _collective_rows(rows: np.ndarray, u: np.ndarray, n: int, targets) -> np.ndarray:
     """``u`` on every wire in ``targets`` of each row of a ``(rows, d**n)`` array.
@@ -326,45 +390,56 @@ def _collective_rows(rows: np.ndarray, u: np.ndarray, n: int, targets) -> np.nda
     block, right-multiplies it by the transposed matrix, and flattens so that
     qudit becomes the trailing one; after ``n`` steps the wires are back in
     place.  The rows go through one stacked matmul per step, one GEMM per row,
-    so each row comes out bit-identical to a one-row call.
+    so each row comes out bit-identical to a one-row call.  The steps write in
+    turn into the output and one scratch buffer, both allocated once.
 
-    When every matrix is monomial (:func:`_monomial`), a step runs no GEMM:
-    output digit ``j`` of a row is its source digit ``src[j]``, read in place,
-    times ``phase[j]``, one elementwise product per output digit that writes
-    into the rotated block, for all rows at once when they share a permutation
-    and row by row otherwise.  Each product must cover ``MONOMIAL_MIN_BLOCK``
-    amplitudes, and one wire keeps the GEMM, whose bits there differ from the
-    multiply's even at d = 2.  On two or more wires, at d = 2, every nonzero
-    amplitude has the GEMM's bits and only the sign of a zero may differ; at
-    larger d the GEMM sums d products, so the last bit may move.
+    When every matrix is monomial (:func:`_monomial`), no GEMM runs.  The
+    monomial path takes all rows at once when they share a permutation and row
+    by row otherwise, and each of its products must cover ``MONOMIAL_MIN_BLOCK``
+    amplitudes; one wire keeps the GEMM, whose bits there differ from the
+    multiply's even at d = 2.  If every phase is exactly 1, -1, 1j or -1j and
+    every permutation is the identity or the digit reversal (the Pauli set, all
+    identity elements, any 0/1 permutation at d = 2), the fused step of
+    :func:`_fused_rows` handles all target wires in one multiply per group of
+    wires, read through a reversed view; its values equal the GEMM's.  Other
+    monomials take one step per wire: output digit ``j`` of a row is its source
+    digit ``src[j]``, read in place, times ``phase[j]``, one elementwise product
+    per output digit; at d = 2, or with exact phases, every nonzero amplitude
+    has the GEMM's bits, and at larger d with other phases, where the GEMM sums
+    d products, the last bit may move.  On either monomial path only the sign
+    of a zero may differ from the GEMM.
     """
     d, x, count = u.shape[-1], rows, rows.shape[0]
     block = d ** (n - 1)  # amplitudes of one digit of one row
     moves = None
-    if n > 1 and count * block >= MONOMIAL_MIN_BLOCK and (found := _monomial(u)):
-        # (rows, source digit of each output digit, phases) for each group of rows
+    if n > 1 and targets and count * block >= MONOMIAL_MIN_BLOCK and (found := _monomial(u)):
+        # (rows, source digit of each output digit) for each group of rows
         src, phases = found
-        phases = np.array(phases, dtype=np.complex128).reshape(-1, d, 1)  # (1 or rows, d, 1)
+        table = np.array(phases, dtype=np.complex128).reshape(-1, d)  # (1 or rows, d)
         if src == src[:d] * (len(src) // d):  # one permutation for every row
-            moves = [(slice(None), src[:d], phases)]
+            moves = [(slice(None), src[:d])]
         elif block >= MONOMIAL_MIN_BLOCK:
-            moves = [(slice(i, i + 1), src[i * d : i * d + d], phases[i : i + 1])
-                     for i in range(count)]
+            moves = [(slice(i, i + 1), src[i * d : i * d + d]) for i in range(count)]
+        ends = (list(range(d)), list(range(d - 1, -1, -1)))  # identity, reversal
+        if moves and _UNITS.issuperset(phases) and all(s in ends for _, s in moves):
+            return _fused_rows(rows, n, targets, moves, table)
     if moves is None:
         ut = np.swapaxes(u, -1, -2)
+    buffers = [np.empty((count, d**n), dtype=np.complex128)]
     for w in range(n):
-        x = x.reshape(count, d, -1)
+        if w == 1:
+            buffers.append(np.empty_like(buffers[0]))
+        out = buffers[w % 2]
+        x, y = x.reshape(count, d, -1), out.reshape(count, block, d)
         if w not in targets:
-            x = x.transpose(0, 2, 1)
+            np.copyto(y, x.transpose(0, 2, 1))
         elif moves is None:
-            x = x.transpose(0, 2, 1) @ ut
+            np.matmul(x.transpose(0, 2, 1), ut, out=y)
         else:
-            out = np.empty((count, block, d), dtype=np.complex128)
-            for sel, sources, phase in moves:
+            for sel, sources in moves:
                 for j, k in enumerate(sources):
-                    np.multiply(x[sel, k], phase[:, j], out=out[sel, :, j])
-            x = out
-        x = x.reshape(count, -1)
+                    np.multiply(x[sel, k], table[sel, j, None], out=y[sel, :, j])
+        x = out
     return x
 
 

@@ -475,6 +475,25 @@ def test_encode_equals_the_per_element_sum(name, rep_spec, dim, rng):
     assert np.array_equal(encode(ctx.tokens, message).amps, want)
 
 
+@pytest.mark.parametrize("spec", ["z8", "z16", "z3:3", "k4", "s3"])
+def test_superpose_on_the_token_support_keeps_the_bytes_of_the_full_sum(spec, context_for, rng):
+    # a diagonal rep's |G| tokens live on |G| basis states, a dense rep's on all d^r;
+    # the rows off that support stay +0.0, as in the sum over every row, and the
+    # rotated rows carry -0.0 parts so that the sign of every zero is compared
+    tokens = context_for(spec).tokens
+    order, size = tokens.stack.shape
+    rotated = rng.normal(size=(order, 8)) + 1j * rng.normal(size=(order, 8))
+    pairs = rotated.view(np.float64)
+    pairs[rng.random(pairs.shape) < 0.25] = -0.0
+    want = np.zeros((size, 8), dtype=np.complex128)
+    for token, row in zip(tokens.stack, rotated):
+        want += np.outer(token, row)
+    want /= np.sqrt(order)
+    assert tokens.superpose(rotated).tobytes() == want.reshape(-1).tobytes()
+    live = np.count_nonzero(np.any(tokens.stack != 0, axis=0))
+    assert live == (order if spec.startswith("z") else size)
+
+
 def test_encode_dimension_mismatch(context_for, rng):
     ctx = context_for("z3")
     with pytest.raises(DimensionMismatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -23,6 +24,7 @@ from dfscodec.statevec import (
     _collective_rows,
     _digit_cycles,
     _from_front,
+    _fused_width,
     _monomial,
     _run,
     _to_front,
@@ -280,6 +282,85 @@ def test_monomial_collective_matches_the_gemm_loop(d, kind, exact, rng):
                     assert np.max(np.abs(got - want)) <= 1e-15, (n, count, targets)
 
 
+def _fused_step(u):
+    """Whether an over-the-floor collective of ``u`` takes the fused step: every
+    phase exactly 1, -1, i or -i and every permutation the identity or the digit
+    reversal."""
+    d = u.shape[-1]
+    src, phases = _monomial(u)
+    ends = {tuple(range(d)), tuple(range(d))[::-1]}
+    perms = {tuple(src[i : i + d]) for i in range(0, len(src), d)}
+    return set(phases) <= {1, -1, 1j, -1j} and perms <= ends
+
+
+def _exact_phase_sets():
+    """(name, d, matrix or stack) of exact-phase monomials: the k4 stack and each of
+    its Paulis, and Y with its phases i and -i; at d = 3 and 5 the identity and
+    the digit reversal, which take the fused step, and a shift, which keeps one
+    step per wire, with phases from {1, -1, i, -i}; and the z4xz2 regular stack
+    (d = 8), whose permutations keep one step per wire."""
+    k4 = builtin_rep(builtin_group("k4"), "builtin", 2).matrices
+    y = np.array([[0, -1j], [1j, 0]])
+    cases = [("k4", 2, k4), ("Y", 2, y)] + [(f"k4[{i}]", 2, m) for i, m in enumerate(k4)]
+    for d in (3, 5):
+        phases = np.array([1, 1j, -1, -1j, 1j])[:d, None]
+        cases += [(f"I{d}", d, np.eye(d)), (f"reverse{d}", d, np.eye(d)[::-1] * phases),
+                  (f"shift{d}", d, np.roll(np.eye(d), 1, axis=0) * phases)]
+    cases.append(("z4xz2", 8, builtin_rep(builtin_group("z4xz2"), "regular", 8).matrices))
+    return cases
+
+
+@pytest.mark.parametrize("d, u", [case[1:] for case in _exact_phase_sets()],
+                         ids=[case[0] for case in _exact_phase_sets()])
+def test_exact_phase_collectives_equal_the_gemm_loop(d, u, products, rng):
+    # exact phases round nothing, so the values equal the GEMM's at every d (only a
+    # zero's sign may differ); sizes on both sides of MONOMIAL_MIN_BLOCK, one row
+    # and four for a single matrix, every wire and a subset, and runs of target
+    # wires longer than one phase table.  The product count shows the path: one
+    # per group of rows and of _fused_width target wires on the fused step, d per
+    # target wire and group of rows one wire at a time, none on the GEMM
+    stacked = u.ndim == 3
+    shared = not stacked or len({tuple(np.argmax(m != 0, axis=1)) for m in u}) == 1
+    for n in {2: [2, 9, 11, 13, 17], 3: [2, 6, 7, 9], 5: [2, 4, 5], 8: [2, 4, 5]}[d]:
+        for count in (len(u),) if stacked else (1, 4):
+            rows = _planted_zero_rows(d, n, count, rng)
+            # rng.choice calls np.prod, which the products spy breaks
+            subset = set(rng.permutation(n)[: (n + 1) // 2].tolist())
+            for targets in (set(range(n)), subset):
+                products[0] = 0
+                got = _collective_rows(rows, u, n, targets)
+                assert np.array_equal(got, _gemm_rows(rows, u, n, targets)), (n, count, targets)
+                groups = 1 if shared else count
+                if d ** (n - 1) * count // groups < MONOMIAL_MIN_BLOCK:
+                    want = 0
+                elif _fused_step(u):
+                    want = groups * -(-len(targets) // _fused_width(d))
+                else:
+                    want = d * groups * len(targets)
+                assert products[0] == want, (n, count, targets)
+
+
+def test_collective_steps_write_into_two_buffers(rng):
+    # tracemalloc sees numpy's buffers: a GEMM or inexact-monomial collective holds
+    # the input and at most two buffers of its size, the output and one scratch;
+    # the fused exact-phase step at d = 2 reads its source through views, so it
+    # holds the input and the output; 256 KiB covers numpy's ufunc buffer
+    s3 = builtin_rep(builtin_group("s3"), "builtin-2d", 2).matrices
+    z8 = builtin_rep(builtin_group("z8"), "builtin", 2).matrices
+    k4 = builtin_rep(builtin_group("k4"), "builtin", 2).matrices
+    for u, buffers in [(s3, 2), (z8, 2), (haar_unitary(2, rng), 2), (k4, 1), (X, 1)]:
+        count = len(u) if u.ndim == 3 else 1
+        state = rng.normal(size=(count, 2**16)) + 0j
+        tracemalloc.start()
+        try:
+            rows = state.copy()
+            _collective_rows(rows, u, 16, range(16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 + buffers) * rows.nbytes + 256 * 1024, (u.shape, peak / rows.nbytes)
+
+
 @pytest.fixture
 def products(monkeypatch):
     """Count of ``np.multiply`` calls: one per output digit and row group of a
@@ -305,8 +386,10 @@ _MONOMIAL_REPS = [(f"z{k}", "builtin", 2, 11) for k in range(2, 13)] + [
     f"{g}-{s}-d{d}" for g, s, d, _ in _MONOMIAL_REPS])
 def test_monomial_reps_run_no_gemm(group, spec, dim, n, products, rng):
     # the orbit's stack and each element's matrix, on every wire and on a subset;
-    # the product count shows the path: d per target step for rows that share a
-    # permutation, d per row otherwise, and none where the GEMM runs
+    # the product count shows the path, per group of rows (all rows when they share
+    # a permutation, one row otherwise): on the fused step (_fused_step), one
+    # product per group of _fused_width target wires; otherwise d per target
+    # step; none where the GEMM runs
     matrices = builtin_rep(builtin_group(group), spec, dim).matrices
     state = random_state(dim, n, rng)
     orbit = np.broadcast_to(state.amps, (len(matrices), dim**n))
@@ -316,8 +399,12 @@ def test_monomial_reps_run_no_gemm(group, spec, dim, n, products, rng):
     for rows, u, targets, groups in cases:
         products[0] = 0
         _collective_rows(rows, u, n, set(targets))
-        assert products[0] == dim * groups * len(targets)
+        if _fused_step(u):
+            assert products[0] == groups * -(-len(targets) // _fused_width(dim))
+        else:
+            assert products[0] == dim * groups * len(targets)
     assert MONOMIAL_MIN_BLOCK <= dim ** (n - 1)
+    assert [_fused_width(d) for d in (2, 3, 5, 8, 16, 17)] == [8, 5, 3, 2, 2, 1]
 
 
 def test_other_collectives_keep_the_gemm(products, rng):
