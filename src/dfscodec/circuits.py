@@ -215,13 +215,14 @@ def _block_gates(pattern, unitary, message_wires, note: str, conjugate_x: bool) 
 # the pattern over control positions 0..r'-1, and its own metadata.
 
 
-def _general_blocks(group: FiniteGroup, m: int):
+def _general_blocks(rep: UnitaryRep, m: int):
     """Block-per-element controlled network on ceil(log2 |G|) control wires.
 
     The X conjugation of every block is emitted explicitly; over a full
     power-of-two enumeration the emitted gates sum to |G| * (41 r' - 80 + m),
     matching the closed-form count.
     """
+    group = rep.group
     r_prime = control_wire_count(group.order)
     blocks = [
         (_control_pattern(range(r_prime), i), i, f"element {group.labels[i]}")
@@ -235,13 +236,14 @@ def _general_blocks(group: FiniteGroup, m: int):
     }
 
 
-def _abelian_blocks(group: FiniteGroup, m: int):
+def _abelian_blocks(rep: UnitaryRep, m: int):
     """Generator-power controlled network for abelian groups.
 
     Control labels are generator words (first generator most significant); the
     identity power of each generator needs no gates, so the emitted count sits
     below the per-generator bound L_i * (40 max(log2 L_i - 2, 0) + m).
     """
+    group = rep.group
     generators, orders = generator_decomposition(group)
     for bound in orders:
         if bound & (bound - 1):
@@ -268,18 +270,33 @@ def _abelian_blocks(group: FiniteGroup, m: int):
     }
 
 
-def _cyclic_blocks(group: FiniteGroup, m: int):
+def _network_generator(rep: UnitaryRep) -> int | None:
+    """The generator g of the cyclic path and the register network: the
+    lowest-index element with U(g) = diag(1, e^(2 pi i / N)) within UNITARY_TOL
+    when one exists, since that is the phase the Fourier stage gives, and
+    otherwise the lowest-index generator; None when the group is not cyclic."""
+    group, gen = rep.group, cyclic_generator(rep.group)
+    if gen is None or rep.dim != 2:
+        return gen
+    omega = np.diag([1.0, np.exp(2j * np.pi / group.order)])
+    hits = np.flatnonzero(np.abs(rep.matrices - omega).max(axis=(1, 2)) <= UNITARY_TOL)
+    return int(hits[0]) if hits.size else gen
+
+
+def _cyclic_blocks(rep: UnitaryRep, m: int):
     """One controlled power of the generator per control wire: m log2 N gates.
 
-    Control label v stands for the v-th power of the generator, so the labels
-    are generator words like those of the abelian path.
+    Control label v stands for the v-th power of the generator of
+    :func:`_network_generator`, so the labels are generator words like those of
+    the abelian path.
     """
+    group = rep.group
     n = group.order
     if n & (n - 1):
         raise DfsCodecError(
             f"cyclic path needs a power-of-two order, got {n}; use the general path"
         )
-    gen = cyclic_generator(group)
+    gen = _network_generator(rep)
     if gen is None:
         raise NotAbelian("group has no generator; the cyclic path needs a cyclic group")
     r_prime = control_wire_count(n)
@@ -312,7 +329,7 @@ def synth_w(path: str, group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_lay
         raise NotAbelian("the generator-power network needs an abelian group")
     if rep.dim != 2:
         raise UnsupportedDimension("gate-level synthesis is defined for qubits only")
-    r_prime, blocks, metadata = _W_PATHS[path](group, m)
+    r_prime, blocks, metadata = _W_PATHS[path](rep, m)
     layout = place(r_prime, m)
     gates: list[Gate] = []
     for pattern, element, note in blocks:
@@ -466,13 +483,13 @@ def _check_network(rep: UnitaryRep, fiducial: StateVector | None = None) -> np.n
 
     The Fourier stage gives label k the phase e^(2 pi i k w / N) on the pattern of
     weight w.  That is the action of U_(g^k) on every token wire, for the generator
-    g of :func:`cyclic_generator`, only when U_(g^k) = diag(1, e^(2 pi i k / N)),
+    g of :func:`_network_generator`, only when U_(g^k) = diag(1, e^(2 pi i k / N)),
     and the labels' states are those tokens only when the fiducial is this one.
     """
     group = rep.group
     n = group.order
     _check_network_order(n)
-    gen = cyclic_generator(group)
+    gen = _network_generator(rep)
     if rep.dim != 2 or gen is None:
         raise DfsCodecError("network tokens are defined for qubit cyclic groups of power-of-two order")
     expected = np.zeros((n, 2, 2), dtype=np.complex128)

@@ -122,9 +122,12 @@ def _from_front(block: np.ndarray, axes, ndim: int, d: int) -> np.ndarray:
     return block.reshape([d] * ndim).transpose(sorted(range(ndim), key=perm.__getitem__))
 
 
-def _apply(tensor: np.ndarray, op: np.ndarray, targets, controls=()) -> None:
+def _apply(tensor: np.ndarray, op: np.ndarray, targets, controls, columns: int) -> None:
     """The block kernel, unchecked: ``op @ block`` on ``targets``, in place in the
-    writable ``(d,)*n`` tensor, wherever every control matches."""
+    writable ``(d,)*n`` tensor, wherever every control matches.  ``columns`` is the
+    block's width on the whole register: a narrower block is multiplied with zero
+    columns appended up to ``min(MIN_BLOCK_COLUMNS, columns)``, and only its own
+    columns are kept."""
     n, d = tensor.ndim, tensor.shape[0]
     index: list = [slice(None)] * n
     for w, v in controls:
@@ -132,7 +135,11 @@ def _apply(tensor: np.ndarray, op: np.ndarray, targets, controls=()) -> None:
     sub = tensor[tuple(index)]
     # axis rank of each target among the non-control wires, in the sliced view
     axes = [t - sum(w < t for w, _ in controls) for t in targets]
-    tensor[tuple(index)] = _from_front(op @ _to_front(sub, axes, d), axes, sub.ndim, d)
+    block = _to_front(sub, axes, d)
+    width, pad = block.shape[1], min(MIN_BLOCK_COLUMNS, columns) - block.shape[1]
+    if pad > 0:
+        block = np.concatenate((block, np.zeros((len(block), pad), dtype=block.dtype)), axis=1)
+    tensor[tuple(index)] = _from_front((op @ block)[:, :width], axes, sub.ndim, d)
 
 
 def _move(tensor: np.ndarray, cycles, target: int, controls=()) -> None:
@@ -177,10 +184,12 @@ def _check_operands(d: int, n: int, controls, targets) -> tuple[list, list[int]]
     return controls, targets
 
 
-# OpenBLAS gives a product on a block of 1 or 2 columns other bits than on a wider
-# block, while power-of-two widths from 4 to 256 agree.  A block on held wires is
-# widened to this many columns (or all of the register's, if fewer), so every
-# amplitude keeps the bits of a run on the whole register.
+# OpenBLAS gives the last ``width % 4`` columns of a product other bits than they
+# get in a wider product, so a block of 1 or 2 columns rounds otherwise than the
+# same columns on more wires.  The block kernel pads a narrower block with zero
+# columns to this width, or the whole register's if fewer: on qubits every
+# amplitude then keeps the bits of a run on the whole register.  At d >= 3 an odd
+# width leaves the last bit of a few columns to where they sit.
 MIN_BLOCK_COLUMNS = 64
 
 
@@ -284,38 +293,25 @@ def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
     whose every other wire is idle in |0>, and ops may write into it.  Every op is
     validated on the whole register before any runs.  An op controlled on an idle
     wire drops that control when it asks for 0 and is skipped otherwise; an idle
-    target wire joins the held ones, as do the lowest idle non-control wires that
-    the block needs to reach ``MIN_BLOCK_COLUMNS`` columns, or the whole
-    register's count if that is smaller.
+    target wire joins the held ones.  No other wire joins before the end.
     """
-    d, wires = tensor.shape[0], list(wires)
-    held, axis = set(wires), {w: i for i, w in enumerate(wires)}
+    d = tensor.shape[0]
+    axis = {w: i for i, w in enumerate(wires)}  # held wire -> its axis in the tensor
     for op, controls, targets, cycles in _checked_ops(d, n, ops):
-        if any(v and w not in held for w, v in controls):
+        if any(v and w not in axis for w, v in controls):
             continue  # an idle wire holds 0, so this control never matches
-        floor = min(MIN_BLOCK_COLUMNS, d ** (n - len(targets) - len(controls)))
-        kept = [(w, v) for w, v in controls if w in held]
-        new = [t for t in targets if t not in held]
-        columns = d ** (len(held) + len(new) - len(targets) - len(kept))
-        if columns < floor:
-            control_wires = {w for w, _ in controls}
-            for w in range(n):
-                if w not in held and w not in new and w not in control_wires:
-                    new.append(w)
-                    columns *= d
-                    if columns >= floor:
-                        break
+        new = [t for t in targets if t not in axis]
         if new:
-            tensor, wires = _hold(tensor, wires, new)
-            held.update(new)
-            axis = {w: i for i, w in enumerate(wires)}
-        matched = [(axis[w], v) for w, v in kept]
+            tensor, order = _hold(tensor, list(axis), new)
+            axis = {w: i for i, w in enumerate(order)}
+        matched = [(axis[w], v) for w, v in controls if w in axis]
         if cycles is None:
-            _apply(tensor, op, [axis[t] for t in targets], matched)
+            columns = d ** (n - len(targets) - len(controls))
+            _apply(tensor, op, [axis[t] for t in targets], matched, columns)
         else:
             _move(tensor, cycles, axis[targets[0]], matched)
-    idle = [w for w in range(n) if w not in held]
-    return _hold(tensor, wires, idle)[0] if idle else tensor
+    idle = [w for w in range(n) if w not in axis]
+    return _hold(tensor, list(axis), idle)[0] if idle else tensor
 
 
 def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:

@@ -392,20 +392,28 @@ def test_network_refuses_tokens_it_does_not_realize(spec, context_for):
         build_encoding_pipeline(context_for(spec).tokens, 2, "cyclic", cyclic_network=True)
 
 
-@pytest.mark.parametrize("power", [3, 5, 7])
-def test_network_refuses_a_generator_it_does_not_realize(power):
-    # U_k = diag(1, w^(power k)) is faithful, and its canonical tokens are certified,
-    # but the Fourier stage gives label k the phases of diag(1, w^k)
+@pytest.mark.parametrize("power", [2, 3, 5, 7])
+def test_network_refuses_a_generator_it_does_not_realize(power, rng):
+    # U_k = diag(1, w^(power k)): for odd power it is faithful, and the element g with
+    # U_g = diag(1, w) generates the phases the Fourier stage gives, so the network
+    # runs on g's powers; for power 2 no element has U_g = diag(1, w), and the rep is
+    # not faithful, so only the network's own check can refuse it
     from dfscodec.reps import UnitaryRep
 
     z8 = builtin_group("z8")
     phases = np.exp(2j * np.pi * (power * np.arange(8) % 8) / 8)
     rep = UnitaryRep.build(z8, [np.diag([1.0, p]) for p in phases])
+    if power % 2:
+        tokens = network_token_set(rep)
+        pipeline = build_encoding_pipeline(tokens, 2, "cyclic", cyclic_network=True)
+        generator = pow(power, -1, 8)  # power * generator = 1 mod 8
+        assert pipeline.w_plan.metadata["word_elements"][1] == generator
+        message = random_state(2, 2, rng)
+        assert fidelity(pipeline.run(message), encode(tokens, message)) >= 1 - 1e-9
+        return
     line = r"needs U\(g\^k\) = diag\(1, e\^\(2 pi i k/8\)\) for the generator g = '1'"
     with pytest.raises(DfsCodecError, match=line):
         network_token_set(rep)
-    with pytest.raises(DfsCodecError, match=line):
-        build_encoding_pipeline(prepare_protocol(rep).tokens, 2, "cyclic", cyclic_network=True)
 
 
 @pytest.mark.parametrize("spec", ["z4", "z8"])

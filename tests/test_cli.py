@@ -451,10 +451,6 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
         # a character at -1e200 overflows the Gram product: no RuntimeWarning, one line
         (["rep", "analyze", "z2", "builtin", "--table", f"@{DATA}/huge_table_z2.json"],
          "characters violate the orthogonality relation"),
-        # U_k = diag(1, w^(3k)) is faithful, but the network realizes only diag(1, w^k)
-        (["circuit", "simulate", "--group", "z8", "--rep", f"@{DATA}/z8_phase3_rep.json",
-          "--path", "cyclic", "--network", "--m", "2", "--seed", "3"],
-         "the register network needs U(g^k) = diag(1, e^(2 pi i k/8)) for the generator g = '1'"),
         (["circuit", "simulate", "--group", "z8", "--m", "2", "--path", "general", "--network",
           "--verify", "--seed", "3"],
          "--network pairs with --path cyclic, got --path general"),
@@ -551,9 +547,9 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
     ],
     ids=["count-r-1", "count-r0", "count-r2", "network-z2xz2", "su2-trials0", "su2-trials-1",
          "dist-fixed-x", "dist-fixed-empty", "dist-fixed-9", "dist-bogus", "analyze-nan-rep",
-         "tokens-nan-rep", "analyze-huge-rep", "analyze-huge-table", "network-z8-phase3",
-         "network-general", "rep-without-matrices", "table-without-chars",
-         "table-without-dims", "rep-array", "table-array", "group-string-order",
+         "tokens-nan-rep", "analyze-huge-rep", "analyze-huge-table", "network-general",
+         "rep-without-matrices", "table-without-chars", "table-without-dims", "rep-array",
+         "table-array", "group-string-order",
          "group-null-cayley", "group-string-cayley", "group-float-cayley", "group-huge-cayley",
          "group-neither-builtin-nor-file", "rep-neither-builtin-nor-file",
          "rep-string-projective", "rep-int-projective", "group-string-labels",
@@ -568,6 +564,33 @@ def test_circuit_count_all_skips_paths_that_do_not_apply(capsys):
 def test_bad_inputs_exit_3_with_a_named_line(argv, line, capsys):
     assert main(argv) == 3
     assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("case", ["phase3", "relabelled"])
+def test_network_takes_its_generator_from_the_rep(case, tmp_path, capsys):
+    # the lowest-index generator of each group has U = diag(1, w^3): in z8 with
+    # U_k = diag(1, w^(3k)), and in z8 listed as [0, 3, 2, 1, 4, 7, 6, 5] with the
+    # builtin matrices in that order; the network runs on the element with U = diag(1, w)
+    import numpy as np
+
+    from dfscodec.groups import builtin_group
+    from dfscodec.reps import builtin_rep
+    from dfscodec.serialization import complex_pairs, group_to_dict
+
+    group, rep = "z8", f"@{DATA}/z8_phase3_rep.json"
+    if case == "relabelled":
+        z8, order = builtin_group("z8"), np.array([0, 3, 2, 1, 4, 7, 6, 5])  # an involution
+        payload = group_to_dict(z8)
+        payload["cayley"] = order[z8.cayley[np.ix_(order, order)]].tolist()
+        payload["labels"] = [z8.labels[i] for i in order]
+        group, rep = tmp_path / "z8.json", tmp_path / "z8_rep.json"
+        group.write_text(canonical_json(payload))
+        rep.write_text(canonical_json({"matrices": complex_pairs(builtin_rep(z8).matrices[order])}))
+        group, rep = f"@{group}", f"@{rep}"
+    argv = ["circuit", "simulate", "--group", group, "--rep", rep, "--path", "cyclic",
+            "--network", "--m", "2", "--seed", "3", "--verify"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["fidelity_vs_direct_encoding"] >= 1 - 1e-9
 
 
 def test_circuit_count_accepts_an_explicit_power_with_every_irrep(capsys):

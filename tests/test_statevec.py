@@ -445,17 +445,58 @@ def test_one_monomial_detector_serves_moves_and_collectives():
     assert _digit_cycles(np.eye(2), 3) is None
 
 
-@pytest.mark.parametrize("k", [2, 4, 8, 128])
+@pytest.mark.parametrize("k", [2, 3, 4, 8, 9, 16, 27, 128])
 def test_gemm_columns_keep_their_bits_in_a_narrower_block(k, rng):
-    # the runner widens a block on held wires to MIN_BLOCK_COLUMNS columns and
-    # relies on each column of a product having the bits it has in a wider block
+    # the block kernel pads a block narrower than MIN_BLOCK_COLUMNS with zero columns
+    # and relies on each column of a product having the bits it has in a wider block
     op = haar_unitary(k, rng)
     block = rng.normal(size=(k, 4096)) + 1j * rng.normal(size=(k, 4096))
+    wide = op @ block
     narrow = op @ block[:, :MIN_BLOCK_COLUMNS]
-    assert narrow.tobytes() == (op @ block)[:, :MIN_BLOCK_COLUMNS].tobytes(), (
+    assert narrow.tobytes() == wide[:, :MIN_BLOCK_COLUMNS].tobytes(), (
         f"this BLAS gives a {k}x{k} product on {MIN_BLOCK_COLUMNS} columns other bits"
         " than on 4096; runs on held wires would drift from whole-register runs"
     )
+    padded = np.zeros((k, MIN_BLOCK_COLUMNS), dtype=np.complex128)
+    for c in range(1, MIN_BLOCK_COLUMNS):
+        for start in (1, 100, 4096 - c):  # non-leading positions of the wide product
+            padded[:, :c] = block[:, start:start + c]
+            got = (op @ padded)[:, :c]
+            assert got.tobytes() == wide[:, start:start + c].tobytes(), (k, c, start)
+    # the pad exists because a product on 1 or 2 columns alone has other bits
+    for c in (1, 2):
+        assert (op @ block[:, 1:1 + c]).tobytes() != wide[:, 1:1 + c].tobytes(), (k, c)
+
+
+def _unpadded_apply(state, controls, op, targets):
+    """``op @ block`` on the whole register, the block never padded: the oracle
+    of the block kernel on a block as wide as the register gives it."""
+    tensor, d = state.tensor().copy(), state.d
+    index = [slice(None)] * state.n
+    for w, v in controls:
+        index[w] = v
+    sub = tensor[tuple(index)]
+    axes = [t - sum(w < t for w, _ in controls) for t in targets]
+    tensor[tuple(index)] = _from_front(op @ _to_front(sub, axes, d), axes, sub.ndim, d)
+    return tensor.reshape(-1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_whole_register_products_are_never_padded(d, rng):
+    # a block on the whole register is as wide as the register gives it, even
+    # under MIN_BLOCK_COLUMNS, so the pad never changes its bits
+    for n in range(1, 7):
+        for i in range(24):
+            wires = rng.permutation(n)
+            width = int(rng.integers(1, min(n, 3) + 1))
+            count = int(rng.integers(0, n - width + 1)) if i % 2 else 0  # half uncontrolled
+            controls = [(int(w), int(rng.integers(0, d))) for w in wires[width:width + count]]
+            targets = wires[:width].tolist()
+            op = haar_unitary(d**width, rng)
+            state = random_state(d, n, rng)
+            got = apply_controlled(state, controls, op, targets).amps
+            expected = _unpadded_apply(state, controls, op, targets)
+            assert got.tobytes() == expected.tobytes(), (n, controls, targets)
 
 
 @pytest.mark.parametrize("d, n, held", [(2, 10, [6, 7, 8, 9]), (2, 9, [0, 4]),
