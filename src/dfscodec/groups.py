@@ -61,6 +61,38 @@ class FiniteGroup:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def decomposition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Frozen generators and exponent bounds of a direct-product decomposition of
+        an abelian group, computed once.
+
+        Each step takes, among the elements not yet generated, one of largest
+        quotient order (by what is already generated) whose element order equals
+        that quotient order, lowest index first.  Such an element always exists,
+        and the cyclic subgroup it generates meets the earlier ones trivially, so
+        every generator's order is its bound and (l_1, ..., l_k) -> prod g_i^l_i
+        is an isomorphism from Z_L1 x ... x Z_Lk onto the group (verified).
+        """
+        if not self.is_abelian:
+            raise NotAGroup("generator decomposition is only defined here for abelian groups")
+        generators: list[int] = []
+        bounds: list[int] = []
+        generated = np.arange(self.order) == 0
+        while not generated.all():
+            # quotient order: the least k >= 1 with g^k already generated
+            quotient = np.argmax(generated[self.powers[:, 1:]], axis=1) + 1
+            # the product formula is a character only if each generator's order is its bound
+            exact = ~generated & (self.powers[np.arange(self.order), quotient] == 0)
+            best = int(np.argmax(np.where(exact, quotient, 0)))
+            if not exact[best]:
+                raise NotAGroup("failed to generate the group")
+            generators.append(best)
+            bounds.append(int(quotient[best]))
+            generated[word_elements(self, generators, bounds)] = True
+        if math.prod(bounds) != self.order:
+            raise NotAGroup("generator words do not enumerate the group bijectively")
+        return tuple(generators), tuple(bounds)
+
     def element_order(self, i: int) -> int:
         """Smallest n >= 1 with g_i^n = e."""
         return self.powers[i].tolist().index(0, 1)
@@ -270,34 +302,10 @@ def cyclic_generator(group: FiniteGroup) -> int | None:
 
 
 def generator_decomposition(group: FiniteGroup) -> tuple[list[int], list[int]]:
-    """Generators and exponent bounds of a direct-product decomposition of an abelian group.
-
-    Each step takes, among the elements not yet generated, one of largest
-    quotient order (by what is already generated) whose element order equals
-    that quotient order, lowest index first.  Such an element always exists,
-    and the cyclic subgroup it generates meets the earlier ones trivially, so
-    every generator's order is its bound and (l_1, ..., l_k) -> prod g_i^l_i
-    is an isomorphism from Z_L1 x ... x Z_Lk onto the group (verified).
-    """
-    if not group.is_abelian:
-        raise NotAGroup("generator decomposition is only defined here for abelian groups")
-    generators: list[int] = []
-    bounds: list[int] = []
-    generated = np.arange(group.order) == 0
-    while not generated.all():
-        # quotient order: the least k >= 1 with g^k already generated
-        quotient = np.argmax(generated[group.powers[:, 1:]], axis=1) + 1
-        # the product formula is a character only if each generator's order is its bound
-        exact = ~generated & (group.powers[np.arange(group.order), quotient] == 0)
-        best = int(np.argmax(np.where(exact, quotient, 0)))
-        if not exact[best]:
-            raise NotAGroup("failed to generate the group")
-        generators.append(best)
-        bounds.append(int(quotient[best]))
-        generated[word_elements(group, generators, bounds)] = True
-    if math.prod(bounds) != group.order:
-        raise NotAGroup("generator words do not enumerate the group bijectively")
-    return generators, bounds
+    """Generators and exponent bounds of a direct-product decomposition of an abelian
+    group: fresh lists of :attr:`FiniteGroup.decomposition`."""
+    generators, bounds = group.decomposition
+    return list(generators), list(bounds)
 
 
 def word_elements(group: FiniteGroup, generators: list[int], bounds: list[int]) -> list[int]:

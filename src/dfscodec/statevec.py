@@ -144,19 +144,19 @@ def _apply(tensor: np.ndarray, op: np.ndarray, targets, controls, columns: int) 
 
 def _move(tensor: np.ndarray, cycles, target: int, controls=()) -> None:
     """The permutation kernel, unchecked: along each cycle ``[a, b, ..., z]`` of
-    :func:`_digit_cycles`, digit ``a`` of ``target`` takes digit ``b``'s amplitudes,
-    and so on, and ``z`` takes ``a``'s, in place in the writable ``(d,)*n`` tensor
-    wherever every control matches.  Copies, no arithmetic: the values ``op @ block``
-    gives for the op's exact 0s and 1s."""
+    :func:`_cycles`, digit ``a`` of ``target`` takes digit ``b``'s amplitudes, and so
+    on, and ``z`` takes ``a``'s, in place in the writable ``(d,)*n`` tensor wherever
+    every control matches.  Each digit is indexed directly.  Copies, no arithmetic:
+    the values ``op @ block`` gives for the op's exact 0s and 1s."""
     index: list = [slice(None)] * tensor.ndim
     for w, v in controls:
-        index[w] = slice(v, v + 1)  # a slice keeps its axis, so no view collapses to a scalar
-    digits = np.moveaxis(tensor[tuple(index)], target, 0)
+        index[w] = v
+    digit = [(*index[:target], a, *index[target + 1:]) for a in range(tensor.shape[0])]
     for cycle in cycles:
-        saved = digits[cycle[0]].copy()
+        saved = tensor[digit[cycle[0]]].copy()
         for a, b in zip(cycle, cycle[1:]):
-            digits[a] = digits[b]
-        digits[cycle[-1]] = saved
+            tensor[digit[a]] = tensor[digit[b]]
+        tensor[digit[cycle[-1]]] = saved
 
 
 def _check_wires(n: int, wires) -> list[int]:
@@ -230,15 +230,20 @@ def _monomial(op: np.ndarray) -> tuple[list[int], list] | None:
 
 
 def _digit_cycles(op: np.ndarray, d: int) -> list[list[int]] | None:
-    """The cycles of a ``d x d`` matrix of exact 0s and 1s with one 1 in each row and
-    column, each as ``[a, b, ...]`` where row ``a`` has its 1 in column ``b``, fixed
-    digits left out; ``None`` for any other matrix."""
+    """The :func:`_cycles` of a ``d x d`` matrix of exact 0s and 1s with one 1 in each
+    row and column, row ``a`` having its 1 in column ``source[a]``; ``None`` for any
+    other matrix."""
     found = _monomial(op) if op.shape == (d, d) else None
     if found is None or found[1].count(1) != d:
         return None
-    source = found[0]
+    return _cycles(found[0])
+
+
+def _cycles(source) -> list[list[int]]:
+    """The cycles of the permutation ``source`` of ``range(d)``, each as ``[a, b, ...]``
+    with ``b = source[a]``, fixed digits left out."""
     cycles, seen = [], set()
-    for start in range(d):
+    for start in range(len(source)):
         if start in seen:
             continue
         cycle = [start]
@@ -275,43 +280,98 @@ def _checked_ops(d: int, n: int, ops) -> list:
     return out
 
 
-def _hold(tensor: np.ndarray, wires: list[int], new) -> tuple[np.ndarray, list[int]]:
-    """``tensor`` on the ascending ``wires``, widened by the idle |0> wires ``new``:
-    the old amplitudes at digit 0 of each new wire, zeros at the others."""
-    order = sorted([*wires, *new])
-    out = np.zeros((tensor.shape[0],) * len(order), dtype=tensor.dtype)
-    out[tuple(0 if w in new else slice(None) for w in order)] = tensor
+def _hold(tensor: np.ndarray, axis: dict, new: dict, controls=(), digit=0):
+    """``tensor``, whose axes are the held wires of ``axis``, widened by the idle wires
+    of ``new``: the new tensor and its ``axis`` map, the old amplitudes at digit
+    ``new[w]`` of each new wire and zeros at its other digits.  With ``controls``,
+    ``(wire, digit)`` pairs on held wires, the one new wire takes ``digit`` instead
+    wherever every control matches.  Each amplitude is written once."""
+    d, order = tensor.shape[0], {w: i for i, w in enumerate(sorted([*axis, *new]))}
+    out = np.zeros((d,) * len(order), dtype=tensor.dtype)
+    src, dst = [slice(None)] * len(axis), [new.get(w, slice(None)) for w in order]
+    for w, v in controls:  # the slices where this control fails and those before it match
+        for u in (*range(v), *range(v + 1, d)):
+            src[axis[w]] = dst[order[w]] = u
+            out[tuple(dst)] = tensor[tuple(src)]
+        src[axis[w]] = dst[order[w]] = v
+    if controls:
+        (target,) = new
+        dst[order[target]] = digit
+    out[tuple(dst)] = tensor[tuple(src)]
     return out, order
 
 
+def _settle(tensor: np.ndarray, axis: dict, relabel: dict, wires) -> dict:
+    """The relabellings of ``wires`` taken out of ``relabel``, a held wire's moved out
+    of the tensor by :func:`_move`; returns ``{idle wire: the digit it joins at}`` for
+    the idle ones among ``wires``, the logical digit their stored 0 holds."""
+    new = {}
+    for w in wires:
+        slots = relabel.pop(w, None)
+        if w not in axis:
+            new[w] = slots.index(0) if slots else 0
+        elif slots:
+            _move(tensor, _cycles(slots), axis[w])
+    return new
+
+
 def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
-    """``(matrix, controls, targets)`` ops in order, a one-target 0/1 permutation
-    through :func:`_move` and every other op through :func:`_apply`; returns the
-    ``(d,)*n`` tensor of the whole register.
+    """``(matrix, controls, targets)`` ops in order; returns the ``(d,)*n`` tensor of
+    the whole register.
 
     The writable ``tensor`` holds the ascending ``wires`` of an n-qudit register
     whose every other wire is idle in |0>, and ops may write into it.  Every op is
-    validated on the whole register before any runs.  An op controlled on an idle
-    wire drops that control when it asks for 0 and is skipped otherwise; an idle
-    target wire joins the held ones.  No other wire joins before the end.
+    validated on the whole register before any runs.
+
+    A wire may carry a relabelling, its ``slots``: logical digit ``a`` sits at
+    stored digit ``slots[a]``, and an idle wire stores its amplitudes at digit 0.
+    A one-target 0/1 permutation with no control on a held wire composes into its
+    target's relabelling and moves nothing.  A control asks for the stored digit
+    of its value; on an idle wire it drops out when that digit is 0 and skips the
+    op otherwise.  An idle target of a controlled permutation
+    joins the held wires at the digit the permutation sends its logical digit to
+    where the controls match, and at that logical digit elsewhere (:func:`_hold`),
+    which places the op.  Any other op first settles (:func:`_settle`) its targets
+    and, for a product, every wire it does not take as a control, so each block
+    keeps the column order of a run without relabellings.  Then a permutation goes
+    through :func:`_move` and a product through :func:`_apply`.  Every wire
+    settles at the end.
     """
     d = tensor.shape[0]
+    identity = list(range(d))
     axis = {w: i for i, w in enumerate(wires)}  # held wire -> its axis in the tensor
+    relabel: dict = {}  # wire -> its slots, for the wires not in identity order
     for op, controls, targets, cycles in _checked_ops(d, n, ops):
-        if any(v and w not in axis for w, v in controls):
-            continue  # an idle wire holds 0, so this control never matches
-        new = [t for t in targets if t not in axis]
+        stored = [(w, relabel[w][v] if w in relabel else v) for w, v in controls]
+        if any(s and w not in axis for w, s in stored):
+            continue  # an idle wire stores digit 0 alone, so this control never matches
+        matched = [(w, s) for w, s in stored if w in axis]
+        t = targets[0]
+        if cycles is not None and (not matched or t not in axis):
+            slots = relabel.pop(t, identity)
+            moved = list(slots)  # along each cycle, logical digit a takes b's stored digit
+            for cycle in cycles:
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    moved[a] = slots[b]
+            if matched:
+                tensor, axis = _hold(tensor, axis, {t: slots.index(0)}, matched, moved.index(0))
+            elif moved != identity:
+                relabel[t] = moved
+            continue
+        due = targets
+        if cycles is None:  # a product: its block's columns too
+            due = {*targets, *relabel}.difference(w for w, _ in controls)
+        new = _settle(tensor, axis, relabel, due)
         if new:
-            tensor, order = _hold(tensor, list(axis), new)
-            axis = {w: i for i, w in enumerate(order)}
-        matched = [(axis[w], v) for w, v in controls if w in axis]
+            tensor, axis = _hold(tensor, axis, new)
+        matched = [(axis[w], s) for w, s in matched]
         if cycles is None:
             columns = d ** (n - len(targets) - len(controls))
             _apply(tensor, op, [axis[t] for t in targets], matched, columns)
         else:
-            _move(tensor, cycles, axis[targets[0]], matched)
-    idle = [w for w in range(n) if w not in axis]
-    return _hold(tensor, list(axis), idle)[0] if idle else tensor
+            _move(tensor, cycles, axis[t], matched)
+    new = _settle(tensor, axis, relabel, range(n))
+    return _hold(tensor, axis, new)[0] if new else tensor
 
 
 def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -656,6 +657,37 @@ def test_network_cnots_are_moved_not_multiplied(monkeypatch, rng):
     monkeypatch.setattr(statevec, "_apply", lambda *args: calls.append(args) or apply(*args))
     pipeline.run(random_state(2, 7, rng))
     assert (len(gates), sum(gate.kind == "cnot" for gate in gates), len(calls)) == (40, 10, 30)
+
+
+@pytest.mark.parametrize("spec,path,m,expected", [
+    # 24 uncontrolled X gates relabel their wires; only the 3 controlled
+    # permutations move, and the 25 other gates are products
+    ("z8", "general", 3, {"uncontrolled": 24, "controlled": 3, "_move": 3, "_apply": 25}),
+    # the 7 fan-out CNOTs place their idle targets and the 3 folds move once each
+    ("z8", "network", 7, {"uncontrolled": 0, "controlled": 10, "_move": 3, "_apply": 30}),
+])
+def test_permutations_relabel_or_place_before_they_move(spec, path, m, expected, monkeypatch,
+                                                         context_for, rng):
+    from dfscodec import statevec
+    from dfscodec.circuits import _gate_matrix
+
+    if path == "network":
+        tokens = network_token_set(zn_phase_rep(builtin_group(spec), 2))
+        pipeline = build_encoding_pipeline(tokens, m, "cyclic", cyclic_network=True)
+    else:
+        pipeline = build_encoding_pipeline(context_for(spec).tokens, m, path)
+    gates = [*pipeline.prep, *pipeline.w_plan.gates, *pipeline.t_plan.gates]
+    perms = [gate for gate in gates if gate.kind != "chain" and len(gate.targets) == 1
+             and statevec._digit_cycles(_gate_matrix(gate), 2) is not None]
+    calls = Counter()
+    for name in ("_move", "_apply"):
+        kernel = getattr(statevec, name)
+        monkeypatch.setattr(statevec, name, lambda *args, name=name, kernel=kernel:
+                            calls.update([name]) or kernel(*args))
+    pipeline.run(random_state(2, m, rng))
+    uncontrolled = sum(not gate.controls for gate in perms)
+    assert {"uncontrolled": uncontrolled, "controlled": len(perms) - uncontrolled,
+            **calls} == expected
 
 
 @pytest.mark.parametrize("controls", [(), ((0, 2),)], ids=["uncontrolled", "control-2"])

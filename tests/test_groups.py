@@ -162,6 +162,17 @@ def test_generator_decomposition_bijection():
         assert int(np.prod(bounds)) == group.order
 
 
+def test_generator_decomposition_is_computed_once_and_returned_fresh():
+    group = builtin_group("z4xz2")
+    first, second = generator_decomposition(group), generator_decomposition(group)
+    assert first == second == (list(group.decomposition[0]), list(group.decomposition[1]))
+    assert first[0] is not second[0] and first[1] is not second[1]
+    first[0].append(99)  # a caller's edit reaches no later call
+    assert generator_decomposition(group) == second
+    with pytest.raises(NotAGroup, match="abelian"):
+        generator_decomposition(builtin_group("s3"))
+
+
 @pytest.mark.parametrize("name", ["z4xz2", "z8xz2", "z6xz2", "z2xz2xz2"])
 def test_generator_orders_equal_their_bounds(name):
     # otherwise the words do not form a direct product and prod omega^(lam l)
