@@ -574,7 +574,7 @@ class EncodingPipeline:
         # a label register apart from the token wires must disentangle back to |0...0>
         r_prime = len(self.layout.control)
         block = tensor.reshape(2**r_prime, -1)
-        leak = float(np.linalg.norm(block[1:]))
+        leak = float(np.sqrt(np.vdot(block[1:], block[1:]).real))  # one read, no temporaries
         if leak > UNITARY_TOL:
             raise DfsCodecError(f"control register failed to clear (leak {leak:.3e})")
         return StateVector.from_amplitudes(2, n - r_prime, block[0], normalize=True)

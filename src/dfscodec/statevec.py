@@ -8,10 +8,11 @@ used everywhere in the package; conversions never happen at module borders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import compress, groupby, product
 from operator import sub
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     BadTarget,
@@ -42,7 +43,8 @@ class StateVector:
     @classmethod
     def from_amplitudes(cls, d: int, n: int, amps, *, normalize: bool = False) -> "StateVector":
         size = check_register(d, n)
-        arr = np.array(amps, dtype=np.complex128).reshape(-1)
+        # the division makes a fresh array; only an adopted one is copied first
+        arr = (np.asarray if normalize else np.array)(amps, dtype=np.complex128).reshape(-1)
         if arr.size != size:
             raise DimensionMismatch(f"expected {size} amplitudes, got {arr.size}")
         if not normalize:
@@ -255,11 +257,23 @@ def _cycles(source) -> list[list[int]]:
     return cycles
 
 
+def _cycles_image(cycles, d: int) -> tuple:
+    """The digit each of ``range(d)`` goes to along ``cycles`` of :func:`_cycles`:
+    ``a`` takes the amplitudes of the next digit ``b`` of its cycle, so ``b`` goes
+    to ``a``."""
+    image = list(range(d))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            image[b] = a
+    return tuple(image)
+
+
 def _checked_ops(d: int, n: int, ops) -> list:
     """``(matrix, controls, targets)`` ops validated on an n-qudit register, each
     matrix object checked unitary once per target width, as ``(op, controls, targets,
-    cycles)``: ``cycles`` is :func:`_digit_cycles` of a one-target op, ``None`` for an
-    op that is not a 0/1 permutation or has more targets.
+    cycles, image)``: for a one-target op that is a 0/1 permutation, its
+    :func:`_digit_cycles` and the digit ``image[b]`` it sends each digit ``b`` to;
+    both ``None`` for any other op.
 
     The first invalid op in list order raises: when an op's wires are bad, the
     matrices of the ops before it are checked first."""
@@ -273,46 +287,77 @@ def _checked_ops(d: int, n: int, ops) -> list:
             key = (id(matrix), len(targets))
             if key not in first:
                 cycles = _digit_cycles(op, d) if len(targets) == 1 else None
-                first[key] = (matrix, op, d ** len(targets), cycles)
-            out.append((op, controls, targets, first[key][3]))
+                image = None if cycles is None else _cycles_image(cycles, d)
+                first[key] = (matrix, op, d ** len(targets), cycles, image)
+            out.append((op, controls, targets, *first[key][3:]))
     finally:
-        _check_unitaries(d, [(op, dim) for _, op, dim, _ in first.values()])
+        _check_unitaries(d, [(op, dim) for _, op, dim, _, _ in first.values()])
     return out
 
 
-def _hold(tensor: np.ndarray, axis: dict, new: dict, controls=(), digit=0):
-    """``tensor``, whose axes are the held wires of ``axis``, widened by the idle wires
-    of ``new``: the new tensor and its ``axis`` map, the old amplitudes at digit
-    ``new[w]`` of each new wire and zeros at its other digits.  With ``controls``,
-    ``(wire, digit)`` pairs on held wires, the one new wire takes ``digit`` instead
-    wherever every control matches.  Each amplitude is written once."""
-    d, order = tensor.shape[0], {w: i for i, w in enumerate(sorted([*axis, *new]))}
-    out = np.zeros((d,) * len(order), dtype=tensor.dtype)
-    src, dst = [slice(None)] * len(axis), [new.get(w, slice(None)) for w in order]
-    for w, v in controls:  # the slices where this control fails and those before it match
-        for u in (*range(v), *range(v + 1, d)):
-            src[axis[w]] = dst[order[w]] = u
-            out[tuple(dst)] = tensor[tuple(src)]
-        src[axis[w]] = dst[order[w]] = v
-    if controls:
-        (target,) = new
-        dst[order[target]] = digit
-    out[tuple(dst)] = tensor[tuple(src)]
-    return out, order
+def _hold(tensor: np.ndarray, keys: list, wire: dict, joining) -> tuple[np.ndarray, list]:
+    """``tensor``, whose axes are keyed by the ascending wires ``keys``, widened by an
+    axis of its own for each wire of ``joining``; returns the new tensor and keys and
+    updates ``wire``, the runner's ``{wire: (axis, table)}`` map, to match.
+
+    At each digit ``s`` of the axis it read, a joining wire's new axis holds that
+    slice's amplitudes at digit ``table[s]`` and zeros at its other digits; an idle
+    wire's holds them all at its one digit.  The new axis goes after the old ones
+    keyed at or below its wire, and its table is the identity.  Each amplitude is
+    written once."""
+    d = tensor.shape[0]
+    entries = [*keys, *joining]
+    order = sorted(range(len(entries)), key=entries.__getitem__)  # stable: old axes first
+    place = sorted(range(len(entries)), key=order.__getitem__)  # the new axis of each entry
+    joins = [(place[i], *wire[w]) for i, w in enumerate(joining, len(keys))]
+    sources = sorted({a for _, a, _ in joins if a is not None})
+    out = np.zeros((d,) * len(entries), dtype=tensor.dtype)
+    src, dst = [slice(None)] * len(keys), [slice(None)] * len(entries)
+    for digits in product(range(d), repeat=len(sources)):
+        for a, s in zip(sources, digits):
+            src[a] = dst[place[a]] = s
+        for new, a, table in joins:
+            dst[new] = table[0 if a is None else src[a]]
+        out[tuple(dst)] = tensor[tuple(src)]
+    wire.update({w: (place[a], table) for w, (a, table) in wire.items() if a is not None})
+    identity = tuple(range(d))
+    wire.update({w: (new, identity) for (new, _, _), w in zip(joins, joining)})
+    return out, [entries[i] for i in order]
 
 
-def _settle(tensor: np.ndarray, axis: dict, relabel: dict, wires) -> dict:
-    """The relabellings of ``wires`` taken out of ``relabel``, a held wire's moved out
-    of the tensor by :func:`_move`; returns ``{idle wire: the digit it joins at}`` for
-    the idle ones among ``wires``, the logical digit their stored 0 holds."""
-    new = {}
-    for w in wires:
-        slots = relabel.pop(w, None)
-        if w not in axis:
-            new[w] = slots.index(0) if slots else 0
-        elif slots:
-            _move(tensor, _cycles(slots), axis[w])
-    return new
+def _register(tensor: np.ndarray, wire: dict, n: int) -> np.ndarray:
+    """The ``(d,)*n`` register that ``tensor`` holds through ``wire``, the runner's
+    ``{wire: (axis, table)}`` map, written once into zeros; ``tensor`` itself when
+    each wire reads its own axis, in order, through the identity.
+
+    Digit ``s`` of a held axis sits at the register offset its wires' tables give.
+    Where those offsets are evenly spaced, as at d = 2, the axis is one strided axis
+    of the register, shared by every wire that reads it; elsewhere each of its
+    digits is written as one slice."""
+    d = tensor.shape[0]
+    identity = tuple(range(d))
+    if tensor.ndim == n and all(entry == (w, identity) for w, entry in wire.items()):
+        return tensor
+    stride = [d ** (n - 1 - w) for w in range(n)]
+    start, offsets = 0, [[0] * d for _ in range(tensor.ndim)]
+    for w, (a, table) in wire.items():
+        if a is None:
+            start += table[0] * stride[w]
+        else:
+            offsets[a] = [o + x * stride[w] for o, x in zip(offsets[a], table)]
+    out = np.zeros(d**n, dtype=tensor.dtype)
+    even = [off == [off[0] + s * (off[1] - off[0]) for s in range(d)] for off in offsets]
+    bent = [a for a in range(tensor.ndim) if not even[a]]
+    start += sum(off[0] for off, flat in zip(offsets, even) if flat)
+    strides = [(off[1] - off[0]) * out.itemsize for off, flat in zip(offsets, even) if flat]
+    for digits in product(range(d), repeat=len(bent)):
+        index: list = [slice(None)] * tensor.ndim
+        at = start
+        for a, s in zip(bent, digits):
+            index[a] = s
+            at += offsets[a][s]
+        as_strided(out[at:], shape=(d,) * len(strides), strides=strides)[...] = tensor[tuple(index)]
+    return out.reshape((d,) * n)
 
 
 def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
@@ -323,55 +368,87 @@ def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
     whose every other wire is idle in |0>, and ops may write into it.  Every op is
     validated on the whole register before any runs.
 
-    A wire may carry a relabelling, its ``slots``: logical digit ``a`` sits at
-    stored digit ``slots[a]``, and an idle wire stores its amplitudes at digit 0.
-    A one-target 0/1 permutation with no control on a held wire composes into its
-    target's relabelling and moves nothing.  A control asks for the stored digit
-    of its value; on an idle wire it drops out when that digit is 0 and skips the
-    op otherwise.  An idle target of a controlled permutation
-    joins the held wires at the digit the permutation sends its logical digit to
-    where the controls match, and at that logical digit elsewhere (:func:`_hold`),
-    which places the op.  Any other op first settles (:func:`_settle`) its targets
-    and, for a product, every wire it does not take as a control, so each block
-    keeps the column order of a run without relabellings.  Then a permutation goes
-    through :func:`_move` and a product through :func:`_apply`.  Every wire
-    settles at the end.
+    Each wire reads one held axis of the tensor, or none when idle, through a
+    table from stored digit to logical digit: a bijection on a held axis, a
+    constant on an idle wire.  Several wires may read one axis.  A control
+    matches the one stored digit its table maps to its value; on an idle wire it
+    drops out or skips the op.
+
+    A one-target 0/1 permutation whose target and held controls read at most one
+    axis composes into the target's table and moves nothing: an uncontrolled one
+    relabels its target, a fan-out onto an idle wire makes the target read its
+    control's axis (a copy), and a fold, controlled by a copy of its target,
+    leaves the target a constant table, idle again.  At d >= 3 a fan-out's table
+    would be neither a bijection nor a constant, so such an op takes the path of
+    every other op.  That op first gives each wire it touches (a product touches
+    every held wire) an axis of its own where the wire is idle or shares its
+    axis (:func:`_hold`), and moves the tables of its targets and, for a product,
+    its columns into identity order (:func:`_move`): every product multiplies a
+    block of wires on axes of their own in identity order, which at d = 2 gives it
+    the bits of a run on the whole register (see ``MIN_BLOCK_COLUMNS``).  Then a
+    permutation goes through :func:`_move` and a product through :func:`_apply`.
+    At the end the whole register is written once (:func:`_register`).
     """
     d = tensor.shape[0]
-    identity = list(range(d))
-    axis = {w: i for i, w in enumerate(wires)}  # held wire -> its axis in the tensor
-    relabel: dict = {}  # wire -> its slots, for the wires not in identity order
-    for op, controls, targets, cycles in _checked_ops(d, n, ops):
-        stored = [(w, relabel[w][v] if w in relabel else v) for w, v in controls]
-        if any(s and w not in axis for w, s in stored):
-            continue  # an idle wire stores digit 0 alone, so this control never matches
-        matched = [(w, s) for w, s in stored if w in axis]
+    identity = tuple(range(d))
+    keys = list(wires)  # the wire each axis was made for, ascending
+    wire = {w: (None, (0,) * d) for w in range(n)}
+    wire.update((w, (i, identity)) for i, w in enumerate(keys))
+    relabelled: set = set()  # held wires whose table may not be the identity
+    copies: set = set()  # held wires that may share their axis: every reader of a shared one
+    for op, controls, targets, cycles, image in _checked_ops(d, n, ops):
+        if any(wire[w][0] is None and wire[w][1][0] != v for w, v in controls):
+            continue  # an idle wire holds one digit, so this control never matches
+        held = [(w, v) for w, v in controls if wire[w][0] is not None]
         t = targets[0]
-        if cycles is not None and (not matched or t not in axis):
-            slots = relabel.pop(t, identity)
-            moved = list(slots)  # along each cycle, logical digit a takes b's stored digit
-            for cycle in cycles:
-                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    moved[a] = slots[b]
-            if matched:
-                tensor, axis = _hold(tensor, axis, {t: slots.index(0)}, matched, moved.index(0))
-            elif moved != identity:
-                relabel[t] = moved
-            continue
-        due = targets
-        if cycles is None:  # a product: its block's columns too
-            due = {*targets, *relabel}.difference(w for w, _ in controls)
-        new = _settle(tensor, axis, relabel, due)
-        if new:
-            tensor, axis = _hold(tensor, axis, new)
-        matched = [(axis[w], s) for w, s in matched]
-        if cycles is None:
+        read = image is not None and {wire[t][0], *(wire[w][0] for w, _ in held)} - {None}
+        if image is not None and len(read) <= 1:  # compose into the target's table
+            fire = identity  # the stored digits where every held control matches
+            if held:  # held tables are bijective: each control asks for one digit
+                asks = {wire[w][1].index(v) for w, v in held}
+                fire = asks if len(asks) == 1 else ()
+            table = list(wire[t][1])
+            for s in fire:
+                table[s] = image[table[s]]
+            distinct = len(set(table))
+            if distinct == 1:  # idle, or idle again
+                wire[t] = (None, tuple(table))
+                relabelled.discard(t)
+                copies.discard(t)
+                continue
+            if distinct == d:  # a d >= 3 fan-out's table is neither: it goes on below
+                wire[t] = (read.pop(), tuple(table))
+                relabelled.add(t)
+                if held:
+                    copies.update([t, *(w for w, _ in held)])
+                continue
+        joining = [w for w in targets if wire[w][0] is None]
+        if copies:  # a shared axis keeps one reader, one the op does not touch if it can
+            touched = copies if image is None else {t, *(w for w, _ in held)}
+            readers: dict = {}
+            for w in copies:
+                readers.setdefault(wire[w][0], []).append(w)
+            for share in readers.values():
+                keep = min(set(share) - touched or share)
+                joining += [w for w in share if w in touched and w != keep]
+            copies = copies - touched
+        if joining:
+            tensor, keys = _hold(tensor, keys, wire, joining)
+        if relabelled:  # a permutation's target, a product's targets and columns
+            due = {t} if image is not None else relabelled.difference(w for w, _ in held)
+            for w in due & relabelled:
+                a, table = wire[w]
+                if table != identity:
+                    _move(tensor, _cycles([table.index(x) for x in identity]), a)
+                    wire[w] = (a, identity)
+            relabelled -= due
+        matched = [(wire[w][0], wire[w][1].index(v)) for w, v in held]
+        if image is None:
             columns = d ** (n - len(targets) - len(controls))
-            _apply(tensor, op, [axis[t] for t in targets], matched, columns)
+            _apply(tensor, op, [wire[u][0] for u in targets], matched, columns)
         else:
-            _move(tensor, cycles, axis[t], matched)
-    new = _settle(tensor, axis, relabel, range(n))
-    return _hold(tensor, axis, new)[0] if new else tensor
+            _move(tensor, cycles, wire[t][0], matched)
+    return _register(tensor, wire, n)
 
 
 def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:

@@ -662,9 +662,16 @@ def test_network_cnots_are_moved_not_multiplied(monkeypatch, rng):
 @pytest.mark.parametrize("spec,path,m,expected", [
     # 24 uncontrolled X gates relabel their wires; only the 3 controlled
     # permutations move, and the 25 other gates are products
-    ("z8", "general", 3, {"uncontrolled": 24, "controlled": 3, "_move": 3, "_apply": 25}),
-    # the 7 fan-out CNOTs place their idle targets and the 3 folds move once each
-    ("z8", "network", 7, {"uncontrolled": 0, "controlled": 10, "_move": 3, "_apply": 30}),
+    ("z8", "general", 3, {"uncontrolled": 24, "controlled": 3, "_move": 3, "_apply": 25,
+                          "held": 2**10}),
+    # the 7 fan-out CNOTs copy their control's axis and the 3 folds leave their
+    # targets idle again: nothing moves, and the buffer never outgrows the 7 message
+    # and 3 label wires before the register is written
+    ("z8", "network", 7, {"uncontrolled": 0, "controlled": 10, "_move": 0, "_apply": 30,
+                          "held": 2**10}),
+    # 15 fan-outs and 4 folds: 2^9 amplitudes held for a register of 2^24
+    ("z16", "network", 5, {"uncontrolled": 0, "controlled": 19, "_move": 0, "_apply": 34,
+                           "held": 2**9}),
 ])
 def test_permutations_relabel_or_place_before_they_move(spec, path, m, expected, monkeypatch,
                                                          context_for, rng):
@@ -679,15 +686,26 @@ def test_permutations_relabel_or_place_before_they_move(spec, path, m, expected,
     gates = [*pipeline.prep, *pipeline.w_plan.gates, *pipeline.t_plan.gates]
     perms = [gate for gate in gates if gate.kind != "chain" and len(gate.targets) == 1
              and statevec._digit_cycles(_gate_matrix(gate), 2) is not None]
-    calls = Counter()
+    calls, held = Counter(), []
     for name in ("_move", "_apply"):
         kernel = getattr(statevec, name)
         monkeypatch.setattr(statevec, name, lambda *args, name=name, kernel=kernel:
                             calls.update([name]) or kernel(*args))
+    hold, register = statevec._hold, statevec._register
+
+    def held_hold(*args):
+        out = hold(*args)
+        held.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(statevec, "_hold", held_hold)
+    # the buffer the register is written from, the last one held
+    monkeypatch.setattr(statevec, "_register", lambda tensor, *args: held.append(tensor.size)
+                        or register(tensor, *args))
     pipeline.run(random_state(2, m, rng))
     uncontrolled = sum(not gate.controls for gate in perms)
     assert {"uncontrolled": uncontrolled, "controlled": len(perms) - uncontrolled,
-            **calls} == expected
+            "_move": calls["_move"], "_apply": calls["_apply"], "held": max(held)} == expected
 
 
 @pytest.mark.parametrize("controls", [(), ((0, 2),)], ids=["uncontrolled", "control-2"])

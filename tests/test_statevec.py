@@ -520,32 +520,54 @@ def test_run_on_held_wires_equals_the_whole_register(d, n, held, rng):
 def _random_plan(d, n, idle, rng):
     """4-15 ops on n qudits: one-target 0/1 permutations (X; at d = 3 the shifts and
     the transpositions), Haar products on 1-2 targets, each with 0-2 controls on any
-    wire, and fan-outs onto a wire of ``idle`` with 1-3 controls."""
+    wire; fan-outs onto a wire of ``idle`` with 1-3 controls; copies, fan-outs onto a
+    wire of ``idle`` with one control, often an earlier copy (a chain), each followed
+    half the time by a product on the copy or controlled by it; and folds, a
+    permutation on a copy's control controlled by the copy's fired digit, which at
+    d = 2 returns that control to one digit."""
     eye = np.eye(d, dtype=complex)
     perms = [eye[list(p)] for p in ([(1, 0)] if d == 2 else
                                     [(1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)])]
-    ops = []
+    ops, copies = [], []  # copies: (copy, its control, the digit the copy takes where it fired)
     for _ in range(int(rng.integers(4, 16))):
-        wires, kind = rng.permutation(n).tolist(), int(rng.integers(4))
+        wires, kind = rng.permutation(n).tolist(), int(rng.integers(6))
+        perm = perms[int(rng.integers(len(perms)))]
         if kind == 3 and idle:
             target = idle[int(rng.integers(len(idle)))]
             wires.remove(target)
             count = int(rng.integers(1, min(3, n - 1) + 1))
             controls = [(w, int(rng.integers(d))) for w in wires[:count]]
-            ops.append((perms[int(rng.integers(len(perms)))], controls, [target]))
+            ops.append((perm, controls, [target]))
+            continue
+        if kind == 4 and idle:
+            target = idle[int(rng.integers(len(idle)))]
+            chained = [c for c, _, _ in copies if c != target]
+            control = (chained[int(rng.integers(len(chained)))] if chained and rng.integers(2)
+                       else [w for w in wires if w != target][0])
+            ops.append((perm, [(control, int(rng.integers(d)))], [target]))
+            copies.append((target, control, int(np.argmax(perm[:, 0]))))
+            if rng.integers(2):  # a product on one of the pair, maybe controlled by the other
+                pair = [target, control][::1 - 2 * int(rng.integers(2))]
+                controls = [(pair[1], int(rng.integers(d)))][:int(rng.integers(2))]
+                ops.append((haar_unitary(d, rng), controls, pair[:1]))
+            continue
+        if kind == 5 and copies:
+            copy, control, fired = copies[int(rng.integers(len(copies)))]
+            ops.append((perm, [(copy, fired)], [control]))
             continue
         width = 1 if kind < 2 else int(rng.integers(1, 3))
         count = int(rng.integers(0, min(2, n - width) + 1)) if rng.integers(2) else 0
         controls = [(w, int(rng.integers(d))) for w in wires[width:width + count]]
-        op = perms[int(rng.integers(len(perms)))] if kind < 2 else haar_unitary(d**width, rng)
+        op = perm if kind < 2 else haar_unitary(d**width, rng)
         ops.append((op, controls, wires[:width]))
     return ops
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_relabelled_runs_equal_the_gates_one_by_one(d, rng):
-    # uncontrolled permutations only relabel digits, controls read relabelled wires
-    # (idle ones too), and fan-outs place an idle wire instead of holding and moving it
+    # uncontrolled permutations only relabel digits, controls read wires through
+    # their tables (idle ones too), fan-outs onto idle wires copy their control's
+    # axis, folds return a wire to idle, and products split the copies they touch
     for _ in range(300):
         n = int(rng.integers(2, 7))
         held = sorted(rng.choice(n, int(rng.integers(1, n)), replace=False).tolist())
