@@ -117,12 +117,13 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return apply_controlled(state, gate.controls, matrix, gate.targets)
 
 
-def _run_gates(gates, tensor: np.ndarray, wires, n: int) -> np.ndarray:
+def _run_gates(gates, tensor: np.ndarray, wires, n: int, labels=()) -> np.ndarray:
     """``gates`` in order through :func:`statevec._run` on an n-wire register of
     which the writable ``tensor`` holds ``wires``, every other wire in |0>; chain
-    markers are skipped.  Returns the ``(2,)*n`` tensor of the whole register."""
+    markers are skipped.  Returns the register's tensor, one axis per wire, less
+    each wire of ``labels`` that ends idle in |0>; the other label wires lead."""
     ops = ((_gate_matrix(gate), gate.controls, gate.targets) for gate in gates)
-    return _run(tensor, wires, n, (op for op in ops if op[0] is not None))
+    return _run(tensor, wires, n, (op for op in ops if op[0] is not None), labels)
 
 
 def run_plan(plan: CircuitPlan, state: StateVector) -> StateVector:
@@ -568,16 +569,17 @@ class EncodingPipeline:
         # the work wires start idle in |0...0>: the buffer holds the message alone
         # until a gate targets one of them
         gates = [*self.prep, *self.w_plan.gates, *self.t_plan.gates]
-        tensor = _run_gates(gates, message.tensor().copy(), self.layout.message, n)
-        if set(self.layout.control) <= set(self.layout.token):
+        # a label register apart from the token wires must disentangle back to |0...0>:
+        # the runner writes only the label wires that did not, ahead of the kept wires
+        labels = () if set(self.layout.control) <= set(self.layout.token) else self.layout.control
+        tensor = _run_gates(gates, message.tensor().copy(), self.layout.message, n, labels)
+        if not labels:
             return StateVector(d=2, n=n, amps=tensor.reshape(-1))
-        # a label register apart from the token wires must disentangle back to |0...0>
-        r_prime = len(self.layout.control)
-        block = tensor.reshape(2**r_prime, -1)
+        block = tensor.reshape(2 ** (tensor.ndim - n + len(labels)), -1)
         leak = float(np.sqrt(np.vdot(block[1:], block[1:]).real))  # one read, no temporaries
         if leak > UNITARY_TOL:
             raise DfsCodecError(f"control register failed to clear (leak {leak:.3e})")
-        return StateVector.from_amplitudes(2, n - r_prime, block[0], normalize=True)
+        return StateVector.from_amplitudes(2, n - len(labels), block[0], normalize=True)
 
 
 def build_encoding_pipeline(

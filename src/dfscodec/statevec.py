@@ -12,7 +12,6 @@ from itertools import compress, groupby, product
 from operator import sub
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     BadTarget,
@@ -144,17 +143,17 @@ def _apply(tensor: np.ndarray, op: np.ndarray, targets, controls, columns: int) 
     tensor[tuple(index)] = _from_front((op @ block)[:, :width], axes, sub.ndim, d)
 
 
-def _move(tensor: np.ndarray, cycles, target: int, controls=()) -> None:
-    """The permutation kernel, unchecked: along each cycle ``[a, b, ..., z]`` of
-    :func:`_cycles`, digit ``a`` of ``target`` takes digit ``b``'s amplitudes, and so
-    on, and ``z`` takes ``a``'s, in place in the writable ``(d,)*n`` tensor wherever
-    every control matches.  Each digit is indexed directly.  Copies, no arithmetic:
-    the values ``op @ block`` gives for the op's exact 0s and 1s."""
+def _move(tensor: np.ndarray, source, target: int, controls=()) -> None:
+    """The permutation kernel, unchecked: digit ``a`` of ``target`` takes the
+    amplitudes of digit ``source[a]``, in place in the writable ``(d,)*n`` tensor
+    wherever every control matches, one cycle of :func:`_cycles` at a time.  Each
+    digit is indexed directly.  Copies, no arithmetic: the values ``op @ block``
+    gives for the op's exact 0s and 1s."""
     index: list = [slice(None)] * tensor.ndim
     for w, v in controls:
         index[w] = v
     digit = [(*index[:target], a, *index[target + 1:]) for a in range(tensor.shape[0])]
-    for cycle in cycles:
+    for cycle in _cycles(source):
         saved = tensor[digit[cycle[0]]].copy()
         for a, b in zip(cycle, cycle[1:]):
             tensor[digit[a]] = tensor[digit[b]]
@@ -231,14 +230,14 @@ def _monomial(op: np.ndarray) -> tuple[list[int], list] | None:
     return src, list(map(entries.__getitem__, hits))
 
 
-def _digit_cycles(op: np.ndarray, d: int) -> list[list[int]] | None:
-    """The :func:`_cycles` of a ``d x d`` matrix of exact 0s and 1s with one 1 in each
-    row and column, row ``a`` having its 1 in column ``source[a]``; ``None`` for any
-    other matrix."""
+def _digit_source(op: np.ndarray, d: int) -> list[int] | None:
+    """The source list ``source`` of a ``d x d`` matrix of exact 0s and 1s with one 1
+    in each row and column, row ``a`` having its 1 in column ``source[a]``, as
+    :func:`_monomial` gives it; ``None`` for any other matrix."""
     found = _monomial(op) if op.shape == (d, d) else None
     if found is None or found[1].count(1) != d:
         return None
-    return _cycles(found[0])
+    return found[0]
 
 
 def _cycles(source) -> list[list[int]]:
@@ -257,23 +256,11 @@ def _cycles(source) -> list[list[int]]:
     return cycles
 
 
-def _cycles_image(cycles, d: int) -> tuple:
-    """The digit each of ``range(d)`` goes to along ``cycles`` of :func:`_cycles`:
-    ``a`` takes the amplitudes of the next digit ``b`` of its cycle, so ``b`` goes
-    to ``a``."""
-    image = list(range(d))
-    for cycle in cycles:
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            image[b] = a
-    return tuple(image)
-
-
 def _checked_ops(d: int, n: int, ops) -> list:
     """``(matrix, controls, targets)`` ops validated on an n-qudit register, each
     matrix object checked unitary once per target width, as ``(op, controls, targets,
-    cycles, image)``: for a one-target op that is a 0/1 permutation, its
-    :func:`_digit_cycles` and the digit ``image[b]`` it sends each digit ``b`` to;
-    both ``None`` for any other op.
+    source)``: for a one-target op that is a 0/1 permutation, its
+    :func:`_digit_source`; ``None`` for any other op.
 
     The first invalid op in list order raises: when an op's wires are bad, the
     matrices of the ops before it are checked first."""
@@ -286,12 +273,11 @@ def _checked_ops(d: int, n: int, ops) -> list:
             op = np.asarray(matrix, dtype=np.complex128)
             key = (id(matrix), len(targets))
             if key not in first:
-                cycles = _digit_cycles(op, d) if len(targets) == 1 else None
-                image = None if cycles is None else _cycles_image(cycles, d)
-                first[key] = (matrix, op, d ** len(targets), cycles, image)
-            out.append((op, controls, targets, *first[key][3:]))
+                source = _digit_source(op, d) if len(targets) == 1 else None
+                first[key] = (matrix, op, d ** len(targets), source)
+            out.append((op, controls, targets, first[key][3]))
     finally:
-        _check_unitaries(d, [(op, dim) for _, op, dim, _, _ in first.values()])
+        _check_unitaries(d, [(op, dim) for _, op, dim, _ in first.values()])
     return out
 
 
@@ -325,44 +311,10 @@ def _hold(tensor: np.ndarray, keys: list, wire: dict, joining) -> tuple[np.ndarr
     return out, [entries[i] for i in order]
 
 
-def _register(tensor: np.ndarray, wire: dict, n: int) -> np.ndarray:
-    """The ``(d,)*n`` register that ``tensor`` holds through ``wire``, the runner's
-    ``{wire: (axis, table)}`` map, written once into zeros; ``tensor`` itself when
-    each wire reads its own axis, in order, through the identity.
-
-    Digit ``s`` of a held axis sits at the register offset its wires' tables give.
-    Where those offsets are evenly spaced, as at d = 2, the axis is one strided axis
-    of the register, shared by every wire that reads it; elsewhere each of its
-    digits is written as one slice."""
-    d = tensor.shape[0]
-    identity = tuple(range(d))
-    if tensor.ndim == n and all(entry == (w, identity) for w, entry in wire.items()):
-        return tensor
-    stride = [d ** (n - 1 - w) for w in range(n)]
-    start, offsets = 0, [[0] * d for _ in range(tensor.ndim)]
-    for w, (a, table) in wire.items():
-        if a is None:
-            start += table[0] * stride[w]
-        else:
-            offsets[a] = [o + x * stride[w] for o, x in zip(offsets[a], table)]
-    out = np.zeros(d**n, dtype=tensor.dtype)
-    even = [off == [off[0] + s * (off[1] - off[0]) for s in range(d)] for off in offsets]
-    bent = [a for a in range(tensor.ndim) if not even[a]]
-    start += sum(off[0] for off, flat in zip(offsets, even) if flat)
-    strides = [(off[1] - off[0]) * out.itemsize for off, flat in zip(offsets, even) if flat]
-    for digits in product(range(d), repeat=len(bent)):
-        index: list = [slice(None)] * tensor.ndim
-        at = start
-        for a, s in zip(bent, digits):
-            index[a] = s
-            at += offsets[a][s]
-        as_strided(out[at:], shape=(d,) * len(strides), strides=strides)[...] = tensor[tuple(index)]
-    return out.reshape((d,) * n)
-
-
-def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
-    """``(matrix, controls, targets)`` ops in order; returns the ``(d,)*n`` tensor of
-    the whole register.
+def _run(tensor: np.ndarray, wires, n: int, ops, labels=()) -> np.ndarray:
+    """``(matrix, controls, targets)`` ops in order; returns the tensor of the
+    register, one axis per wire in wire order, less each wire of ``labels`` that
+    ends idle in |0>; the other wires of ``labels`` lead, in the order given.
 
     The writable ``tensor`` holds the ascending ``wires`` of an n-qudit register
     whose every other wire is idle in |0>, and ops may write into it.  Every op is
@@ -387,7 +339,12 @@ def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
     block of wires on axes of their own in identity order, which at d = 2 gives it
     the bits of a run on the whole register (see ``MIN_BLOCK_COLUMNS``).  Then a
     permutation goes through :func:`_move` and a product through :func:`_apply`.
-    At the end the whole register is written once (:func:`_register`).
+
+    The last write is the same pair: each held axis, keyed by its lowest reader
+    through a transposed view, gives every other reader and every idle wire it
+    returns an axis of its own in one :func:`_hold`, and :func:`_move` puts each
+    table in identity order.  When every wire already reads its own axis in order
+    through the identity, ``tensor`` itself is returned.
     """
     d = tensor.shape[0]
     identity = tuple(range(d))
@@ -396,20 +353,20 @@ def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
     wire.update((w, (i, identity)) for i, w in enumerate(keys))
     relabelled: set = set()  # held wires whose table may not be the identity
     copies: set = set()  # held wires that may share their axis: every reader of a shared one
-    for op, controls, targets, cycles, image in _checked_ops(d, n, ops):
+    for op, controls, targets, source in _checked_ops(d, n, ops):
         if any(wire[w][0] is None and wire[w][1][0] != v for w, v in controls):
             continue  # an idle wire holds one digit, so this control never matches
         held = [(w, v) for w, v in controls if wire[w][0] is not None]
         t = targets[0]
-        read = image is not None and {wire[t][0], *(wire[w][0] for w, _ in held)} - {None}
-        if image is not None and len(read) <= 1:  # compose into the target's table
+        read = source is not None and {wire[t][0], *(wire[w][0] for w, _ in held)} - {None}
+        if source is not None and len(read) <= 1:  # compose into the target's table
             fire = identity  # the stored digits where every held control matches
             if held:  # held tables are bijective: each control asks for one digit
                 asks = {wire[w][1].index(v) for w, v in held}
                 fire = asks if len(asks) == 1 else ()
             table = list(wire[t][1])
             for s in fire:
-                table[s] = image[table[s]]
+                table[s] = source.index(table[s])  # digit source[a] goes to a
             distinct = len(set(table))
             if distinct == 1:  # idle, or idle again
                 wire[t] = (None, tuple(table))
@@ -424,7 +381,7 @@ def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
                 continue
         joining = [w for w in targets if wire[w][0] is None]
         if copies:  # a shared axis keeps one reader, one the op does not touch if it can
-            touched = copies if image is None else {t, *(w for w, _ in held)}
+            touched = copies if source is None else {t, *(w for w, _ in held)}
             readers: dict = {}
             for w in copies:
                 readers.setdefault(wire[w][0], []).append(w)
@@ -435,20 +392,37 @@ def _run(tensor: np.ndarray, wires, n: int, ops) -> np.ndarray:
         if joining:
             tensor, keys = _hold(tensor, keys, wire, joining)
         if relabelled:  # a permutation's target, a product's targets and columns
-            due = {t} if image is not None else relabelled.difference(w for w, _ in held)
+            due = {t} if source is not None else relabelled.difference(w for w, _ in held)
             for w in due & relabelled:
                 a, table = wire[w]
                 if table != identity:
-                    _move(tensor, _cycles([table.index(x) for x in identity]), a)
+                    _move(tensor, [table.index(x) for x in identity], a)
                     wire[w] = (a, identity)
             relabelled -= due
         matched = [(wire[w][0], wire[w][1].index(v)) for w, v in held]
-        if image is None:
+        if source is None:
             columns = d ** (n - len(targets) - len(controls))
             _apply(tensor, op, [wire[u][0] for u in targets], matched, columns)
         else:
-            _move(tensor, cycles, wire[t][0], matched)
-    return _register(tensor, wire, n)
+            _move(tensor, source, wire[t][0], matched)
+    # each held axis keyed by its lowest reader: every held axis has one
+    lowest = {a: w for w, (a, _) in sorted(wire.items(), reverse=True) if a is not None}
+    keys = [lowest[a] for a in range(tensor.ndim)]
+    if keys != sorted(keys):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        tensor, keys = tensor.transpose(order), sorted(keys)
+        wire.update({w: (order.index(a), table) for w, (a, table) in wire.items() if a is not None})
+    joining = [w for w, (a, table) in wire.items() if w not in keys and (a is not None
+               or w not in labels or table[0] != 0)]
+    if joining:
+        tensor, keys = _hold(tensor, keys, wire, joining)
+    for a, table in wire.values():
+        if a is not None and table != identity:
+            _move(tensor, [table.index(x) for x in identity], a)
+    front = [wire[w][0] for w in labels if wire[w][0] is not None]
+    if front != list(range(len(front))):
+        tensor = tensor.transpose([*front, *(a for a in range(tensor.ndim) if a not in front)])
+    return tensor
 
 
 def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:

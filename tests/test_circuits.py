@@ -1,5 +1,5 @@
+import re
 import tracemalloc
-from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -663,15 +663,15 @@ def test_network_cnots_are_moved_not_multiplied(monkeypatch, rng):
     # 24 uncontrolled X gates relabel their wires; only the 3 controlled
     # permutations move, and the 25 other gates are products
     ("z8", "general", 3, {"uncontrolled": 24, "controlled": 3, "_move": 3, "_apply": 25,
-                          "held": 2**10}),
+                          "held": 2**10, "written": []}),
     # the 7 fan-out CNOTs copy their control's axis and the 3 folds leave their
-    # targets idle again: nothing moves, and the buffer never outgrows the 7 message
-    # and 3 label wires before the register is written
+    # targets idle again: nothing moves, the buffer never outgrows the 7 message
+    # and 3 label wires, and the last write holds the 14 kept wires of 17
     ("z8", "network", 7, {"uncontrolled": 0, "controlled": 10, "_move": 0, "_apply": 30,
-                          "held": 2**10}),
-    # 15 fan-outs and 4 folds: 2^9 amplitudes held for a register of 2^24
+                          "held": 2**10, "written": [2**14]}),
+    # 15 fan-outs and 4 folds: 2^9 amplitudes held, and 2^20 written of a 2^24 register
     ("z16", "network", 5, {"uncontrolled": 0, "controlled": 19, "_move": 0, "_apply": 34,
-                           "held": 2**9}),
+                           "held": 2**9, "written": [2**20]}),
 ])
 def test_permutations_relabel_or_place_before_they_move(spec, path, m, expected, monkeypatch,
                                                          context_for, rng):
@@ -685,27 +685,29 @@ def test_permutations_relabel_or_place_before_they_move(spec, path, m, expected,
         pipeline = build_encoding_pipeline(context_for(spec).tokens, m, path)
     gates = [*pipeline.prep, *pipeline.w_plan.gates, *pipeline.t_plan.gates]
     perms = [gate for gate in gates if gate.kind != "chain" and len(gate.targets) == 1
-             and statevec._digit_cycles(_gate_matrix(gate), 2) is not None]
-    calls, held = Counter(), []
+             and statevec._digit_source(_gate_matrix(gate), 2) is not None]
+    events: list = []  # kernel names and the sizes of the buffers _hold makes, in order
     for name in ("_move", "_apply"):
         kernel = getattr(statevec, name)
         monkeypatch.setattr(statevec, name, lambda *args, name=name, kernel=kernel:
-                            calls.update([name]) or kernel(*args))
-    hold, register = statevec._hold, statevec._register
+                            events.append(name) or kernel(*args))
+    hold = statevec._hold
 
     def held_hold(*args):
         out = hold(*args)
-        held.append(out[0].size)
+        events.append(out[0].size)
         return out
 
     monkeypatch.setattr(statevec, "_hold", held_hold)
-    # the buffer the register is written from, the last one held
-    monkeypatch.setattr(statevec, "_register", lambda tensor, *args: held.append(tensor.size)
-                        or register(tensor, *args))
     pipeline.run(random_state(2, m, rng))
+    # a gate's hold is followed by its kernel, so a hold after the last kernel is the
+    # last write; the general encoder ends with every wire on its own axis and makes none
+    last = max(i for i, event in enumerate(events) if isinstance(event, str))
     uncontrolled = sum(not gate.controls for gate in perms)
     assert {"uncontrolled": uncontrolled, "controlled": len(perms) - uncontrolled,
-            "_move": calls["_move"], "_apply": calls["_apply"], "held": max(held)} == expected
+            "_move": events.count("_move"), "_apply": events.count("_apply"),
+            "held": max(e for e in events[:last] if not isinstance(e, str)),
+            "written": events[last + 1:]} == expected
 
 
 @pytest.mark.parametrize("controls", [(), ((0, 2),)], ids=["uncontrolled", "control-2"])
@@ -767,21 +769,42 @@ def test_gate_that_never_fires_is_still_checked(rng):
         _with_first_w_gate(pipeline, outside).run(message)
 
 
-def test_network_encoder_peak_stays_near_one_register(rng):
-    # z8 network, m = 7: 17 wires, of which the message is held from the start and
-    # the token wires join at their first CNOT; a run on the full buffer from the
-    # first gate peaks at 3x the register's bytes
+@pytest.mark.parametrize("matrix,leak", [
+    (np.array([[0, 1], [1, 0]]), "1.000e+00"),  # the label wire set: all of the state leaks
+    (np.array([[1, 1], [1, -1]]) / np.sqrt(2), "7.071e-01"),  # half its weight leaks
+], ids=["X", "H"])
+def test_a_label_wire_left_set_fails_the_leak_check(matrix, leak, rng):
+    from dataclasses import replace
+
+    from dfscodec.circuits import CircuitPlan, Gate
+
     tokens = network_token_set(zn_phase_rep(builtin_group("z8"), 2))
-    pipeline = build_encoding_pipeline(tokens, 7, "cyclic", cyclic_network=True)
-    assert pipeline.layout.n_wires == 17
-    message = random_state(2, 7, rng)
-    tracemalloc.start()
-    try:
-        pipeline.run(message)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.25 * 2**17 * 16
+    pipeline = build_encoding_pipeline(tokens, 2, "cyclic", cyclic_network=True)
+    # after the network's last fold every label wire is back in |0>
+    late = Gate("single", (pipeline.layout.control[0],), matrix=matrix)
+    t_plan = CircuitPlan(gates=[*pipeline.t_plan.gates, late], layout=pipeline.layout)
+    with pytest.raises(DfsCodecError, match=re.escape(f"failed to clear (leak {leak})")):
+        replace(pipeline, t_plan=t_plan).run(random_state(2, 2, rng))
+
+
+def test_network_encoder_peak_stays_near_one_register(rng):
+    # the message is held from the start, the token wires join at their first CNOT,
+    # and the last write leaves out the label wires, which end idle in |0>: the run
+    # peaks near the kept register and the state made from it, never near the whole
+    # register (a run on the full buffer from the first gate peaks at 3x that)
+    for spec, m, n_wires in [("z8", 7, 17), ("z16", 5, 24)]:
+        tokens = network_token_set(zn_phase_rep(builtin_group(spec), 2))
+        pipeline = build_encoding_pipeline(tokens, m, "cyclic", cyclic_network=True)
+        layout = pipeline.layout
+        assert layout.n_wires == n_wires
+        message = random_state(2, m, rng)
+        tracemalloc.start()
+        try:
+            pipeline.run(message)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 2 ** (n_wires - len(layout.control)) * 16, spec
 
 
 def test_non_unitary_gate_mid_plan_is_refused(context_for, rng):

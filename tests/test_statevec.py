@@ -22,7 +22,8 @@ from dfscodec.statevec import (
     _check_operands,
     _checked_ops,
     _collective_rows,
-    _digit_cycles,
+    _cycles,
+    _digit_source,
     _from_front,
     _fused_width,
     _monomial,
@@ -438,11 +439,14 @@ def test_one_monomial_detector_serves_moves_and_collectives():
     assert _monomial(np.array([[0, 1], [0, 1]])) is None  # one column twice
     assert _monomial(np.array([[1, 0], [0, 0]])) is None  # a zero row
     assert _monomial(np.array([np.eye(2), [[1, 1], [0, 1]]])) is None
-    assert _digit_cycles(X.astype(complex), 2) == [[0, 1]]
-    assert _digit_cycles(y, 2) is None
-    assert _digit_cycles(np.eye(3)[[1, 2, 0]], 3) == [[0, 1, 2]]
-    assert _digit_cycles(np.eye(3), 3) == []
-    assert _digit_cycles(np.eye(2), 3) is None
+    # a 0/1 permutation is the source list _monomial gives; _move finds its cycles
+    assert _digit_source(X.astype(complex), 2) == [1, 0]
+    assert _digit_source(y, 2) is None
+    assert _digit_source(np.eye(3)[[1, 2, 0]], 3) == [1, 2, 0]
+    assert _cycles([1, 2, 0]) == [[0, 1, 2]]
+    assert _digit_source(np.eye(3), 3) == [0, 1, 2]
+    assert _cycles([0, 1, 2]) == []
+    assert _digit_source(np.eye(2), 3) is None
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 8, 9, 16, 27, 128])
