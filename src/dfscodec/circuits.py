@@ -42,6 +42,7 @@ from .limits import UNITARY_TOL, check_entries
 from .reps import UnitaryRep
 from .statevec import (
     StateVector,
+    _finite_norm,
     _run,
     _unitarity_residues,
     apply_controlled,
@@ -579,7 +580,9 @@ class EncodingPipeline:
         leak = float(np.sqrt(np.vdot(block[1:], block[1:]).real))  # one read, no temporaries
         if leak > UNITARY_TOL:
             raise DfsCodecError(f"control register failed to clear (leak {leak:.3e})")
-        return StateVector.from_amplitudes(2, n - len(labels), block[0], normalize=True)
+        kept = block[0]
+        kept /= _finite_norm(kept)  # from_amplitudes' division, in the runner's fresh block
+        return StateVector(d=2, n=n - len(labels), amps=kept)
 
 
 def build_encoding_pipeline(

@@ -438,8 +438,8 @@ MONOMIAL_MIN_BLOCK = 2**10
 # The exact unit phases: products of them round nothing.
 _UNITS = frozenset({1, -1, 1j, -1j})
 
-# The fused exact-phase step multiplies by one phase table per group of target
-# wires, each of at most this many entries: groups of 8 wires at d = 2.
+# With exact phases, the fused step multiplies by one phase table per group of
+# target wires, each of at most this many entries: groups of 8 wires at d = 2.
 FUSED_TABLE_ENTRIES = 2**8
 
 
@@ -464,15 +464,19 @@ def _phase_table(phases: np.ndarray, widths: list[int]) -> np.ndarray:
 
 
 def _fused_rows(rows: np.ndarray, n: int, targets, moves, phases: np.ndarray) -> np.ndarray:
-    """The exact-phase collective step for permutations that are the identity or
-    the digit reversal: for each ``(rows, src)`` group of rows, the rows
-    themselves or a view with every target wire's digits reversed, then one
-    multiply per group of :func:`_fused_width` target wires by its table of the
-    ``(1 or rows, d)`` phases, each written straight into the output.  Adjacent
-    wires of one group, or of none, are merged into one axis, so each multiply
-    runs over a few long axes."""
+    """The monomial collective step for permutations that are the identity or the
+    digit reversal: for each ``(rows, src)`` group of rows, the rows themselves or
+    a view with every target wire's digits reversed, then one multiply per group
+    of target wires by its table of the ``(1 or rows, d)`` phases, the first
+    written into the output and the rest in place.  A group is
+    :func:`_fused_width` wires when every phase is exactly 1, -1, i or -i, whose
+    products round nothing, and one wire otherwise, so each amplitude meets the
+    phases one at a time in wire order and keeps its bits.  Adjacent wires of one
+    group, or of none, are merged into one axis, so each multiply runs over a few
+    long axes."""
     count, d = rows.shape[0], phases.shape[1]
-    wires, width = sorted(targets), _fused_width(d)
+    wires = sorted(targets)
+    width = _fused_width(d) if _UNITS.issuperset(phases.flat) else 1
     group = {w: i // width for i, w in enumerate(wires)}
     runs = [(key, len(list(run))) for key, run in groupby(range(n), lambda w: group.get(w, -1))]
     shape = (count, *(d**length for _, length in runs))
@@ -500,38 +504,32 @@ def _collective_rows(rows: np.ndarray, u: np.ndarray, n: int, targets) -> np.nda
     so each row comes out bit-identical to a one-row call.  The steps write in
     turn into the output and one scratch buffer, both allocated once.
 
-    When every matrix is monomial (:func:`_monomial`), no GEMM runs.  The
-    monomial path takes all rows at once when they share a permutation and row
-    by row otherwise, and each of its products must cover ``MONOMIAL_MIN_BLOCK``
-    amplitudes; one wire keeps the GEMM, whose bits there differ from the
-    multiply's even at d = 2.  If every phase is exactly 1, -1, 1j or -1j and
-    every permutation is the identity or the digit reversal (the Pauli set, all
-    identity elements, any 0/1 permutation at d = 2), the fused step of
-    :func:`_fused_rows` handles all target wires in one multiply per group of
-    wires, read through a reversed view; its values equal the GEMM's.  Other
-    monomials take one step per wire: output digit ``j`` of a row is its source
-    digit ``src[j]``, read in place, times ``phase[j]``, one elementwise product
-    per output digit; at d = 2, or with exact phases, every nonzero amplitude
-    has the GEMM's bits, and at larger d with other phases, where the GEMM sums
-    d products, the last bit may move.  On either monomial path only the sign
-    of a zero may differ from the GEMM.
+    When every matrix is monomial (:func:`_monomial`) and every permutation is
+    the identity or the digit reversal (every monomial at d = 2), the step of
+    :func:`_fused_rows` runs instead of the GEMM.  It takes all rows at once when
+    they share a permutation and row by row otherwise, and each of its products
+    must cover ``MONOMIAL_MIN_BLOCK`` amplitudes; one wire keeps the GEMM, whose
+    bits there differ from the multiply's even at d = 2.  At d = 2, or with
+    exact phases, every nonzero amplitude has the GEMM's bits; at larger d with
+    other phases, where the GEMM sums d products, the last bit may move.  Only
+    the sign of a zero may differ from the GEMM.  Other monomials (d >= 3
+    shifts, the regular rep) take the GEMM.
     """
     d, x, count = u.shape[-1], rows, rows.shape[0]
     block = d ** (n - 1)  # amplitudes of one digit of one row
-    moves = None
     if n > 1 and targets and count * block >= MONOMIAL_MIN_BLOCK and (found := _monomial(u)):
         # (rows, source digit of each output digit) for each group of rows
         src, phases = found
-        table = np.array(phases, dtype=np.complex128).reshape(-1, d)  # (1 or rows, d)
+        moves = []
         if src == src[:d] * (len(src) // d):  # one permutation for every row
             moves = [(slice(None), src[:d])]
         elif block >= MONOMIAL_MIN_BLOCK:
             moves = [(slice(i, i + 1), src[i * d : i * d + d]) for i in range(count)]
         ends = (list(range(d)), list(range(d - 1, -1, -1)))  # identity, reversal
-        if moves and _UNITS.issuperset(phases) and all(s in ends for _, s in moves):
+        if moves and all(s in ends for _, s in moves):
+            table = np.array(phases, dtype=np.complex128).reshape(-1, d)  # (1 or rows, d)
             return _fused_rows(rows, n, targets, moves, table)
-    if moves is None:
-        ut = np.swapaxes(u, -1, -2)
+    ut = np.swapaxes(u, -1, -2)
     buffers = [np.empty((count, d**n), dtype=np.complex128)]
     for w in range(n):
         if w == 1:
@@ -540,12 +538,8 @@ def _collective_rows(rows: np.ndarray, u: np.ndarray, n: int, targets) -> np.nda
         x, y = x.reshape(count, d, -1), out.reshape(count, block, d)
         if w not in targets:
             np.copyto(y, x.transpose(0, 2, 1))
-        elif moves is None:
-            np.matmul(x.transpose(0, 2, 1), ut, out=y)
         else:
-            for sel, sources in moves:
-                for j, k in enumerate(sources):
-                    np.multiply(x[sel, k], table[sel, j, None], out=y[sel, :, j])
+            np.matmul(x.transpose(0, 2, 1), ut, out=y)
         x = out
     return x
 

@@ -238,6 +238,32 @@ def _gemm_rows(rows, u, n, targets):
     return x
 
 
+def _per_digit_rows(rows, u, n, targets):
+    """The monomial collective kernel before its steps were fused, the oracle: one
+    step per wire of the rotating loop, output digit ``j`` of each row its source
+    digit ``src[j]`` read in place times ``phase[j]``, one product per output digit,
+    all rows at once when they share a permutation and row by row otherwise."""
+    d, count = u.shape[-1], rows.shape[0]
+    src, phases = _monomial(u)
+    table = np.array(phases, dtype=np.complex128).reshape(-1, d)
+    if src == src[:d] * (len(src) // d):
+        moves = [(slice(None), src[:d])]
+    else:
+        moves = [(slice(i, i + 1), src[i * d : i * d + d]) for i in range(count)]
+    x = rows
+    for w in range(n):
+        out = np.empty((count, d**n), dtype=np.complex128)
+        x, y = x.reshape(count, d, -1), out.reshape(count, -1, d)
+        if w not in targets:
+            np.copyto(y, x.transpose(0, 2, 1))
+        else:
+            for sel, sources in moves:
+                for j, k in enumerate(sources):
+                    np.multiply(x[sel, k], table[sel, j, None], out=y[sel, :, j])
+        x = out
+    return x
+
+
 def _monomial_matrix(d, rng, exact, perm=None):
     """A random permutation (or ``perm``) times random phases, or exact ones from
     {1, -1, i, -i}."""
@@ -283,23 +309,64 @@ def test_monomial_collective_matches_the_gemm_loop(d, kind, exact, rng):
                     assert np.max(np.abs(got - want)) <= 1e-15, (n, count, targets)
 
 
+@pytest.mark.parametrize("d, exact", [(2, False), (2, True), (3, False), (5, False)],
+                         ids=["d2-random-phases", "d2-exact-phases", "d3-random-phases",
+                              "d5-random-phases"])
+@pytest.mark.parametrize("kind", ["one", "shared", "per-row"])
+def test_fused_step_keeps_the_bits_of_the_per_digit_loop(d, exact, kind, rng):
+    # identity and reversal only, so every size over the floor takes the fused
+    # step; inexact phases meet each amplitude one wire at a time, in wire order,
+    # so the bytes equal the per-digit loop's, the sign of every zero included.
+    # Exact phases are grouped, which rounds no nonzero part but may flip a
+    # zero's sign, so their rows hold no zeros.  Below the floor the GEMM runs:
+    # at d = 2 its values are equal, and only a zero's sign may differ; at d >= 3
+    # it sums d products, so those sizes stay over the floor
+    ends = [np.arange(d), np.arange(d)[::-1]]
+    for n in {2: [2, 9, 11, 15], 3: [8, 9], 5: [6, 7]}[d]:
+        for count in (1, 4):
+            perm = ends[rng.integers(2)]
+            if kind == "one":
+                u = _monomial_matrix(d, rng, exact, perm)
+            elif kind == "shared":
+                u = np.array([_monomial_matrix(d, rng, exact, perm) for _ in range(count)])
+            else:
+                u = np.array([_monomial_matrix(d, rng, exact, ends[i % 2]) for i in range(count)])
+            if exact:
+                rows = rng.normal(size=(count, d**n)) + 1j * rng.normal(size=(count, d**n))
+            else:
+                rows = _planted_zero_rows(d, n, count, rng)
+            subset = set(rng.choice(n, size=(n + 1) // 2, replace=False).tolist())
+            fused = d ** (n - 1) * (1 if kind == "per-row" else count) >= MONOMIAL_MIN_BLOCK
+            for targets in (set(range(n)), subset):
+                got, want = _collective_rows(rows, u, n, targets), _per_digit_rows(rows, u, n, targets)
+                if fused:
+                    assert got.tobytes() == want.tobytes(), (n, count, targets)
+                else:
+                    assert np.array_equal(got, want), (n, count, targets)
+
+
 def _fused_step(u):
     """Whether an over-the-floor collective of ``u`` takes the fused step: every
-    phase exactly 1, -1, i or -i and every permutation the identity or the digit
-    reversal."""
+    permutation the identity or the digit reversal, with any phases."""
     d = u.shape[-1]
-    src, phases = _monomial(u)
+    src, _ = _monomial(u)
     ends = {tuple(range(d)), tuple(range(d))[::-1]}
-    perms = {tuple(src[i : i + d]) for i in range(0, len(src), d)}
-    return set(phases) <= {1, -1, 1j, -1j} and perms <= ends
+    return {tuple(src[i : i + d]) for i in range(0, len(src), d)} <= ends
+
+
+def _group_width(u):
+    """Target wires per product of the fused step: ``_fused_width(d)`` when every
+    phase is exactly 1, -1, i or -i, one otherwise."""
+    exact = set(_monomial(u)[1]) <= {1, -1, 1j, -1j}
+    return _fused_width(u.shape[-1]) if exact else 1
 
 
 def _exact_phase_sets():
     """(name, d, matrix or stack) of exact-phase monomials: the k4 stack and each of
     its Paulis, and Y with its phases i and -i; at d = 3 and 5 the identity and
-    the digit reversal, which take the fused step, and a shift, which keeps one
-    step per wire, with phases from {1, -1, i, -i}; and the z4xz2 regular stack
-    (d = 8), whose permutations keep one step per wire."""
+    the digit reversal, which take the fused step, and a shift, which takes the
+    GEMM, with phases from {1, -1, i, -i}; and the z4xz2 regular stack (d = 8),
+    whose permutations take the GEMM."""
     k4 = builtin_rep(builtin_group("k4"), "builtin", 2).matrices
     y = np.array([[0, -1j], [1j, 0]])
     cases = [("k4", 2, k4), ("Y", 2, y)] + [(f"k4[{i}]", 2, m) for i, m in enumerate(k4)]
@@ -318,8 +385,8 @@ def test_exact_phase_collectives_equal_the_gemm_loop(d, u, products, rng):
     # zero's sign may differ); sizes on both sides of MONOMIAL_MIN_BLOCK, one row
     # and four for a single matrix, every wire and a subset, and runs of target
     # wires longer than one phase table.  The product count shows the path: one
-    # per group of rows and of _fused_width target wires on the fused step, d per
-    # target wire and group of rows one wire at a time, none on the GEMM
+    # per group of rows and of _fused_width target wires on the fused step, none
+    # on the GEMM
     stacked = u.ndim == 3
     shared = not stacked or len({tuple(np.argmax(m != 0, axis=1)) for m in u}) == 1
     for n in {2: [2, 9, 11, 13, 17], 3: [2, 6, 7, 9], 5: [2, 4, 5], 8: [2, 4, 5]}[d]:
@@ -332,24 +399,22 @@ def test_exact_phase_collectives_equal_the_gemm_loop(d, u, products, rng):
                 got = _collective_rows(rows, u, n, targets)
                 assert np.array_equal(got, _gemm_rows(rows, u, n, targets)), (n, count, targets)
                 groups = 1 if shared else count
-                if d ** (n - 1) * count // groups < MONOMIAL_MIN_BLOCK:
-                    want = 0
-                elif _fused_step(u):
+                want = 0
+                if d ** (n - 1) * count // groups >= MONOMIAL_MIN_BLOCK and _fused_step(u):
                     want = groups * -(-len(targets) // _fused_width(d))
-                else:
-                    want = d * groups * len(targets)
                 assert products[0] == want, (n, count, targets)
 
 
 def test_collective_steps_write_into_two_buffers(rng):
-    # tracemalloc sees numpy's buffers: a GEMM or inexact-monomial collective holds
-    # the input and at most two buffers of its size, the output and one scratch;
-    # the fused exact-phase step at d = 2 reads its source through views, so it
-    # holds the input and the output; 256 KiB covers numpy's ufunc buffer
+    # tracemalloc sees numpy's buffers: a GEMM collective holds the input and at
+    # most two buffers of its size, the output and one scratch; the fused step
+    # (every monomial at d = 2, exact phases or not) reads its source through
+    # views and writes the output in place, so it holds the input and the output;
+    # 256 KiB covers numpy's ufunc buffer
     s3 = builtin_rep(builtin_group("s3"), "builtin-2d", 2).matrices
     z8 = builtin_rep(builtin_group("z8"), "builtin", 2).matrices
     k4 = builtin_rep(builtin_group("k4"), "builtin", 2).matrices
-    for u, buffers in [(s3, 2), (z8, 2), (haar_unitary(2, rng), 2), (k4, 1), (X, 1)]:
+    for u, buffers in [(s3, 2), (z8, 1), (haar_unitary(2, rng), 2), (k4, 1), (X, 1)]:
         count = len(u) if u.ndim == 3 else 1
         state = rng.normal(size=(count, 2**16)) + 0j
         tracemalloc.start()
@@ -364,8 +429,8 @@ def test_collective_steps_write_into_two_buffers(rng):
 
 @pytest.fixture
 def products(monkeypatch):
-    """Count of ``np.multiply`` calls: one per output digit and row group of a
-    monomial step, none on the GEMM path."""
+    """Count of ``np.multiply`` calls: one per group of target wires and of rows on
+    the fused step, none on the GEMM path."""
     calls = [0]
     multiply = np.multiply
 
@@ -379,18 +444,17 @@ def products(monkeypatch):
 
 # (group, rep, d, n): n puts MONOMIAL_MIN_BLOCK amplitudes in each product of a row
 _MONOMIAL_REPS = [(f"z{k}", "builtin", 2, 11) for k in range(2, 13)] + [
-    ("k4", "builtin", 2, 11), ("z3", "builtin", 3, 8), ("z5", "builtin", 5, 6),
-    ("z4xz2", "regular", 8, 5)]
+    ("k4", "builtin", 2, 11), ("z3", "builtin", 3, 8), ("z5", "builtin", 5, 6)]
 
 
 @pytest.mark.parametrize("group, spec, dim, n", _MONOMIAL_REPS, ids=[
     f"{g}-{s}-d{d}" for g, s, d, _ in _MONOMIAL_REPS])
 def test_monomial_reps_run_no_gemm(group, spec, dim, n, products, rng):
-    # the orbit's stack and each element's matrix, on every wire and on a subset;
-    # the product count shows the path, per group of rows (all rows when they share
-    # a permutation, one row otherwise): on the fused step (_fused_step), one
-    # product per group of _fused_width target wires; otherwise d per target
-    # step; none where the GEMM runs
+    # the orbit's stack and each element's matrix, on every wire and on a subset,
+    # all on the fused step (_fused_step); the product count shows the grouping,
+    # per group of rows (all rows when they share a permutation, one row
+    # otherwise): one product per group of _fused_width target wires when every
+    # phase is exact, one per target wire otherwise (_group_width)
     matrices = builtin_rep(builtin_group(group), spec, dim).matrices
     state = random_state(dim, n, rng)
     orbit = np.broadcast_to(state.amps, (len(matrices), dim**n))
@@ -400,10 +464,8 @@ def test_monomial_reps_run_no_gemm(group, spec, dim, n, products, rng):
     for rows, u, targets, groups in cases:
         products[0] = 0
         _collective_rows(rows, u, n, set(targets))
-        if _fused_step(u):
-            assert products[0] == groups * -(-len(targets) // _fused_width(dim))
-        else:
-            assert products[0] == dim * groups * len(targets)
+        assert _fused_step(u)
+        assert products[0] == groups * -(-len(targets) // _group_width(u))
     assert MONOMIAL_MIN_BLOCK <= dim ** (n - 1)
     assert [_fused_width(d) for d in (2, 3, 5, 8, 16, 17)] == [8, 5, 3, 2, 2, 1]
 
@@ -411,11 +473,14 @@ def test_monomial_reps_run_no_gemm(group, spec, dim, n, products, rng):
 def test_other_collectives_keep_the_gemm(products, rng):
     # the s3 2-d stack, a Haar matrix and 1e-300 where X has a zero; a monomial
     # on one wire, even over MONOMIAL_MIN_BLOCK rows, where numpy's matmul rounds
-    # some products otherwise than the multiply; and blocks below the floor: X on
+    # some products otherwise than the multiply; blocks below the floor: X on
     # 2**9 amplitudes per digit, and the k4 stack, whose four rows share no
-    # permutation, on 2**8 per digit and row
+    # permutation, on 2**8 per digit and row; and the z4xz2 regular stack over
+    # the floor, whose permutations are neither the identity nor the reversal
     s3 = builtin_rep(builtin_group("s3"), "builtin-2d", 2).matrices
     k4 = builtin_rep(builtin_group("k4"), "builtin", 2).matrices
+    regular = builtin_rep(builtin_group("z4xz2"), "regular", 8).matrices
+    orbit = np.broadcast_to(random_state(8, 5, rng).amps, (len(regular), 8**5))
     near_x = X.copy()
     near_x[0, 0] = 1e-300
     rows = np.array([random_state(2, 11, rng).amps for _ in range(len(s3))])
@@ -423,7 +488,7 @@ def test_other_collectives_keep_the_gemm(products, rng):
     for block, u, n in [(rows, s3, 11), (rows[:1], haar_unitary(2, rng), 11),
                         (rows[:1], near_x, 11), (wide, _monomial_matrix(2, rng, False), 1),
                         (rows[:1, :2**10], X, 10),
-                        (rows[:4, :2**9], k4, 9)]:
+                        (rows[:4, :2**9], k4, 9), (orbit, regular, 5)]:
         got = _collective_rows(block, u, n, set(range(n)))
         assert products[0] == 0
         assert got.tobytes() == _gemm_rows(block, u, n, set(range(n))).tobytes()
