@@ -25,6 +25,7 @@ that weight code, and the fan-out, the network fiducial and
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -51,6 +52,27 @@ from .statevec import (
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+_X.setflags(write=False)
+_H.setflags(write=False)
+
+# The channel stages, by what they depend on: the basis change and the register
+# network by token set, the prep gate by group.  Each is built on first use, kept
+# while its key lives and shared by every encoder built from it: only W depends on m.
+_CHANNEL_STAGES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _channel_stage(owner, key, build):
+    """``build()``, made on the first call for ``(owner, key)`` and kept while
+    ``owner`` lives; a build that raises keeps nothing."""
+    stages = _CHANNEL_STAGES.setdefault(owner, {})
+    if key not in stages:
+        stages[key] = build()
+    return stages[key]
+
+
+def _frozen(matrix: np.ndarray) -> np.ndarray:
+    matrix.setflags(write=False)
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +171,8 @@ def prep_gates(group: FiniteGroup, control_wires) -> list[Gate]:
 
     For |G| = 2^(wires) this is one Hadamard per wire; otherwise a single
     costed preparation unitary (cost: one gate per control wire) whose first
-    column is the desired superposition.
+    column is the desired superposition, completed once per group and width
+    and shared read-only.
     """
     control_wires = list(control_wires)
     r_prime = len(control_wires)
@@ -158,9 +181,13 @@ def prep_gates(group: FiniteGroup, control_wires) -> list[Gate]:
             Gate(kind="single", targets=(w,), matrix=_H, cost=1, stage="prep")
             for w in control_wires
         ]
-    first = np.zeros((2**r_prime, 1), dtype=np.complex128)
-    first[: group.order] = 1.0 / np.sqrt(group.order)
-    matrix = _complete_unitary(first)
+
+    def uniform() -> np.ndarray:
+        first = np.zeros((2**r_prime, 1), dtype=np.complex128)
+        first[: group.order] = 1.0 / np.sqrt(group.order)
+        return _frozen(_complete_unitary(first))
+
+    matrix = _channel_stage(group, ("prep", r_prime), uniform)
     return [
         Gate(
             kind="prep",
@@ -355,10 +382,17 @@ def apply_t_direct(tokens: TokenSet, element_order=None) -> np.ndarray:
     """The dense unitary {|0...0, label_i> -> token_i}; cost bound O(d^r).
 
     ``element_order[i]`` names the group element encoded by label column i,
-    so generator-word control registers reuse the same oracle.
+    so generator-word control registers reuse the same oracle.  The size is
+    checked on every call, before anything is allocated; the unitary is
+    completed once per token set and label order while the token set lives.
+    The result is shared and read-only: every encoder built from the token set
+    multiplies by this one matrix, which the runner checks once while it lives.
     """
     check_token_basis_change(tokens.rep.dim, tokens.r)
-    return _complete_unitary(tokens.columns(element_order))
+    order = None if element_order is None else tuple(map(int, element_order))
+    return _channel_stage(
+        tokens, ("t", order), lambda: _frozen(_complete_unitary(tokens.columns(element_order)))
+    )
 
 
 def qft_gates(control_wires) -> list[Gate]:
@@ -374,7 +408,7 @@ def qft_gates(control_wires) -> list[Gate]:
         gates.append(Gate(kind="single", targets=(wires[k],), matrix=_H, cost=1, stage="t_qft"))
         for l in range(k + 1, r_prime):
             angle = np.pi / 2 ** (l - k)
-            phase = np.diag([1.0, np.exp(1j * angle)])
+            phase = _frozen(np.diag([1.0, np.exp(1j * angle)]))
             gates.append(
                 Gate(
                     kind="controlled",
@@ -598,6 +632,9 @@ def build_encoding_pipeline(
     qubits, power-of-two order, with the register-pattern token basis);
     otherwise the basis change is one dense gate completing the token columns.
     The W gates are synthesized on the encoder's wires, so no gate is moved.
+    The basis change and the prep gate depend on the channel alone: they are
+    built once per token set (see :func:`_channel_stage`), and each call
+    synthesizes only W.
     """
     group = tokens.group
     r = tokens.r
@@ -615,10 +652,15 @@ def build_encoding_pipeline(
     w_plan = synth_w(path, group, tokens.rep, m, place)
     layout = w_plan.layout
     if cyclic_network:
+
+        def network() -> CircuitPlan:
+            t = synth_t_cyclic(group.order)
+            _check_network(tokens.rep, tokens.fiducial)
+            return t
+
         # the network's own wires, control 0..r'-1 then the tokens, are the encoder's
-        t = synth_t_cyclic(group.order)
-        _check_network(tokens.rep, tokens.fiducial)
-        t_plan = CircuitPlan(gates=t.gates, layout=layout, metadata=t.metadata)
+        t = _channel_stage(tokens, ("network",), network)
+        t_plan = CircuitPlan(gates=list(t.gates), layout=layout, metadata=dict(t.metadata))
     else:
         dense = apply_t_direct(tokens, w_plan.metadata.get("word_elements"))
         t_plan = CircuitPlan([Gate("single", layout.token, matrix=dense)], layout)

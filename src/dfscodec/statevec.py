@@ -7,6 +7,7 @@ used everywhere in the package; conversions never happen at module borders.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import compress, groupby, product
 from operator import sub
@@ -56,8 +57,10 @@ class StateVector:
     @classmethod
     def _adopt(cls, d: int, n: int, arr: np.ndarray) -> "StateVector":
         """The state whose amplitudes are the fresh complex vector ``arr`` of ``d**n``
-        entries, frozen in place, not copied, once its norm is checked to be 1."""
-        norm = _finite_norm(arr)
+        entries, frozen in place, not copied, once its norm is checked to be 1.  The
+        norm is only compared, never divided by, so it is one BLAS read,
+        ``sqrt(<arr|arr>)``, in less than half the time of :func:`_finite_norm`."""
+        norm = _finite(np.sqrt(np.vdot(arr, arr).real))
         if abs(norm - 1.0) > NORM_TOL:
             raise DimensionMismatch(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         return cls(d=d, n=n, amps=arr)
@@ -67,7 +70,11 @@ class StateVector:
 
 
 def _finite_norm(arr: np.ndarray) -> float:
-    norm = np.linalg.norm(arr)
+    """The norm every division by a state's norm uses: its bits pin goldens."""
+    return _finite(np.linalg.norm(arr))
+
+
+def _finite(norm: float) -> float:
     if not np.isfinite(norm):
         raise DimensionMismatch(f"state amplitudes are not finite (norm {norm})")
     return norm
@@ -101,12 +108,24 @@ def _unitarity_residues(stack: np.ndarray) -> np.ndarray:
     """``max |U^H U - I|`` of each matrix of a ``(k, n, c)`` stack: the unitarity
     residue of square matrices, the isometry residue of ``c`` columns.  NaN or inf
     for a matrix with a NaN or infinite entry or whose product overflows, which
-    fails every ``<= tol`` check."""
+    fails every ``<= tol`` check.
+
+    The product is formed for one block of ``max(c // 8, 64)`` columns of U at a
+    time, the rows of ``U^H U`` they give, and the largest entry kept by a max that
+    carries NaN.  The temporaries, the conjugated block, its product and their
+    moduli, hold 3/8 of a square stack's bytes where the whole product took twice
+    them; a stack of at most 64 columns is one block, the product of the whole
+    stack."""
     k, _, c = stack.shape
+    width = max(c // 8, 64)  # GEMMs narrower than this run several times slower
+    out = np.zeros(k)
     with np.errstate(invalid="ignore", over="ignore"):  # the residue carries them
-        residue = (stack.conj().transpose(0, 2, 1) @ stack).reshape(k, -1)
-        residue[:, :: c + 1] -= 1  # the diagonal, in place: no identity is built
-        return np.abs(residue).max(axis=1)
+        for lo in range(0, c, width):
+            rows = stack[:, :, lo : lo + width].conj().transpose(0, 2, 1) @ stack
+            residue = rows.reshape(k, -1)
+            residue[:, lo :: c + 1] -= 1  # the diagonal, in place: no identity is built
+            np.maximum(out, np.abs(residue).max(axis=1), out=out)
+    return out
 
 
 def _to_front(tensor: np.ndarray, axes, d: int) -> np.ndarray:
@@ -256,11 +275,38 @@ def _cycles(source) -> list[list[int]]:
     return cycles
 
 
+# Each matrix that passed the unitarity check at a width while read-only and the
+# owner of its data, by ``(id, width)``: a weak reference whose callback drops the
+# entry when the array dies, so no id is reused while its entry stands.
+_CERTIFIED: dict = {}
+
+
+def _certified(op: np.ndarray, dim: int) -> bool:
+    """Whether ``op`` passed the check as a ``dim x dim`` unitary and has stayed
+    read-only since; a certified matrix seen writable loses its entry."""
+    key = (id(op), dim)
+    ref = _CERTIFIED.get(key)
+    if ref is None or ref() is not op:
+        return False
+    if op.flags.writeable or op.shape != (dim, dim):
+        del _CERTIFIED[key]
+        return False
+    return True
+
+
 def _checked_ops(d: int, n: int, ops) -> list:
     """``(matrix, controls, targets)`` ops validated on an n-qudit register, each
     matrix object checked unitary once per target width, as ``(op, controls, targets,
     source)``: for a one-target op that is a 0/1 permutation, its
     :func:`_digit_source`; ``None`` for any other op.
+
+    A matrix that is read-only and owns its data is checked once while it lives
+    (``_CERTIFIED``): a frozen matrix the package built and certified, such as an
+    encoder's basis change, is trusted to that check, as ``TokenSet.overlaps``
+    trusts its certificate.  Any other matrix (writable, a view, or one that
+    failed) is checked on every call, and so is a certified one made writable
+    again.  One made writable, changed and frozen again between two calls keeps
+    its entry: freezing is the promise that it does not change.
 
     The first invalid op in list order raises: when an op's wires are bad, the
     matrices of the ops before it are checked first."""
@@ -277,7 +323,12 @@ def _checked_ops(d: int, n: int, ops) -> list:
                 first[key] = (matrix, op, d ** len(targets), source)
             out.append((op, controls, targets, first[key][3]))
     finally:
-        _check_unitaries(d, [(op, dim) for _, op, dim, _ in first.values()])
+        due = [(op, dim) for _, op, dim, _ in first.values() if not _certified(op, dim)]
+        _check_unitaries(d, due)
+        for op, dim in due:
+            if not op.flags.writeable and op.flags.owndata:
+                key = (id(op), dim)
+                _CERTIFIED[key] = weakref.ref(op, lambda _, key=key: _CERTIFIED.pop(key, None))
     return out
 
 

@@ -326,9 +326,10 @@ def test_dense_basis_change_is_refused_before_allocating(context_for, monkeypatc
         apply_t_direct(ctx.tokens)
 
 
-def test_apply_t_direct_holds_one_copy_of_the_matrix(context_for):
-    # z10 has r = 9: the completion is 2^9 x 2^9, and no second full copy is made
-    tokens = context_for("z10").tokens
+def test_apply_t_direct_holds_one_copy_of_the_matrix():
+    # z10 has r = 9: the completion is 2^9 x 2^9, and no second full copy is made;
+    # a token set of its own, since a shared one may hold its completion already
+    tokens = prepare_protocol(zn_phase_rep(builtin_group("z10"), 2)).tokens
     tracemalloc.start()
     try:
         change = apply_t_direct(tokens)
@@ -337,6 +338,69 @@ def test_apply_t_direct_holds_one_copy_of_the_matrix(context_for):
         tracemalloc.stop()
     assert change.shape == (512, 512)
     assert peak < 1.5 * change.nbytes
+
+
+def test_one_token_set_completes_and_checks_its_basis_change_once(monkeypatch, rng):
+    # T depends on the token set alone: the z8 general encoders for m = 1-4, built
+    # and run from one token set, complete the 2^7 x 2^7 T by one QR and check it once
+    from dfscodec import statevec
+
+    tokens = prepare_protocol(zn_phase_rep(builtin_group("z8"), 2)).tokens
+    qr, residue = np.linalg.qr, statevec._unitarity_residues
+    calls, checked = [], []
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    monkeypatch.setattr(statevec, "_unitarity_residues",
+                        lambda stack: checked.append(stack.shape) or residue(stack))
+    for m in range(1, 5):
+        pipeline = build_encoding_pipeline(tokens, m, "general")
+        expected = encode(tokens, message := random_state(2, m, rng))
+        assert fidelity(pipeline.run(message), expected) > 1 - 1e-12
+    assert len(calls) == 1
+    assert checked.count((1, 128, 128)) == 1
+    assert pipeline.t_plan.gates[0].matrix is apply_t_direct(tokens)
+
+
+def test_a_shared_basis_change_made_writable_is_checked_again(rng):
+    tokens = prepare_protocol(zn_phase_rep(builtin_group("z4"), 2)).tokens
+    change = apply_t_direct(tokens)
+    assert not change.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        change[0, 0] = 0
+    pipeline = build_encoding_pipeline(tokens, 1, "general")
+    pipeline.run(random_state(2, 1, rng))
+    change.setflags(write=True)
+    change[:, 0] *= 2
+    with pytest.raises(DimensionMismatch, match="not unitary"):
+        build_encoding_pipeline(tokens, 2, "general").run(random_state(2, 2, rng))
+
+
+def test_the_channel_stages_live_as_long_as_their_token_set(rng):
+    import gc
+    import weakref
+
+    from dfscodec import statevec
+
+    tokens = prepare_protocol(zn_phase_rep(builtin_group("z4"), 2)).tokens
+    pipeline = build_encoding_pipeline(tokens, 1, "general")
+    pipeline.run(random_state(2, 1, rng))
+    change = weakref.ref(pipeline.t_plan.gates[0].matrix)
+    key = (id(change()), 8)
+    assert key in statevec._CERTIFIED
+    del tokens, pipeline
+    gc.collect()
+    assert change() is None and key not in statevec._CERTIFIED
+    # the network's gates are made once per token set; each encoder has its own list
+    tokens = network_token_set(zn_phase_rep(builtin_group("z4"), 2))
+    first, second = (build_encoding_pipeline(tokens, m, "cyclic", cyclic_network=True).t_plan
+                     for m in (1, 2))
+    assert first.gates == second.gates and first.gates is not second.gates
+    # the prep gate of a group whose order is not a power of two lives with its group
+    group = builtin_group("s3")
+    prep = weakref.ref(prep_gates(group, (0, 1, 2))[0].matrix)
+    assert prep_gates(group, (3, 4, 5))[0].matrix is prep()
+    del group
+    gc.collect()
+    assert prep() is None
 
 
 def test_apply_t_direct_trivial_group(context_for):

@@ -797,6 +797,16 @@ def test_norm_validation():
         StateVector.from_amplitudes(2, 1, [1.0, 1.0])
 
 
+def test_adopt_refuses_non_finite_and_off_norm_amplitudes():
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf], [1e200, 1e200]):
+        with pytest.raises(DimensionMismatch, match="state amplitudes are not finite"):
+            StateVector._adopt(2, 1, np.array(bad, dtype=complex))
+    with pytest.raises(DimensionMismatch, match="state norm .* deviates from 1"):
+        StateVector._adopt(2, 1, np.array([1.0, 1.0], dtype=complex))
+    arr = np.array([0.6, 0.8j])
+    assert StateVector._adopt(2, 1, arr).amps is arr
+
+
 def test_norm_validation_refuses_non_finite_amplitudes():
     for amps in ([np.nan, 0.0], [np.inf, 0.0], [1.0, -np.inf], [np.nan, np.inf]):
         for normalize in (False, True):
@@ -834,6 +844,102 @@ def test_unitarity_residues_of_isometry_stacks(rng):
     assert residues[2] == np.inf and np.isnan(residues[3])
     square = np.array([haar_unitary(4, rng), np.eye(4)])
     assert np.all(_unitarity_residues(square) <= 1e-12)
+
+
+def test_a_stack_of_one_block_keeps_the_residue_of_the_whole_product(rng):
+    # up to 64 columns the residue is the one product of the whole stack
+    from dfscodec.statevec import _unitarity_residues
+
+    for n, c in [(2, 2), (8, 3), (64, 64)]:
+        stack = rng.normal(size=(3, n, c)) + 1j * rng.normal(size=(3, n, c))
+        whole = (stack.conj().transpose(0, 2, 1) @ stack).reshape(3, -1)
+        whole[:, :: c + 1] -= 1
+        assert _unitarity_residues(stack).tobytes() == np.abs(whole).max(axis=1).tobytes()
+
+
+def test_unitarity_residues_carry_nan_and_inf_across_blocks(rng):
+    # 256 columns are four blocks of 64: a NaN entry, and the overflow of a 1e200
+    # entry in the first block, survive the max over the blocks
+    from dfscodec.statevec import _unitarity_residues
+
+    u = haar_unitary(256, rng)
+    nan, huge = u.copy(), u.copy()
+    nan[3, 200], huge[100, 5] = np.nan, 1e200
+    residues = _unitarity_residues(np.array([u, nan, huge]))
+    assert residues[0] <= 1e-12
+    assert np.isnan(residues[1]) and residues[2] == np.inf
+
+
+def test_unitarity_check_peaks_at_a_fraction_of_the_matrix(rng):
+    # a block of 128 conjugated columns, its 128 rows of U^H U and their moduli: 0.38x
+    # the bytes of a 1024 x 1024 unitary, where the whole conjugate and product took 2.0x
+    from dfscodec.statevec import _unitarity_residues
+
+    u = haar_unitary(1024, rng)[None]
+    tracemalloc.start()
+    try:
+        residue = _unitarity_residues(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residue[0] <= 1e-12
+    assert peak < 0.5 * u.nbytes
+
+
+def test_a_frozen_matrix_that_owns_its_data_is_checked_once_while_it_lives(monkeypatch, rng):
+    import gc
+
+    from dfscodec import statevec
+
+    state = random_state(2, 3, rng)
+    checked = []
+    real = statevec._unitarity_residues
+    monkeypatch.setattr(statevec, "_unitarity_residues",
+                        lambda stack: checked.append(stack.shape) or real(stack))
+    u = haar_unitary(4, rng)
+    u.setflags(write=False)
+    for _ in range(3):
+        apply_controlled(state, [], u, [0, 2])
+    assert checked == [(1, 4, 4)]
+    # the same matrix on another width is another check, and a writable one is
+    # checked on every run
+    apply_controlled(state, [], haar_unitary(2, rng), [1])
+    assert len(checked) == 2
+    loose = haar_unitary(4, rng)
+    for _ in range(2):
+        apply_controlled(state, [], loose, [0, 1])
+    assert len(checked) == 4
+    # made writable again, it is checked again; its entry dies with it
+    u.setflags(write=True)
+    apply_controlled(state, [], u, [0, 2])
+    assert len(checked) == 5
+    key = (id(u), 4)
+    u.setflags(write=False)
+    apply_controlled(state, [], u, [0, 2])
+    assert key in statevec._CERTIFIED
+    del u
+    gc.collect()
+    assert key not in statevec._CERTIFIED
+
+
+def test_a_frozen_matrix_is_trusted_only_once_certified_and_only_if_it_owns_its_data(rng):
+    from dfscodec import statevec
+
+    state = random_state(2, 3, rng)
+    bad = np.diag([1.0, 2.0]).astype(complex)
+    bad.setflags(write=False)
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch, match="not unitary"):
+            apply_controlled(state, [], bad, [0])
+    assert (id(bad), 2) not in statevec._CERTIFIED
+    # a read-only view of a writable array can change under it: checked every run
+    base = np.eye(4, dtype=complex)
+    view = base[:]
+    view.setflags(write=False)
+    apply_controlled(state, [], view, [0, 1])
+    base[0, 0] = 2
+    with pytest.raises(DimensionMismatch, match="not unitary"):
+        apply_controlled(state, [], view, [0, 1])
 
 
 def test_non_finite_projector_is_refused(rng):
