@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, groupby, product
 from operator import sub
 
@@ -70,8 +71,11 @@ class StateVector:
 
 
 def _finite_norm(arr: np.ndarray) -> float:
-    """The norm every division by a state's norm uses: its bits pin goldens."""
-    return _finite(np.linalg.norm(arr))
+    """The norm every division by a state's norm uses: its bits pin goldens.  An
+    overflow gives inf, refused by :func:`_finite` without numpy's warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(arr)
+    return _finite(norm)
 
 
 def _finite(norm: float) -> float:
@@ -128,11 +132,15 @@ def _unitarity_residues(stack: np.ndarray) -> np.ndarray:
     return out
 
 
+def _front(tensor: np.ndarray, axes) -> np.ndarray:
+    """``tensor`` with ``axes`` moved to the front, in order: one transpose by the
+    permutation ``[*axes, *rest]``, the view ``np.moveaxis`` makes."""
+    return tensor.transpose([*axes, *(a for a in range(tensor.ndim) if a not in axes)])
+
+
 def _to_front(tensor: np.ndarray, axes, d: int) -> np.ndarray:
-    """``axes`` moved to the front, in order, and flattened to a (d^k, rest) block:
-    one transpose by the permutation ``[*axes, *rest]``, the view ``np.moveaxis`` makes."""
-    rest = [a for a in range(tensor.ndim) if a not in axes]
-    return tensor.transpose([*axes, *rest]).reshape(d ** len(axes), -1)
+    """:func:`_front` flattened to a (d^k, rest) block."""
+    return _front(tensor, axes).reshape(d ** len(axes), -1)
 
 
 def _from_front(block: np.ndarray, axes, ndim: int, d: int) -> np.ndarray:
@@ -147,19 +155,24 @@ def _apply(tensor: np.ndarray, op: np.ndarray, targets, controls, columns: int) 
     writable ``(d,)*n`` tensor, wherever every control matches.  ``columns`` is the
     block's width on the whole register: a narrower block is multiplied with zero
     columns appended up to ``min(MIN_BLOCK_COLUMNS, columns)``, and only its own
-    columns are kept."""
-    n, d = tensor.ndim, tensor.shape[0]
-    index: list = [slice(None)] * n
+    columns are kept.
+
+    The block is gathered once, into the zero-padded buffer or as the
+    :func:`_to_front` block, and the product is written back once, through the
+    transposed view of the matched slice."""
+    index: list = [slice(None)] * tensor.ndim
     for w, v in controls:
         index[w] = v
-    sub = tensor[tuple(index)]
     # axis rank of each target among the non-control wires, in the sliced view
-    axes = [t - sum(w < t for w, _ in controls) for t in targets]
-    block = _to_front(sub, axes, d)
-    width, pad = block.shape[1], min(MIN_BLOCK_COLUMNS, columns) - block.shape[1]
-    if pad > 0:
-        block = np.concatenate((block, np.zeros((len(block), pad), dtype=block.dtype)), axis=1)
-    tensor[tuple(index)] = _from_front((op @ block)[:, :width], axes, sub.ndim, d)
+    front = _front(tensor[tuple(index)], [t - sum(w < t for w, _ in controls) for t in targets])
+    dim = tensor.shape[0] ** len(targets)
+    width, padded = front.size // dim, min(MIN_BLOCK_COLUMNS, columns)
+    if padded > width:
+        block = np.zeros((dim, padded), dtype=tensor.dtype)
+        block[:, :width].reshape(front.shape)[...] = front  # splitting axes: a view
+    else:
+        block = front.reshape(dim, width)
+    front[...] = (op @ block)[:, :width].reshape(front.shape)
 
 
 def _move(tensor: np.ndarray, source, target: int, controls=()) -> None:
@@ -202,6 +215,15 @@ def _check_operands(d: int, n: int, controls, targets) -> tuple[list, list[int]]
         if not (0 <= w < n) or not (0 <= v < d):
             raise BadTarget(f"control ({w},{v}) out of range")
     return controls, targets
+
+
+@lru_cache(maxsize=4096)
+def _layout(d: int, n: int, controls: tuple, targets: tuple) -> tuple[tuple, tuple]:
+    """:func:`_check_operands` of one hashable layout, as tuples: each distinct
+    layout is checked once while it stays in the cache; a refused one raises and
+    is not stored."""
+    controls, targets = _check_operands(d, n, controls, targets)
+    return tuple(controls), tuple(targets)
 
 
 # OpenBLAS gives the last ``width % 4`` columns of a product other bits than they
@@ -275,23 +297,56 @@ def _cycles(source) -> list[list[int]]:
     return cycles
 
 
-# Each matrix that passed the unitarity check at a width while read-only and the
-# owner of its data, by ``(id, width)``: a weak reference whose callback drops the
-# entry when the array dies, so no id is reused while its entry stands.
+# The certificate of each read-only array that owns its data and whose matrices
+# were checked as ``width x width`` unitaries, by ``(id, width)``: a list of a weak
+# reference whose callback drops the entry when the array dies, so no id is reused
+# while its entry stands; the array's address, which locates a view in it; whether
+# each matrix passed; and each matrix's :func:`_digit_source`, found on first use
+# by a one-target op.  The array is one matrix, or a ``(k, width, width)`` stack
+# whose matrices are used as views, such as ``UnitaryRep.matrices``.
 _CERTIFIED: dict = {}
 
 
-def _certified(op: np.ndarray, dim: int) -> bool:
-    """Whether ``op`` passed the check as a ``dim x dim`` unitary and has stayed
-    read-only since; a certified matrix seen writable loses its entry."""
-    key = (id(op), dim)
-    ref = _CERTIFIED.get(key)
-    if ref is None or ref() is not op:
-        return False
-    if op.flags.writeable or op.shape != (dim, dim):
-        del _CERTIFIED[key]
-        return False
-    return True
+def _certificate(op: np.ndarray, dim: int) -> tuple[list, int] | None:
+    """``(entry, i)`` when ``op`` is matrix ``i`` of the read-only array that owns
+    its data and that matrix passed the check as a ``dim x dim`` unitary: the
+    array's ``_CERTIFIED`` entry, made on first sight with one stacked residue.
+    ``None`` for a matrix that failed, a writable one, or a view of anything but
+    a matrix of a frozen stack; an owner seen writable loses its entry."""
+    owner, i = op, 0
+    if not op.flags.owndata:
+        owner = op.base
+        if not (isinstance(owner, np.ndarray) and owner.flags.owndata and owner.ndim == 3
+                and owner.shape[1:] == op.shape == (dim, dim) and owner.dtype == op.dtype
+                and owner.strides[1:] == op.strides):
+            return None
+    elif op.shape != (dim, dim):
+        return None
+    key = (id(owner), dim)
+    if owner.flags.writeable:
+        _CERTIFIED.pop(key, None)
+        return None
+    entry = _CERTIFIED.get(key)
+    if entry is None or entry[0]() is not owner:
+        passed = _unitarity_residues(owner if owner.ndim == 3 else owner[None]) <= UNITARY_TOL
+        if not passed.any():
+            return None
+        ref = weakref.ref(owner, lambda _, key=key: _CERTIFIED.pop(key, None))
+        entry = _CERTIFIED[key] = [ref, owner.ctypes.data, passed, None]
+    if owner is not op:
+        i, rest = divmod(op.ctypes.data - entry[1], owner.strides[0])
+        if rest or not 0 <= i < len(owner):
+            return None
+    return (entry, i) if entry[2][i] else None
+
+
+def _trusted_source(entry: list, i: int, d: int) -> list[int] | None:
+    """The :func:`_digit_source` of matrix ``i`` of a certificate's ``(d, d)`` owner,
+    found for every matrix of the owner on first use."""
+    if entry[3] is None:
+        owner = entry[0]()
+        entry[3] = [_digit_source(m, d) for m in (owner if owner.ndim == 3 else [owner])]
+    return entry[3][i]
 
 
 def _checked_ops(d: int, n: int, ops) -> list:
@@ -300,13 +355,17 @@ def _checked_ops(d: int, n: int, ops) -> list:
     source)``: for a one-target op that is a 0/1 permutation, its
     :func:`_digit_source`; ``None`` for any other op.
 
-    A matrix that is read-only and owns its data is checked once while it lives
-    (``_CERTIFIED``): a frozen matrix the package built and certified, such as an
-    encoder's basis change, is trusted to that check, as ``TokenSet.overlaps``
-    trusts its certificate.  Any other matrix (writable, a view, or one that
-    failed) is checked on every call, and so is a certified one made writable
-    again.  One made writable, changed and frozen again between two calls keeps
-    its entry: freezing is the promise that it does not change.
+    Each distinct ``(d, n, controls, targets)`` layout is checked once
+    (:func:`_layout`); lists among the wires are made tuples first.  A matrix
+    whose data is owned by a read-only array is checked once while that array
+    lives (:func:`_certificate`): the array is the matrix itself or the frozen
+    stack it is a view of.  A frozen matrix the package built and certified, such
+    as an encoder's basis change or a rep's matrices, is trusted to that check, as
+    ``TokenSet.overlaps`` trusts its certificate.  Any other matrix (writable, a
+    view of a writable array, or one that failed) is checked on every call, and
+    so is a certified one whose owner is made writable again.  One made writable,
+    changed and frozen again between two calls keeps its entry: freezing is the
+    promise that it does not change.
 
     The first invalid op in list order raises: when an op's wires are bad, the
     matrices of the ops before it are checked first."""
@@ -315,21 +374,22 @@ def _checked_ops(d: int, n: int, ops) -> list:
     out = []
     try:
         for matrix, controls, targets in ops:
-            controls, targets = _check_operands(d, n, controls, targets)
-            op = np.asarray(matrix, dtype=np.complex128)
+            try:
+                controls, targets = _layout(d, n, controls, targets)
+            except TypeError:  # a list among the wires cannot be hashed: its tuples can
+                controls, targets = _layout(d, n, tuple(map(tuple, controls)), tuple(targets))
             key = (id(matrix), len(targets))
             if key not in first:
-                source = _digit_source(op, d) if len(targets) == 1 else None
-                first[key] = (matrix, op, d ** len(targets), source)
-            out.append((op, controls, targets, first[key][3]))
+                first[key] = (matrix, np.asarray(matrix, dtype=np.complex128), d ** len(targets))
+            out.append((key, controls, targets))
     finally:
-        due = [(op, dim) for _, op, dim, _ in first.values() if not _certified(op, dim)]
-        _check_unitaries(d, due)
-        for op, dim in due:
-            if not op.flags.writeable and op.flags.owndata:
-                key = (id(op), dim)
-                _CERTIFIED[key] = weakref.ref(op, lambda _, key=key: _CERTIFIED.pop(key, None))
-    return out
+        trusted = {key: _certificate(op, dim) for key, (_, op, dim) in first.items()}
+        _check_unitaries(d, [(op, dim) for key, (_, op, dim) in first.items() if not trusted[key]])
+    sources = {}
+    for key, (_, op, dim) in first.items():
+        if dim == d:  # one target
+            sources[key] = _trusted_source(*trusted[key], d) if trusted[key] else _digit_source(op, d)
+    return [(first[key][1], controls, targets, sources.get(key)) for key, controls, targets in out]
 
 
 def _hold(tensor: np.ndarray, keys: list, wire: dict, joining) -> tuple[np.ndarray, list]:
@@ -603,7 +663,8 @@ def apply_collective(state: StateVector, u: np.ndarray, targets=None) -> StateVe
     """
     targets = set(_check_wires(state.n, range(state.n) if targets is None else targets))
     u = np.asarray(u, dtype=np.complex128)
-    _check_unitaries(state.d, [(u, state.d)])
+    if _certificate(u, state.d) is None:
+        _check_unitaries(state.d, [(u, state.d)])
     amps = _collective_rows(state.amps[None], u, state.n, targets)[0]
     return StateVector(d=state.d, n=state.n, amps=amps)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from dfscodec import statevec
 from dfscodec.codec import prepare_protocol
 from dfscodec.groups import builtin_group, validate_group
 from dfscodec.reps import UnitaryRep, pauli_rep, s3_two_dim_rep, zn_phase_rep
@@ -44,6 +45,14 @@ def context_for():
         return _CONTEXT_CACHE[spec]
 
     return get
+
+
+@pytest.fixture
+def fresh_memos():
+    """The runner's memos emptied, the checked layouts and the certified matrices,
+    so a test that counts checks sees every first check whatever ran before it."""
+    statevec._layout.cache_clear()
+    statevec._CERTIFIED.clear()
 
 
 @pytest.fixture

@@ -340,7 +340,8 @@ def test_apply_t_direct_holds_one_copy_of_the_matrix():
     assert peak < 1.5 * change.nbytes
 
 
-def test_one_token_set_completes_and_checks_its_basis_change_once(monkeypatch, rng):
+def test_one_token_set_completes_and_checks_its_basis_change_once(fresh_memos, monkeypatch,
+                                                                    rng):
     # T depends on the token set alone: the z8 general encoders for m = 1-4, built
     # and run from one token set, complete the 2^7 x 2^7 T by one QR and check it once
     from dfscodec import statevec
@@ -358,6 +359,36 @@ def test_one_token_set_completes_and_checks_its_basis_change_once(monkeypatch, r
     assert len(calls) == 1
     assert checked.count((1, 128, 128)) == 1
     assert pipeline.t_plan.gates[0].matrix is apply_t_direct(tokens)
+
+
+@pytest.mark.parametrize("spec,rep_spec,m,path,network", [
+    ("z8", "builtin", 7, "cyclic", True), ("z8", "builtin", 3, "general", False),
+    ("k4", "builtin", 6, "abelian", False), ("s3", "builtin-2d", 3, "general", False),
+])
+def test_a_second_encoder_from_one_token_set_checks_nothing_again(spec, rep_spec, m, path,
+                                                                  network, fresh_memos,
+                                                                  monkeypatch, rng):
+    # the four encoders of the circuit benchmark: a second pipeline has fresh gates and
+    # views of the rep's matrices, but the same layouts and the same frozen owners
+    from dfscodec import statevec
+    from dfscodec.reps import builtin_rep
+
+    rep = builtin_rep(builtin_group(spec), rep_spec, 2)
+    tokens = network_token_set(rep) if network else prepare_protocol(rep).tokens
+    message = random_state(2, m, rng)
+    calls: list = []
+    for name in ("_unitarity_residues", "_check_operands", "_digit_source"):
+        real = getattr(statevec, name)
+        monkeypatch.setattr(statevec, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    runs, states = [], []
+    for _ in range(2):
+        calls.clear()
+        states.append(build_encoding_pipeline(tokens, m, path, cyclic_network=network).run(message))
+        runs.append(set(calls))
+    assert runs == [{"_unitarity_residues", "_check_operands", "_digit_source"}, set()]
+    assert states[0].amps.tobytes() == states[1].amps.tobytes()
+    assert fidelity(states[1], encode(tokens, message)) > 1 - 1e-12
 
 
 def test_a_shared_basis_change_made_writable_is_checked_again(rng):

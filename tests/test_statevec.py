@@ -19,6 +19,7 @@ from dfscodec.statevec import (
     MIN_BLOCK_COLUMNS,
     MONOMIAL_MIN_BLOCK,
     StateVector,
+    _apply,
     _check_operands,
     _checked_ops,
     _collective_rows,
@@ -940,6 +941,137 @@ def test_a_frozen_matrix_is_trusted_only_once_certified_and_only_if_it_owns_its_
     base[0, 0] = 2
     with pytest.raises(DimensionMismatch, match="not unitary"):
         apply_controlled(state, [], view, [0, 1])
+
+
+def test_a_frozen_stack_is_certified_once_and_trusted_through_its_views(fresh_memos,
+                                                                        monkeypatch, rng):
+    import gc
+
+    from dfscodec import statevec
+
+    state = random_state(2, 3, rng)
+    checked = []
+    real = statevec._unitarity_residues
+    monkeypatch.setattr(statevec, "_unitarity_residues",
+                        lambda stack: checked.append(stack.shape) or real(stack))
+    stack = np.array([haar_unitary(2, rng), X, np.diag([1.0, 2.0]), haar_unitary(2, rng)])
+    stack.setflags(write=False)
+    key = (id(stack), 2)
+    # each read-only view is a fresh object; the stack they come from is checked
+    # once, by one batched residue, and keeps each matrix's digit source
+    for _ in range(2):
+        for i in (0, 1, 3):
+            apply_controlled(state, [(2, 1)], stack[i], [0])
+            apply_collective(state, stack[i])
+    assert checked == [(4, 2, 2)]
+    assert _checked_ops(2, 3, [(stack[1], (), (0,))])[0][3] == [1, 0]
+    assert statevec._CERTIFIED[key][3] == [None, [1, 0], None, None]
+    # its one failing matrix is refused on every call, by the check of that matrix
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch, match="not unitary"):
+            apply_controlled(state, [], stack[2], [1])
+        with pytest.raises(DimensionMismatch, match="not unitary"):
+            apply_collective(state, stack[2])
+    assert checked.count((4, 2, 2)) == 1 and set(checked[1:]) == {(1, 2, 2)}
+    # only a whole matrix of the stack is trusted, never another view of its data
+    part = stack.reshape(8, 2)[1:3]
+    assert part.strides == stack.strides[1:]
+    assert statevec._certificate(part, 2) is None
+    assert statevec._certificate(stack[3], 2)[1] == 3
+    # made writable and changed, the stack loses its entry and the next run raises
+    stack.setflags(write=True)
+    stack[0] *= 2
+    assert statevec._certificate(stack[0], 2) is None and key not in statevec._CERTIFIED
+    view = stack[0]
+    view.setflags(write=False)
+    with pytest.raises(DimensionMismatch, match="not unitary"):
+        apply_controlled(state, [], view, [0])
+    with pytest.raises(DimensionMismatch, match="not unitary"):
+        apply_collective(state, view)
+    # frozen again it is certified again, and its entry dies with it
+    stack.setflags(write=False)
+    apply_controlled(state, [], stack[1], [0])
+    assert key in statevec._CERTIFIED
+    del stack, view, part
+    gc.collect()
+    assert key not in statevec._CERTIFIED
+
+
+def test_each_layout_is_checked_once_and_a_refused_one_on_every_call(fresh_memos,
+                                                                    monkeypatch, rng):
+    from dfscodec import statevec
+
+    calls = []
+    real = statevec._check_operands
+    monkeypatch.setattr(statevec, "_check_operands",
+                        lambda *args: calls.append(args[2:]) or real(*args))
+    state = random_state(2, 3, rng)
+    u = haar_unitary(2, rng)
+    for _ in range(2):
+        with pytest.raises(BadTarget, match="control and target sets overlap"):
+            apply_controlled(state, [(0, 1)], u, [0])
+        with pytest.raises(BadTarget, match="qudit 3 out of range for 3 qudits"):
+            apply_controlled(state, [], u, [3])
+    assert len(calls) == 4 and statevec._layout.cache_info().currsize == 0
+    # lists are made tuples, so a list and a tuple of one layout share its check
+    first = apply_controlled(state, [[1, 0]], u, [2])
+    again = apply_controlled(state, ((1, 0),), u, (2,))
+    assert first.amps.tobytes() == again.amps.tobytes()
+    assert calls[4:] == [(((1, 0),), (2,))]
+    assert _checked_ops(2, 3, [(u, [[1, 0]], [2])])[0][1:3] == (((1, 0),), (2,))
+    assert len(calls) == 5
+
+
+def copying_apply(tensor, op, targets, controls, columns):
+    """The block kernel as it was before it gathered and wrote each block once,
+    kept as the reference: the gathered block, a padded copy of it, and the
+    product scattered back through an assignment to the matched slice."""
+    n, d = tensor.ndim, tensor.shape[0]
+    index: list = [slice(None)] * n
+    for w, v in controls:
+        index[w] = v
+    sub = tensor[tuple(index)]
+    axes = [t - sum(w < t for w, _ in controls) for t in targets]
+    block = _to_front(sub, axes, d)
+    width, pad = block.shape[1], min(MIN_BLOCK_COLUMNS, columns) - block.shape[1]
+    if pad > 0:
+        block = np.concatenate((block, np.zeros((len(block), pad), dtype=block.dtype)), axis=1)
+    tensor[tuple(index)] = _from_front((op @ block)[:, :width], axes, sub.ndim, d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_block_kernel_keeps_the_bits_of_the_copying_kernel(d, rng):
+    # controlled, multi-target and padded products on random tensors: columns
+    # above the block's width are the idle wires of a larger register
+    for _ in range(300):
+        n = int(rng.integers(1, 8 if d == 2 else 6))
+        wires = [int(w) for w in rng.permutation(n)]
+        k = int(rng.integers(1, min(n, 3) + 1))
+        c = int(rng.integers(0, n - k + 1))
+        targets = wires[:k]
+        controls = [(w, int(rng.integers(d))) for w in sorted(wires[k : k + c])]
+        width = d ** (n - k - c)
+        columns = width * d ** int(rng.integers(0, 7))
+        op = haar_unitary(d**k, rng)
+        tensor = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
+        expected = tensor.copy()
+        copying_apply(expected, op, targets, controls, columns)
+        _apply(tensor, op, targets, controls, columns)
+        assert tensor.tobytes() == expected.tobytes()
+
+
+def test_normalizing_refuses_an_overflowing_norm_without_a_warning(rng):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="state amplitudes are not finite"):
+            StateVector.from_amplitudes(2, 1, [1e200, 1e200], normalize=True)
+    # the division keeps its bits
+    for size in (2, 8, 2**10):
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        state = StateVector.from_amplitudes(2, size.bit_length() - 1, amps, normalize=True)
+        assert state.amps.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
 
 
 def test_non_finite_projector_is_refused(rng):
