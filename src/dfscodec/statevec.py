@@ -10,7 +10,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, groupby, product
+from itertools import chain, compress, groupby, product
 from operator import sub
 
 import numpy as np
@@ -132,15 +132,11 @@ def _unitarity_residues(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _front(tensor: np.ndarray, axes) -> np.ndarray:
-    """``tensor`` with ``axes`` moved to the front, in order: one transpose by the
-    permutation ``[*axes, *rest]``, the view ``np.moveaxis`` makes."""
-    return tensor.transpose([*axes, *(a for a in range(tensor.ndim) if a not in axes)])
-
-
 def _to_front(tensor: np.ndarray, axes, d: int) -> np.ndarray:
-    """:func:`_front` flattened to a (d^k, rest) block."""
-    return _front(tensor, axes).reshape(d ** len(axes), -1)
+    """``tensor`` with ``axes`` moved to the front, in order, by one transpose (the
+    view ``np.moveaxis`` makes), flattened to a (d^k, rest) block."""
+    rest = [a for a in range(tensor.ndim) if a not in axes]
+    return tensor.transpose([*axes, *rest]).reshape(d ** len(axes), -1)
 
 
 def _from_front(block: np.ndarray, axes, ndim: int, d: int) -> np.ndarray:
@@ -150,23 +146,13 @@ def _from_front(block: np.ndarray, axes, ndim: int, d: int) -> np.ndarray:
     return block.reshape([d] * ndim).transpose(sorted(range(ndim), key=perm.__getitem__))
 
 
-def _apply(tensor: np.ndarray, op: np.ndarray, targets, controls, columns: int) -> None:
-    """The block kernel, unchecked: ``op @ block`` on ``targets``, in place in the
-    writable ``(d,)*n`` tensor, wherever every control matches.  ``columns`` is the
-    block's width on the whole register: a narrower block is multiplied with zero
-    columns appended up to ``min(MIN_BLOCK_COLUMNS, columns)``, and only its own
-    columns are kept.
-
-    The block is gathered once, into the zero-padded buffer or as the
-    :func:`_to_front` block, and the product is written back once, through the
-    transposed view of the matched slice."""
-    index: list = [slice(None)] * tensor.ndim
-    for w, v in controls:
-        index[w] = v
-    # axis rank of each target among the non-control wires, in the sliced view
-    front = _front(tensor[tuple(index)], [t - sum(w < t for w, _ in controls) for t in targets])
-    dim = tensor.shape[0] ** len(targets)
-    width, padded = front.size // dim, min(MIN_BLOCK_COLUMNS, columns)
+def _apply(tensor: np.ndarray, op: np.ndarray, index: tuple, axes: tuple, padded: int) -> None:
+    """The block kernel, unchecked: ``op @ block`` in place, on the targets the transpose
+    ``axes`` puts in front of the matched slice ``tensor[index]`` (:func:`_product`),
+    with zero columns appended up to ``padded`` and only its own kept.  The block is
+    gathered once, padded or by a reshape, and written back once, through the view."""
+    front = tensor[index].transpose(axes)
+    dim, width = len(op), front.size // len(op)
     if padded > width:
         block = np.zeros((dim, padded), dtype=tensor.dtype)
         block[:, :width].reshape(front.shape)[...] = front  # splitting axes: a view
@@ -175,21 +161,35 @@ def _apply(tensor: np.ndarray, op: np.ndarray, targets, controls, columns: int) 
     front[...] = (op @ block)[:, :width].reshape(front.shape)
 
 
-def _move(tensor: np.ndarray, source, target: int, controls=()) -> None:
-    """The permutation kernel, unchecked: digit ``a`` of ``target`` takes the
-    amplitudes of digit ``source[a]``, in place in the writable ``(d,)*n`` tensor
-    wherever every control matches, one cycle of :func:`_cycles` at a time.  Each
-    digit is indexed directly.  Copies, no arithmetic: the values ``op @ block``
-    gives for the op's exact 0s and 1s."""
-    index: list = [slice(None)] * tensor.ndim
-    for w, v in controls:
-        index[w] = v
-    digit = [(*index[:target], a, *index[target + 1:]) for a in range(tensor.shape[0])]
-    for cycle in _cycles(source):
-        saved = tensor[digit[cycle[0]]].copy()
+def _product(ndim: int, targets, controls, columns: int) -> tuple:
+    """The ``(index, axes, padded)`` of :func:`_apply` on the axes ``targets`` where every
+    ``(axis, digit)`` control matches, ``columns`` the block's width on the register."""
+    digits = dict(controls)
+    index = [digits.get(a, slice(None)) for a in range(ndim)]
+    # axis rank of each target among the non-control wires, in the sliced view
+    ranks = [t - sum(w < t for w, _ in controls) for t in targets]
+    axes = (*ranks, *(a for a in range(ndim - len(controls)) if a not in ranks))
+    return tuple(index), axes, min(MIN_BLOCK_COLUMNS, columns)
+
+
+def _move(tensor: np.ndarray, cycles) -> None:
+    """The permutation kernel, unchecked: along each cycle ``[i, ..., k]`` of indices
+    (:func:`_moves`), each slice takes the next one's amplitudes and ``tensor[k]``
+    those ``i`` held.  Copies: the values ``op @ block`` gives for exact 0s and 1s."""
+    for cycle in cycles:
+        saved = tensor[cycle[0]].copy()
         for a, b in zip(cycle, cycle[1:]):
-            tensor[digit[a]] = tensor[digit[b]]
-        tensor[digit[cycle[-1]]] = saved
+            tensor[a] = tensor[b]
+        tensor[cycle[-1]] = saved
+
+
+def _moves(ndim: int, source, target: int, controls=()) -> tuple:
+    """The cycles of :func:`_move` that give digit ``a`` of axis ``target`` the amplitudes
+    of digit ``source[a]`` wherever every ``(axis, digit)`` control matches."""
+    digits = dict(controls)
+    index = [digits.get(a, slice(None)) for a in range(ndim)]
+    digit = [(*index[:target], a, *index[target + 1:]) for a in range(len(source))]
+    return tuple(tuple(digit[a] for a in cycle) for cycle in _cycles(source))
 
 
 def _check_wires(n: int, wires) -> list[int]:
@@ -217,11 +217,17 @@ def _check_operands(d: int, n: int, controls, targets) -> tuple[list, list[int]]
     return controls, targets
 
 
+def _ints(values) -> bool:
+    """Whether every value is a Python int: only keys of such values use a memo,
+    which compares keys by ``==`` (``1 + 0j == 1``, though ``int()`` refuses it)."""
+    return all(type(v) is int for v in values)
+
+
 @lru_cache(maxsize=4096)
 def _layout(d: int, n: int, controls: tuple, targets: tuple) -> tuple[tuple, tuple]:
     """:func:`_check_operands` of one hashable layout, as tuples: each distinct
-    layout is checked once while it stays in the cache; a refused one raises and
-    is not stored."""
+    layout of Python ints is checked once while it stays in the cache; a refused
+    one raises and is not stored."""
     controls, targets = _check_operands(d, n, controls, targets)
     return tuple(controls), tuple(targets)
 
@@ -236,19 +242,24 @@ MIN_BLOCK_COLUMNS = 64
 
 
 def _check_unitaries(d: int, ops: list) -> None:
-    """Each ``(op, dim)`` checked to be a ``dim x dim`` unitary, the first failure in
-    order raised; the ``(d, d)`` ops of one-wire gates share one stacked residue."""
-    small = [i for i, (op, dim) in enumerate(ops) if dim == d and op.shape == (d, d)]
-    passed = np.zeros(len(ops), dtype=bool)
+    """Each ``(op, dim, known)`` checked to be a ``dim x dim`` unitary, the first failure
+    in order raised.  ``known`` is its :func:`_certificate`: a certified op passes and
+    a refused one fails, neither computed again.  The ``(d, d)`` ops of one-wire gates
+    among the others share one stacked residue."""
+    passed = [known for _, _, known in ops]
+    small = [i for i, (op, dim, known) in enumerate(ops)
+             if known is None and op.shape == (d, d) == (dim, dim)]
     if small:
-        passed[small] = _unitarity_residues(np.array([ops[i][0] for i in small])) <= UNITARY_TOL
-    for (op, dim), ok in zip(ops, passed):
+        for i, residue in zip(small, _unitarity_residues(np.array([ops[i][0] for i in small]))):
+            passed[i] = residue <= UNITARY_TOL
+    for (op, dim, _), ok in zip(ops, passed):
         if ok:
             continue
         if op.shape != (dim, dim):
             raise DimensionMismatch(f"operator must be {dim}x{dim}, got {op.shape}")
-        if not _unitarity_residues(op[None])[0] <= UNITARY_TOL:
-            raise DimensionMismatch("operator is not unitary within tolerance")
+        if ok is None and _unitarity_residues(op[None])[0] <= UNITARY_TOL:
+            continue
+        raise DimensionMismatch("operator is not unitary within tolerance")
 
 
 def _monomial(op: np.ndarray) -> tuple[list[int], list] | None:
@@ -307,12 +318,13 @@ def _cycles(source) -> list[list[int]]:
 _CERTIFIED: dict = {}
 
 
-def _certificate(op: np.ndarray, dim: int) -> tuple[list, int] | None:
+def _certificate(op: np.ndarray, dim: int) -> tuple[list, int] | bool | None:
     """``(entry, i)`` when ``op`` is matrix ``i`` of the read-only array that owns
     its data and that matrix passed the check as a ``dim x dim`` unitary: the
-    array's ``_CERTIFIED`` entry, made on first sight with one stacked residue.
-    ``None`` for a matrix that failed, a writable one, or a view of anything but
-    a matrix of a frozen stack; an owner seen writable loses its entry."""
+    array's ``_CERTIFIED`` entry, made on first sight with one stacked residue and
+    not stored if no matrix passed.  ``False`` for such a matrix that failed,
+    ``None`` for a writable one or a view of anything but a matrix of a frozen
+    stack; an owner seen writable loses its entry."""
     owner, i = op, 0
     if not op.flags.owndata:
         owner = op.base
@@ -329,15 +341,15 @@ def _certificate(op: np.ndarray, dim: int) -> tuple[list, int] | None:
     entry = _CERTIFIED.get(key)
     if entry is None or entry[0]() is not owner:
         passed = _unitarity_residues(owner if owner.ndim == 3 else owner[None]) <= UNITARY_TOL
-        if not passed.any():
-            return None
-        ref = weakref.ref(owner, lambda _, key=key: _CERTIFIED.pop(key, None))
-        entry = _CERTIFIED[key] = [ref, owner.ctypes.data, passed, None]
+        entry = [None, owner.ctypes.data, passed, None]
+        if passed.any():
+            entry[0] = weakref.ref(owner, lambda _, key=key: _CERTIFIED.pop(key, None))
+            _CERTIFIED[key] = entry
     if owner is not op:
         i, rest = divmod(op.ctypes.data - entry[1], owner.strides[0])
         if rest or not 0 <= i < len(owner):
             return None
-    return (entry, i) if entry[2][i] else None
+    return (entry, i) if entry[2][i] else False
 
 
 def _trusted_source(entry: list, i: int, d: int) -> list[int] | None:
@@ -355,17 +367,17 @@ def _checked_ops(d: int, n: int, ops) -> list:
     source)``: for a one-target op that is a 0/1 permutation, its
     :func:`_digit_source`; ``None`` for any other op.
 
-    Each distinct ``(d, n, controls, targets)`` layout is checked once
-    (:func:`_layout`); lists among the wires are made tuples first.  A matrix
+    Each distinct ``(d, n, controls, targets)`` layout of Python ints, lists made
+    tuples, is checked once (:func:`_layout`), any other on every call.  A matrix
     whose data is owned by a read-only array is checked once while that array
     lives (:func:`_certificate`): the array is the matrix itself or the frozen
     stack it is a view of.  A frozen matrix the package built and certified, such
     as an encoder's basis change or a rep's matrices, is trusted to that check, as
     ``TokenSet.overlaps`` trusts its certificate.  Any other matrix (writable, a
-    view of a writable array, or one that failed) is checked on every call, and
-    so is a certified one whose owner is made writable again.  One made writable,
-    changed and frozen again between two calls keeps its entry: freezing is the
-    promise that it does not change.
+    view of a writable array, or one that failed) is checked once on every call,
+    and so is a certified one whose owner is made writable again.  One made
+    writable, changed and frozen again between two calls keeps its entry:
+    freezing is the promise that it does not change.
 
     The first invalid op in list order raises: when an op's wires are bad, the
     matrices of the ops before it are checked first."""
@@ -374,97 +386,101 @@ def _checked_ops(d: int, n: int, ops) -> list:
     out = []
     try:
         for matrix, controls, targets in ops:
-            try:
-                controls, targets = _layout(d, n, controls, targets)
-            except TypeError:  # a list among the wires cannot be hashed: its tuples can
-                controls, targets = _layout(d, n, tuple(map(tuple, controls)), tuple(targets))
+            controls, targets = tuple(map(tuple, controls)), tuple(targets)  # lists hash as tuples
+            check = _layout if _ints(chain(targets, *controls)) else _layout.__wrapped__
+            controls, targets = check(d, n, controls, targets)
             key = (id(matrix), len(targets))
             if key not in first:
                 first[key] = (matrix, np.asarray(matrix, dtype=np.complex128), d ** len(targets))
             out.append((key, controls, targets))
     finally:
-        trusted = {key: _certificate(op, dim) for key, (_, op, dim) in first.items()}
-        _check_unitaries(d, [(op, dim) for key, (_, op, dim) in first.items() if not trusted[key]])
+        certs = {key: _certificate(op, dim) for key, (_, op, dim) in first.items()}
+        _check_unitaries(d, [(op, dim, certs[key]) for key, (_, op, dim) in first.items()])
     sources = {}
     for key, (_, op, dim) in first.items():
         if dim == d:  # one target
-            sources[key] = _trusted_source(*trusted[key], d) if trusted[key] else _digit_source(op, d)
+            sources[key] = _trusted_source(*certs[key], d) if certs[key] else _digit_source(op, d)
     return [(first[key][1], controls, targets, sources.get(key)) for key, controls, targets in out]
 
 
-def _hold(tensor: np.ndarray, keys: list, wire: dict, joining) -> tuple[np.ndarray, list]:
-    """``tensor``, whose axes are keyed by the ascending wires ``keys``, widened by an
-    axis of its own for each wire of ``joining``; returns the new tensor and keys and
-    updates ``wire``, the runner's ``{wire: (axis, table)}`` map, to match.
+def _widen(keys, wire: dict, joining, d: int) -> tuple[tuple, tuple]:
+    """The new keys and ``(dst, src)`` index pairs of the :func:`_hold` that gives each
+    wire of ``joining`` an axis of its own in a tensor whose axes are keyed by the
+    ascending wires ``keys``; updates the runner's ``{wire: (axis, table)}`` map.
 
     At each digit ``s`` of the axis it read, a joining wire's new axis holds that
     slice's amplitudes at digit ``table[s]`` and zeros at its other digits; an idle
     wire's holds them all at its one digit.  The new axis goes after the old ones
-    keyed at or below its wire, and its table is the identity.  Each amplitude is
-    written once."""
-    d = tensor.shape[0]
+    keyed at or below its wire, with the identity table; each amplitude is copied once."""
     entries = [*keys, *joining]
     order = sorted(range(len(entries)), key=entries.__getitem__)  # stable: old axes first
     place = sorted(range(len(entries)), key=order.__getitem__)  # the new axis of each entry
     joins = [(place[i], *wire[w]) for i, w in enumerate(joining, len(keys))]
     sources = sorted({a for _, a, _ in joins if a is not None})
-    out = np.zeros((d,) * len(entries), dtype=tensor.dtype)
+    copies = []
     src, dst = [slice(None)] * len(keys), [slice(None)] * len(entries)
     for digits in product(range(d), repeat=len(sources)):
         for a, s in zip(sources, digits):
             src[a] = dst[place[a]] = s
         for new, a, table in joins:
             dst[new] = table[0 if a is None else src[a]]
-        out[tuple(dst)] = tensor[tuple(src)]
+        copies.append((tuple(dst), tuple(src)))
     wire.update({w: (place[a], table) for w, (a, table) in wire.items() if a is not None})
     identity = tuple(range(d))
     wire.update({w: (new, identity) for (new, _, _), w in zip(joins, joining)})
-    return out, [entries[i] for i in order]
+    return tuple(entries[i] for i in order), tuple(copies)
 
 
-def _run(tensor: np.ndarray, wires, n: int, ops, labels=()) -> np.ndarray:
-    """``(matrix, controls, targets)`` ops in order; returns the tensor of the
-    register, one axis per wire in wire order, less each wire of ``labels`` that
-    ends idle in |0>; the other wires of ``labels`` lead, in the order given.
+def _hold(tensor: np.ndarray, keys: tuple, copies: tuple) -> tuple[np.ndarray, tuple]:
+    """The widening kernel: a zeroed tensor of one axis per wire of ``keys``, each
+    ``(dst, src)`` of :func:`_widen` copying ``tensor[src]`` in; returns both."""
+    out = np.zeros((tensor.shape[0],) * len(keys), dtype=tensor.dtype)
+    for dst, src in copies:
+        out[dst] = tensor[src]
+    return out, keys
 
-    The writable ``tensor`` holds the ascending ``wires`` of an n-qudit register
-    whose every other wire is idle in |0>, and ops may write into it.  Every op is
-    validated on the whole register before any runs.
 
-    Each wire reads one held axis of the tensor, or none when idle, through a
-    table from stored digit to logical digit: a bijection on a held axis, a
-    constant on an idle wire.  Several wires may read one axis.  A control
-    matches the one stored digit its table maps to its value; on an idle wire it
-    drops out or skips the op.
+@lru_cache(maxsize=256)
+def _compile(d: int, n: int, wires: tuple, labels: tuple, layout: tuple) -> tuple:
+    """The schedule of :func:`_run` for the ``(controls, targets, source)`` of its ops
+    (:func:`_checked_ops`) on a tensor holding ``wires``: its kernel calls in order as
+    tuples, ``("hold", (keys, copies))``, ``("move", cycles)``, ``("apply", (i, index,
+    axes, padded))`` on the matrix of op ``i``, and ``("transpose", axes)``.  It reads no
+    amplitude or matrix, so each distinct key of Python ints is compiled once
+    while it stays among the 256 cached.  A schedule takes 0.25-0.75 KiB per kernel
+    call, more on more axes: 5-30 KiB for each bench encoder and the z16 network at
+    m = 5, so 256 schedules of that size hold under 8 MiB.
+
+    Each wire reads one held axis, or none when idle, through a table from stored
+    to logical digit: a bijection on a held axis, a constant on an idle wire;
+    several wires may read one axis.  A control matches the one stored digit its
+    table maps to its value; on an idle wire it drops out or skips the op.
 
     A one-target 0/1 permutation whose target and held controls read at most one
-    axis composes into the target's table and moves nothing: an uncontrolled one
-    relabels its target, a fan-out onto an idle wire makes the target read its
+    axis composes into the target's table and moves nothing: it relabels an
+    uncontrolled target, a fan-out onto an idle wire makes the target read its
     control's axis (a copy), and a fold, controlled by a copy of its target,
-    leaves the target a constant table, idle again.  At d >= 3 a fan-out's table
-    would be neither a bijection nor a constant, so such an op takes the path of
-    every other op.  That op first gives each wire it touches (a product touches
-    every held wire) an axis of its own where the wire is idle or shares its
-    axis (:func:`_hold`), and moves the tables of its targets and, for a product,
-    its columns into identity order (:func:`_move`): every product multiplies a
-    block of wires on axes of their own in identity order, which at d = 2 gives it
-    the bits of a run on the whole register (see ``MIN_BLOCK_COLUMNS``).  Then a
-    permutation goes through :func:`_move` and a product through :func:`_apply`.
+    leaves the target a constant table, idle again.  A d >= 3 fan-out, whose table would
+    be neither, goes on as any other op: it first gives each wire it touches (a
+    product, every held wire) an axis of its own where the wire is idle or shares
+    its axis (:func:`_hold`), and moves its targets' tables and a product's
+    columns into identity order (:func:`_move`), so every product multiplies
+    wires on axes of their own in identity order, with the bits at d = 2 of a
+    run on the whole register (``MIN_BLOCK_COLUMNS``).  Then it is a
+    :func:`_move` or an :func:`_apply`.
 
     The last write is the same pair: each held axis, keyed by its lowest reader
-    through a transposed view, gives every other reader and every idle wire it
-    returns an axis of its own in one :func:`_hold`, and :func:`_move` puts each
-    table in identity order.  When every wire already reads its own axis in order
-    through the identity, ``tensor`` itself is returned.
-    """
-    d = tensor.shape[0]
+    through a transpose, gives every other reader and every idle wire it returns
+    an axis of its own in one :func:`_hold`, and :func:`_move` puts each table in
+    identity order; the schedule of a run that writes nothing is empty."""
     identity = tuple(range(d))
     keys = list(wires)  # the wire each axis was made for, ascending
     wire = {w: (None, (0,) * d) for w in range(n)}
     wire.update((w, (i, identity)) for i, w in enumerate(keys))
     relabelled: set = set()  # held wires whose table may not be the identity
     copies: set = set()  # held wires that may share their axis: every reader of a shared one
-    for op, controls, targets, source in _checked_ops(d, n, ops):
+    steps: list = []
+    for i, (controls, targets, source) in enumerate(layout):
         if any(wire[w][0] is None and wire[w][1][0] != v for w, v in controls):
             continue  # an idle wire holds one digit, so this control never matches
         held = [(w, v) for w, v in controls if wire[w][0] is not None]
@@ -501,39 +517,74 @@ def _run(tensor: np.ndarray, wires, n: int, ops, labels=()) -> np.ndarray:
                 joining += [w for w in share if w in touched and w != keep]
             copies = copies - touched
         if joining:
-            tensor, keys = _hold(tensor, keys, wire, joining)
+            keys, pairs = _widen(keys, wire, joining, d)
+            steps.append(("hold", (keys, pairs)))
         if relabelled:  # a permutation's target, a product's targets and columns
             due = {t} if source is not None else relabelled.difference(w for w, _ in held)
             for w in due & relabelled:
                 a, table = wire[w]
                 if table != identity:
-                    _move(tensor, [table.index(x) for x in identity], a)
+                    steps.append(("move", _moves(len(keys), [table.index(x) for x in identity], a)))
                     wire[w] = (a, identity)
             relabelled -= due
         matched = [(wire[w][0], wire[w][1].index(v)) for w, v in held]
         if source is None:
             columns = d ** (n - len(targets) - len(controls))
-            _apply(tensor, op, [wire[u][0] for u in targets], matched, columns)
+            args = _product(len(keys), [wire[u][0] for u in targets], matched, columns)
+            steps.append(("apply", (i, *args)))
         else:
-            _move(tensor, source, wire[t][0], matched)
+            steps.append(("move", _moves(len(keys), source, wire[t][0], matched)))
     # each held axis keyed by its lowest reader: every held axis has one
     lowest = {a: w for w, (a, _) in sorted(wire.items(), reverse=True) if a is not None}
-    keys = [lowest[a] for a in range(tensor.ndim)]
+    keys = [lowest[a] for a in range(len(keys))]
     if keys != sorted(keys):
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        tensor, keys = tensor.transpose(order), sorted(keys)
+        keys, order = sorted(keys), sorted(range(len(keys)), key=keys.__getitem__)
+        steps.append(("transpose", tuple(order)))
         wire.update({w: (order.index(a), table) for w, (a, table) in wire.items() if a is not None})
     joining = [w for w, (a, table) in wire.items() if w not in keys and (a is not None
                or w not in labels or table[0] != 0)]
     if joining:
-        tensor, keys = _hold(tensor, keys, wire, joining)
+        keys, pairs = _widen(keys, wire, joining, d)
+        steps.append(("hold", (keys, pairs)))
     for a, table in wire.values():
         if a is not None and table != identity:
-            _move(tensor, [table.index(x) for x in identity], a)
+            steps.append(("move", _moves(len(keys), [table.index(x) for x in identity], a)))
     front = [wire[w][0] for w in labels if wire[w][0] is not None]
     if front != list(range(len(front))):
-        tensor = tensor.transpose([*front, *(a for a in range(tensor.ndim) if a not in front)])
+        steps.append(("transpose", (*front, *(a for a in range(len(keys)) if a not in front))))
+    return tuple(steps)
+
+
+def _execute(tensor: np.ndarray, matrices: list, schedule: tuple) -> np.ndarray:
+    """The kernel calls of a :func:`_compile` schedule, in order, on ``tensor`` and the
+    run's matrices.  Returns the last tensor, ``tensor`` itself if none replaced it."""
+    for kind, args in schedule:
+        if kind == "apply":
+            _apply(tensor, matrices[args[0]], *args[1:])
+        elif kind == "move":
+            _move(tensor, args)
+        else:
+            tensor = _hold(tensor, *args)[0] if kind == "hold" else tensor.transpose(args)
     return tensor
+
+
+def _run(tensor: np.ndarray, wires, n: int, ops, labels=()) -> np.ndarray:
+    """``(matrix, controls, targets)`` ops in order; returns the tensor of the
+    register, one axis per wire in wire order, less each wire of ``labels`` that
+    ends idle in |0>; the other wires of ``labels`` lead, in the order given.
+
+    The writable ``tensor`` holds the ascending ``wires`` of an n-qudit register
+    whose every other wire is idle in |0>, and ops may write into it.  Every op is
+    validated on the whole register first, on every call (:func:`_checked_ops`);
+    then :func:`_compile` decides every kernel call from the layout alone, and
+    :func:`_execute` makes them: a layout seen before replays its schedule."""
+    d = tensor.shape[0]
+    checked = _checked_ops(d, n, ops)
+    wires, labels = tuple(wires), tuple(labels)
+    layout = tuple((c, t, None if s is None else tuple(s)) for _, c, t, s in checked)
+    schedule = (_compile if _ints((n, *wires, *labels)) else _compile.__wrapped__)(
+        d, n, wires, labels, layout)
+    return _execute(tensor, [op for op, _, _, _ in checked], schedule)
 
 
 def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:
@@ -663,8 +714,7 @@ def apply_collective(state: StateVector, u: np.ndarray, targets=None) -> StateVe
     """
     targets = set(_check_wires(state.n, range(state.n) if targets is None else targets))
     u = np.asarray(u, dtype=np.complex128)
-    if _certificate(u, state.d) is None:
-        _check_unitaries(state.d, [(u, state.d)])
+    _check_unitaries(state.d, [(u, state.d, _certificate(u, state.d))])
     amps = _collective_rows(state.amps[None], u, state.n, targets)[0]
     return StateVector(d=state.d, n=state.n, amps=amps)
 

@@ -49,10 +49,12 @@ def context_for():
 
 @pytest.fixture
 def fresh_memos():
-    """The runner's memos emptied, the checked layouts and the certified matrices,
-    so a test that counts checks sees every first check whatever ran before it."""
+    """The runner's memos emptied, the checked layouts, the certified matrices and
+    the compiled schedules, so a test that counts checks or compiles sees every
+    first one whatever ran before it."""
     statevec._layout.cache_clear()
     statevec._CERTIFIED.clear()
+    statevec._compile.cache_clear()
 
 
 @pytest.fixture

@@ -381,14 +381,24 @@ def test_a_second_encoder_from_one_token_set_checks_nothing_again(spec, rep_spec
         real = getattr(statevec, name)
         monkeypatch.setattr(statevec, name, lambda *args, name=name, real=real:
                             calls.append(name) or real(*args))
-    runs, states = [], []
+    runs, states, compiled = [], [], []
     for _ in range(2):
         calls.clear()
+        misses = statevec._compile.cache_info().misses
         states.append(build_encoding_pipeline(tokens, m, path, cyclic_network=network).run(message))
         runs.append(set(calls))
+        compiled.append(statevec._compile.cache_info().misses - misses)
     assert runs == [{"_unitarity_residues", "_check_operands", "_digit_source"}, set()]
+    # the first build compiles its run's schedule; the second replays it
+    assert compiled == [1, 0]
     assert states[0].amps.tobytes() == states[1].amps.tobytes()
     assert fidelity(states[1], encode(tokens, message)) > 1 - 1e-12
+    # another m is another layout: compiled once, then replayed
+    other = random_state(2, m - 1, rng)
+    for expected in (1, 0):
+        misses = statevec._compile.cache_info().misses
+        build_encoding_pipeline(tokens, m - 1, path, cyclic_network=network).run(other)
+        assert statevec._compile.cache_info().misses - misses == expected
 
 
 def test_a_shared_basis_change_made_writable_is_checked_again(rng):

@@ -1,5 +1,6 @@
 import tracemalloc
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dfscodec.statevec import (
     _from_front,
     _fused_width,
     _monomial,
+    _product,
     _run,
     _to_front,
     apply_collective,
@@ -661,6 +663,204 @@ def test_relabelled_runs_equal_the_gates_one_by_one(d, rng):
             np.testing.assert_allclose(on_held, got, rtol=0, atol=1e-15)
 
 
+def hold_reference(tensor, keys, wire, joining):
+    """The widening as it was before the runner compiled schedules, kept as the
+    reference: it decides the new axes and copies the amplitudes in one pass, and
+    returns the new tensor and keys, updating ``wire`` to match."""
+    d = tensor.shape[0]
+    entries = [*keys, *joining]
+    order = sorted(range(len(entries)), key=entries.__getitem__)
+    place = sorted(range(len(entries)), key=order.__getitem__)
+    joins = [(place[i], *wire[w]) for i, w in enumerate(joining, len(keys))]
+    sources = sorted({a for _, a, _ in joins if a is not None})
+    out = np.zeros((d,) * len(entries), dtype=tensor.dtype)
+    src, dst = [slice(None)] * len(keys), [slice(None)] * len(entries)
+    for digits in product(range(d), repeat=len(sources)):
+        for a, s in zip(sources, digits):
+            src[a] = dst[place[a]] = s
+        for new, a, table in joins:
+            dst[new] = table[0 if a is None else src[a]]
+        out[tuple(dst)] = tensor[tuple(src)]
+    wire.update({w: (place[a], table) for w, (a, table) in wire.items() if a is not None})
+    identity = tuple(range(d))
+    wire.update({w: (new, identity) for (new, _, _), w in zip(joins, joining)})
+    return out, [entries[i] for i in order]
+
+
+def move_reference(tensor, source, target, controls=()):
+    """The permutation kernel as it was before its indices were compiled, kept as
+    the reference: digit ``a`` of ``target`` takes digit ``source[a]``'s amplitudes
+    wherever every control matches."""
+    index: list = [slice(None)] * tensor.ndim
+    for w, v in controls:
+        index[w] = v
+    digit = [(*index[:target], a, *index[target + 1:]) for a in range(tensor.shape[0])]
+    for cycle in _cycles(source):
+        saved = tensor[digit[cycle[0]]].copy()
+        for a, b in zip(cycle, cycle[1:]):
+            tensor[digit[a]] = tensor[digit[b]]
+        tensor[digit[cycle[-1]]] = saved
+
+
+def interpreted_run(tensor, wires, n, ops, labels=()):
+    """The runner as it was before it compiled schedules, kept as the reference:
+    every table, hold, move and product is decided again on each run, and each
+    kernel runs as soon as it is decided."""
+    d = tensor.shape[0]
+    identity = tuple(range(d))
+    keys = list(wires)
+    wire = {w: (None, (0,) * d) for w in range(n)}
+    wire.update((w, (i, identity)) for i, w in enumerate(keys))
+    relabelled: set = set()
+    copies: set = set()
+    for op, controls, targets, source in _checked_ops(d, n, ops):
+        if any(wire[w][0] is None and wire[w][1][0] != v for w, v in controls):
+            continue
+        held = [(w, v) for w, v in controls if wire[w][0] is not None]
+        t = targets[0]
+        read = source is not None and {wire[t][0], *(wire[w][0] for w, _ in held)} - {None}
+        if source is not None and len(read) <= 1:
+            fire = identity
+            if held:
+                asks = {wire[w][1].index(v) for w, v in held}
+                fire = asks if len(asks) == 1 else ()
+            table = list(wire[t][1])
+            for s in fire:
+                table[s] = source.index(table[s])
+            distinct = len(set(table))
+            if distinct == 1:
+                wire[t] = (None, tuple(table))
+                relabelled.discard(t)
+                copies.discard(t)
+                continue
+            if distinct == d:
+                wire[t] = (read.pop(), tuple(table))
+                relabelled.add(t)
+                if held:
+                    copies.update([t, *(w for w, _ in held)])
+                continue
+        joining = [w for w in targets if wire[w][0] is None]
+        if copies:
+            touched = copies if source is None else {t, *(w for w, _ in held)}
+            readers: dict = {}
+            for w in copies:
+                readers.setdefault(wire[w][0], []).append(w)
+            for share in readers.values():
+                keep = min(set(share) - touched or share)
+                joining += [w for w in share if w in touched and w != keep]
+            copies = copies - touched
+        if joining:
+            tensor, keys = hold_reference(tensor, keys, wire, joining)
+        if relabelled:
+            due = {t} if source is not None else relabelled.difference(w for w, _ in held)
+            for w in due & relabelled:
+                a, table = wire[w]
+                if table != identity:
+                    move_reference(tensor, [table.index(x) for x in identity], a)
+                    wire[w] = (a, identity)
+            relabelled -= due
+        matched = [(wire[w][0], wire[w][1].index(v)) for w, v in held]
+        if source is None:
+            columns = d ** (n - len(targets) - len(controls))
+            copying_apply(tensor, op, [wire[u][0] for u in targets], matched, columns)
+        else:
+            move_reference(tensor, source, wire[t][0], matched)
+    lowest = {a: w for w, (a, _) in sorted(wire.items(), reverse=True) if a is not None}
+    keys = [lowest[a] for a in range(tensor.ndim)]
+    if keys != sorted(keys):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        tensor, keys = tensor.transpose(order), sorted(keys)
+        wire.update({w: (order.index(a), table) for w, (a, table) in wire.items() if a is not None})
+    joining = [w for w, (a, table) in wire.items() if w not in keys and (a is not None
+               or w not in labels or table[0] != 0)]
+    if joining:
+        tensor, keys = hold_reference(tensor, keys, wire, joining)
+    for a, table in wire.values():
+        if a is not None and table != identity:
+            move_reference(tensor, [table.index(x) for x in identity], a)
+    front = [wire[w][0] for w in labels if wire[w][0] is not None]
+    if front != list(range(len(front))):
+        tensor = tensor.transpose([*front, *(a for a in range(tensor.ndim) if a not in front)])
+    return tensor
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_compiled_runs_keep_the_bits_of_the_interpreter(d, fresh_memos, rng):
+    # random plans on held wires (idle-control skips, fan-outs, copies, folds,
+    # padded products) with random label sets: the first run compiles its schedule
+    # and the second replays it, and both give the interpreter's bytes
+    from dfscodec import statevec
+
+    for i in range(300):
+        n = int(rng.integers(2, 7))
+        held = sorted(rng.choice(n, int(rng.integers(1, n)), replace=False).tolist())
+        ops = _random_plan(d, n, [w for w in range(n) if w not in held], rng)
+        labels = [int(w) for w in rng.permutation(n)[:int(rng.integers(0, n + 1))]]
+        part = random_state(d, len(held), rng).tensor()
+        expected = interpreted_run(part.copy(), held, n, ops, labels)
+        misses = statevec._compile.cache_info().misses
+        for _ in range(2):
+            got = _run(part.copy(), held, n, ops, labels)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (
+                n, held, labels, ops)
+        assert statevec._compile.cache_info().misses <= misses + 1
+    assert statevec._compile.cache_info().hits >= 300
+
+
+def test_each_plan_layout_is_compiled_once_and_a_refused_one_never(fresh_memos, rng):
+    from dfscodec import statevec
+
+    info = statevec._compile.cache_info
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    tensor = random_state(2, 3, rng).tensor()
+    # a controlled X is moved, a controlled H on the same wires multiplied: the
+    # swap changes the op's digit source, so it gets a schedule of its own
+    plan = [(X, [(0, 1)], [1]), (haar_unitary(4, rng), [], [0, 2])]
+    for ops in (plan, plan, [(h, *plan[0][1:]), plan[1]], [(h, *plan[0][1:]), plan[1]]):
+        got = _run(tensor.copy(), range(3), 3, ops)
+        assert got.tobytes() == interpreted_run(tensor.copy(), range(3), 3, ops).tobytes()
+    assert (info().misses, info().hits, info().currsize) == (2, 2, 2)
+    # a refused layout raises before it compiles, on every call, and is never stored
+    statevec._compile.cache_clear()
+    for _ in range(2):
+        with pytest.raises(BadTarget, match="control and target sets overlap"):
+            _run(tensor.copy(), range(3), 3, [(X, [(1, 1)], [1])])
+    assert (info().misses, info().currsize) == (0, 0)
+
+
+def test_a_wire_int_refuses_raises_with_a_cold_and_a_warm_memo(fresh_memos, rng):
+    # the layout memo compares keys by ==, and 1 + 0j == 1: only a layout of Python
+    # ints may use it, so a wire int() refuses raises alike before and after the
+    # layout with 1 is cached
+    from dfscodec import statevec
+
+    state = random_state(2, 3, rng)
+    u = haar_unitary(2, rng)
+
+    def refusals():
+        messages = []
+        for controls, targets in (([(1 + 0j, 0)], [2]), ([], [1 + 0j]), ([(0, 1 + 0j)], [2])):
+            with pytest.raises(TypeError) as refused:
+                apply_controlled(state, controls, u, targets)
+            messages.append(str(refused.value))
+        return messages
+
+    cold = refusals()
+    assert statevec._layout.cache_info().currsize == 0
+    for controls, targets in (([(1, 0)], [2]), ([], [1]), ([(0, 1)], [2])):
+        apply_controlled(state, controls, u, targets)
+    assert statevec._layout.cache_info().currsize == 3
+    assert refusals() == cold
+    assert all("complex" in message for message in cold)
+    # 1.0, True and numpy integers are what int() makes of them, cached or not
+    expected = apply_controlled(state, [(1, 0)], u, [2]).amps.tobytes()
+    for one in (1.0, True, np.int64(1)):
+        assert apply_controlled(state, [(one, 0)], u, [2]).amps.tobytes() == expected
+    # wires given as iterators are read once, by the type check and the layout alike
+    got = apply_controlled(state, iter([iter([1, 0])]), u, iter([2]))
+    assert got.amps.tobytes() == expected
+
+
 def test_identity_moves_nothing_and_other_monomials_are_multiplied(monkeypatch, rng):
     from dfscodec import statevec
 
@@ -966,13 +1166,22 @@ def test_a_frozen_stack_is_certified_once_and_trusted_through_its_views(fresh_me
     assert checked == [(4, 2, 2)]
     assert _checked_ops(2, 3, [(stack[1], (), (0,))])[0][3] == [1, 0]
     assert statevec._CERTIFIED[key][3] == [None, [1, 0], None, None]
-    # its one failing matrix is refused on every call, by the check of that matrix
+    # its one failing matrix is refused on every call, by the stack's stored
+    # verdict: no residue is computed again
     for _ in range(2):
         with pytest.raises(DimensionMismatch, match="not unitary"):
             apply_controlled(state, [], stack[2], [1])
         with pytest.raises(DimensionMismatch, match="not unitary"):
             apply_collective(state, stack[2])
-    assert checked.count((4, 2, 2)) == 1 and set(checked[1:]) == {(1, 2, 2)}
+    assert checked == [(4, 2, 2)]
+    # a frozen matrix that owns its data and fails is not stored: each refused call
+    # computes its residue once
+    bad = np.diag([1.0, 2.0]).astype(complex)
+    bad.setflags(write=False)
+    for call in (lambda: apply_controlled(state, [], bad, [1]), lambda: apply_collective(state, bad)):
+        with pytest.raises(DimensionMismatch, match="not unitary"):
+            call()
+    assert checked[1:] == [(1, 2, 2)] * 2 and (id(bad), 2) not in statevec._CERTIFIED
     # only a whole matrix of the stack is trusted, never another view of its data
     part = stack.reshape(8, 2)[1:3]
     assert part.strides == stack.strides[1:]
@@ -1056,7 +1265,7 @@ def test_block_kernel_keeps_the_bits_of_the_copying_kernel(d, rng):
         tensor = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
         expected = tensor.copy()
         copying_apply(expected, op, targets, controls, columns)
-        _apply(tensor, op, targets, controls, columns)
+        _apply(tensor, op, *_product(n, targets, controls, columns))
         assert tensor.tobytes() == expected.tobytes()
 
 
