@@ -14,6 +14,10 @@ per controlled target.  Chains are emitted as costed marker gates; simulation
 applies the full control pattern on the target gates instead of expanding the
 chain, which keeps equivalence checks exact while preserving the counts.
 
+A W plan is kept as its blocks (:class:`Block`): its count and depth are read
+from them in O(|blocks|) at any m, an encoder runs their ops with no gate
+made, and the gate list is expanded only when read, within the dense budget.
+
 The basis change from group labels to token states is a plan too: either one
 dense gate completing the token columns (any group) or, for cyclic groups on
 qubits, a Fourier stage followed by a CNOT fan-out/fold network whose CNOT
@@ -25,9 +29,11 @@ that weight code, and the fan-out, the network fiducial and
 
 from __future__ import annotations
 
+import itertools
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,17 +115,47 @@ class RegisterLayout:
         return max(wires) + 1
 
 
-@dataclass(eq=False)
-class CircuitPlan:
-    """Ordered gate list plus count and depth bookkeeping."""
+class Block(NamedTuple):
+    """One controlled block of W on its final wires: one controlled ``matrix`` gate per
+    message wire under ``controls``, between two Toffoli-chain markers when it has
+    three or more controls, and between two rounds of X gates on the ``flips`` wires,
+    the general path's conjugation of its pattern into all ones."""
 
-    gates: list[Gate]
-    layout: RegisterLayout
-    metadata: dict = field(default_factory=dict)
+    flips: tuple[int, ...]
+    controls: tuple[tuple[int, int], ...]
+    matrix: np.ndarray
+    note: str
+
+
+class CircuitPlan:
+    """Ordered gate list plus count and depth bookkeeping.
+
+    A W plan is its ``blocks``, wired to the layout's control and message wires
+    (``gates`` is None): its gate list is their expansion, made on first read and
+    refused over the dense budget, and its count, depth and ops are read from the
+    blocks.  Any other plan is its ``gates`` alone (``blocks`` is None)."""
+
+    def __init__(self, gates: list[Gate] | None, layout: RegisterLayout,
+                 metadata: dict | None = None, blocks: tuple[Block, ...] | None = None):
+        self._gates = gates
+        self.layout = layout
+        self.metadata = {} if metadata is None else metadata
+        self.blocks = blocks
+
+    @property
+    def gates(self) -> list[Gate]:
+        if self._gates is None:
+            message = self.layout.message
+            size = sum(_block_sizes(block, len(message))[0] for block in self.blocks)
+            check_entries(size, "the gate list of W")
+            self._gates = [g for block in self.blocks for g in _block_gates(block, message)]
+        return self._gates
 
     @property
     def total_count(self) -> int:
-        return sum(g.cost for g in self.gates)
+        if self.blocks is None:
+            return sum(g.cost for g in self.gates)
+        return sum(_block_sizes(block, len(self.layout.message))[1] for block in self.blocks)
 
 
 def _gate_matrix(gate: Gate) -> np.ndarray | None:
@@ -140,18 +176,24 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return apply_controlled(state, gate.controls, matrix, gate.targets)
 
 
-def _run_gates(gates, tensor: np.ndarray, wires, n: int, labels=()) -> np.ndarray:
-    """``gates`` in order through :func:`statevec._run` on an n-wire register of
-    which the writable ``tensor`` holds ``wires``, every other wire in |0>; chain
-    markers are skipped.  Returns the register's tensor, one axis per wire, less
-    each wire of ``labels`` that ends idle in |0>; the other label wires lead."""
+def _gate_ops(gates):
+    """The ``(matrix, controls, targets)`` op of each gate, in order, for
+    :func:`statevec._run`; chain markers are left out."""
     ops = ((_gate_matrix(gate), gate.controls, gate.targets) for gate in gates)
-    return _run(tensor, wires, n, (op for op in ops if op[0] is not None), labels)
+    return (op for op in ops if op[0] is not None)
+
+
+def _plan_ops(plan: CircuitPlan):
+    """The ops of the plan's gate list, a W plan's read from its blocks."""
+    if plan.blocks is None:
+        return _gate_ops(plan.gates)
+    message = plan.layout.message
+    return (op for block in plan.blocks for op in _block_ops(block, message))
 
 
 def run_plan(plan: CircuitPlan, state: StateVector) -> StateVector:
     """The plan's gates applied to ``state``, every wire held; ``state`` is only read."""
-    tensor = _run_gates(plan.gates, state.tensor().copy(), range(state.n), state.n)
+    tensor = _run(state.tensor().copy(), range(state.n), state.n, _plan_ops(plan))
     return StateVector(d=state.d, n=state.n, amps=tensor.reshape(-1))
 
 
@@ -225,19 +267,33 @@ def _chain_cost(num_controls: int) -> int:
     return 20 * max(num_controls - 2, 0)
 
 
-def _block_gates(pattern, unitary, message_wires, note: str, conjugate_x: bool) -> list[Gate]:
-    """One controlled block: chain markers around m target gates, X-conjugated
-    into an all-ones pattern when ``conjugate_x``."""
-    flips = []
-    if conjugate_x:
-        flips = [Gate("single", (w,), matrix=_X, stage="w") for w, v in pattern if v == 0]
-        pattern = tuple((w, 1) for w, _ in pattern)
-    cost = _chain_cost(len(pattern))
-    chain = [Gate("chain", (), pattern, cost=cost, stage="w")] if cost else []
+def _block_sizes(block: Block, m: int) -> tuple[int, int, int]:
+    """``(gates, cost, depth)`` of a block's expansion on m message wires, its depth
+    as :func:`logical_depth` counts it: the m targets share one layer, and no block
+    shares one with the previous block.  That needs two adjacent blocks to end and
+    start on targets under one pattern: the paths give adjacent blocks different
+    patterns, and the general path, whose patterns all become all ones, flips every
+    block but the last."""
+    flips, chain = 2 * len(block.flips), _chain_cost(len(block.controls))
+    return flips + (2 if chain else 0) + m, flips + 2 * chain + m, flips + 2 * chain + 1
+
+
+def _block_gates(block: Block, message_wires) -> list[Gate]:
+    """A block's gates: its flips, chain markers around the m target gates, its flips."""
+    flips = [Gate("single", (w,), matrix=_X, stage="w") for w in block.flips]
+    cost = _chain_cost(len(block.controls))
+    chain = [Gate("chain", (), block.controls, cost=cost, stage="w")] if cost else []
     targets = [
-        Gate("controlled", (t,), pattern, unitary, stage="w", note=note) for t in message_wires
+        Gate("controlled", (t,), block.controls, block.matrix, stage="w", note=block.note)
+        for t in message_wires
     ]
     return [*flips, *chain, *targets, *chain, *flips]
+
+
+def _block_ops(block: Block, message_wires) -> list[tuple]:
+    """The ops of :func:`_block_gates`, made without a gate: chain markers left out."""
+    flips = [(_X, (), (w,)) for w in block.flips]
+    return [*flips, *((block.matrix, block.controls, (t,)) for t in message_wires), *flips]
 
 
 # Each W path gives its r', its blocks as (control pattern, element, note) triples,
@@ -349,8 +405,10 @@ def synth_w(path: str, group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_lay
     """The controlled-rotation stage W of one synthesis path, on the register
     ``place(r', m)`` lays out for the r' control wires the path needs.
 
-    Every block becomes m controlled ``U_element`` gates on the message wires,
-    X-conjugated on the general path, whose patterns read the element index.
+    Every block stands for m controlled ``U_element`` gates on the message wires,
+    X-conjugated on the general path, whose patterns read the element index.  The
+    plan keeps the blocks (:class:`Block`), so nothing here grows with m but the
+    layout's message wires.
     """
     if path not in _W_PATHS:
         raise DfsCodecError(f"unknown synthesis path {path!r}")
@@ -360,14 +418,16 @@ def synth_w(path: str, group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_lay
         raise UnsupportedDimension("gate-level synthesis is defined for qubits only")
     r_prime, blocks, metadata = _W_PATHS[path](rep, m)
     layout = place(r_prime, m)
-    gates: list[Gate] = []
+    wired = []
     for pattern, element, note in blocks:
-        wired = tuple((layout.control[pos], v) for pos, v in pattern)
-        gates.extend(
-            _block_gates(wired, rep.matrices[element], layout.message, note, path == "general")
-        )
+        pattern = tuple((layout.control[pos], v) for pos, v in pattern)
+        flips = ()
+        if path == "general":
+            flips = tuple(w for w, v in pattern if v == 0)
+            pattern = tuple((w, 1) for w, _ in pattern)
+        wired.append(Block(flips, pattern, rep.matrices[element], note))
     metadata = {"path": path, "m": m, "r_prime": r_prime, **metadata}
-    return CircuitPlan(gates=gates, layout=layout, metadata=metadata)
+    return CircuitPlan(None, layout, metadata, tuple(wired))
 
 
 # --- basis change to token states --------------------------------------------
@@ -562,7 +622,9 @@ def network_token_set(rep: UnitaryRep) -> TokenSet:
 def logical_depth(plan: CircuitPlan) -> int:
     """Sequential layers of the plan; controlled gates sharing the same control
     pattern with distinct targets commute and sit in one layer, everything else
-    contributes its full cost."""
+    contributes its full cost.  A W plan's layers are counted per block."""
+    if plan.blocks is not None:
+        return sum(_block_sizes(block, len(plan.layout.message))[2] for block in plan.blocks)
     depth = 0
     previous: Gate | None = None
     for gate in plan.gates:
@@ -602,12 +664,12 @@ class EncodingPipeline:
         n = self.layout.n_wires
         check_register(2, n)
         # the work wires start idle in |0...0>: the buffer holds the message alone
-        # until a gate targets one of them
-        gates = [*self.prep, *self.w_plan.gates, *self.t_plan.gates]
+        # until a gate targets one of them; W's ops come from its blocks
+        ops = itertools.chain(_gate_ops(self.prep), _plan_ops(self.w_plan), _plan_ops(self.t_plan))
         # a label register apart from the token wires must disentangle back to |0...0>:
         # the runner writes only the label wires that did not, ahead of the kept wires
         labels = () if set(self.layout.control) <= set(self.layout.token) else self.layout.control
-        tensor = _run_gates(gates, message.tensor().copy(), self.layout.message, n, labels)
+        tensor = _run(message.tensor().copy(), self.layout.message, n, ops, labels)
         if not labels:
             return StateVector(d=2, n=n, amps=tensor.reshape(-1))
         block = tensor.reshape(2 ** (tensor.ndim - n + len(labels)), -1)

@@ -44,12 +44,8 @@ def random_su2(rng: np.random.Generator) -> np.ndarray:
     return euler_unitary(theta, phi, psi)
 
 
-def coupled_basis() -> np.ndarray:
-    """Columns: the eight total-angular-momentum basis vectors.
-
-    Order: the spin-3/2 quadruplet (M = 3/2 .. -3/2), then the two spin-1/2
-    doublets (M = +1/2, -1/2 within each), degeneracy index 0 then 1.
-    """
+def _coupled_basis() -> np.ndarray:
+    """The eight coupled basis vectors as columns, built once into a frozen module value."""
     vecs = np.zeros((8, 8), dtype=np.complex128)
 
     def ket(bits: str) -> int:
@@ -74,7 +70,21 @@ def coupled_basis() -> np.ndarray:
     vecs[ket("110"), 7] = np.sqrt(2.0 / 3.0)
     vecs[ket("101"), 7] = -1.0 / _SQRT6
     vecs[ket("011"), 7] = -1.0 / _SQRT6
+    vecs.setflags(write=False)
     return vecs
+
+
+_COUPLED_BASIS = _coupled_basis()
+
+
+def coupled_basis() -> np.ndarray:
+    """Columns: the eight total-angular-momentum basis vectors, one shared
+    read-only array.
+
+    Order: the spin-3/2 quadruplet (M = 3/2 .. -3/2), then the two spin-1/2
+    doublets (M = +1/2, -1/2 within each), degeneracy index 0 then 1.
+    """
+    return _COUPLED_BASIS
 
 
 def collective_rotation(u: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from dfscodec.errors import (
     UnsupportedDimension,
 )
 from dfscodec.groups import builtin_group, generator_decomposition
-from dfscodec.reps import pauli_rep, zn_phase_rep
+from dfscodec.reps import builtin_rep, pauli_rep, zn_phase_rep
 from dfscodec.statevec import (
     StateVector,
     apply_controlled,
@@ -158,6 +158,95 @@ def test_z2_abelian_single_controlled_gate():
     plan = synth_w("abelian", z2, zn_phase_rep(z2, 2), 1)
     assert plan.total_count == 1
     assert plan.gates[0].kind == "controlled"
+
+
+# --- counts and depth read from W's blocks ----------------------------------------
+
+
+def count_rep(spec):
+    group = builtin_group(spec)
+    if spec == "z4xz2":
+        return group, zn_phase_rep_product(group)
+    return group, builtin_rep(group, "builtin", 2)
+
+
+COUNT_CASES = [("general", spec) for spec in ("z2", "k4", "s3", "z8", "z12", "z16")] + [
+    ("abelian", spec) for spec in ("z2", "k4", "z8", "z4xz2", "z16")] + [
+    ("cyclic", spec) for spec in ("z2", "z4", "z8", "z16")]
+
+
+@pytest.mark.parametrize("path,spec", COUNT_CASES)
+def test_block_counts_and_depth_are_the_expanded_gate_walk(path, spec, monkeypatch):
+    from dfscodec import limits
+    from dfscodec.circuits import CircuitPlan
+
+    group, rep = count_rep(spec)
+    for m in range(1, 9):
+        plan = synth_w(path, group, rep, m)
+        walked = CircuitPlan(list(plan.gates), plan.layout)  # the same gates, no blocks
+        assert plan.blocks is not None and walked.blocks is None
+        assert plan.total_count == walked.total_count == sum(g.cost for g in plan.gates)
+        assert logical_depth(plan) == logical_depth(walked)
+        # the budget check takes the expansion's exact length
+        size = len(plan.gates)
+        monkeypatch.setattr(limits, "MAX_AMPLITUDES", size)
+        assert len(synth_w(path, group, rep, m).gates) == size
+        monkeypatch.setattr(limits, "MAX_AMPLITUDES", size - 1)
+        with pytest.raises(ResourceLimit, match=f"the gate list of W: {size} entries"):
+            synth_w(path, group, rep, m).gates
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("m", [1, 8, 1000, 10**6])
+def test_block_counts_meet_the_closed_forms_at_any_m(m, monkeypatch):
+    from dfscodec import circuits
+
+    monkeypatch.setattr(circuits, "Gate", lambda *a, **k: pytest.fail("a W gate was made"))
+    for spec in ("k4", "z8", "z16"):
+        group, rep = count_rep(spec)
+        paths = gate_count_report(group, rep, m, r=1, paths=("general", "abelian"))["paths"]
+        general = paths["general"]
+        assert general["emitted_count"] == general["count_formula"]
+        assert general["logical_depth"] == general["depth_formula"]
+        # each generator's identity power needs no block, so the bound is one block over
+        _, orders = generator_decomposition(group)
+        blocks = [40 * max(int(np.log2(n)) - 2, 0) + m for n in orders]
+        assert paths["abelian"]["count_bound"] == sum(n * b for n, b in zip(orders, blocks))
+        assert paths["abelian"]["emitted_count"] == sum((n - 1) * b for n, b in zip(orders, blocks))
+        if spec != "k4":
+            plan = synth_w("cyclic", group, rep, m)
+            assert plan.total_count == m * plan.metadata["r_prime"]
+        # the logical depth does not grow with m
+        for path in paths:
+            assert (logical_depth(synth_w(path, group, rep, m))
+                    == logical_depth(synth_w(path, group, rep, 1)))
+
+
+@pytest.mark.parametrize("spec,rep_spec,m,path,network", [
+    ("z8", "builtin", 7, "cyclic", True), ("z8", "builtin", 3, "general", False),
+    ("k4", "builtin", 6, "abelian", False), ("s3", "builtin-2d", 3, "general", False),
+])
+def test_an_encoder_is_built_and_run_without_a_w_gate(spec, rep_spec, m, path, network,
+                                                        monkeypatch, rng):
+    from dfscodec import circuits
+
+    rep = builtin_rep(builtin_group(spec), rep_spec, 2)
+    tokens = network_token_set(rep) if network else prepare_protocol(rep).tokens
+    real, stages = circuits.Gate, []
+
+    def recorded(*args, **kwargs):
+        gate = real(*args, **kwargs)
+        stages.append(gate.stage)
+        return gate
+
+    monkeypatch.setattr(circuits, "Gate", recorded)
+    pipeline = build_encoding_pipeline(tokens, m, path, cyclic_network=network)
+    message = random_state(2, m, rng)
+    state = pipeline.run(message)
+    assert "w" not in stages
+    assert fidelity(state, encode(tokens, message)) > 1 - 1e-12
+    # reading the gate list expands the blocks, through the recorded constructor
+    assert pipeline.w_plan.gates and "w" in stages
 
 
 # --- operator-level equivalences -------------------------------------------------
@@ -648,11 +737,17 @@ def test_unitary_completion_refuses_huge_columns_without_a_warning():
 
 
 def run_plan_like(gates, state):
-    from dfscodec.circuits import apply_gate
+    """The gates one at a time, each through the one-op ``_run`` call that
+    ``apply_controlled`` makes, in place on one writable register: no copy per gate."""
+    from dfscodec.circuits import _gate_matrix
+    from dfscodec.statevec import _run
 
-    for g in gates:
-        state = apply_gate(state, g)
-    return state
+    tensor = state.tensor().copy()
+    for gate in gates:
+        matrix = _gate_matrix(gate)
+        if matrix is not None:
+            tensor = _run(tensor, range(state.n), state.n, [(matrix, gate.controls, gate.targets)])
+    return StateVector(d=state.d, n=state.n, amps=tensor.reshape(-1))
 
 
 @pytest.mark.parametrize("path", ["general", "abelian", "cyclic"])

@@ -248,6 +248,22 @@ def test_plan_export_matches_golden(group, path, tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / f"plan_export_{group}_{path}.json").read_bytes()
 
 
+def test_an_export_over_the_budget_is_refused_before_a_gate_is_made(tmp_path, monkeypatch,
+                                                                     capsys):
+    import dfscodec.circuits as circuits
+
+    monkeypatch.setattr(circuits, "Gate", lambda *a, **k: pytest.fail("a gate was made"))
+    out = tmp_path / "plan.json"
+    # z16's general W at m = 1.1e6: 16 blocks of m target gates, 64 X flips, 32 chain markers
+    argv = ["circuit", "count", "--group", "z16", "--m", "1100000", "--path", "general",
+            "--export-plan", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the gate list of W: 17600096 entries, over the budget 2^24\n"
+    assert not out.exists()
+
+
 def test_protocol_violation_exits_4(monkeypatch, capsys):
     # build_parser binds command handlers by name, so patching the module
     # attribute routes the remainder-outcome error through the exit mapping

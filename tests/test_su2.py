@@ -21,6 +21,13 @@ def test_basis_is_orthonormal():
     assert np.max(np.abs(v.conj().T @ v - np.eye(8))) < 1e-12
 
 
+def test_basis_is_one_frozen_module_value():
+    v = coupled_basis()
+    assert v is coupled_basis() and not v.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        v[0, 0] = 0
+
+
 def test_basis_amplitudes_square_to_rationals():
     v = coupled_basis()
     squares = np.abs(v) ** 2
