@@ -19,7 +19,7 @@ from them in O(|blocks|) at any m, an encoder runs their ops with no gate
 made, and the gate list is expanded only when read, within the dense budget.
 
 The basis change from group labels to token states is a plan too: either one
-dense gate completing the token columns (any group) or, for cyclic groups on
+gate, the isometry of the token columns (any group), or, for cyclic groups on
 qubits, a Fourier stage followed by a CNOT fan-out/fold network whose CNOT
 count is exactly (token wires + control wires).  The network writes label k as a
 token pattern of weight k; :func:`token_group_slices` is the one definition of
@@ -51,7 +51,6 @@ from .statevec import (
     StateVector,
     _finite_norm,
     _run,
-    _unitarity_residues,
     apply_controlled,
     check_register,
 )
@@ -212,9 +211,9 @@ def prep_gates(group: FiniteGroup, control_wires) -> list[Gate]:
     """Uniform superposition over the first |G| control labels.
 
     For |G| = 2^(wires) this is one Hadamard per wire; otherwise a single
-    costed preparation unitary (cost: one gate per control wire) whose first
-    column is the desired superposition, completed once per group and width
-    and shared read-only.
+    costed preparation gate (cost: one gate per control wire), the isometry of
+    its one uniform column: it reads the control register's |0...0> alone.  The
+    column is made once per group and width and shared read-only.
     """
     control_wires = list(control_wires)
     r_prime = len(control_wires)
@@ -227,7 +226,7 @@ def prep_gates(group: FiniteGroup, control_wires) -> list[Gate]:
     def uniform() -> np.ndarray:
         first = np.zeros((2**r_prime, 1), dtype=np.complex128)
         first[: group.order] = 1.0 / np.sqrt(group.order)
-        return _frozen(_complete_unitary(first))
+        return _frozen(first)
 
     matrix = _channel_stage(group, ("prep", r_prime), uniform)
     return [
@@ -240,15 +239,6 @@ def prep_gates(group: FiniteGroup, control_wires) -> list[Gate]:
             note=f"uniform over first {group.order} labels",
         )
     ]
-
-
-def _complete_unitary(columns: np.ndarray) -> np.ndarray:
-    """The given orthonormal columns, followed by an orthonormal complement."""
-    if not _unitarity_residues(columns[None])[0] <= UNITARY_TOL:
-        raise DfsCodecError("columns to complete are not orthonormal")
-    q, _ = np.linalg.qr(columns, mode="complete")
-    q[:, : columns.shape[1]] = columns  # exact columns, written into q so the unitary is held once
-    return q
 
 
 def _message_wires(first: int, m: int) -> tuple[int, ...]:
@@ -433,26 +423,19 @@ def synth_w(path: str, group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_lay
 # --- basis change to token states --------------------------------------------
 
 
-def check_token_basis_change(d: int, r: int) -> None:
-    """Refuse a dense ``d^r x d^r`` token basis change over the dense budget."""
-    check_entries(d ** (2 * r), f"a token basis change of {d}**{r} x {d}**{r}")
-
-
 def apply_t_direct(tokens: TokenSet, element_order=None) -> np.ndarray:
-    """The dense unitary {|0...0, label_i> -> token_i}; cost bound O(d^r).
+    """The isometry |label_i> -> token_i, the ``(d^r, |G|)`` token columns; cost bound
+    O(d^r).  As a gate on the r token wires it reads the |G| states |0...0, label_i>
+    alone, and refuses amplitude on any other (:func:`statevec._apply`).
 
     ``element_order[i]`` names the group element encoded by label column i,
-    so generator-word control registers reuse the same oracle.  The size is
-    checked on every call, before anything is allocated; the unitary is
-    completed once per token set and label order while the token set lives.
+    so generator-word control registers reuse the same oracle.  The columns are
+    gathered once per token set and label order while the token set lives.
     The result is shared and read-only: every encoder built from the token set
     multiplies by this one matrix, which the runner checks once while it lives.
     """
-    check_token_basis_change(tokens.rep.dim, tokens.r)
     order = None if element_order is None else tuple(map(int, element_order))
-    return _channel_stage(
-        tokens, ("t", order), lambda: _frozen(_complete_unitary(tokens.columns(element_order)))
-    )
+    return _channel_stage(tokens, ("t", order), lambda: _frozen(tokens.columns(element_order)))
 
 
 def qft_gates(control_wires) -> list[Gate]:
@@ -692,7 +675,7 @@ def build_encoding_pipeline(
 
     ``cyclic_network=True`` uses the Fourier + CNOT network (cyclic groups on
     qubits, power-of-two order, with the register-pattern token basis);
-    otherwise the basis change is one dense gate completing the token columns.
+    otherwise the basis change is one gate, the isometry of the token columns.
     The W gates are synthesized on the encoder's wires, so no gate is moved.
     The basis change and the prep gate depend on the channel alone: they are
     built once per token set (see :func:`_channel_stage`), and each call
@@ -724,8 +707,8 @@ def build_encoding_pipeline(
         t = _channel_stage(tokens, ("network",), network)
         t_plan = CircuitPlan(gates=list(t.gates), layout=layout, metadata=dict(t.metadata))
     else:
-        dense = apply_t_direct(tokens, w_plan.metadata.get("word_elements"))
-        t_plan = CircuitPlan([Gate("single", layout.token, matrix=dense)], layout)
+        columns = apply_t_direct(tokens, w_plan.metadata.get("word_elements"))
+        t_plan = CircuitPlan([Gate("single", layout.token, matrix=columns)], layout)
     return EncodingPipeline(
         tokens=tokens,
         m=m,
@@ -770,6 +753,7 @@ def gate_count_report(
     for path in ("general", "abelian", "cyclic"):
         if path not in paths:
             continue
+        plan = None  # one plan at a time: each holds its m message wires
         try:
             plan = synth_w(path, group, rep, m)
         except DfsCodecError:
@@ -802,7 +786,8 @@ def gate_count_report(
 
 
 def inverse_plan(plan: CircuitPlan) -> CircuitPlan:
-    """Reverse the gate list with every matrix conjugate-transposed."""
+    """Reverse the gate list with every matrix conjugate-transposed; the runner refuses
+    the wide adjoint of an isometry, such as the dense path's basis change."""
     gates = [
         replace(gate, matrix=None if gate.matrix is None else gate.matrix.conj().T)
         for gate in reversed(plan.gates)

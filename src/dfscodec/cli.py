@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .circuits import (
     build_encoding_pipeline,
-    check_token_basis_change,
     gate_count_report,
     network_token_set,
     synth_t_cyclic,
@@ -285,14 +284,7 @@ def cmd_circuit_simulate(args) -> int:
     seed = _resolve_seed(args)
     if args.network and args.path != "cyclic":
         raise DfsCodecError(f"--network pairs with --path cyclic, got --path {args.path}")
-    if args.network:
-        tokens = network_token_set(rep)
-    else:
-        # the dense basis change is refused from r alone, before the tokens are prepared
-        table = builtin_character_table(group)
-        r = min_r(rep, table)
-        check_token_basis_change(rep.dim, r)
-        tokens = prepare_protocol(rep, table, r=r).tokens
+    tokens = network_token_set(rep) if args.network else prepare_protocol(rep).tokens
     pipeline = build_encoding_pipeline(tokens, args.m, args.path, cyclic_network=args.network)
     rng = np.random.default_rng(seed)
     message = random_state(2, args.m, rng)

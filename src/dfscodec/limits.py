@@ -28,9 +28,9 @@ MULTIPLICITY_TOL = 1e-6
 # groups above this order are rejected at validation
 MAX_GROUP_ORDER = 64
 # entries of one dense object: a state vector; the |G| tokens together (|G| d^r,
-# the largest objects preparation builds); a d^r x d^r matrix (the reference
-# decomposition's basis, the token basis change, the group-average projector);
-# and the |G| stacked tensor powers
+# the largest objects preparation builds, and the token basis change); a d^r x d^r
+# matrix (the reference decomposition's basis, the group-average projector); and
+# the |G| stacked tensor powers
 MAX_AMPLITUDES = 2**24
 # entries of one block of the product-law check of a stack of k representations
 # (1 MiB of complex128): the block holds as many rows of pairs (i, h), at

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BadTarget,
+    DfsCodecError,
     DimensionMismatch,
     NonOrthogonalProjectors,
 )
@@ -147,17 +148,24 @@ def _from_front(block: np.ndarray, axes, ndim: int, d: int) -> np.ndarray:
 
 
 def _apply(tensor: np.ndarray, op: np.ndarray, index: tuple, axes: tuple, padded: int) -> None:
-    """The block kernel, unchecked: ``op @ block`` in place, on the targets the transpose
-    ``axes`` puts in front of the matched slice ``tensor[index]`` (:func:`_product`),
-    with zero columns appended up to ``padded`` and only its own kept.  The block is
-    gathered once, padded or by a reshape, and written back once, through the view."""
+    """The block kernel: ``op @ block`` in place, on the targets the transpose ``axes``
+    puts in front of the matched slice ``tensor[index]`` (:func:`_product`), with zero
+    columns appended up to ``padded`` and only its own kept.  The block is gathered
+    once, padded or by a reshape, and written back once, through the view.  A
+    ``d^k x c`` op (:func:`_check_unitaries`) reads the first c basis states of its
+    targets and writes all d^k: amplitude on any other is refused as a leak."""
     front = tensor[index].transpose(axes)
-    dim, width = len(op), front.size // len(op)
+    (dim, c), width = op.shape, front.size // len(op)
     if padded > width:
         block = np.zeros((dim, padded), dtype=tensor.dtype)
         block[:, :width].reshape(front.shape)[...] = front  # splitting axes: a view
     else:
         block = front.reshape(dim, width)
+    if c < dim:
+        if block[c:].any():
+            raise DfsCodecError(f"amplitude {np.linalg.norm(block[c:]):.3e} outside the first "
+                                f"{c} of {dim} target states of an isometry")
+        block = block[:c]
     front[...] = (op @ block)[:, :width].reshape(front.shape)
 
 
@@ -241,9 +249,15 @@ def _layout(d: int, n: int, controls: tuple, targets: tuple) -> tuple[tuple, tup
 MIN_BLOCK_COLUMNS = 64
 
 
+def _fits(shape: tuple, dim: int) -> bool:
+    """Whether ``shape`` is ``dim x c`` with ``1 <= c <= dim``: a unitary or an isometry."""
+    return len(shape) == 2 and shape[0] == dim and 1 <= shape[1] <= dim
+
+
 def _check_unitaries(d: int, ops: list) -> None:
-    """Each ``(op, dim, known)`` checked to be a ``dim x dim`` unitary, the first failure
-    in order raised.  ``known`` is its :func:`_certificate`: a certified op passes and
+    """Each ``(op, dim, known)`` checked to be ``dim x c`` with orthonormal columns,
+    ``c <= dim``: a unitary, or an isometry (:func:`_apply`).  The first failure in
+    order is raised.  ``known`` is its :func:`_certificate`: a certified op passes and
     a refused one fails, neither computed again.  The ``(d, d)`` ops of one-wire gates
     among the others share one stacked residue."""
     passed = [known for _, _, known in ops]
@@ -255,7 +269,7 @@ def _check_unitaries(d: int, ops: list) -> None:
     for (op, dim, _), ok in zip(ops, passed):
         if ok:
             continue
-        if op.shape != (dim, dim):
+        if not _fits(op.shape, dim):
             raise DimensionMismatch(f"operator must be {dim}x{dim}, got {op.shape}")
         if ok is None and _unitarity_residues(op[None])[0] <= UNITARY_TOL:
             continue
@@ -309,8 +323,8 @@ def _cycles(source) -> list[list[int]]:
 
 
 # The certificate of each read-only array that owns its data and whose matrices
-# were checked as ``width x width`` unitaries, by ``(id, width)``: a list of a weak
-# reference whose callback drops the entry when the array dies, so no id is reused
+# were checked as ``width x c`` unitaries or isometries, by ``(id, width)``: a list
+# of a weak reference whose callback drops the entry when the array dies, so no id is reused
 # while its entry stands; the array's address, which locates a view in it; whether
 # each matrix passed; and each matrix's :func:`_digit_source`, found on first use
 # by a one-target op.  The array is one matrix, or a ``(k, width, width)`` stack
@@ -320,8 +334,8 @@ _CERTIFIED: dict = {}
 
 def _certificate(op: np.ndarray, dim: int) -> tuple[list, int] | bool | None:
     """``(entry, i)`` when ``op`` is matrix ``i`` of the read-only array that owns
-    its data and that matrix passed the check as a ``dim x dim`` unitary: the
-    array's ``_CERTIFIED`` entry, made on first sight with one stacked residue and
+    its data and that matrix passed the check as a ``dim x c`` unitary or isometry:
+    the array's ``_CERTIFIED`` entry, made on first sight with one stacked residue and
     not stored if no matrix passed.  ``False`` for such a matrix that failed,
     ``None`` for a writable one or a view of anything but a matrix of a frozen
     stack; an owner seen writable loses its entry."""
@@ -332,7 +346,7 @@ def _certificate(op: np.ndarray, dim: int) -> tuple[list, int] | bool | None:
                 and owner.shape[1:] == op.shape == (dim, dim) and owner.dtype == op.dtype
                 and owner.strides[1:] == op.strides):
             return None
-    elif op.shape != (dim, dim):
+    elif not _fits(op.shape, dim):
         return None
     key = (id(owner), dim)
     if owner.flags.writeable:
@@ -363,8 +377,8 @@ def _trusted_source(entry: list, i: int, d: int) -> list[int] | None:
 
 def _checked_ops(d: int, n: int, ops) -> list:
     """``(matrix, controls, targets)`` ops validated on an n-qudit register, each
-    matrix object checked unitary once per target width, as ``(op, controls, targets,
-    source)``: for a one-target op that is a 0/1 permutation, its
+    matrix object checked once per target width (:func:`_check_unitaries`), as
+    ``(op, controls, targets, source)``: for a one-target op that is a 0/1 permutation, its
     :func:`_digit_source`; ``None`` for any other op.
 
     Each distinct ``(d, n, controls, targets)`` layout of Python ints, lists made
@@ -714,13 +728,15 @@ def apply_collective(state: StateVector, u: np.ndarray, targets=None) -> StateVe
     """
     targets = set(_check_wires(state.n, range(state.n) if targets is None else targets))
     u = np.asarray(u, dtype=np.complex128)
+    if u.shape != (state.d, state.d):  # a collective reads every state of its wires
+        raise DimensionMismatch(f"operator must be {state.d}x{state.d}, got {u.shape}")
     _check_unitaries(state.d, [(u, state.d, _certificate(u, state.d))])
     amps = _collective_rows(state.amps[None], u, state.n, targets)[0]
     return StateVector(d=state.d, n=state.n, amps=amps)
 
 
 def apply_controlled(state: StateVector, controls, u: np.ndarray, targets) -> StateVector:
-    """Apply a unitary on a target block when every control qudit holds its value.
+    """Apply a unitary or an isometry on a target block when every control qudit holds its value.
 
     ``controls`` is a sequence of ``(qudit, required_value)`` pairs, possibly
     empty; amplitudes whose control digits do not match are left bit-exact.

@@ -34,6 +34,34 @@ def weyl_rep(d: int) -> UnitaryRep:
     return UnitaryRep.build(builtin_group(f"z{d}xz{d}"), np.array(mats), projective=True)
 
 
+def complete_unitary(columns: np.ndarray) -> np.ndarray:
+    """The orthonormal ``columns`` followed by an orthonormal complement from one
+    complete QR: the dense unitary that the prep gate and the token basis change
+    were completed to before gates took isometries, kept as the dense reference."""
+    q, _ = np.linalg.qr(columns, mode="complete")
+    q[:, : columns.shape[1]] = columns
+    return q
+
+
+def dense_encoder_run(pipeline, message, dense_t: np.ndarray) -> np.ndarray:
+    """The amplitudes of ``pipeline.run(message)`` on the dense path, computed with
+    the prep gate completed (:func:`complete_unitary`) and the basis change replaced
+    by its completion ``dense_t``: prep and W through the runner with every wire
+    kept, then the one product ``dense_t @ block`` that the block kernel made on the
+    leading r token wires, the others being the message wires."""
+    from dataclasses import replace
+    from itertools import chain
+
+    from dfscodec.circuits import _gate_ops, _plan_ops
+
+    prep = [replace(g, matrix=complete_unitary(g.matrix)) if g.kind == "prep" else g
+            for g in pipeline.prep]
+    ops = chain(_gate_ops(prep), _plan_ops(pipeline.w_plan))
+    tensor = statevec._run(message.tensor().copy(), pipeline.layout.message,
+                           pipeline.layout.n_wires, ops)
+    return (dense_t @ tensor.reshape(len(dense_t), -1)).reshape(-1)
+
+
 _CONTEXT_CACHE: dict = {}
 
 

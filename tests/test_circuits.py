@@ -42,6 +42,8 @@ from dfscodec.statevec import (
     random_state,
 )
 
+from conftest import complete_unitary, dense_encoder_run
+
 
 def w_operator(group, rep, m):
     """Dense oracle for the controlled-rotation stage, built independently."""
@@ -397,27 +399,33 @@ def test_full_t_stage_maps_labels_to_network_tokens(n):
 
 
 def test_apply_t_direct_k4_mapping(context_for):
+    # the token columns themselves, read-only; k4 has |G| = d^r = 4, so T is square
     ctx = context_for("k4")
     change = apply_t_direct(ctx.tokens)
+    assert np.array_equal(change, ctx.tokens.columns()) and not change.flags.writeable
     for label in range(4):
-        col = change[:, label]
-        np.testing.assert_allclose(col, ctx.tokens.tokens[label].amps, atol=1e-12)
+        np.testing.assert_allclose(change[:, label], ctx.tokens.tokens[label].amps, atol=1e-12)
     assert np.max(np.abs(change.conj().T @ change - np.eye(4))) < 1e-10
     assert change.shape == (4, 4)
 
 
-def test_dense_basis_change_is_refused_before_allocating(context_for, monkeypatch):
-    # z14 has r = 13: a 2^13 x 2^13 completion is 2^26 entries, over the dense budget
+def test_the_basis_change_past_the_square_budget_is_built_without_a_qr(context_for,
+                                                                        monkeypatch, rng):
+    # z14 has r = 13: T is its 2^13 x 14 token columns, where a square completion
+    # would be 2^26 entries, over the dense budget; no QR runs, and it encodes
     ctx = context_for("z14")
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: pytest.fail("qr ran"))
-    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("zeros ran"))
-    with pytest.raises(ResourceLimit, match="2\\*\\*13 x 2\\*\\*13: 67108864 entries"):
-        apply_t_direct(ctx.tokens)
+    change = apply_t_direct(ctx.tokens)
+    assert change.shape == (2**13, 14)
+    pipeline = build_encoding_pipeline(ctx.tokens, 1, "general")
+    message = random_state(2, 1, rng)
+    assert fidelity(pipeline.run(message), encode(ctx.tokens, message)) > 1 - 1e-12
 
 
 def test_apply_t_direct_holds_one_copy_of_the_matrix():
-    # z10 has r = 9: the completion is 2^9 x 2^9, and no second full copy is made;
-    # a token set of its own, since a shared one may hold its completion already
+    # z10 has r = 9: T is the 2^9 x 10 token columns, gathered in two copies (the
+    # gather and its transpose), never a 2^9 x 2^9 matrix; a token set of its own,
+    # since a shared one may hold its columns already
     tokens = prepare_protocol(zn_phase_rep(builtin_group("z10"), 2)).tokens
     tracemalloc.start()
     try:
@@ -425,20 +433,21 @@ def test_apply_t_direct_holds_one_copy_of_the_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert change.shape == (512, 512)
-    assert peak < 1.5 * change.nbytes
+    assert change.shape == (512, 10)
+    assert peak < 2.5 * change.nbytes
 
 
-def test_one_token_set_completes_and_checks_its_basis_change_once(fresh_memos, monkeypatch,
-                                                                    rng):
+def test_one_token_set_builds_and_checks_its_basis_change_once(fresh_memos, monkeypatch, rng):
     # T depends on the token set alone: the z8 general encoders for m = 1-4, built
-    # and run from one token set, complete the 2^7 x 2^7 T by one QR and check it once
+    # and run from one token set, gather the 2^7 x 8 T once, with no QR, and check it once
     from dfscodec import statevec
 
     tokens = prepare_protocol(zn_phase_rep(builtin_group("z8"), 2)).tokens
-    qr, residue = np.linalg.qr, statevec._unitarity_residues
+    residue, columns = statevec._unitarity_residues, type(tokens).columns
     calls, checked = [], []
-    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: pytest.fail("qr ran"))
+    monkeypatch.setattr(type(tokens), "columns",
+                        lambda self, *a: calls.append(1) or columns(self, *a))
     monkeypatch.setattr(statevec, "_unitarity_residues",
                         lambda stack: checked.append(stack.shape) or residue(stack))
     for m in range(1, 5):
@@ -446,7 +455,7 @@ def test_one_token_set_completes_and_checks_its_basis_change_once(fresh_memos, m
         expected = encode(tokens, message := random_state(2, m, rng))
         assert fidelity(pipeline.run(message), expected) > 1 - 1e-12
     assert len(calls) == 1
-    assert checked.count((1, 128, 128)) == 1
+    assert checked.count((1, 128, 8)) == 1
     assert pipeline.t_plan.gates[0].matrix is apply_t_direct(tokens)
 
 
@@ -534,10 +543,11 @@ def test_the_channel_stages_live_as_long_as_their_token_set(rng):
 
 
 def test_apply_t_direct_trivial_group(context_for):
+    # one token: T is the fiducial's one column
     ctx = context_for("z1")
     change = apply_t_direct(ctx.tokens)
-    assert change.shape == (2, 2)
-    np.testing.assert_allclose(change[:, 0], ctx.tokens.fiducial.amps)
+    assert change.shape == (2, 1)
+    assert np.array_equal(change[:, 0], ctx.tokens.fiducial.amps)
 
 
 # --- end-to-end circuit vs direct encoding ----------------------------------------
@@ -715,25 +725,75 @@ def test_gate_without_a_matrix_is_refused(kind, targets, controls, rng):
         run_plan(plan, state)
 
 
-def test_unitary_completion_keeps_columns_and_rejects_overlap(rng):
-    from dfscodec.circuits import _complete_unitary
+def test_the_count_report_holds_one_plan_at_a_time():
+    # each W plan holds its m message wires: the report over every path peaks at
+    # about one plan's size, not two
+    group = builtin_group("z16")
+    rep = zn_phase_rep(group, 2)
+    peaks = []
+    for build in (lambda: synth_w("general", group, rep, 10**5),
+                  lambda: gate_count_report(group, rep, 10**5, 15)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
 
+
+def test_an_isometry_whose_columns_are_not_orthonormal_is_refused(rng):
+    # overlapping columns, and columns whose Gram product overflows (|1e200|^2 is
+    # inf): refused in one line, and no RuntimeWarning escapes
     columns = np.linalg.qr(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))[0]
-    full = _complete_unitary(columns)
-    assert np.array_equal(full[:, :3], columns)
-    np.testing.assert_allclose(full.conj().T @ full, np.eye(8), atol=1e-12)
-    with pytest.raises(DfsCodecError):
-        _complete_unitary(np.column_stack([columns[:, 0], columns[:, 0]]))
+    huge = np.zeros((4, 2), dtype=np.complex128)
+    huge[0, 0], huge[1, 1] = 1e200, 1.0
+    state = basis_state(2, 3, 0)
+    for bad, targets in [(np.column_stack([columns[:, 0], columns[:, 0]]), (0, 1, 2)),
+                         (huge, (1, 2))]:
+        with pytest.raises(DimensionMismatch, match="^operator is not unitary within tolerance$"):
+            apply_controlled(state, [], bad, targets)
+    assert np.array_equal(apply_controlled(state, [], columns, (0, 1, 2)).amps, columns[:, 0])
 
 
-def test_unitary_completion_refuses_huge_columns_without_a_warning():
-    # |1e200|^2 overflows: the residue is inf, refused, and no RuntimeWarning escapes
-    from dfscodec.circuits import _complete_unitary
+# the encoders whose prep gate or basis change is narrower than square, with the
+# power-of-two k4 and z8 beside them: each run keeps the values of the dense run
+# that completed both to unitaries, its prep and W through the runner, then T
+DENSE_REFERENCE = [("z6", "general", (1, 4)), ("z12", "general", (2,)),
+                   ("z13", "general", (1, 3)), ("k4", "general", (3,)),
+                   ("s3", "general", (3,)), ("z8", "abelian", (1, 3))]
 
-    columns = np.zeros((4, 2), dtype=np.complex128)
-    columns[0, 0], columns[1, 1] = 1e200, 1.0
-    with pytest.raises(DfsCodecError, match="columns to complete are not orthonormal"):
-        _complete_unitary(columns)
+
+@pytest.mark.parametrize("spec,path,ms", DENSE_REFERENCE)
+def test_isometry_encoders_equal_the_dense_completion(spec, path, ms, context_for, rng):
+    pipelines = [build_encoding_pipeline(context_for(spec).tokens, m, path) for m in ms]
+    dense_t = complete_unitary(pipelines[0].t_plan.gates[0].matrix)  # one T for every m
+    for pipeline, m in zip(pipelines, ms):
+        for message in (random_state(2, m, rng), basis_state(2, m, 2**m - 1)):
+            expected = dense_encoder_run(pipeline, message, dense_t)
+            assert np.array_equal(pipeline.run(message).amps, expected)
+
+
+def test_a_label_past_the_group_order_leaks_out_of_the_basis_change(context_for, rng):
+    # z6's T reads the labels 0-5 of its 3 label wires, with the 2 leading token
+    # wires at 0; amplitude on label 6 or 7 is refused in one line
+    pipeline = build_encoding_pipeline(context_for("z6").tokens, 1, "general")
+    r = len(pipeline.layout.token)
+    for label in (6, 7):
+        state = product_state(basis_state(2, r, label), random_state(2, 1, rng))
+        with pytest.raises(DfsCodecError, match=r"^amplitude 1\.000e\+00 outside the first 6 "
+                                                r"of 32 target states of an isometry$"):
+            run_plan(pipeline.t_plan, state)
+    state = product_state(basis_state(2, r, 5), random_state(2, 1, rng))
+    assert run_plan(pipeline.t_plan, state).amps.shape == (2 ** (r + 1),)
+
+
+def test_the_inverse_of_the_dense_basis_change_is_refused(context_for, rng):
+    # T's adjoint is 8 x 128, wider than tall: the runner takes no such gate
+    pipeline = build_encoding_pipeline(context_for("z8").tokens, 1, "general")
+    state = random_state(2, pipeline.layout.n_wires, rng)
+    with pytest.raises(DimensionMismatch, match=r"^operator must be 128x128, got \(8, 128\)$"):
+        run_plan(inverse_plan(pipeline.t_plan), state)
 
 
 def run_plan_like(gates, state):
@@ -796,15 +856,21 @@ def test_in_place_runs_are_bit_identical_to_gate_by_gate(spec, path, m, context_
     for message in messages:
         assert pipeline.run(message).amps.tobytes() == pipeline_like(pipeline, message).amps.tobytes()
     state = random_state(2, pipeline.layout.n_wires, rng)
-    for plan in (pipeline.w_plan, pipeline.t_plan):
-        if plan is not None:
-            got = run_plan(plan, state)
-            assert got.amps.tobytes() == run_plan_like(plan.gates, state).amps.tobytes()
+    got = run_plan(pipeline.w_plan, state)
+    assert got.amps.tobytes() == run_plan_like(pipeline.w_plan.gates, state).amps.tobytes()
+    # T reads only the labels of the group with the other token wires at 0: its
+    # input is what prep and W make of a message
+    n_work = pipeline.layout.n_wires - m
+    state = product_state(basis_state(2, n_work, 0), random_state(2, m, rng))
+    state = run_plan_like([*pipeline.prep, *pipeline.w_plan.gates], state)
+    got = run_plan(pipeline.t_plan, state)
+    assert got.amps.tobytes() == run_plan_like(pipeline.t_plan.gates, state).amps.tobytes()
 
 
 def moveaxis_apply(tensor, op, targets, controls=()):
     """The block kernel as it was before the gather by permutation, kept as the
-    reference: ``np.moveaxis`` there and back, in place in the whole register."""
+    reference: ``np.moveaxis`` there and back, in place in the whole register.  An
+    op of c columns multiplies the block's first c rows."""
     n, d = tensor.ndim, tensor.shape[0]
     index: list = [slice(None)] * n
     for w, v in controls:
@@ -813,7 +879,8 @@ def moveaxis_apply(tensor, op, targets, controls=()):
     remaining = [w for w in range(n) if w not in {c for c, _ in controls}]
     axes = [remaining.index(t) for t in targets]
     block = np.moveaxis(sub, axes, range(len(axes))).reshape(d ** len(axes), -1)
-    tensor[tuple(index)] = np.moveaxis((op @ block).reshape(sub.shape), range(len(axes)), axes)
+    product = op @ block[: op.shape[1]]
+    tensor[tuple(index)] = np.moveaxis(product.reshape(sub.shape), range(len(axes)), axes)
 
 
 # the four encoders of the circuit benchmark, then the z4 and z16 networks at m = 1-3

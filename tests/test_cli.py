@@ -353,10 +353,12 @@ def test_bare_memory_error_names_its_type(monkeypatch, capsys):
 
 
 def test_oversized_dense_basis_change_exits_3(capsys):
-    # z14 tokens fit the budget; their 2^13 x 2^13 completion does not
-    assert main(["circuit", "simulate", "--group", "z14", "--path", "general"]) == 3
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "over the budget" in err
+    # z21's basis change, the 2^20 x 21 token columns, is over the budget: the tokens
+    # are refused before they are built
+    assert main(["circuit", "simulate", "--group", "z21", "--path", "general"]) == 3
+    assert capsys.readouterr().err == (
+        "error: 21 tokens of 2**20 amplitudes: 22020096 entries, over the budget 2^24\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -377,15 +379,13 @@ def test_degenerate_sizes_exit_3_with_a_named_line(argv, line, tmp_path, capsys)
     assert not list(tmp_path.iterdir())  # refused before any report is written
 
 
-@pytest.mark.parametrize("group,path,r", [("z14", "general", 13), ("z16", "cyclic", 15)])
-def test_dense_basis_change_is_refused_before_the_tokens(group, path, r, monkeypatch, capsys):
-    import dfscodec.codec as codec
-
-    monkeypatch.setattr(codec, "build_tokens", lambda *args: pytest.fail("tokens built"))
-    assert main(["circuit", "simulate", "--group", group, "--path", path]) == 3
-    assert capsys.readouterr().err == (
-        f"error: a token basis change of 2**{r} x 2**{r}: {4**r} entries, over the budget 2^24\n"
-    )
+@pytest.mark.parametrize("group,path", [("z14", "general"), ("z16", "cyclic")])
+def test_a_basis_change_past_the_square_budget_runs(group, path, capsys):
+    # T is the token columns, 2^13 x 14 and 2^15 x 16, where a square completion
+    # would be 2^26 and 2^30 entries, over the budget
+    assert main(["circuit", "simulate", "--group", group, "--path", path, "--verify"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["fidelity_vs_direct_encoding"] >= 1 - 1e-9
 
 
 @pytest.mark.parametrize("path", ["general", "abelian"])

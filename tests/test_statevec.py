@@ -44,6 +44,8 @@ from dfscodec.statevec import (
     random_state,
 )
 
+from conftest import complete_unitary
+
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -1030,6 +1032,65 @@ def test_non_finite_operators_are_refused(bad, rng):
         apply_controlled(state, [(0, 1)], u, [2])
     with pytest.raises(DimensionMismatch, match="not unitary"):
         apply_controlled(state, [], wide, [0, 2])
+
+
+def isometry(d: int, k: int, c: int, rng) -> np.ndarray:
+    """A random ``d^k x c`` matrix of orthonormal columns."""
+    z = rng.normal(size=(d**k, c)) + 1j * rng.normal(size=(d**k, c))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_an_isometry_keeps_the_values_of_its_square_completion(d, rng):
+    # a d^2 x c op reads the first c states of its two targets and writes all d^2,
+    # as its completion to a unitary does where no other state holds amplitude:
+    # on the whole register, under a control, and on held wires beside an idle one
+    n, targets, c = 4, (3, 1), d * d - 1
+    q = isometry(d, 2, c, rng)
+    full = complete_unitary(q)
+    front = rng.normal(size=(d * d, d ** (n - 2))) + 1j * rng.normal(size=(d * d, d ** (n - 2)))
+    front[c:] = 0
+    amps = np.moveaxis(front.reshape((d,) * n), (0, 1), targets)
+    state = StateVector.from_amplitudes(d, n, amps, normalize=True)
+    for controls in ([], [(0, 1)]):
+        got = apply_controlled(state, controls, q, targets)
+        assert np.array_equal(got.amps, apply_controlled(state, controls, full, targets).amps)
+    held = random_state(d, n - 1, rng).tensor()  # wire 0 idle in |0>
+    runs = [_run(held.copy(), (1, 2, 3), n, [(op, [(2, 1)], (0, 3))]) for op in (q, full)]
+    assert np.array_equal(*runs)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_amplitude_outside_an_isometrys_states_is_refused(d, rng):
+    # one line, whether the amplitude sits on held wires (the last state of the
+    # targets) or on a wire idle in a digit other than 0 (shifted from |0> to |1>)
+    def leak(c):
+        return (rf"^amplitude \d\.\d{{3}}e[+-]\d+ outside the first {c} of {d * d} "
+                "target states of an isometry$")
+
+    q = isometry(d, 2, d * d - 1, rng)
+    with pytest.raises(DfsCodecError, match=leak(d * d - 1)):
+        apply_controlled(random_state(d, 3, rng), [], q, [0, 2])
+    with pytest.raises(DfsCodecError, match=leak(d * d - 1)):
+        apply_controlled(random_state(d, 3, rng), [(1, 0)], q, [0, 2])
+    shift = np.roll(np.eye(d), 1, axis=0)  # |a> -> |a + 1 mod d>
+    narrow = isometry(d, 2, d, rng)  # reads wire 0 at |0> alone
+    held = random_state(d, 2, rng).tensor()  # wires 1 and 2 held, wire 0 idle in |0>
+    _run(held.copy(), (1, 2), 3, [(narrow, (), (0, 1))])
+    with pytest.raises(DfsCodecError, match=leak(d)):
+        _run(held.copy(), (1, 2), 3, [(shift, (), (0,)), (narrow, (), (0, 1))])
+
+
+def test_an_op_of_the_wrong_shape_is_refused_in_one_line(rng):
+    # rows other than d^k, more columns than rows, or none; a collective reads every
+    # state of its wires, so it takes no isometry
+    state = random_state(2, 3, rng)
+    for bad in (np.eye(3)[:, :2], np.ones((4, 5)) / 2, np.zeros((4, 0))):
+        shape = rf"\({bad.shape[0]}, {bad.shape[1]}\)"
+        with pytest.raises(DimensionMismatch, match=rf"^operator must be 4x4, got {shape}$"):
+            apply_controlled(state, [], bad, [0, 1])
+    with pytest.raises(DimensionMismatch, match=r"^operator must be 2x2, got \(2, 1\)$"):
+        apply_collective(state, np.array([[1.0], [0.0]]))
 
 
 def test_unitarity_residues_of_isometry_stacks(rng):
