@@ -742,18 +742,25 @@ def test_the_count_report_holds_one_plan_at_a_time():
     assert peaks[1] < 1.25 * peaks[0]
 
 
-def test_an_isometry_whose_columns_are_not_orthonormal_is_refused(rng):
-    # overlapping columns, and columns whose Gram product overflows (|1e200|^2 is
-    # inf): refused in one line, and no RuntimeWarning escapes
+def test_unitary_completion_keeps_columns_and_rejects_overlap(rng):
+    # no completion is made any more: the runner applies the 8 x 3 columns as
+    # they are, so basis state 0 of the targets becomes the first column, and
+    # refuses two overlapping columns in one line
     columns = np.linalg.qr(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))[0]
-    huge = np.zeros((4, 2), dtype=np.complex128)
-    huge[0, 0], huge[1, 1] = 1e200, 1.0
     state = basis_state(2, 3, 0)
-    for bad, targets in [(np.column_stack([columns[:, 0], columns[:, 0]]), (0, 1, 2)),
-                         (huge, (1, 2))]:
-        with pytest.raises(DimensionMismatch, match="^operator is not unitary within tolerance$"):
-            apply_controlled(state, [], bad, targets)
     assert np.array_equal(apply_controlled(state, [], columns, (0, 1, 2)).amps, columns[:, 0])
+    overlap = np.column_stack([columns[:, 0], columns[:, 0]])
+    with pytest.raises(DimensionMismatch, match="^operator is not unitary within tolerance$"):
+        apply_controlled(state, [], overlap, (0, 1, 2))
+
+
+def test_unitary_completion_refuses_huge_columns_without_a_warning():
+    # |1e200|^2 overflows: the Gram residue is inf, refused in one line, and no
+    # RuntimeWarning escapes (the suite turns warnings into errors)
+    columns = np.zeros((4, 2), dtype=np.complex128)
+    columns[0, 0], columns[1, 1] = 1e200, 1.0
+    with pytest.raises(DimensionMismatch, match="^operator is not unitary within tolerance$"):
+        apply_controlled(basis_state(2, 3, 0), [], columns, (1, 2))
 
 
 # the encoders whose prep gate or basis change is narrower than square, with the
