@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -49,20 +49,25 @@ from .limits import UNITARY_TOL, check_entries
 from .reps import UnitaryRep
 from .statevec import (
     StateVector,
+    _checked_ops,
+    _digit_source,
     _finite_norm,
+    _frozen,
+    _records,
     _run,
+    _run_records,
     apply_controlled,
     check_register,
 )
 
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-_X.setflags(write=False)
-_H.setflags(write=False)
+_X = _frozen(np.array([[0, 1], [1, 0]], dtype=np.complex128))
+_H = _frozen(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2))
+_X_SOURCE = _digit_source(_X, 2)
 
 # The channel stages, by what they depend on: the basis change and the register
-# network by token set, the prep gate by group.  Each is built on first use, kept
-# while its key lives and shared by every encoder built from it: only W depends on m.
+# network by token set, the prep gate by group, each W path's blocks by rep.  Each
+# is built on first use, kept while its key lives and shared by every encoder built
+# from it: only W's message wires depend on m.
 _CHANNEL_STAGES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -73,11 +78,6 @@ def _channel_stage(owner, key, build):
     if key not in stages:
         stages[key] = build()
     return stages[key]
-
-
-def _frozen(matrix: np.ndarray) -> np.ndarray:
-    matrix.setflags(write=False)
-    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,12 +118,14 @@ class Block(NamedTuple):
     """One controlled block of W on its final wires: one controlled ``matrix`` gate per
     message wire under ``controls``, between two Toffoli-chain markers when it has
     three or more controls, and between two rounds of X gates on the ``flips`` wires,
-    the general path's conjugation of its pattern into all ones."""
+    the general path's conjugation of its pattern into all ones.  ``source`` is the
+    :func:`statevec._digit_source` of ``matrix``, which its op records carry."""
 
     flips: tuple[int, ...]
     controls: tuple[tuple[int, int], ...]
     matrix: np.ndarray
     note: str
+    source: tuple[int, ...] | None
 
 
 class CircuitPlan:
@@ -187,7 +189,7 @@ def _plan_ops(plan: CircuitPlan):
     if plan.blocks is None:
         return _gate_ops(plan.gates)
     message = plan.layout.message
-    return (op for block in plan.blocks for op in _block_ops(block, message))
+    return (record[:3] for block in plan.blocks for record in _block_records(block, message))
 
 
 def run_plan(plan: CircuitPlan, state: StateVector) -> StateVector:
@@ -248,7 +250,7 @@ def _message_wires(first: int, m: int) -> tuple[int, ...]:
     return tuple(range(first, first + m))
 
 
-def _w_layout(r_prime: int, m: int) -> RegisterLayout:
+def _w_register(r_prime: int, m: int) -> RegisterLayout:
     """A W stage's own wires: control 0..r'-1, then the m message wires."""
     return RegisterLayout(2, tuple(range(r_prime)), (), _message_wires(r_prime, m))
 
@@ -280,14 +282,17 @@ def _block_gates(block: Block, message_wires) -> list[Gate]:
     return [*flips, *chain, *targets, *chain, *flips]
 
 
-def _block_ops(block: Block, message_wires) -> list[tuple]:
-    """The ops of :func:`_block_gates`, made without a gate: chain markers left out."""
-    flips = [(_X, (), (w,)) for w in block.flips]
-    return [*flips, *((block.matrix, block.controls, (t,)) for t in message_wires), *flips]
+def _block_records(block: Block, message_wires) -> list[tuple]:
+    """The op records (:func:`statevec._records`) of :func:`_block_gates`, made
+    without a gate: chain markers left out."""
+    flips = [(_X, (), (w,), _X_SOURCE) for w in block.flips]
+    targets = ((block.matrix, block.controls, (t,), block.source) for t in message_wires)
+    return [*flips, *targets, *flips]
 
 
 # Each W path gives its r', its blocks as (control pattern, element, note) triples,
-# the pattern over control positions 0..r'-1, and its own metadata.
+# the pattern over control positions 0..r'-1, and its own metadata.  What does not
+# depend on m, the triples among it, is made once per rep (:func:`_channel_stage`).
 
 
 def _general_blocks(rep: UnitaryRep, m: int):
@@ -299,10 +304,10 @@ def _general_blocks(rep: UnitaryRep, m: int):
     """
     group = rep.group
     r_prime = control_wire_count(group.order)
-    blocks = [
+    blocks = _channel_stage(rep, ("w", "general"), lambda: tuple(
         (_control_pattern(range(r_prime), i), i, f"element {group.labels[i]}")
         for i in range(group.order)
-    ]
+    ))
     full = group.order == 2**r_prime
     return r_prime, blocks, {
         "count_formula": group.order * (41 * r_prime - 80 + m) if full else None,
@@ -319,29 +324,33 @@ def _abelian_blocks(rep: UnitaryRep, m: int):
     below the per-generator bound L_i * (40 max(log2 L_i - 2, 0) + m).
     """
     group = rep.group
-    generators, orders = generator_decomposition(group)
-    for bound in orders:
-        if bound & (bound - 1):
-            raise DfsCodecError(
-                f"generator order {bound} is not a power of two; control wires are qubits"
+
+    def words():
+        generators, orders = generator_decomposition(group)
+        for bound in orders:
+            if bound & (bound - 1):
+                raise DfsCodecError(
+                    f"generator order {bound} is not a power of two; control wires are qubits"
+                )
+        blocks = []
+        r_prime = 0  # each generator's exponent takes the next width positions
+        for gen, bound in zip(generators, orders):
+            width = max(1, int(np.log2(bound)))
+            positions = range(r_prime, r_prime + width)
+            r_prime += width
+            blocks.extend(
+                (_control_pattern(positions, k), group.powers[gen, k], f"{group.labels[gen]}^{k}")
+                for k in range(1, bound)
             )
-    blocks = []
-    r_prime = bound_total = 0  # each generator's exponent takes the next width positions
-    for gen, bound in zip(generators, orders):
-        width = max(1, int(np.log2(bound)))
-        positions = range(r_prime, r_prime + width)
-        r_prime += width
-        bound_total += bound * (40 * max(width - 2, 0) + m)
-        blocks.extend(
-            (_control_pattern(positions, k), group.powers[gen, k], f"{group.labels[gen]}^{k}")
-            for k in range(1, bound)
-        )
+        return r_prime, tuple(blocks), generators, orders, word_elements(group, generators, orders)
+
+    r_prime, blocks, generators, orders, elements = _channel_stage(rep, ("w", "abelian"), words)
     return r_prime, blocks, {
         "generators": list(generators),
         "generator_orders": list(orders),
-        "count_bound": bound_total,
+        "count_bound": sum(bound * (40 * max(int(np.log2(bound)) - 2, 0) + m) for bound in orders),
         "control_labeling": "generator_words",
-        "word_elements": word_elements(group, generators, orders),
+        "word_elements": list(elements),
     }
 
 
@@ -371,27 +380,32 @@ def _cyclic_blocks(rep: UnitaryRep, m: int):
         raise DfsCodecError(
             f"cyclic path needs a power-of-two order, got {n}; use the general path"
         )
-    gen = _network_generator(rep)
-    if gen is None:
-        raise NotAbelian("group has no generator; the cyclic path needs a cyclic group")
     r_prime = control_wire_count(n)
-    powers = word_elements(group, [gen], [n])  # powers[k] is gen^k, and gen has order n
-    # bit i (1-indexed from the least significant) lives on control position r' - i
-    blocks = [
-        (((r_prime - i, 1),), powers[2 ** (i - 1) % n], f"U^{2 ** (i - 1)}")
-        for i in range(1, r_prime + 1)
-    ]
+
+    def powers():
+        gen = _network_generator(rep)
+        if gen is None:
+            raise NotAbelian("group has no generator; the cyclic path needs a cyclic group")
+        elements = word_elements(group, [gen], [n])  # elements[k] is gen^k, of order n
+        # bit i (1-indexed from the least significant) lives on control position r' - i
+        return tuple(
+            (((r_prime - i, 1),), elements[2 ** (i - 1) % n], f"U^{2 ** (i - 1)}")
+            for i in range(1, r_prime + 1)
+        ), elements
+
+    blocks, elements = _channel_stage(rep, ("w", "cyclic"), powers)
     return r_prime, blocks, {
         "controlled_count": m * r_prime,
         "control_labeling": "generator_words",
-        "word_elements": powers,
+        "word_elements": list(elements),
     }
 
 
 _W_PATHS = {"general": _general_blocks, "abelian": _abelian_blocks, "cyclic": _cyclic_blocks}
 
 
-def synth_w(path: str, group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_layout) -> CircuitPlan:
+def synth_w(path: str, group: FiniteGroup, rep: UnitaryRep, m: int,
+            place=_w_register) -> CircuitPlan:
     """The controlled-rotation stage W of one synthesis path, on the register
     ``place(r', m)`` lays out for the r' control wires the path needs.
 
@@ -407,6 +421,7 @@ def synth_w(path: str, group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_lay
     if rep.dim != 2:
         raise UnsupportedDimension("gate-level synthesis is defined for qubits only")
     r_prime, blocks, metadata = _W_PATHS[path](rep, m)
+    sources = _channel_stage(rep, ("sources",), lambda: [_digit_source(u, 2) for u in rep.matrices])
     layout = place(r_prime, m)
     wired = []
     for pattern, element, note in blocks:
@@ -415,7 +430,7 @@ def synth_w(path: str, group: FiniteGroup, rep: UnitaryRep, m: int, place=_w_lay
         if path == "general":
             flips = tuple(w for w, v in pattern if v == 0)
             pattern = tuple((w, 1) for w, _ in pattern)
-        wired.append(Block(flips, pattern, rep.matrices[element], note))
+        wired.append(Block(flips, pattern, rep.matrices[element], note, sources[element]))
     metadata = {"path": path, "m": m, "r_prime": r_prime, **metadata}
     return CircuitPlan(None, layout, metadata, tuple(wired))
 
@@ -430,12 +445,19 @@ def apply_t_direct(tokens: TokenSet, element_order=None) -> np.ndarray:
 
     ``element_order[i]`` names the group element encoded by label column i,
     so generator-word control registers reuse the same oracle.  The columns are
-    gathered once per token set and label order while the token set lives.
-    The result is shared and read-only: every encoder built from the token set
-    multiplies by this one matrix, which the runner checks once while it lives.
+    gathered once per token set and label order while the token set lives, and
+    checked there, once, by the token set's certificate: a Gram residue above
+    ``UNITARY_TOL`` is refused, as ``TokenSet.overlaps`` refuses it.  The result is
+    shared, a read-only view that cannot be made writable: every encoder built
+    from the token set multiplies by this one matrix, unchecked.
     """
     order = None if element_order is None else tuple(map(int, element_order))
-    return _channel_stage(tokens, ("t", order), lambda: _frozen(tokens.columns(element_order)))
+
+    def columns() -> np.ndarray:
+        tokens._check_gram()
+        return _frozen(tokens.columns(order))
+
+    return _channel_stage(tokens, ("t", order), columns)
 
 
 def qft_gates(control_wires) -> list[Gate]:
@@ -630,7 +652,12 @@ def logical_depth(plan: CircuitPlan) -> int:
 
 @dataclass(eq=False)
 class EncodingPipeline:
-    """Composed prep + W + basis-change circuit producing the protected state."""
+    """Composed prep + W + basis-change circuit producing the protected state.
+
+    ``records`` holds the op records (:func:`statevec._records`) that
+    :func:`build_encoding_pipeline` made of its stages, which :meth:`run` runs
+    unchecked; a pipeline put together by hand has none, and its ops are checked
+    on every run."""
 
     tokens: TokenSet
     m: int
@@ -639,20 +666,27 @@ class EncodingPipeline:
     prep: list[Gate]
     t_plan: CircuitPlan
     layout: RegisterLayout
+    records: list | None = field(default=None, init=False, repr=False)
 
     def run(self, message: StateVector) -> StateVector:
-        """Encode a message, returning the state on token + message wires only."""
+        """Encode a message, returning the state on token + message wires only.
+
+        Only ``message`` is checked: the records run as they were synthesized
+        (:func:`statevec._run_records`), with no check of a wire or a matrix."""
         if message.d != 2 or message.n != self.m:
             raise DimensionMismatch(f"expected an {self.m}-qubit message")
         n = self.layout.n_wires
         check_register(2, n)
-        # the work wires start idle in |0...0>: the buffer holds the message alone
-        # until a gate targets one of them; W's ops come from its blocks
-        ops = itertools.chain(_gate_ops(self.prep), _plan_ops(self.w_plan), _plan_ops(self.t_plan))
+        records = self.records
+        if records is None:  # W's ops come from its blocks
+            ops = (_gate_ops(self.prep), _plan_ops(self.w_plan), _plan_ops(self.t_plan))
+            records = _checked_ops(2, n, itertools.chain(*ops))
         # a label register apart from the token wires must disentangle back to |0...0>:
-        # the runner writes only the label wires that did not, ahead of the kept wires
+        # the runner writes only the label wires that did not, ahead of the kept wires;
+        # the work wires start idle in |0...0>, so the buffer holds the message alone
+        # until a gate targets one of them
         labels = () if set(self.layout.control) <= set(self.layout.token) else self.layout.control
-        tensor = _run(message.tensor().copy(), self.layout.message, n, ops, labels)
+        tensor = _run_records(message.tensor().copy(), self.layout.message, n, records, labels)
         if not labels:
             return StateVector(d=2, n=n, amps=tensor.reshape(-1))
         block = tensor.reshape(2 ** (tensor.ndim - n + len(labels)), -1)
@@ -677,9 +711,15 @@ def build_encoding_pipeline(
     qubits, power-of-two order, with the register-pattern token basis);
     otherwise the basis change is one gate, the isometry of the token columns.
     The W gates are synthesized on the encoder's wires, so no gate is moved.
-    The basis change and the prep gate depend on the channel alone: they are
-    built once per token set (see :func:`_channel_stage`), and each call
-    synthesizes only W.
+    The basis change, the prep gate and W's blocks depend on the channel alone:
+    they are built once per token set, group or rep (see :func:`_channel_stage`),
+    and each call wires W's blocks to its m message wires.
+
+    The pipeline's op records are made here, unchecked, and :meth:`EncodingPipeline.run`
+    runs them as they are: every matrix comes from a validated object (the rep's
+    matrices, checked by ``UnitaryRep.build``; the token columns, by the token set's
+    certificate; X, H, the Fourier phases and the prep column), every wire from the
+    layout made here, and each matrix is a read-only view that cannot be made writable.
     """
     group = tokens.group
     r = tokens.r
@@ -698,26 +738,26 @@ def build_encoding_pipeline(
     layout = w_plan.layout
     if cyclic_network:
 
-        def network() -> CircuitPlan:
+        def network() -> tuple[CircuitPlan, list]:
             t = synth_t_cyclic(group.order)
             _check_network(tokens.rep, tokens.fiducial)
-            return t
+            return t, _records(2, _gate_ops(t.gates))
 
         # the network's own wires, control 0..r'-1 then the tokens, are the encoder's
-        t = _channel_stage(tokens, ("network",), network)
+        t, t_records = _channel_stage(tokens, ("network",), network)
         t_plan = CircuitPlan(gates=list(t.gates), layout=layout, metadata=dict(t.metadata))
     else:
         columns = apply_t_direct(tokens, w_plan.metadata.get("word_elements"))
         t_plan = CircuitPlan([Gate("single", layout.token, matrix=columns)], layout)
-    return EncodingPipeline(
-        tokens=tokens,
-        m=m,
-        path=path,
-        w_plan=w_plan,
-        prep=prep_gates(group, layout.control),
-        t_plan=t_plan,
-        layout=layout,
-    )
+        t_records = _records(2, [(columns, (), layout.token)])
+    prep = prep_gates(group, layout.control)
+    pipeline = EncodingPipeline(tokens, m, path, w_plan, prep, t_plan, layout)
+    pipeline.records = [
+        *((gate.matrix, (), gate.targets, None) for gate in prep),  # H or a column: no 0/1 matrix
+        *(record for block in w_plan.blocks for record in _block_records(block, layout.message)),
+        *t_records,
+    ]
+    return pipeline
 
 
 def gate_count_report(

@@ -86,19 +86,24 @@ class TokenSet:
 
     def overlaps(self, received: StateVector) -> np.ndarray:
         """The ``(|G|, d^m)`` rows ``<t_k| B`` on the received register's first r wires.
-        Only ``received`` is checked; the tokens are trusted to their certificate, and
-        a Gram residue above ``UNITARY_TOL`` (which ``build_tokens`` accepts up to
-        ``ORTHONORMAL_TOL``) is refused as a measurement."""
+        Only ``received`` is checked; the tokens are trusted to their certificate
+        (:meth:`_check_gram`)."""
         if received.d != self.rep.dim or received.n <= self.r:
             raise DimensionMismatch(
                 f"received {received.n} qudits of dimension {received.d}; "
                 f"need more than {self.r} of dimension {self.rep.dim}"
             )
+        self._check_gram()
+        return _overlap_rows(self.stack, received.amps.reshape(self.stack.shape[1], -1))
+
+    def _check_gram(self) -> None:
+        """Refuses a Gram residue above ``UNITARY_TOL``, which ``build_tokens`` accepts
+        up to ``ORTHONORMAL_TOL``: the tokens are then no measurement basis, nor
+        their columns an isometry."""
         if self.gram_residue > UNITARY_TOL:
             raise NonOrthogonalProjectors(
                 f"token Gram residue {self.gram_residue:.3e} exceeds {UNITARY_TOL:.1e}"
             )
-        return _overlap_rows(self.stack, received.amps.reshape(self.stack.shape[1], -1))
 
     @cached_property
     def _support(self) -> np.ndarray:
@@ -127,11 +132,15 @@ class TokenSet:
         return out.reshape(-1)
 
     def columns(self, element_order=None) -> np.ndarray:
-        """The ``(d^r, |G|)`` array whose column i is token ``element_order[i]``."""
+        """The C-order ``(d^r, |G|)`` array whose column i is token ``element_order[i]``,
+        filled column by column: the array is the one copy of the tokens it makes."""
         order = list(map(int, range(len(self.stack)) if element_order is None else element_order))
         if sorted(order) != list(range(len(self.stack))):
             raise DfsCodecError("element_order must enumerate the group")
-        return np.ascontiguousarray(self.stack[order].T)
+        out = np.empty(self.stack.shape[::-1], dtype=self.stack.dtype)
+        for i, k in enumerate(order):
+            out[:, i] = self.stack[k]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,6 +324,13 @@ def _orbit(rep: UnitaryRep, amps: np.ndarray, n: int) -> np.ndarray:
     return _collective_rows(rows, rep.matrices, n, range(n))
 
 
+def _collective(state: StateVector, u: np.ndarray) -> StateVector:
+    """``apply_collective(state, u)`` unchecked, as :func:`_orbit` runs it: for the
+    rep's own matrices, which ``UnitaryRep.build`` validated."""
+    rows = _collective_rows(state.amps[None], u, state.n, range(state.n))
+    return StateVector(d=state.d, n=state.n, amps=rows[0])
+
+
 def _word_lengths(group: FiniteGroup, generators: list[int]) -> list[int]:
     """Length of the shortest positive word ``s_1 ... s_l`` over ``generators`` for each
     element, by breadth-first search on the Cayley table (``g = s h``); -1 for the
@@ -428,7 +444,7 @@ def transmit(
         element = channel.fixed_element
     else:
         element = _draw(channel.probabilities, seed)
-    return apply_collective(state, channel.rep.matrices[element]), element
+    return _collective(state, channel.rep.matrices[element]), element
 
 
 def decode(
@@ -454,7 +470,7 @@ def decode(
             "the received state left the token span"
         )
     message = StateVector.from_amplitudes(rep.dim, m, rows[outcome], normalize=True)
-    message = apply_collective(message, rep.matrices[rep.group.inv(outcome)])
+    message = _collective(message, rep.matrices[rep.group.inv(outcome)])
     report = ProtocolReport(
         m=m,
         r=r,

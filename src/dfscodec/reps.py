@@ -53,7 +53,7 @@ from .limits import (
     UNITARY_TOL,
     check_entries,
 )
-from .statevec import _unitarity_residues
+from .statevec import _frozen, _unitarity_residues
 
 DEFAULT_R_MAX = 32
 
@@ -73,7 +73,9 @@ class UnitaryRep:
     projective: bool = False
 
     def __post_init__(self) -> None:
-        self.matrices.setflags(write=False)
+        # a read-only view that cannot be made writable: encoders and the codec
+        # apply these matrices unchecked
+        object.__setattr__(self, "matrices", _frozen(self.matrices))
 
     @cached_property
     def product_law(self) -> tuple[float, np.ndarray | None]:

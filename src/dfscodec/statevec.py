@@ -7,10 +7,9 @@ used everywhere in the package; conversions never happen at module borders.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, groupby, product
+from itertools import compress, groupby, product
 from operator import sub
 
 import numpy as np
@@ -225,21 +224,6 @@ def _check_operands(d: int, n: int, controls, targets) -> tuple[list, list[int]]
     return controls, targets
 
 
-def _ints(values) -> bool:
-    """Whether every value is a Python int: only keys of such values use a memo,
-    which compares keys by ``==`` (``1 + 0j == 1``, though ``int()`` refuses it)."""
-    return all(type(v) is int for v in values)
-
-
-@lru_cache(maxsize=4096)
-def _layout(d: int, n: int, controls: tuple, targets: tuple) -> tuple[tuple, tuple]:
-    """:func:`_check_operands` of one hashable layout, as tuples: each distinct
-    layout of Python ints is checked once while it stays in the cache; a refused
-    one raises and is not stored."""
-    controls, targets = _check_operands(d, n, controls, targets)
-    return tuple(controls), tuple(targets)
-
-
 # OpenBLAS gives the last ``width % 4`` columns of a product other bits than they
 # get in a wider product, so a block of 1 or 2 columns rounds otherwise than the
 # same columns on more wires.  The block kernel pads a narrower block with zero
@@ -249,27 +233,28 @@ def _layout(d: int, n: int, controls: tuple, targets: tuple) -> tuple[tuple, tup
 MIN_BLOCK_COLUMNS = 64
 
 
-def _fits(shape: tuple, dim: int) -> bool:
-    """Whether ``shape`` is ``dim x c`` with ``1 <= c <= dim``: a unitary or an isometry."""
-    return len(shape) == 2 and shape[0] == dim and 1 <= shape[1] <= dim
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` frozen in place, or of a frozen copy when it does
+    not own its data: numpy refuses to make a view of a read-only owner writable, so
+    a matrix the package trusts cannot be re-written through what it hands out."""
+    owner = array if array.flags.owndata else array.copy()
+    owner.setflags(write=False)
+    return owner.view()
 
 
 def _check_unitaries(d: int, ops: list) -> None:
-    """Each ``(op, dim, known)`` checked to be ``dim x c`` with orthonormal columns,
+    """Each ``(op, dim)`` checked to be ``dim x c`` with orthonormal columns,
     ``c <= dim``: a unitary, or an isometry (:func:`_apply`).  The first failure in
-    order is raised.  ``known`` is its :func:`_certificate`: a certified op passes and
-    a refused one fails, neither computed again.  The ``(d, d)`` ops of one-wire gates
-    among the others share one stacked residue."""
-    passed = [known for _, _, known in ops]
-    small = [i for i, (op, dim, known) in enumerate(ops)
-             if known is None and op.shape == (d, d) == (dim, dim)]
+    order is raised.  The ``(d, d)`` ops of one-wire gates share one stacked residue."""
+    passed = [None] * len(ops)
+    small = [i for i, (op, dim) in enumerate(ops) if op.shape == (d, d) == (dim, dim)]
     if small:
         for i, residue in zip(small, _unitarity_residues(np.array([ops[i][0] for i in small]))):
             passed[i] = residue <= UNITARY_TOL
-    for (op, dim, _), ok in zip(ops, passed):
+    for (op, dim), ok in zip(ops, passed):
         if ok:
             continue
-        if not _fits(op.shape, dim):
+        if not (op.ndim == 2 and op.shape[0] == dim and 1 <= op.shape[1] <= dim):
             raise DimensionMismatch(f"operator must be {dim}x{dim}, got {op.shape}")
         if ok is None and _unitarity_residues(op[None])[0] <= UNITARY_TOL:
             continue
@@ -296,14 +281,14 @@ def _monomial(op: np.ndarray) -> tuple[list[int], list] | None:
     return src, list(map(entries.__getitem__, hits))
 
 
-def _digit_source(op: np.ndarray, d: int) -> list[int] | None:
-    """The source list ``source`` of a ``d x d`` matrix of exact 0s and 1s with one 1
-    in each row and column, row ``a`` having its 1 in column ``source[a]``, as
+def _digit_source(op: np.ndarray, d: int) -> tuple[int, ...] | None:
+    """The source tuple ``source`` of a ``d x d`` matrix of exact 0s and 1s with one 1 in
+    each row and column, row ``a`` having its 1 in column ``source[a]``, as
     :func:`_monomial` gives it; ``None`` for any other matrix."""
     found = _monomial(op) if op.shape == (d, d) else None
     if found is None or found[1].count(1) != d:
         return None
-    return found[0]
+    return tuple(found[0])
 
 
 def _cycles(source) -> list[list[int]]:
@@ -322,99 +307,34 @@ def _cycles(source) -> list[list[int]]:
     return cycles
 
 
-# The certificate of each read-only array that owns its data and whose matrices
-# were checked as ``width x c`` unitaries or isometries, by ``(id, width)``: a list
-# of a weak reference whose callback drops the entry when the array dies, so no id is reused
-# while its entry stands; the array's address, which locates a view in it; whether
-# each matrix passed; and each matrix's :func:`_digit_source`, found on first use
-# by a one-target op.  The array is one matrix, or a ``(k, width, width)`` stack
-# whose matrices are used as views, such as ``UnitaryRep.matrices``.
-_CERTIFIED: dict = {}
-
-
-def _certificate(op: np.ndarray, dim: int) -> tuple[list, int] | bool | None:
-    """``(entry, i)`` when ``op`` is matrix ``i`` of the read-only array that owns
-    its data and that matrix passed the check as a ``dim x c`` unitary or isometry:
-    the array's ``_CERTIFIED`` entry, made on first sight with one stacked residue and
-    not stored if no matrix passed.  ``False`` for such a matrix that failed,
-    ``None`` for a writable one or a view of anything but a matrix of a frozen
-    stack; an owner seen writable loses its entry."""
-    owner, i = op, 0
-    if not op.flags.owndata:
-        owner = op.base
-        if not (isinstance(owner, np.ndarray) and owner.flags.owndata and owner.ndim == 3
-                and owner.shape[1:] == op.shape == (dim, dim) and owner.dtype == op.dtype
-                and owner.strides[1:] == op.strides):
-            return None
-    elif not _fits(op.shape, dim):
-        return None
-    key = (id(owner), dim)
-    if owner.flags.writeable:
-        _CERTIFIED.pop(key, None)
-        return None
-    entry = _CERTIFIED.get(key)
-    if entry is None or entry[0]() is not owner:
-        passed = _unitarity_residues(owner if owner.ndim == 3 else owner[None]) <= UNITARY_TOL
-        entry = [None, owner.ctypes.data, passed, None]
-        if passed.any():
-            entry[0] = weakref.ref(owner, lambda _, key=key: _CERTIFIED.pop(key, None))
-            _CERTIFIED[key] = entry
-    if owner is not op:
-        i, rest = divmod(op.ctypes.data - entry[1], owner.strides[0])
-        if rest or not 0 <= i < len(owner):
-            return None
-    return (entry, i) if entry[2][i] else False
-
-
-def _trusted_source(entry: list, i: int, d: int) -> list[int] | None:
-    """The :func:`_digit_source` of matrix ``i`` of a certificate's ``(d, d)`` owner,
-    found for every matrix of the owner on first use."""
-    if entry[3] is None:
-        owner = entry[0]()
-        entry[3] = [_digit_source(m, d) for m in (owner if owner.ndim == 3 else [owner])]
-    return entry[3][i]
+def _records(d: int, ops) -> list:
+    """The ``(matrix, controls, targets, source)`` record of each ``(matrix, controls,
+    targets)`` op, unchecked: ``source`` is the :func:`_digit_source` of a one-target
+    op's matrix, ``None`` for a wider op."""
+    return [(op, controls, targets, _digit_source(op, d) if len(targets) == 1 else None)
+            for op, controls, targets in ops]
 
 
 def _checked_ops(d: int, n: int, ops) -> list:
-    """``(matrix, controls, targets)`` ops validated on an n-qudit register, each
-    matrix object checked once per target width (:func:`_check_unitaries`), as
-    ``(op, controls, targets, source)``: for a one-target op that is a 0/1 permutation, its
-    :func:`_digit_source`; ``None`` for any other op.
-
-    Each distinct ``(d, n, controls, targets)`` layout of Python ints, lists made
-    tuples, is checked once (:func:`_layout`), any other on every call.  A matrix
-    whose data is owned by a read-only array is checked once while that array
-    lives (:func:`_certificate`): the array is the matrix itself or the frozen
-    stack it is a view of.  A frozen matrix the package built and certified, such
-    as an encoder's basis change or a rep's matrices, is trusted to that check, as
-    ``TokenSet.overlaps`` trusts its certificate.  Any other matrix (writable, a
-    view of a writable array, or one that failed) is checked once on every call,
-    and so is a certified one whose owner is made writable again.  One made
-    writable, changed and frozen again between two calls keeps its entry:
-    freezing is the promise that it does not change.
+    """The :func:`_records` of ``(matrix, controls, targets)`` ops supplied by a
+    caller, validated on an n-qudit register on every call: each op's wires
+    (:func:`_check_operands`), as tuples of Python ints, then each matrix object
+    once per target width (:func:`_check_unitaries`), as a complex array.
 
     The first invalid op in list order raises: when an op's wires are bad, the
     matrices of the ops before it are checked first."""
-    # the memo holds each checked matrix, so no id is reused within the call
-    first: dict = {}
+    first: dict = {}  # holds each matrix, so no id is reused within the call
     out = []
     try:
         for matrix, controls, targets in ops:
-            controls, targets = tuple(map(tuple, controls)), tuple(targets)  # lists hash as tuples
-            check = _layout if _ints(chain(targets, *controls)) else _layout.__wrapped__
-            controls, targets = check(d, n, controls, targets)
+            controls, targets = _check_operands(d, n, controls, targets)
             key = (id(matrix), len(targets))
             if key not in first:
-                first[key] = (matrix, np.asarray(matrix, dtype=np.complex128), d ** len(targets))
-            out.append((key, controls, targets))
+                first[key] = matrix, np.asarray(matrix, dtype=np.complex128)
+            out.append((first[key][1], tuple(controls), tuple(targets)))
     finally:
-        certs = {key: _certificate(op, dim) for key, (_, op, dim) in first.items()}
-        _check_unitaries(d, [(op, dim, certs[key]) for key, (_, op, dim) in first.items()])
-    sources = {}
-    for key, (_, op, dim) in first.items():
-        if dim == d:  # one target
-            sources[key] = _trusted_source(*certs[key], d) if certs[key] else _digit_source(op, d)
-    return [(first[key][1], controls, targets, sources.get(key)) for key, controls, targets in out]
+        _check_unitaries(d, [(op, d**width) for (_, width), (_, op) in first.items()])
+    return _records(d, out)
 
 
 def _widen(keys, wire: dict, joining, d: int) -> tuple[tuple, tuple]:
@@ -456,14 +376,14 @@ def _hold(tensor: np.ndarray, keys: tuple, copies: tuple) -> tuple[np.ndarray, t
 
 @lru_cache(maxsize=256)
 def _compile(d: int, n: int, wires: tuple, labels: tuple, layout: tuple) -> tuple:
-    """The schedule of :func:`_run` for the ``(controls, targets, source)`` of its ops
-    (:func:`_checked_ops`) on a tensor holding ``wires``: its kernel calls in order as
-    tuples, ``("hold", (keys, copies))``, ``("move", cycles)``, ``("apply", (i, index,
-    axes, padded))`` on the matrix of op ``i``, and ``("transpose", axes)``.  It reads no
-    amplitude or matrix, so each distinct key of Python ints is compiled once
-    while it stays among the 256 cached.  A schedule takes 0.25-0.75 KiB per kernel
-    call, more on more axes: 5-30 KiB for each bench encoder and the z16 network at
-    m = 5, so 256 schedules of that size hold under 8 MiB.
+    """The schedule of :func:`_run_records` for the ``(controls, targets, source)`` of
+    its records on a tensor holding ``wires``: its kernel calls in order as tuples,
+    ``("hold", (keys, copies))``, ``("move", cycles)``, ``("apply", (i, index, axes,
+    padded))`` on the matrix of op ``i``, and ``("transpose", axes)``.  It reads no
+    amplitude or matrix, so each distinct key, Python ints by construction, is
+    compiled once while it stays among the 256 cached.  A schedule takes 0.25-0.75
+    KiB per kernel call, more on more axes: 5-30 KiB for each bench encoder and the
+    z16 network at m = 5, so 256 schedules of that size hold under 8 MiB.
 
     Each wire reads one held axis, or none when idle, through a table from stored
     to logical digit: a bijection on a held axis, a constant on an idle wire;
@@ -583,22 +503,27 @@ def _execute(tensor: np.ndarray, matrices: list, schedule: tuple) -> np.ndarray:
 
 
 def _run(tensor: np.ndarray, wires, n: int, ops, labels=()) -> np.ndarray:
-    """``(matrix, controls, targets)`` ops in order; returns the tensor of the
-    register, one axis per wire in wire order, less each wire of ``labels`` that
-    ends idle in |0>; the other wires of ``labels`` lead, in the order given.
+    """``(matrix, controls, targets)`` ops supplied by a caller, validated on every
+    call (:func:`_checked_ops`), then run (:func:`_run_records`)."""
+    return _run_records(tensor, wires, n, _checked_ops(tensor.shape[0], n, ops), labels)
+
+
+def _run_records(tensor: np.ndarray, wires, n: int, records, labels=()) -> np.ndarray:
+    """The ``(matrix, controls, targets, source)`` op records of :func:`_records` in
+    order, unchecked; returns the tensor of the register, one axis per wire in wire
+    order, less each wire of ``labels`` that ends idle in |0>; the other wires of
+    ``labels`` lead, in the order given.
 
     The writable ``tensor`` holds the ascending ``wires`` of an n-qudit register
-    whose every other wire is idle in |0>, and ops may write into it.  Every op is
-    validated on the whole register first, on every call (:func:`_checked_ops`);
-    then :func:`_compile` decides every kernel call from the layout alone, and
-    :func:`_execute` makes them: a layout seen before replays its schedule."""
-    d = tensor.shape[0]
-    checked = _checked_ops(d, n, ops)
-    wires, labels = tuple(wires), tuple(labels)
-    layout = tuple((c, t, None if s is None else tuple(s)) for _, c, t, s in checked)
-    schedule = (_compile if _ints((n, *wires, *labels)) else _compile.__wrapped__)(
-        d, n, wires, labels, layout)
-    return _execute(tensor, [op for op, _, _, _ in checked], schedule)
+    whose every other wire is idle in |0>, and ops may write into it.  Every wire
+    and control digit is a Python int in range and every matrix fits its targets:
+    :func:`_checked_ops` makes such records of a caller's ops, and a synthesizer
+    makes them from validated objects.  :func:`_compile` decides every kernel call
+    from the layout alone, and :func:`_execute` makes them: a layout seen before
+    replays its schedule."""
+    layout = tuple((controls, targets, source) for _, controls, targets, source in records)
+    schedule = _compile(tensor.shape[0], n, tuple(wires), tuple(labels), layout)
+    return _execute(tensor, [op for op, _, _, _ in records], schedule)
 
 
 def apply_local(state: StateVector, u: np.ndarray, target: int) -> StateVector:
@@ -721,7 +646,8 @@ def _collective_rows(rows: np.ndarray, u: np.ndarray, n: int, targets) -> np.nda
 
 
 def apply_collective(state: StateVector, u: np.ndarray, targets=None) -> StateVector:
-    """Apply the same single-qudit unitary to every listed qudit (default: all).
+    """Apply the same single-qudit unitary to every listed qudit (default: all),
+    both checked on every call.
 
     Targets are processed in ascending wire order, whatever order they are
     given in; this is the one-row case of :func:`_collective_rows`.
@@ -730,7 +656,7 @@ def apply_collective(state: StateVector, u: np.ndarray, targets=None) -> StateVe
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (state.d, state.d):  # a collective reads every state of its wires
         raise DimensionMismatch(f"operator must be {state.d}x{state.d}, got {u.shape}")
-    _check_unitaries(state.d, [(u, state.d, _certificate(u, state.d))])
+    _check_unitaries(state.d, [(u, state.d)])
     amps = _collective_rows(state.amps[None], u, state.n, targets)[0]
     return StateVector(d=state.d, n=state.n, amps=amps)
 

@@ -77,11 +77,8 @@ def context_for():
 
 @pytest.fixture
 def fresh_memos():
-    """The runner's memos emptied, the checked layouts, the certified matrices and
-    the compiled schedules, so a test that counts checks or compiles sees every
-    first one whatever ran before it."""
-    statevec._layout.cache_clear()
-    statevec._CERTIFIED.clear()
+    """The runner's one memo, its compiled schedules, emptied, so a test that counts
+    compiles sees every first one whatever ran before it."""
     statevec._compile.cache_clear()
 
 

@@ -1,6 +1,8 @@
+import dataclasses
 import re
 import tracemalloc
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -25,14 +27,17 @@ from dfscodec.codec import decode, encode, prepare_protocol
 from dfscodec.errors import (
     DfsCodecError,
     DimensionMismatch,
+    NonOrthogonalProjectors,
     NotAbelian,
     ResourceLimit,
     UnsupportedDimension,
 )
 from dfscodec.groups import builtin_group, generator_decomposition
+from dfscodec.limits import UNITARY_TOL
 from dfscodec.reps import builtin_rep, pauli_rep, zn_phase_rep
 from dfscodec.statevec import (
     StateVector,
+    _checked_ops,
     apply_controlled,
     basis_state,
     fidelity,
@@ -423,9 +428,10 @@ def test_the_basis_change_past_the_square_budget_is_built_without_a_qr(context_f
 
 
 def test_apply_t_direct_holds_one_copy_of_the_matrix():
-    # z10 has r = 9: T is the 2^9 x 10 token columns, gathered in two copies (the
-    # gather and its transpose), never a 2^9 x 2^9 matrix; a token set of its own,
-    # since a shared one may hold its columns already
+    # z10 has r = 9: T is the 2^9 x 10 token columns, filled column by column into
+    # the one array it keeps (a gather and its transpose took two copies), never a
+    # 2^9 x 2^9 matrix; a token set of its own, since a shared one may hold its
+    # columns already
     tokens = prepare_protocol(zn_phase_rep(builtin_group("z10"), 2)).tokens
     tracemalloc.start()
     try:
@@ -434,28 +440,29 @@ def test_apply_t_direct_holds_one_copy_of_the_matrix():
     finally:
         tracemalloc.stop()
     assert change.shape == (512, 10)
-    assert peak < 2.5 * change.nbytes
+    assert peak < 1.5 * change.nbytes
 
 
 def test_one_token_set_builds_and_checks_its_basis_change_once(fresh_memos, monkeypatch, rng):
     # T depends on the token set alone: the z8 general encoders for m = 1-4, built
-    # and run from one token set, gather the 2^7 x 8 T once, with no QR, and check it once
+    # and run from one token set, gather the 2^7 x 8 T once, with no QR, and check it
+    # once, by the token set's certificate: no residue is computed
     from dfscodec import statevec
 
     tokens = prepare_protocol(zn_phase_rep(builtin_group("z8"), 2)).tokens
-    residue, columns = statevec._unitarity_residues, type(tokens).columns
+    columns, gram = type(tokens).columns, type(tokens)._check_gram
     calls, checked = [], []
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: pytest.fail("qr ran"))
     monkeypatch.setattr(type(tokens), "columns",
                         lambda self, *a: calls.append(1) or columns(self, *a))
-    monkeypatch.setattr(statevec, "_unitarity_residues",
-                        lambda stack: checked.append(stack.shape) or residue(stack))
+    monkeypatch.setattr(type(tokens), "_check_gram", lambda self: checked.append(1) or gram(self))
+    monkeypatch.setattr(statevec, "_unitarity_residues", lambda stack: pytest.fail("residue ran"))
     for m in range(1, 5):
         pipeline = build_encoding_pipeline(tokens, m, "general")
         expected = encode(tokens, message := random_state(2, m, rng))
         assert fidelity(pipeline.run(message), expected) > 1 - 1e-12
     assert len(calls) == 1
-    assert checked.count((1, 128, 8)) == 1
+    assert len(checked) == 1
     assert pipeline.t_plan.gates[0].matrix is apply_t_direct(tokens)
 
 
@@ -466,18 +473,20 @@ def test_one_token_set_builds_and_checks_its_basis_change_once(fresh_memos, monk
 def test_a_second_encoder_from_one_token_set_checks_nothing_again(spec, rep_spec, m, path,
                                                                   network, fresh_memos,
                                                                   monkeypatch, rng):
-    # the four encoders of the circuit benchmark: a second pipeline has fresh gates and
-    # views of the rep's matrices, but the same layouts and the same frozen owners
-    from dfscodec import statevec
+    # the four encoders of the circuit benchmark: no build or run checks a wire or a
+    # matrix, and the digit sources of the rep's matrices and the network's gates are
+    # found on the first build alone, kept with the rep and the token set
+    from dfscodec import circuits, statevec
     from dfscodec.reps import builtin_rep
 
     rep = builtin_rep(builtin_group(spec), rep_spec, 2)
     tokens = network_token_set(rep) if network else prepare_protocol(rep).tokens
     message = random_state(2, m, rng)
     calls: list = []
-    for name in ("_unitarity_residues", "_check_operands", "_digit_source"):
-        real = getattr(statevec, name)
-        monkeypatch.setattr(statevec, name, lambda *args, name=name, real=real:
+    for module, name in ((statevec, "_unitarity_residues"), (statevec, "_check_operands"),
+                         (statevec, "_digit_source"), (circuits, "_digit_source")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
                             calls.append(name) or real(*args))
     runs, states, compiled = [], [], []
     for _ in range(2):
@@ -486,7 +495,7 @@ def test_a_second_encoder_from_one_token_set_checks_nothing_again(spec, rep_spec
         states.append(build_encoding_pipeline(tokens, m, path, cyclic_network=network).run(message))
         runs.append(set(calls))
         compiled.append(statevec._compile.cache_info().misses - misses)
-    assert runs == [{"_unitarity_residues", "_check_operands", "_digit_source"}, set()]
+    assert runs == [{"_digit_source"}, set()]
     # the first build compiles its run's schedule; the second replays it
     assert compiled == [1, 0]
     assert states[0].amps.tobytes() == states[1].amps.tobytes()
@@ -499,35 +508,90 @@ def test_a_second_encoder_from_one_token_set_checks_nothing_again(spec, rep_spec
         assert statevec._compile.cache_info().misses - misses == expected
 
 
-def test_a_shared_basis_change_made_writable_is_checked_again(rng):
-    tokens = prepare_protocol(zn_phase_rep(builtin_group("z4"), 2)).tokens
-    change = apply_t_direct(tokens)
-    assert not change.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        change[0, 0] = 0
-    pipeline = build_encoding_pipeline(tokens, 1, "general")
-    pipeline.run(random_state(2, 1, rng))
-    change.setflags(write=True)
-    change[:, 0] *= 2
-    with pytest.raises(DimensionMismatch, match="not unitary"):
-        build_encoding_pipeline(tokens, 2, "general").run(random_state(2, 2, rng))
+def test_a_trusted_matrix_cannot_be_made_writable(context_for):
+    # what encoders run unchecked is a read-only view of a frozen owner, which numpy
+    # refuses to make writable: the rep's matrices, T, the prep column (z3), and H, the
+    # Fourier phases and X (the z4 network)
+    tokens = context_for("z3").tokens
+    network = build_encoding_pipeline(network_token_set(zn_phase_rep(builtin_group("z4"), 2)),
+                                      1, "cyclic", cyclic_network=True)
+    records = [*build_encoding_pipeline(tokens, 1, "general").records, *network.records]
+    matrices = [tokens.rep.matrices, apply_t_direct(tokens), *(op for op, *_ in records)]
+    assert len({id(matrix) for matrix in matrices}) > 8
+    for matrix in matrices:
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[(0,) * matrix.ndim] = 0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            matrix.setflags(write=True)
+
+
+@pytest.mark.parametrize("spec,rep_spec,m,path,network", [
+    ("z1", "builtin", 1, "general", False), ("z2", "builtin", 2, "general", False),
+    ("z8", "builtin", 3, "general", False), ("z8", "builtin", 3, "abelian", False),
+    ("z8", "builtin", 3, "cyclic", False), ("z8", "builtin", 3, "cyclic", True),
+    ("k4", "builtin", 2, "abelian", False), ("s3", "builtin-2d", 2, "general", False),
+    ("z12", "builtin", 2, "general", False), ("z13", "builtin", 1, "general", False),
+    ("z16", "builtin", 2, "cyclic", True),
+])
+def test_synthesized_records_are_the_checked_records_of_their_gates(spec, rep_spec, m, path,
+                                                                    network):
+    # build_encoding_pipeline makes its op records without a check; checking the ops
+    # of its gates on the whole register gives the same records: each matrix the
+    # same object, the same wires, as tuples of Python ints, and the same digit source
+    from dfscodec.circuits import _gate_ops
+
+    rep = builtin_rep(builtin_group(spec), rep_spec, 2)
+    tokens = network_token_set(rep) if network else prepare_protocol(rep).tokens
+    pipeline = build_encoding_pipeline(tokens, m, path, cyclic_network=network)
+    gates = [*pipeline.prep, *pipeline.w_plan.gates, *pipeline.t_plan.gates]
+    checked = _checked_ops(2, pipeline.layout.n_wires, _gate_ops(gates))
+    assert len(pipeline.records) == len(checked)
+    for got, want in zip(pipeline.records, checked):
+        assert got[0] is want[0] and got[1:] == want[1:]
+        assert all(type(w) is int for w in chain(got[2], *got[1]))
+
+
+def test_a_pipeline_put_together_by_hand_is_checked_on_every_run(context_for, rng):
+    # a pipeline build_encoding_pipeline did not make has no records: its gates are
+    # checked on every run, and valid ones give the bytes of the synthesized run
+    pipeline = build_encoding_pipeline(context_for("k4").tokens, 2, "general")
+    message = random_state(2, 2, rng)
+    assert dataclasses.replace(pipeline).records is None
+    by_hand = dataclasses.replace(pipeline).run(message)
+    assert by_hand.amps.tobytes() == pipeline.run(message).amps.tobytes()
+    bad = [dataclasses.replace(gate, matrix=2 * gate.matrix) for gate in pipeline.prep]
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch, match="^operator is not unitary within tolerance$"):
+            dataclasses.replace(pipeline, prep=bad).run(message)
+
+
+def test_the_basis_change_is_refused_by_the_token_certificate(context_for):
+    # T is built from the token columns once per token set, and refused there, on
+    # every build, when the certificate's Gram residue exceeds UNITARY_TOL
+    doubted = dataclasses.replace(context_for("z3").tokens, gram_residue=2 * UNITARY_TOL)
+    for _ in range(2):
+        with pytest.raises(NonOrthogonalProjectors,
+                           match=r"^token Gram residue 2\.000e-09 exceeds 1\.0e-09$"):
+            build_encoding_pipeline(doubted, 1, "general")
 
 
 def test_the_channel_stages_live_as_long_as_their_token_set(rng):
     import gc
     import weakref
 
-    from dfscodec import statevec
+    from dfscodec import circuits
 
-    tokens = prepare_protocol(zn_phase_rep(builtin_group("z4"), 2)).tokens
+    rep = zn_phase_rep(builtin_group("z4"), 2)
+    tokens = prepare_protocol(rep).tokens
     pipeline = build_encoding_pipeline(tokens, 1, "general")
     pipeline.run(random_state(2, 1, rng))
     change = weakref.ref(pipeline.t_plan.gates[0].matrix)
-    key = (id(change()), 8)
-    assert key in statevec._CERTIFIED
-    del tokens, pipeline
+    assert rep in circuits._CHANNEL_STAGES and tokens in circuits._CHANNEL_STAGES
+    # W's blocks and digit sources are kept with the rep, and hold no reference to it
+    owner = weakref.ref(rep)
+    del rep, tokens, pipeline
     gc.collect()
-    assert change() is None and key not in statevec._CERTIFIED
+    assert change() is None and owner() is None
     # the network's gates are made once per token set; each encoder has its own list
     tokens = network_token_set(zn_phase_rep(builtin_group("z4"), 2))
     first, second = (build_encoding_pipeline(tokens, m, "cyclic", cyclic_network=True).t_plan

@@ -649,17 +649,17 @@ def test_decode_is_local_per_message_qudit(context_for, rng, monkeypatch):
     phi = random_state(2, 2, rng)
     chi = encode(ctx.tokens, phi)
     calls = []
-    original = codec.apply_collective
+    original = codec._collective_rows
 
-    def spy(state, u, targets=None):
-        calls.append((state.n, u.shape, targets))
-        return original(state, u, targets)
+    def spy(rows, u, n, targets):
+        calls.append((rows.shape, u.shape, n, list(targets)))
+        return original(rows, u, n, targets)
 
-    monkeypatch.setattr(codec, "apply_collective", spy)
+    monkeypatch.setattr(codec, "_collective_rows", spy)
     decode(ctx.tokens, chi, seed=4)
     # one collective of a d x d matrix on exactly the m message qudits: the
     # same single-qudit correction on each of them
-    assert calls == [(2, (2, 2), None)]
+    assert calls == [((1, 4), (2, 2), 2, [0, 1])]
 
 
 # (group, rep, dim, r): the diagonal, Pauli, 2-d and regular reps, on qubits and a qutrit

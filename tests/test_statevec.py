@@ -510,11 +510,11 @@ def test_one_monomial_detector_serves_moves_and_collectives():
     assert _monomial(np.array([[1, 0], [0, 0]])) is None  # a zero row
     assert _monomial(np.array([np.eye(2), [[1, 1], [0, 1]]])) is None
     # a 0/1 permutation is the source list _monomial gives; _move finds its cycles
-    assert _digit_source(X.astype(complex), 2) == [1, 0]
+    assert _digit_source(X.astype(complex), 2) == (1, 0)
     assert _digit_source(y, 2) is None
-    assert _digit_source(np.eye(3)[[1, 2, 0]], 3) == [1, 2, 0]
+    assert _digit_source(np.eye(3)[[1, 2, 0]], 3) == (1, 2, 0)
     assert _cycles([1, 2, 0]) == [[0, 1, 2]]
-    assert _digit_source(np.eye(3), 3) == [0, 1, 2]
+    assert _digit_source(np.eye(3), 3) == (0, 1, 2)
     assert _cycles([0, 1, 2]) == []
     assert _digit_source(np.eye(2), 3) is None
 
@@ -830,39 +830,6 @@ def test_each_plan_layout_is_compiled_once_and_a_refused_one_never(fresh_memos, 
     assert (info().misses, info().currsize) == (0, 0)
 
 
-def test_a_wire_int_refuses_raises_with_a_cold_and_a_warm_memo(fresh_memos, rng):
-    # the layout memo compares keys by ==, and 1 + 0j == 1: only a layout of Python
-    # ints may use it, so a wire int() refuses raises alike before and after the
-    # layout with 1 is cached
-    from dfscodec import statevec
-
-    state = random_state(2, 3, rng)
-    u = haar_unitary(2, rng)
-
-    def refusals():
-        messages = []
-        for controls, targets in (([(1 + 0j, 0)], [2]), ([], [1 + 0j]), ([(0, 1 + 0j)], [2])):
-            with pytest.raises(TypeError) as refused:
-                apply_controlled(state, controls, u, targets)
-            messages.append(str(refused.value))
-        return messages
-
-    cold = refusals()
-    assert statevec._layout.cache_info().currsize == 0
-    for controls, targets in (([(1, 0)], [2]), ([], [1]), ([(0, 1)], [2])):
-        apply_controlled(state, controls, u, targets)
-    assert statevec._layout.cache_info().currsize == 3
-    assert refusals() == cold
-    assert all("complex" in message for message in cold)
-    # 1.0, True and numpy integers are what int() makes of them, cached or not
-    expected = apply_controlled(state, [(1, 0)], u, [2]).amps.tobytes()
-    for one in (1.0, True, np.int64(1)):
-        assert apply_controlled(state, [(one, 0)], u, [2]).amps.tobytes() == expected
-    # wires given as iterators are read once, by the type check and the layout alike
-    got = apply_controlled(state, iter([iter([1, 0])]), u, iter([2]))
-    assert got.amps.tobytes() == expected
-
-
 def test_identity_moves_nothing_and_other_monomials_are_multiplied(monkeypatch, rng):
     from dfscodec import statevec
 
@@ -1148,9 +1115,32 @@ def test_unitarity_check_peaks_at_a_fraction_of_the_matrix(rng):
     assert peak < 0.5 * u.nbytes
 
 
-def test_a_frozen_matrix_that_owns_its_data_is_checked_once_while_it_lives(monkeypatch, rng):
-    import gc
+def _user_entry_points(state):
+    """Each user entry point as ``call(u, controls, targets)``: ``u`` on the register of
+    ``state`` under ``controls`` on ``targets``; ``apply_collective`` puts ``u`` on every
+    wire and ``run_plan`` runs a valid gate first."""
+    from dfscodec.circuits import CircuitPlan, Gate, RegisterLayout, apply_gate, run_plan
 
+    layout = RegisterLayout(2, (), (), tuple(range(state.n)))
+
+    def plan(u, controls, targets):
+        gates = [Gate("single", (0,), matrix=X), Gate("controlled", targets, controls, u)]
+        return run_plan(CircuitPlan(gates, layout), state)
+
+    return {
+        "apply_controlled": lambda u, controls, targets: apply_controlled(
+            state, controls, u, targets),
+        "apply_gate": lambda u, controls, targets: apply_gate(
+            state, Gate("controlled", targets, controls, u)),
+        "run_plan": plan,
+        "apply_collective": lambda u, controls, targets: apply_collective(state, u),
+    }
+
+
+def test_a_non_unitary_user_matrix_is_refused_on_every_call(monkeypatch, rng):
+    # what a caller supplies is checked on every call, whatever its flags: a writable
+    # matrix, a frozen one that owns its data, a view of a frozen stack, and a
+    # read-only view of a writable array, through each user entry point
     from dfscodec import statevec
 
     state = random_state(2, 3, rng)
@@ -1158,117 +1148,35 @@ def test_a_frozen_matrix_that_owns_its_data_is_checked_once_while_it_lives(monke
     real = statevec._unitarity_residues
     monkeypatch.setattr(statevec, "_unitarity_residues",
                         lambda stack: checked.append(stack.shape) or real(stack))
-    u = haar_unitary(4, rng)
-    u.setflags(write=False)
-    for _ in range(3):
-        apply_controlled(state, [], u, [0, 2])
-    assert checked == [(1, 4, 4)]
-    # the same matrix on another width is another check, and a writable one is
-    # checked on every run
-    apply_controlled(state, [], haar_unitary(2, rng), [1])
-    assert len(checked) == 2
-    loose = haar_unitary(4, rng)
-    for _ in range(2):
-        apply_controlled(state, [], loose, [0, 1])
-    assert len(checked) == 4
-    # made writable again, it is checked again; its entry dies with it
-    u.setflags(write=True)
-    apply_controlled(state, [], u, [0, 2])
-    assert len(checked) == 5
-    key = (id(u), 4)
-    u.setflags(write=False)
-    apply_controlled(state, [], u, [0, 2])
-    assert key in statevec._CERTIFIED
-    del u
-    gc.collect()
-    assert key not in statevec._CERTIFIED
-
-
-def test_a_frozen_matrix_is_trusted_only_once_certified_and_only_if_it_owns_its_data(rng):
-    from dfscodec import statevec
-
-    state = random_state(2, 3, rng)
     bad = np.diag([1.0, 2.0]).astype(complex)
-    bad.setflags(write=False)
-    for _ in range(2):
-        with pytest.raises(DimensionMismatch, match="not unitary"):
-            apply_controlled(state, [], bad, [0])
-    assert (id(bad), 2) not in statevec._CERTIFIED
-    # a read-only view of a writable array can change under it: checked every run
-    base = np.eye(4, dtype=complex)
+    frozen = bad.copy()
+    frozen.setflags(write=False)
+    stack = np.array([haar_unitary(2, rng), bad])
+    stack.setflags(write=False)
+    base = X.copy()
     view = base[:]
     view.setflags(write=False)
-    apply_controlled(state, [], view, [0, 1])
+    for name, call in _user_entry_points(state).items():
+        for u in (bad, frozen, stack[1]):
+            for _ in range(2):
+                with pytest.raises(DimensionMismatch,
+                                   match="^operator is not unitary within tolerance$"):
+                    call(u, ((2, 1),), (0,))
+        # a unitary passes, and is checked again on every call: one residue each
+        checked.clear()
+        for u in (stack[0], view, stack[0], view):
+            call(u, ((2, 1),), (0,))
+        assert len(checked) == 4, name
+    # a read-only view of a writable array is refused once its owner changes
     base[0, 0] = 2
-    with pytest.raises(DimensionMismatch, match="not unitary"):
-        apply_controlled(state, [], view, [0, 1])
-
-
-def test_a_frozen_stack_is_certified_once_and_trusted_through_its_views(fresh_memos,
-                                                                        monkeypatch, rng):
-    import gc
-
-    from dfscodec import statevec
-
-    state = random_state(2, 3, rng)
-    checked = []
-    real = statevec._unitarity_residues
-    monkeypatch.setattr(statevec, "_unitarity_residues",
-                        lambda stack: checked.append(stack.shape) or real(stack))
-    stack = np.array([haar_unitary(2, rng), X, np.diag([1.0, 2.0]), haar_unitary(2, rng)])
-    stack.setflags(write=False)
-    key = (id(stack), 2)
-    # each read-only view is a fresh object; the stack they come from is checked
-    # once, by one batched residue, and keeps each matrix's digit source
-    for _ in range(2):
-        for i in (0, 1, 3):
-            apply_controlled(state, [(2, 1)], stack[i], [0])
-            apply_collective(state, stack[i])
-    assert checked == [(4, 2, 2)]
-    assert _checked_ops(2, 3, [(stack[1], (), (0,))])[0][3] == [1, 0]
-    assert statevec._CERTIFIED[key][3] == [None, [1, 0], None, None]
-    # its one failing matrix is refused on every call, by the stack's stored
-    # verdict: no residue is computed again
-    for _ in range(2):
+    for call in _user_entry_points(state).values():
         with pytest.raises(DimensionMismatch, match="not unitary"):
-            apply_controlled(state, [], stack[2], [1])
-        with pytest.raises(DimensionMismatch, match="not unitary"):
-            apply_collective(state, stack[2])
-    assert checked == [(4, 2, 2)]
-    # a frozen matrix that owns its data and fails is not stored: each refused call
-    # computes its residue once
-    bad = np.diag([1.0, 2.0]).astype(complex)
-    bad.setflags(write=False)
-    for call in (lambda: apply_controlled(state, [], bad, [1]), lambda: apply_collective(state, bad)):
-        with pytest.raises(DimensionMismatch, match="not unitary"):
-            call()
-    assert checked[1:] == [(1, 2, 2)] * 2 and (id(bad), 2) not in statevec._CERTIFIED
-    # only a whole matrix of the stack is trusted, never another view of its data
-    part = stack.reshape(8, 2)[1:3]
-    assert part.strides == stack.strides[1:]
-    assert statevec._certificate(part, 2) is None
-    assert statevec._certificate(stack[3], 2)[1] == 3
-    # made writable and changed, the stack loses its entry and the next run raises
-    stack.setflags(write=True)
-    stack[0] *= 2
-    assert statevec._certificate(stack[0], 2) is None and key not in statevec._CERTIFIED
-    view = stack[0]
-    view.setflags(write=False)
-    with pytest.raises(DimensionMismatch, match="not unitary"):
-        apply_controlled(state, [], view, [0])
-    with pytest.raises(DimensionMismatch, match="not unitary"):
-        apply_collective(state, view)
-    # frozen again it is certified again, and its entry dies with it
-    stack.setflags(write=False)
-    apply_controlled(state, [], stack[1], [0])
-    assert key in statevec._CERTIFIED
-    del stack, view, part
-    gc.collect()
-    assert key not in statevec._CERTIFIED
+            call(view, ((2, 1),), (0,))
 
 
-def test_each_layout_is_checked_once_and_a_refused_one_on_every_call(fresh_memos,
-                                                                    monkeypatch, rng):
+def test_a_user_plan_with_a_bad_wire_is_refused_on_every_call(monkeypatch, rng):
+    # every call checks every op's wires, with the same message each time; a wire
+    # int() refuses, such as 1 + 0j, raises int()'s TypeError, though 1 + 0j == 1
     from dfscodec import statevec
 
     calls = []
@@ -1277,19 +1185,35 @@ def test_each_layout_is_checked_once_and_a_refused_one_on_every_call(fresh_memos
                         lambda *args: calls.append(args[2:]) or real(*args))
     state = random_state(2, 3, rng)
     u = haar_unitary(2, rng)
+    refused = [
+        (((0, 1),), (0,), BadTarget, "control and target sets overlap"),
+        ((), (3,), BadTarget, "qudit 3 out of range for 3 qudits"),
+        ((), (1, 1), BadTarget, r"repeated qudit in \[1, 1\]"),
+        (((0, 2),), (1,), BadTarget, r"control \(0,2\) out of range"),
+        (((0, 1), (0, 0)), (1,), BadTarget, "repeated control qudit"),
+        (((1 + 0j, 0),), (2,), TypeError, "complex"),
+        ((), (1 + 0j,), TypeError, "complex"),
+        (((0, 1 + 0j),), (2,), TypeError, "complex"),
+    ]
+    entries = _user_entry_points(state)
+    del entries["apply_collective"]  # its wires are checked by _check_wires
+    for name, call in entries.items():
+        for controls, targets, error, message in refused:
+            for _ in range(2):
+                calls.clear()
+                with pytest.raises(error, match=message):
+                    call(u, controls, targets)
+                assert calls[-1] == (controls, targets), name
+        # 1.0, True and numpy integers are what int() makes of them
+        expected = call(u, ((1, 0),), (2,)).amps.tobytes()
+        for one in (1.0, True, np.int64(1)):
+            assert call(u, ((one, 0),), (2,)).amps.tobytes() == expected
     for _ in range(2):
-        with pytest.raises(BadTarget, match="control and target sets overlap"):
-            apply_controlled(state, [(0, 1)], u, [0])
-        with pytest.raises(BadTarget, match="qudit 3 out of range for 3 qudits"):
-            apply_controlled(state, [], u, [3])
-    assert len(calls) == 4 and statevec._layout.cache_info().currsize == 0
-    # lists are made tuples, so a list and a tuple of one layout share its check
-    first = apply_controlled(state, [[1, 0]], u, [2])
-    again = apply_controlled(state, ((1, 0),), u, (2,))
-    assert first.amps.tobytes() == again.amps.tobytes()
-    assert calls[4:] == [(((1, 0),), (2,))]
-    assert _checked_ops(2, 3, [(u, [[1, 0]], [2])])[0][1:3] == (((1, 0),), (2,))
-    assert len(calls) == 5
+        with pytest.raises(BadTarget, match=r"repeated qudit in \[0, 0\]"):
+            apply_collective(state, u, [0, 0])
+    # wires given as iterators are read once, by the check
+    got = apply_controlled(state, iter([iter([1, 0])]), u, iter([2]))
+    assert got.amps.tobytes() == apply_controlled(state, [(1, 0)], u, [2]).amps.tobytes()
 
 
 def copying_apply(tensor, op, targets, controls, columns):
