@@ -830,6 +830,40 @@ def test_each_plan_layout_is_compiled_once_and_a_refused_one_never(fresh_memos, 
     assert (info().misses, info().currsize) == (0, 0)
 
 
+def test_a_wire_int_refuses_raises_with_a_cold_and_a_warm_memo(fresh_memos, rng):
+    # the schedule memo compares keys by ==, and 1 + 0j == 1: only a layout of Python
+    # ints may reach it, so a wire int() refuses raises alike before and after the
+    # layout with 1 is compiled
+    from dfscodec import statevec
+
+    info = statevec._compile.cache_info
+    state = random_state(2, 3, rng)
+    u = haar_unitary(2, rng)
+
+    def refusals():
+        messages = []
+        for controls, targets in (([(1 + 0j, 0)], [2]), ([], [1 + 0j]), ([(0, 1 + 0j)], [2])):
+            with pytest.raises(TypeError) as refused:
+                apply_controlled(state, controls, u, targets)
+            messages.append(str(refused.value))
+        return messages
+
+    cold = refusals()
+    assert info().currsize == 0
+    for controls, targets in (([(1, 0)], [2]), ([], [1]), ([(0, 1)], [2])):
+        apply_controlled(state, controls, u, targets)
+    assert info().currsize == 3
+    assert refusals() == cold
+    assert all("complex" in message for message in cold)
+    # 1.0, True and numpy integers are what int() makes of them: the compiled
+    # schedule of the layout with 1 is replayed, and no other is compiled
+    misses = info().misses
+    expected = apply_controlled(state, [(1, 0)], u, [2]).amps.tobytes()
+    for one in (1.0, True, np.int64(1)):
+        assert apply_controlled(state, [(one, 0)], u, [2]).amps.tobytes() == expected
+    assert (info().misses, info().currsize) == (misses, 3)
+
+
 def test_identity_moves_nothing_and_other_monomials_are_multiplied(monkeypatch, rng):
     from dfscodec import statevec
 
@@ -1214,6 +1248,141 @@ def test_a_user_plan_with_a_bad_wire_is_refused_on_every_call(monkeypatch, rng):
     # wires given as iterators are read once, by the check
     got = apply_controlled(state, iter([iter([1, 0])]), u, iter([2]))
     assert got.amps.tobytes() == apply_controlled(state, [(1, 0)], u, [2]).amps.tobytes()
+
+
+def test_each_layout_is_checked_once_and_a_refused_one_on_every_call(fresh_memos,
+                                                                    monkeypatch, rng):
+    # a caller's layout is checked once per call, whatever the memo holds: a refused
+    # one raises on every call before it compiles, and a valid one is compiled once
+    from dfscodec import statevec
+
+    calls = []
+    real = statevec._check_operands
+    monkeypatch.setattr(statevec, "_check_operands",
+                        lambda *args: calls.append(args[2:]) or real(*args))
+    info = statevec._compile.cache_info
+    state = random_state(2, 3, rng)
+    u = haar_unitary(2, rng)
+    for _ in range(2):
+        with pytest.raises(BadTarget, match="control and target sets overlap"):
+            apply_controlled(state, [(0, 1)], u, [0])
+        with pytest.raises(BadTarget, match="qudit 3 out of range for 3 qudits"):
+            apply_controlled(state, [], u, [3])
+    assert len(calls) == 4 and info().currsize == 0
+    # lists are made tuples, so a list and a tuple of one layout share its schedule;
+    # each call checks it once
+    first = apply_controlled(state, [[1, 0]], u, [2])
+    again = apply_controlled(state, ((1, 0),), u, (2,))
+    assert first.amps.tobytes() == again.amps.tobytes()
+    assert calls[4:] == [([[1, 0]], [2]), (((1, 0),), (2,))]
+    assert (info().misses, info().currsize) == (1, 1)
+    assert _checked_ops(2, 3, [(u, [[1, 0]], [2])])[0][1:3] == (((1, 0),), (2,))
+    assert len(calls) == 7
+
+
+def _rep_checks(monkeypatch):
+    """The unitarity checks of statevec and reps, spied: the list of what each
+    computed a residue of or checked, as it runs."""
+    from dfscodec import reps, statevec
+
+    checked: list = []
+    for module, name in ((statevec, "_unitarity_residues"), (reps, "_unitarity_residues"),
+                         (statevec, "_check_unitaries")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
+                            checked.append((name, np.shape(args[-1]))) or real(*args))
+    return checked
+
+
+def test_a_frozen_matrix_that_owns_its_data_is_checked_once_while_it_lives(monkeypatch, rng):
+    # the rep's matrices are frozen views of a frozen owner: UnitaryRep.build checks
+    # them once, by one batched residue, and for as long as the rep lives the codec's
+    # transmit and decode apply them with no check. A caller's matrix, frozen or not,
+    # is checked on every call (test_a_non_unitary_user_matrix_is_refused_on_every_call)
+    from dfscodec.codec import decode, encode, fixed_channel, prepare_protocol, transmit
+    from dfscodec.reps import UnitaryRep
+
+    group = builtin_group("z8")
+    matrices = builtin_rep(group, "builtin", 2).matrices
+    checked = _rep_checks(monkeypatch)
+    rep = UnitaryRep.build(group, matrices)
+    assert checked == [("_unitarity_residues", (8, 2, 2))]
+    owner = rep.matrices.base
+    assert owner.flags.owndata and not owner.flags.writeable
+    tokens = prepare_protocol(rep).tokens
+    message = random_state(2, 2, rng)
+    sent = encode(tokens, message)
+    checked.clear()
+    for element in (3, 5, 3):
+        received, applied = transmit(fixed_channel(rep, element), sent)
+        out, report = decode(tokens, received, seed=element)
+        assert applied == element and report.m == 2
+        assert fidelity(out, message) > 1 - 1e-12
+    assert checked == []
+
+
+def test_a_frozen_matrix_is_trusted_only_once_certified_and_only_if_it_owns_its_data(rng):
+    # a stack becomes the rep's trusted matrices only through a check that passed,
+    # and only as a frozen array that owns its data: a view of a caller's writable
+    # array is copied, so writing the array cannot change what encoders run unchecked
+    from dfscodec.reps import UnitaryRep
+    from dfscodec.statevec import _frozen
+
+    group = builtin_group("z2")
+    bad = np.array([np.eye(2), np.diag([1.0, 2.0])], dtype=complex)
+    bad.setflags(write=False)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not unitary"):
+            UnitaryRep.build(group, bad)
+    base = np.array([np.eye(2), X], dtype=complex)
+    view = base[:]
+    view.setflags(write=False)
+    rep = UnitaryRep(group=group, dim=2, matrices=view)
+    assert not np.shares_memory(rep.matrices, base)
+    base[1] = np.diag([1.0, 2.0])
+    assert rep.matrices[1].tobytes() == X.astype(complex).tobytes()
+    # an array that owns its data is frozen in place and handed out as a view of it
+    owner = np.array([np.eye(2), X], dtype=complex)
+    trusted = _frozen(owner)
+    assert trusted.base is owner and not owner.flags.writeable
+    # a caller's read-only view of a writable array is checked on every call
+    state = random_state(2, 3, rng)
+    base = np.eye(4, dtype=complex)
+    view = base[:]
+    view.setflags(write=False)
+    apply_controlled(state, [], view, [0, 1])
+    base[0, 0] = 2
+    with pytest.raises(DimensionMismatch, match="not unitary"):
+        apply_controlled(state, [], view, [0, 1])
+
+
+def test_a_frozen_stack_is_certified_once_and_trusted_through_its_views(fresh_memos,
+                                                                        monkeypatch, rng):
+    # the rep's stack is certified once, when it is built; the encoders built from it
+    # run read-only views of its frozen owner as their records, with no check, and
+    # none of those views can be made writable
+    from dfscodec.circuits import build_encoding_pipeline
+    from dfscodec.codec import encode, prepare_protocol
+    from dfscodec.reps import UnitaryRep
+
+    group = builtin_group("s3")
+    matrices = builtin_rep(group, "builtin-2d", 2).matrices
+    checked = _rep_checks(monkeypatch)
+    rep = UnitaryRep.build(group, matrices)
+    assert checked == [("_unitarity_residues", (6, 2, 2))]
+    tokens = prepare_protocol(rep).tokens
+    checked.clear()
+    message = random_state(2, 2, rng)
+    for _ in range(2):
+        pipeline = build_encoding_pipeline(tokens, 2, "general")
+        assert fidelity(pipeline.run(message), encode(tokens, message)) > 1 - 1e-12
+    assert checked == []
+    views = [op for op, *_ in pipeline.records if np.shares_memory(op, rep.matrices)]
+    assert len(views) >= rep.group.order
+    for view in views:
+        assert view.base is rep.matrices.base
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            view.setflags(write=True)
 
 
 def copying_apply(tensor, op, targets, controls, columns):
